@@ -39,7 +39,7 @@ u = np.array([1.1, 0.4])
 outward = cl.NormalDirection(np.array([1.0]))
 tp = cl.tube_point(cfg, u, outward, boundary=boundary)
 print("sphere2_r3, eps = 0.1: the tube boundary is two concentric spheres")
-print(f"  outer sheet K^g  = {cl.classical_curvature(tp):.10f}  (1/1.1^2 = {1 / 1.21:.10f})")
+print(f"  outer sheet K^g  = {tp.classical_k:.10f}  (1/1.1^2 = {1 / 1.21:.10f})")
 print(f"  normal Jacobian  = {cl.normal_jacobian(cfg, u, outward):.10f}  (1/1.21  = {1 / 1.21:.10f})")
 
 spec = cl.tube_spectrum_check(cfg, u, outward, boundary=boundary)

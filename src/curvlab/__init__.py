@@ -19,6 +19,7 @@ from .curvature import (
     CurvatureTensor,
     NormalDirection,
     batched_curvature_moments,
+    batched_curvature_quadrature,
     directional_curvature,
     egregium_report,
     gauss_equation_tensor,
@@ -43,11 +44,8 @@ from .immersion import (
     Axis,
     FrameData,
     Immersion,
-    Jet2,
-    evaluate_jet2,
     frame_data_at,
     frames_at,
-    fundamental_forms,
     jets_at,
     sample_domain,
 )
@@ -65,7 +63,6 @@ from .tube import (
     TubeBoundary,
     TubeConfig,
     TubePoint,
-    classical_curvature,
     normal_jacobian,
     tube_boundary_immersion,
     tube_identity_check,
@@ -87,7 +84,6 @@ __all__ = [
     "GaussBonnetReport",
     "Immersion",
     "ImmersionFileError",
-    "Jet2",
     "NormalDirection",
     "NormalSphereRule",
     "QuadratureGrid",
@@ -99,17 +95,15 @@ __all__ = [
     "UnsupportedDimensionError",
     "batched_curvature",
     "batched_curvature_moments",
+    "batched_curvature_quadrature",
     "catalog_entries",
     "catalog_get",
     "catalog_names",
-    "classical_curvature",
     "default_grid",
     "directional_curvature",
     "egregium_report",
-    "evaluate_jet2",
     "frame_data_at",
     "frames_at",
-    "fundamental_forms",
     "gauss_bonnet_check",
     "gauss_equation_tensor",
     "generalized_curvature_moments",

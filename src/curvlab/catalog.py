@@ -21,6 +21,7 @@ import re
 
 import numpy as np
 
+from .curvature import whiten_second_form
 from .errors import ImmersionFileError, UnknownImmersionError
 from .immersion import Axis, Immersion, frames_at
 from .jets import cos, sin
@@ -262,9 +263,7 @@ def _estimate_reach(imm: Immersion) -> float:
     mesh = np.meshgrid(*axes, indexing="ij")
     U = np.stack([g.ravel() for g in mesh], axis=1)
     metric, second, _ = frames_at(imm, U)
-    L = np.linalg.cholesky(metric)
-    Linv = np.linalg.inv(L)
-    A = np.einsum("bij,bsjk,blk->bsil", Linv, second, Linv)
+    A, _ = whiten_second_form(metric, second)
     # |eigs of sum(nu_s A_s)| <= sqrt(sum_s ||A_s||_F^2) for unit nu
     bound = float(np.sqrt(np.sum(A**2, axis=(1, 2, 3))).max())
     if bound < 1e-12:
@@ -405,7 +404,8 @@ def catalog_entries() -> list[dict]:
 
 # -- custom surface files --------------------------------------------------
 
-_FACTOR_KINDS = ("pow", "cos", "sin")
+_WAVE_KEYS = ("axis", "kind", "freq", "phase")
+_FACTOR_KEYS = {"pow": ("axis", "kind", "exponent"), "cos": _WAVE_KEYS, "sin": _WAVE_KEYS}
 
 
 def _file_error(field: str, message: str):
@@ -434,15 +434,19 @@ def _parse_factor(raw, m: int, field: str):
     if not 0 <= axis < m:
         _file_error(f"{field}.axis", f"axis {axis} out of range for m = {m}")
     kind = raw.get("kind")
-    if kind not in _FACTOR_KINDS:
-        _file_error(f"{field}.kind", f"expected one of {_FACTOR_KINDS}, got {kind!r}")
+    if kind not in _FACTOR_KEYS:
+        _file_error(f"{field}.kind", f"expected one of {tuple(_FACTOR_KEYS)}, got {kind!r}")
+    for key in raw:
+        if key not in _FACTOR_KEYS[kind]:
+            _file_error(f"{field}.{key}", f"unknown field; a {kind} factor takes {_FACTOR_KEYS[kind]}")
     if kind == "pow":
         expo = _check_int(raw.get("exponent"), f"{field}.exponent")
         if expo < 0:
             _file_error(f"{field}.exponent", f"exponent {expo} must be nonnegative")
-        return ("pow", axis, expo)
+        return ("pow", axis, expo, 0.0)
     freq = _check_int(raw.get("freq"), f"{field}.freq")
-    return (kind, axis, freq)
+    phase = _check_number(raw.get("phase", 0.0), f"{field}.phase")
+    return (kind, axis, freq, phase)
 
 
 def _parse_term(raw, m: int, field: str):
@@ -465,14 +469,14 @@ def _compile_file_chart(coords):
             acc = 0.0
             for coeff, factors in terms:
                 term = coeff
-                for kind, axis, arg in factors:
+                for kind, axis, arg, phase in factors:
                     if kind == "pow":
                         if arg:
                             term = term * xs[axis] ** arg
                     elif kind == "cos":
-                        term = term * cos(xs[axis] * float(arg))
+                        term = term * cos(xs[axis] * float(arg) + phase)
                     else:
-                        term = term * sin(xs[axis] * float(arg))
+                        term = term * sin(xs[axis] * float(arg) + phase)
                 acc = acc + term
             out.append(acc)
         return out
@@ -485,8 +489,8 @@ def load_immersion(path: str) -> Immersion:
 
     Required fields: m, k, domain (list of {lo, hi, periodic}), coordinates
     (k lists of {coeff, factors} terms; factors are monomial powers or
-    integer-frequency cos/sin in one axis).  Optional: name, euler_char,
-    reach.  Errors name the offending field.
+    cos/sin(freq * x + phase) in one axis, integer freq, optional phase).
+    Optional: name, euler_char, reach.  Errors name the offending field.
     """
     try:
         with open(path) as fh:

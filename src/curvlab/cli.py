@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -157,12 +158,16 @@ def _random_directions(rng: np.random.Generator, count: int, n: int) -> list[Nor
     return out
 
 
-def _threshold_exit(args, metrics: list) -> int:
+def _threshold_exit(args, metrics: dict) -> int:
+    """1 if a named metric exceeds --fail-threshold or is not finite, else 0."""
     threshold = getattr(args, "fail_threshold", None)
     if threshold is None:
         return 0
-    finite = [m for m in metrics if m is not None]
-    return 1 if finite and max(finite) > threshold else 0
+    for name, value in metrics.items():
+        if not math.isfinite(value):
+            print(f"error: {name} is {value}, not a finite number", file=sys.stderr)
+            return 1
+    return 1 if any(value > threshold for value in metrics.values()) else 0
 
 
 # -- subcommands -----------------------------------------------------------
@@ -248,7 +253,8 @@ def cmd_gauss_bonnet(args) -> int:
         wall_time_s=time.perf_counter() - start,
     )
     _emit(report, args.format)
-    return _threshold_exit(args, [rep.residual if rep.residual is not None else rep.chi_distance])
+    gate = {"residual": rep.residual} if rep.residual is not None else {"chi_distance": rep.chi_distance}
+    return _threshold_exit(args, gate)
 
 
 def cmd_tube(args) -> int:
@@ -259,7 +265,7 @@ def cmd_tube(args) -> int:
     do_identity = args.identity or not do_any
     rng = np.random.default_rng(args.seed)
     results: dict = {"eps": args.eps}
-    metrics = []
+    metrics = {}
     if do_identity or args.spectrum:
         boundary = tube_boundary_immersion(cfg)
         points = sample_domain(imm, args.samples, rng)
@@ -271,7 +277,7 @@ def cmd_tube(args) -> int:
             )
             results["max_identity_residual"] = worst
             results["identity_samples"] = args.samples
-            metrics.append(worst)
+            metrics["max_identity_residual"] = worst
         if args.spectrum:
             worst = max(
                 tube_spectrum_check(cfg, u, nu, boundary=boundary).residual
@@ -279,14 +285,14 @@ def cmd_tube(args) -> int:
             )
             results["max_spectrum_residual"] = worst
             results["spectrum_samples"] = args.samples
-            metrics.append(worst)
+            metrics["max_spectrum_residual"] = worst
     if args.total:
         total = tube_total_curvature(cfg, resolution=args.resolution)
         results["total_integral"] = total.integral
         results["total_expected"] = total.expected
         results["total_residual"] = total.residual
         results["per_sheet"] = list(total.per_sheet)
-        metrics.append(total.residual)
+        metrics["total_residual"] = total.residual
     report = RunReport(
         command="tube",
         surface=label,
@@ -327,10 +333,16 @@ def cmd_egregium(args) -> int:
         wall_time_s=time.perf_counter() - start,
     )
     _emit(report, args.format)
-    return _threshold_exit(args, [worst_egregium])
+    return _threshold_exit(args, {"max_egregium_residual": worst_egregium})
 
 
 # -- parser ----------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _add_surface_args(sp) -> None:
@@ -362,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gauss-bonnet", help="total curvature against the Euler characteristic")
     _add_surface_args(sp)
     _add_common(sp)
-    sp.add_argument("--resolution", type=int, help="nodes per axis (default: per-dimension policy)")
+    sp.add_argument("--resolution", type=_positive_int, help="nodes per axis (default: per-dimension policy)")
     sp.add_argument("--route", choices=("moments", "quadrature"), default="moments")
     sp.add_argument("--fail-threshold", type=float, help="exit 1 if the residual exceeds this")
     sp.set_defaults(func=cmd_gauss_bonnet)
@@ -374,16 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--total", action="store_true", help="integrate the boundary curvature")
     sp.add_argument("--identity", action="store_true", help="check the rescaling identity")
     sp.add_argument("--spectrum", action="store_true", help="check the shape-operator spectrum")
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--resolution", type=int)
+    sp.add_argument("--resolution", type=_positive_int)
     sp.add_argument("--fail-threshold", type=float)
     sp.set_defaults(func=cmd_tube)
 
     sp = sub.add_parser("egregium", help="extrinsic-vs-intrinsic curvature residual at random points")
     _add_surface_args(sp)
     _add_common(sp)
-    sp.add_argument("--samples", type=int, default=20)
+    sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--fail-threshold", type=float)
     sp.set_defaults(func=cmd_egregium)

@@ -2,22 +2,21 @@
 
 The generalized curvature K_M at a point is the normalized average of the
 directional curvature K^nu = det(Pi^nu)/det(I) over the unit normal
-sphere.  Two routes compute it:
+sphere.  Two batched routes compute it from the chart-coordinate second
+form, dividing by det(I) once:
 
-  * `generalized_curvature_moments` — closed-form normal-sphere moments
+  * `batched_curvature_moments` — closed-form normal-sphere moments
     (Gamma quotients) contracted against determinants of row-mixed
     second-form matrices; exact up to roundoff, and exactly zero in odd
     dimension by parity.
-  * `generalized_curvature_quadrature` — direct numerical averaging over
-    a normal-sphere rule.
+  * `batched_curvature_quadrature` — direct numerical averaging over a
+    normal-sphere rule.
 
 A third, intrinsic route goes through the Gauss equation (or finite
 differences of the metric alone) to the Riemann tensor and its Pfaffian
-density; `egregium_report` compares all routes at a point.
-
-All tensor quantities are expressed in the orthonormal tangent basis
-obtained by Cholesky whitening of the metric, so results are comparable
-across routes and charts.
+density; `egregium_report` compares all routes at a point.  Riemann
+tensors are expressed in the orthonormal tangent basis obtained by
+Cholesky whitening of the metric, so they compare across routes and charts.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
-from .immersion import FrameData, Immersion, frame_data_at, jets_at
+from .immersion import FrameData, Immersion, frame_data_at, induced_metric, jets_at
 
 __all__ = [
     "NormalDirection",
@@ -42,6 +41,7 @@ __all__ = [
     "generalized_curvature_moments",
     "generalized_curvature_quadrature",
     "batched_curvature_moments",
+    "batched_curvature_quadrature",
     "whiten_second_form",
     "gauss_equation_tensor",
     "intrinsic_curvature_fd",
@@ -151,15 +151,9 @@ def whiten_second_form(metric: np.ndarray, second: np.ndarray):
     W = inverse transpose of the Cholesky factor of the metric; returns
     (whitened second form, W).  Accepts single points or batches.
     """
-    L = np.linalg.cholesky(metric)
-    Linv = np.linalg.inv(L)
-    if second.ndim == 3:
-        out = np.einsum("ij,sjk,lk->sil", Linv, second, Linv)
-        W = Linv.T
-    else:
-        out = np.einsum("bij,bsjk,blk->bsil", Linv, second, Linv)
-        W = np.transpose(Linv, (0, 2, 1))
-    return out, W
+    Linv = np.linalg.inv(np.linalg.cholesky(metric))
+    out = np.einsum("...ij,...sjk,...lk->...sil", Linv, second, Linv)
+    return out, np.swapaxes(Linv, -1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -177,35 +171,45 @@ def _even_index_table(m: int, n: int):
 
 
 def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Moments-route K_M for a batch: metric (B,m,m), second form (B,n,m,m)."""
+    """Moments-route K_M for a batch: metric (B,m,m), second form (B,n,m,m).
+
+    Row-mixed determinants of the chart-coordinate form, divided by det(I)
+    once: whitening scales their moment-weighted sum by exactly 1/det(I).
+    """
     b, n, m, _ = second.shape
     if m % 2:
         return np.zeros(b)
-    pi_orth, _ = whiten_second_form(metric, second)
     alphas, moments = _even_index_table(m, n)
     acc = np.zeros(b)
     for alpha, moment in zip(alphas, moments):
-        rows = np.stack([pi_orth[:, alpha[t], t, :] for t in range(m)], axis=1)
-        acc += moment * np.linalg.det(rows)
-    return acc / sphere_volume(n - 1)
+        acc += moment * np.linalg.det(second[:, alpha, np.arange(m), :])
+    return acc / np.linalg.det(metric) / sphere_volume(n - 1)
+
+
+_QUADRATURE_BLOCK = 2048
+
+
+def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray, rule) -> np.ndarray:
+    """Rule-averaged K^nu for a batch; blocked to bound the (B, Q, m, m) buffer."""
+    b = metric.shape[0]
+    out = np.empty(b)
+    for start in range(0, b, _QUADRATURE_BLOCK):
+        stop = start + _QUADRATURE_BLOCK
+        pi_nu = np.einsum("qs,bsij->bqij", rule.nodes, second[start:stop])
+        out[start:stop] = np.linalg.det(pi_nu) @ rule.weights
+    return out / np.linalg.det(metric) / sphere_volume(second.shape[1] - 1)
 
 
 def generalized_curvature_moments(fd: FrameData) -> float:
     """K_M via closed-form normal-sphere moments; exactly 0 for odd m."""
-    if fd.m % 2:
-        return 0.0
     return float(batched_curvature_moments(fd.metric[None], fd.second_form[None])[0])
 
 
 def generalized_curvature_quadrature(fd: FrameData, rule) -> float:
     """K_M as the rule-weighted average of K^nu over the unit normal sphere."""
-    nodes, weights = rule.nodes, rule.weights
-    if nodes.shape[1] != fd.n:
-        raise ValueError(f"rule is on S^{nodes.shape[1] - 1}, codimension is {fd.n}")
-    pi_nu = np.einsum("qs,sij->qij", nodes, fd.second_form)
-    dets = np.linalg.det(pi_nu)
-    total = float(np.dot(weights, dets)) / float(np.linalg.det(fd.metric))
-    return total / sphere_volume(fd.n - 1)
+    if rule.nodes.shape[1] != fd.n:
+        raise ValueError(f"rule is on S^{rule.nodes.shape[1] - 1}, codimension is {fd.n}")
+    return float(batched_curvature_quadrature(fd.metric[None], fd.second_form[None], rule)[0])
 
 
 # -- Riemann tensor and Pfaffian ------------------------------------------
@@ -224,11 +228,6 @@ _FD_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 _FD_OFFSETS = np.array([-2, -1, 1, 2])
 
 
-def _metric_batch(imm: Immersion, U: np.ndarray) -> np.ndarray:
-    _, d1 = jets_at(imm, U, order=1)
-    return np.einsum("bki,bkj->bij", d1, d1)
-
-
 def _christoffel_batch(imm: Immersion, centers: np.ndarray, h: np.ndarray):
     """Christoffel symbols at each center by 5-point differencing of the metric."""
     b = centers.shape[0]
@@ -239,7 +238,7 @@ def _christoffel_batch(imm: Immersion, centers: np.ndarray, h: np.ndarray):
             shifted = centers.copy()
             shifted[:, i] += off * h[i]
             stencil.append(shifted)
-    G_all = _metric_batch(imm, np.concatenate(stencil, axis=0))
+    G_all = induced_metric(jets_at(imm, np.concatenate(stencil, axis=0), order=1)[1])
     G0 = G_all[:b]
     dG = np.empty((b, m, m, m))
     for i in range(m):

@@ -25,11 +25,11 @@ from .jets import Jet
 __all__ = [
     "Axis",
     "Immersion",
-    "Jet2",
     "FrameData",
-    "evaluate_jet2",
-    "fundamental_forms",
     "jets_at",
+    "induced_metric",
+    "normal_projection",
+    "forms_from_jets",
     "frames_at",
     "frame_data_at",
     "sample_domain",
@@ -125,15 +125,6 @@ class Immersion:
 
 
 @dataclass
-class Jet2:
-    """Exact 2-jet of a chart at one parameter point."""
-
-    point: np.ndarray  # (k,)
-    d1: np.ndarray  # (k, m)
-    d2: np.ndarray  # (k, m, m), symmetric in the last two indices
-
-
-@dataclass
 class FrameData:
     """Orthonormal tangent-adapted data at a point."""
 
@@ -161,11 +152,19 @@ def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):
     return point, d1, d2
 
 
-def evaluate_jet2(imm: Immersion, u: Sequence[float]) -> Jet2:
-    """Exact point/first/second derivatives of the chart at one point."""
-    uw = imm.wrap(u)
-    point, d1, d2 = jets_at(imm, uw[None, :], order=2)
-    return Jet2(point=point[0], d1=d1[0], d2=d2[0])
+def induced_metric(d1: np.ndarray) -> np.ndarray:
+    """First fundamental forms (B, m, m) of a batch of 1-jets (B, k, m)."""
+    return np.einsum("bki,bkj->bij", d1, d1)
+
+
+def normal_projection(d1: np.ndarray, metric: np.ndarray) -> np.ndarray:
+    """Normal parts of the k ambient basis vectors, as columns of (B, k, k); checks rank."""
+    try:
+        np.linalg.cholesky(metric)
+        sol = np.linalg.solve(metric, np.transpose(d1, (0, 2, 1)))  # (B, m, k)
+    except np.linalg.LinAlgError:
+        raise DegenerateImmersionError("first-derivative matrix is rank deficient at a sampled point")
+    return np.eye(d1.shape[1])[None, :, :] - np.einsum("bkm,bmj->bkj", d1, sol)
 
 
 def _normal_frames(d1: np.ndarray, metric: np.ndarray) -> np.ndarray:
@@ -178,12 +177,7 @@ def _normal_frames(d1: np.ndarray, metric: np.ndarray) -> np.ndarray:
     """
     b, k, m = d1.shape
     n = k - m
-    try:
-        np.linalg.cholesky(metric)
-        sol = np.linalg.solve(metric, np.transpose(d1, (0, 2, 1)))  # (B, m, k)
-    except np.linalg.LinAlgError:
-        raise DegenerateImmersionError("first-derivative matrix is rank deficient at a sampled point")
-    cand = np.eye(k)[None, :, :] - np.einsum("bkm,bmj->bkj", d1, sol)  # columns: normal parts of e_a
+    cand = normal_projection(d1, metric)
     frame = np.empty((b, k, n))
     for s in range(n):
         norms = np.linalg.norm(cand, axis=1)  # (B, k)
@@ -198,27 +192,24 @@ def _normal_frames(d1: np.ndarray, metric: np.ndarray) -> np.ndarray:
     return frame
 
 
-def frames_at(imm: Immersion, U: np.ndarray):
-    """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n)."""
-    _, d1, d2 = jets_at(imm, U, order=2)
-    metric = np.einsum("bki,bkj->bij", d1, d1)
+def forms_from_jets(d1: np.ndarray, d2: np.ndarray):
+    """Metric (B,m,m), second form (B,n,m,m) and normal frame (B,k,n) from batched jets."""
+    metric = induced_metric(d1)
     frame = _normal_frames(d1, metric)
     second = np.einsum("bks,bkij->bsij", frame, d2)
     return metric, second, frame
 
 
-def fundamental_forms(jet: Jet2) -> FrameData:
-    """First and second fundamental forms plus an orthonormal normal frame."""
-    d1 = jet.d1[None, :, :]
-    metric = np.einsum("bki,bkj->bij", d1, d1)
-    frame = _normal_frames(d1, metric)
-    second = np.einsum("bks,bkij->bsij", frame, jet.d2[None, :, :, :])
-    return FrameData(metric=metric[0], second_form=second[0], normal_frame=frame[0])
+def frames_at(imm: Immersion, U: np.ndarray):
+    """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n)."""
+    _, d1, d2 = jets_at(imm, U, order=2)
+    return forms_from_jets(d1, d2)
 
 
 def frame_data_at(imm: Immersion, u: Sequence[float]) -> FrameData:
-    """Convenience: fundamental forms at a single (wrapped) parameter point."""
-    return fundamental_forms(evaluate_jet2(imm, u))
+    """Fundamental forms at a single (wrapped) parameter point: a batch of one."""
+    metric, second, frame = frames_at(imm, imm.wrap(u)[None, :])
+    return FrameData(metric=metric[0], second_form=second[0], normal_frame=frame[0])
 
 
 def sample_domain(imm: Immersion, count: int, rng: np.random.Generator,

@@ -5,9 +5,11 @@ nodes, so polar chart edges are never evaluated) with equispaced
 trapezoid nodes on periodic axes (spectrally accurate there).  Surface
 integrals weight the integrand by the Riemannian density sqrt(det I).
 
-Accumulation is deterministic: fixed chunking, pairwise summation inside
-each chunk, compensated summation across chunks — repeated runs give
-bit-identical integrals.
+Every integral goes through `reduce_over_grid`.  Accumulation is
+deterministic: fixed chunking, pairwise summation inside each chunk,
+compensated summation across chunks — repeated runs give bit-identical
+integrals.  A non-finite integrand value fails the integral and names its
+parameter point.
 """
 
 from __future__ import annotations
@@ -18,14 +20,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import batched_curvature_moments, sphere_volume
-from .immersion import Immersion, jets_at, frames_at
+from .curvature import batched_curvature_moments, batched_curvature_quadrature, sphere_volume
+from .errors import DegenerateImmersionError
+from .immersion import Immersion, frames_at, induced_metric, jets_at
 
 __all__ = [
     "GridAxis",
     "QuadratureGrid",
     "NormalSphereRule",
     "default_grid",
+    "reduce_over_grid",
     "integrate_scalar",
     "normal_sphere_rule",
     "batched_curvature",
@@ -101,23 +105,37 @@ def default_grid(imm: Immersion, resolution: Optional[int] = None) -> Quadrature
     return QuadratureGrid(tuple(axes))
 
 
-def integrate_scalar(imm: Immersion, f: Callable[[np.ndarray], np.ndarray],
-                     grid: QuadratureGrid) -> float:
-    """Integral of f against the Riemannian surface measure.
-
-    `f` maps a (B, m) batch of parameter points to (B,) values.
-    """
+def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
+                     integrand: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Weighted grid sum of `integrand`: (B, m) points -> (B,) density-weighted values."""
     if len(grid.axes) != imm.m:
         raise ValueError(f"grid has {len(grid.axes)} axes, immersion has {imm.m}")
     U, W = grid.mesh()
     partials = []
     for start in range(0, U.shape[0], _CHUNK):
         Uc = U[start:start + _CHUNK]
-        _, d1 = jets_at(imm, Uc, order=1)
-        metric = np.einsum("bki,bkj->bij", d1, d1)
-        density = np.sqrt(np.linalg.det(metric))
-        partials.append(float(np.sum(f(Uc) * density * W[start:start + _CHUNK])))
+        values = integrand(Uc)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise DegenerateImmersionError(
+                f"{imm.name}: integrand is not finite at {int(bad.sum())} grid point(s), "
+                f"first at parameter point {Uc[np.argmax(bad)].tolist()}"
+            )
+        partials.append(float(np.sum(values * W[start:start + _CHUNK])))
     return math.fsum(partials)
+
+
+def integrate_scalar(imm: Immersion, f: Callable[[np.ndarray], np.ndarray],
+                     grid: QuadratureGrid) -> float:
+    """Integral of f against the Riemannian surface measure.
+
+    `f` maps a (B, m) batch of parameter points to (B,) values.
+    """
+    def integrand(U):
+        _, d1 = jets_at(imm, U, order=1)
+        return f(U) * np.sqrt(np.linalg.det(induced_metric(d1)))
+
+    return reduce_over_grid(imm, grid, integrand)
 
 
 def normal_sphere_rule(n: int, order: Optional[int] = None) -> NormalSphereRule:
@@ -159,29 +177,23 @@ def normal_sphere_rule(n: int, order: Optional[int] = None) -> NormalSphereRule:
     return NormalSphereRule(nodes, np.full(q, sphere_volume(n - 1) / q))
 
 
-def _quadrature_K(metric: np.ndarray, second: np.ndarray, rule: NormalSphereRule,
-                  block: int = 2048) -> np.ndarray:
-    """Rule-averaged K^nu for a batch; blocked to bound the (B, Q, m, m) buffer."""
-    b = metric.shape[0]
-    out = np.empty(b)
-    det_g = np.linalg.det(metric)
-    for start in range(0, b, block):
-        pi_nu = np.einsum("qs,bsij->bqij", rule.nodes, second[start:start + block])
-        out[start:start + block] = np.linalg.det(pi_nu) @ rule.weights
-    return out / det_g / sphere_volume(second.shape[1] - 1)
+def _curvature_route(route: str, n: int, rule: Optional[NormalSphereRule] = None):
+    """The batched K_M kernel (metric, second form) -> (B,) of a named route."""
+    if route == "moments":
+        return batched_curvature_moments
+    if route == "quadrature":
+        if rule is None:
+            rule = normal_sphere_rule(n)
+        return lambda metric, second: batched_curvature_quadrature(metric, second, rule)
+    raise ValueError(f"unknown curvature route {route!r}")
 
 
 def batched_curvature(imm: Immersion, U: np.ndarray, route: str = "moments",
                       rule: Optional[NormalSphereRule] = None) -> np.ndarray:
     """Generalized curvature K_M at a batch of parameter points."""
+    curvature = _curvature_route(route, imm.n, rule)
     metric, second, _ = frames_at(imm, U)
-    if route == "moments":
-        return batched_curvature_moments(metric, second)
-    if route == "quadrature":
-        if rule is None:
-            rule = normal_sphere_rule(imm.n)
-        return _quadrature_K(metric, second, rule)
-    raise ValueError(f"unknown curvature route {route!r}")
+    return curvature(metric, second)
 
 
 @dataclass
@@ -205,25 +217,15 @@ def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
     unknown the report still carries the rounded estimate and the rounding
     distance.
     """
+    curvature = _curvature_route(route, imm.n)
     if grid is None:
         grid = default_grid(imm)
-    if len(grid.axes) != imm.m:
-        raise ValueError(f"grid has {len(grid.axes)} axes, immersion has {imm.m}")
-    rule = normal_sphere_rule(imm.n) if route == "quadrature" else None
-    U, W = grid.mesh()
-    partials = []
-    for start in range(0, U.shape[0], _CHUNK):
-        Uc = U[start:start + _CHUNK]
-        metric, second, _ = frames_at(imm, Uc)
-        if route == "moments":
-            K = batched_curvature_moments(metric, second)
-        elif route == "quadrature":
-            K = _quadrature_K(metric, second, rule)
-        else:
-            raise ValueError(f"unknown curvature route {route!r}")
-        density = np.sqrt(np.linalg.det(metric))
-        partials.append(float(np.sum(K * density * W[start:start + _CHUNK])))
-    integral = math.fsum(partials)
+
+    def integrand(U):
+        metric, second, _ = frames_at(imm, U)
+        return curvature(metric, second) * np.sqrt(np.linalg.det(metric))
+
+    integral = reduce_over_grid(imm, grid, integrand)
 
     ratio = sphere_volume(imm.k - 1) / sphere_volume(imm.n - 1)
     raw_chi = integral / ratio

@@ -30,11 +30,13 @@ from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
 from .immersion import (
     Axis,
     Immersion,
-    _normal_frames,
+    forms_from_jets,
     frame_data_at,
+    induced_metric,
     jets_at,
+    normal_projection,
 )
-from .integrate import QuadratureGrid, default_grid
+from .integrate import QuadratureGrid, default_grid, reduce_over_grid
 from .jets import Jet, cos, dot, sin, sqrt
 
 __all__ = [
@@ -43,7 +45,6 @@ __all__ = [
     "TubeBoundary",
     "tube_boundary_immersion",
     "tube_point",
-    "classical_curvature",
     "normal_jacobian",
     "tube_identity_check",
     "tube_spectrum_check",
@@ -52,9 +53,6 @@ __all__ = [
     "TubeSpectrumResult",
     "TubeTotalResult",
 ]
-
-_CHUNK = 16384
-
 
 @dataclass(frozen=True)
 class TubeConfig:
@@ -174,10 +172,8 @@ def _sphere_coords(n, y):
 
 def _default_pivots(base: Immersion) -> list[list[float]]:
     """Constant seed vectors: ambient basis directions most normal at chart center."""
-    fd = frame_data_at(base, base.chart_center())
-    d1 = jets_at(base, base.chart_center()[None, :], order=1)[1][0]
-    sol = np.linalg.solve(fd.metric, d1.T)
-    proj = np.eye(base.k) - d1 @ sol
+    _, d1 = jets_at(base, base.chart_center()[None, :], order=1)
+    proj = normal_projection(d1, induced_metric(d1))[0]
     order = np.argsort(-np.linalg.norm(proj, axis=0), kind="stable")[: base.n]
     return [[1.0 if a == piv else 0.0 for a in range(base.k)] for piv in order]
 
@@ -339,11 +335,6 @@ def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
     )
 
 
-def classical_curvature(tp: TubePoint) -> float:
-    """Gaussian curvature of the tube boundary at tp, oriented by its outward normal."""
-    return tp.classical_k
-
-
 @dataclass
 class TubeIdentityResult:
     """Both sides of K^g/NJ = (-1)^(n-1) eps^-(n-1) K^nu at one tube point."""
@@ -415,20 +406,18 @@ class TubeTotalResult:
 
 def _sheet_total(cfg: TubeConfig, sheet: Immersion, grid: QuadratureGrid) -> float:
     base = cfg.base
-    U, W = grid.mesh()
-    partials = []
-    for start in range(0, U.shape[0], _CHUNK):
-        Uc = U[start:start + _CHUNK]
-        point, d1, d2 = jets_at(sheet, Uc, order=2)
-        metric = np.einsum("bki,bkj->bij", d1, d1)
-        frame = _normal_frames(d1, metric)
-        second = np.einsum("bks,bkij->bsij", frame, d2)
-        g = (point - base.points(Uc[:, : base.m])) / cfg.eps
+
+    def integrand(U):
+        # the sheet point orients the Gauss map, so the jets are taken here
+        point, d1, d2 = jets_at(sheet, U, order=2)
+        metric, second, frame = forms_from_jets(d1, d2)
+        g = (point - base.points(U[:, : base.m])) / cfg.eps
         coeff = np.einsum("bk,bk->b", frame[:, :, 0], g)
-        K = np.sign(coeff) ** sheet.m * np.linalg.det(second[:, 0]) / np.linalg.det(metric)
-        density = np.sqrt(np.linalg.det(metric))
-        partials.append(float(np.sum(K * density * W[start:start + _CHUNK])))
-    return math.fsum(partials)
+        det_g = np.linalg.det(metric)
+        K = np.sign(coeff) ** sheet.m * np.linalg.det(second[:, 0]) / det_g
+        return K * np.sqrt(det_g)
+
+    return reduce_over_grid(sheet, grid, integrand)
 
 
 def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> TubeTotalResult:

@@ -69,10 +69,10 @@ def test_catalog_get_errors():
 def test_graph_poly_custom_terms():
     # X(x, y) = (x, y, 0.5 x^2, x y)
     imm = cl.graph_poly(2, 2, [[(0.5, (2, 0))], [(1.0, (1, 1))]], box=2.0)
-    j = cl.evaluate_jet2(imm, [0.3, -0.4])
-    assert_allclose(j.point, [0.3, -0.4, 0.5 * 0.09, -0.12], atol=1e-15)
-    assert_allclose(j.d2[2, 0, 0], 1.0, atol=1e-15)
-    assert_allclose(j.d2[3, 0, 1], 1.0, atol=1e-15)
+    point, _, d2 = cl.jets_at(imm, imm.wrap([0.3, -0.4])[None], order=2)
+    assert_allclose(point[0], [0.3, -0.4, 0.5 * 0.09, -0.12], atol=1e-15)
+    assert_allclose(d2[0, 2, 0, 0], 1.0, atol=1e-15)
+    assert_allclose(d2[0, 3, 0, 1], 1.0, atol=1e-15)
     assert imm.euler_char is None
     assert imm.domain[0].lo == -2.0 and imm.domain[0].hi == 2.0
 
@@ -239,3 +239,36 @@ def test_pow_exponent_validation(tmp_path):
     with pytest.raises(ImmersionFileError) as err:
         cl.load_immersion(_write(tmp_path, doc))
     assert "exponent" in str(err.value)
+
+
+def _phase_circle_doc(key="phase"):
+    wave = [{"axis": 0, "kind": kind, "freq": 1, key: 1.0} for kind in ("cos", "sin")]
+    return {
+        "m": 1,
+        "k": 2,
+        "domain": [{"lo": 0.0, "hi": 2 * np.pi, "periodic": True}],
+        "coordinates": [[{"coeff": 1.0, "factors": [w]}] for w in wave],
+    }
+
+
+def test_file_factor_phase_is_honoured(tmp_path):
+    imm = cl.load_immersion(_write(tmp_path, _phase_circle_doc()))
+    point, d1 = cl.jets_at(imm, np.array([[0.0], [0.5]]), order=1)
+    assert_allclose(point, [[np.cos(1.0), np.sin(1.0)], [np.cos(1.5), np.sin(1.5)]], atol=1e-15)
+    assert_allclose(d1[:, :, 0], [[-np.sin(1.0), np.cos(1.0)], [-np.sin(1.5), np.cos(1.5)]], atol=1e-15)
+
+
+def test_file_rejects_unknown_factor_fields(tmp_path):
+    with pytest.raises(ImmersionFileError) as err:
+        cl.load_immersion(_write(tmp_path, _phase_circle_doc(key="phse")))
+    assert "coordinates[0][0].factors[0].phse" in str(err.value)
+    doc = _flat_torus_doc()
+    doc["coordinates"][0][0]["factors"][0] = {"axis": 0, "kind": "pow", "exponent": 1, "phase": 0.5}
+    with pytest.raises(ImmersionFileError) as err:
+        cl.load_immersion(_write(tmp_path, doc))
+    assert "coordinates[0][0].factors[0].phase" in str(err.value)
+    doc = _phase_circle_doc()
+    doc["coordinates"][1][0]["factors"][0]["phase"] = "late"
+    with pytest.raises(ImmersionFileError) as err:
+        cl.load_immersion(_write(tmp_path, doc))
+    assert "coordinates[1][0].factors[0].phase" in str(err.value)

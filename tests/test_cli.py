@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from curvlab.cli import RunReport, main
+from curvlab.cli import RunReport, _threshold_exit, main
 
 
 def run_cli(capsys, *args):
@@ -173,6 +174,31 @@ def test_gauss_bonnet_threshold_pass_exit_0(capsys):
         capsys, "gauss-bonnet", "--surface", "sphere2_r3", "--fail-threshold", "1e-6"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_metric_fails_the_gate(capsys, bad):
+    args = argparse.Namespace(fail_threshold=1.0)
+    assert _threshold_exit(args, {"residual": 1e-12, "max_spectrum_residual": bad}) == 1
+    assert "max_spectrum_residual" in capsys.readouterr().err
+    assert _threshold_exit(args, {"residual": 1e-12}) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("egregium", "--surface", "sphere2_r3", "--samples", "0"), "--samples"),
+        (("tube", "--surface", "sphere2_r3", "--eps", "0.1", "--samples", "0"), "--samples"),
+        (("tube", "--surface", "sphere2_r3", "--eps", "0.1", "--total", "--resolution", "-3"),
+         "--resolution"),
+        (("gauss-bonnet", "--surface", "sphere2_r3", "--resolution", "0"), "--resolution"),
+        (("gauss-bonnet", "--surface", "sphere2_r3", "--resolution", "ten"), "--resolution"),
+    ],
+)
+def test_counts_below_one_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {flag}" in err
 
 
 # -- tube -------------------------------------------------------------------

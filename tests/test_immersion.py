@@ -17,17 +17,23 @@ _WTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
 # -- pinned jet values ------------------------------------------------------
 
 
+def _jet2(imm, u):
+    """Point, first and second derivatives at one wrapped point: a batch of one."""
+    point, d1, d2 = cl.jets_at(imm, imm.wrap(u)[None], order=2)
+    return point[0], d1[0], d2[0]
+
+
 def test_circle_r2_jet_at_zero():
-    j = cl.evaluate_jet2(get("circle_r2"), [0.0])
-    assert_allclose(j.point, [1.0, 0.0], atol=1e-15)
-    assert_allclose(j.d1[:, 0], [0.0, 1.0], atol=1e-15)
-    assert_allclose(j.d2[:, 0, 0], [-1.0, 0.0], atol=1e-15)
+    point, d1, d2 = _jet2(get("circle_r2"), [0.0])
+    assert_allclose(point, [1.0, 0.0], atol=1e-15)
+    assert_allclose(d1[:, 0], [0.0, 1.0], atol=1e-15)
+    assert_allclose(d2[:, 0, 0], [-1.0, 0.0], atol=1e-15)
 
 
 def test_sphere2_r3_jet_at_equator():
-    j = cl.evaluate_jet2(get("sphere2_r3"), [np.pi / 2, 0.0])
-    assert_allclose(j.point, [1.0, 0.0, 0.0], atol=1e-15)
-    t1, t2 = j.d1[:, 0], j.d1[:, 1]
+    point, d1, _ = _jet2(get("sphere2_r3"), [np.pi / 2, 0.0])
+    assert_allclose(point, [1.0, 0.0, 0.0], atol=1e-15)
+    t1, t2 = d1[:, 0], d1[:, 1]
     assert abs(t1 @ t2) < 1e-15
     assert_allclose(np.linalg.norm(t1), 1.0, rtol=1e-15)
     assert_allclose(np.linalg.norm(t2), 1.0, rtol=1e-15)  # sin(pi/2)
@@ -36,11 +42,11 @@ def test_sphere2_r3_jet_at_equator():
 def test_quadratic_graph_jet_at_origin():
     # X(x1, x2) = (x1, x2, x1^2 + x2^2)
     imm = cl.graph_poly(2, 1, [[(1.0, (2, 0)), (1.0, (0, 2))]])
-    j = cl.evaluate_jet2(imm, [0.0, 0.0])
-    assert_allclose(j.point, np.zeros(3), atol=1e-15)
-    assert_allclose(j.d1[:2, :], np.eye(2), atol=1e-15)
-    assert_allclose(j.d1[2, :], np.zeros(2), atol=1e-15)
-    assert_allclose(j.d2[2], 2.0 * np.eye(2), atol=1e-15)
+    point, d1, d2 = _jet2(imm, [0.0, 0.0])
+    assert_allclose(point, np.zeros(3), atol=1e-15)
+    assert_allclose(d1[:2, :], np.eye(2), atol=1e-15)
+    assert_allclose(d1[2, :], np.zeros(2), atol=1e-15)
+    assert_allclose(d2[2], 2.0 * np.eye(2), atol=1e-15)
 
 
 # -- pinned fundamental forms ----------------------------------------------
@@ -114,16 +120,16 @@ def test_wrap_periodic_and_domain_error():
     with pytest.raises(DomainError):
         graph.wrap([2.0, 0.0])  # box is [-1, 1]^2
     with pytest.raises(DomainError):
-        cl.evaluate_jet2(graph, [0.0, 5.0])
+        _jet2(graph, [0.0, 5.0])
     with pytest.raises(DomainError):
         graph.wrap([0.0])  # wrong arity
 
 
-def test_evaluate_jet2_wraps_periodic_coordinates():
+def test_wrapped_jets_agree_across_periods():
     imm = get("sphere2_r3")
-    a = cl.evaluate_jet2(imm, [1.0, 0.5])
-    b = cl.evaluate_jet2(imm, [1.0, 0.5 + 2 * np.pi])
-    assert_allclose(a.point, b.point, atol=1e-12)
+    a, _, _ = _jet2(imm, [1.0, 0.5])
+    b, _, _ = _jet2(imm, [1.0, 0.5 + 2 * np.pi])
+    assert_allclose(a, b, atol=1e-12)
 
 
 def test_sample_domain_margins(rng):

@@ -1,10 +1,13 @@
 """Quadrature rules, Riemannian areas, normal-sphere rules, and Gauss-Bonnet."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import curvlab as cl
+from curvlab.errors import DegenerateImmersionError
 from curvlab.integrate import GridAxis, QuadratureGrid, _make_axis
 
 from conftest import CHI_NAMES, get
@@ -165,3 +168,55 @@ def test_grid_refinement_converges(name):
         errors.append(rep.residual)
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse / 4.0 or fine < 1e-10
+
+
+def test_unknown_route_is_rejected_before_the_mesh(monkeypatch):
+    def no_mesh(self):
+        raise AssertionError("mesh built for an unknown route")
+
+    monkeypatch.setattr(QuadratureGrid, "mesh", no_mesh)
+    with pytest.raises(ValueError, match="unknown curvature route 'x'"):
+        cl.gauss_bonnet_check(get("sphere2_r4"), route="x")
+    with pytest.raises(ValueError, match="unknown curvature route"):
+        cl.batched_curvature(get("sphere2_r4"), np.array([[1.0, 2.0]]), route="x")
+
+
+# -- non-finite integrands --------------------------------------------------
+
+
+def _overflowing_line(tmp_path):
+    # y = 1e308 x^4 - 1e308 x^4: zero where finite, NaN once x^4 overflows
+    doc = {
+        "name": "overflowing_line",
+        "m": 1,
+        "k": 2,
+        "euler_char": 0,
+        "reach": 1.0,
+        "domain": [{"lo": -2.0, "hi": 2.0}],
+        "coordinates": [
+            [{"coeff": 1.0, "factors": [{"axis": 0, "kind": "pow", "exponent": 1}]}],
+            [
+                {"coeff": 1e308, "factors": [{"axis": 0, "kind": "pow", "exponent": 4}]},
+                {"coeff": -1e308, "factors": [{"axis": 0, "kind": "pow", "exponent": 4}]},
+            ],
+        ],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    return cl.load_immersion(str(path))
+
+
+def test_non_finite_integrand_names_the_first_bad_point(tmp_path):
+    imm = _overflowing_line(tmp_path)
+    grid = cl.default_grid(imm, 8)
+    first = grid.mesh()[0][0]  # the node nearest -2 comes first, and overflows
+    with np.errstate(all="ignore"):
+        assert np.isnan(imm.points(first[None])[0, 1])
+        with pytest.raises(DegenerateImmersionError) as err:
+            cl.integrate_scalar(imm, lambda U: np.ones(len(U)), grid)
+        assert "overflowing_line" in str(err.value)
+        assert str(first.tolist()) in str(err.value)
+        with pytest.raises(DegenerateImmersionError, match="overflowing_line"):
+            cl.gauss_bonnet_check(imm, grid)
+        with pytest.raises(DegenerateImmersionError, match="overflowing_line_tube"):
+            cl.tube_total_curvature(cl.TubeConfig(imm, 0.1), resolution=8)

@@ -108,8 +108,8 @@ def test_classical_curvature_outer_inner_sphere():
     nu_in = cl.NormalDirection(-nu_out.coeffs)
     tp_out = cl.tube_point(cfg, u, nu_out, boundary=boundary)
     tp_in = cl.tube_point(cfg, u, nu_in, boundary=boundary)
-    assert_allclose(cl.classical_curvature(tp_out), 1.0 / 1.1**2, rtol=1e-12)
-    assert_allclose(cl.classical_curvature(tp_in), 1.0 / 0.9**2, rtol=1e-12)
+    assert_allclose(tp_out.classical_k, 1.0 / 1.1**2, rtol=1e-12)
+    assert_allclose(tp_in.classical_k, 1.0 / 0.9**2, rtol=1e-12)
     assert tp_out.sheet_index != tp_in.sheet_index
 
 

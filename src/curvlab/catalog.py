@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 
 import numpy as np
 
@@ -381,9 +382,12 @@ def catalog_get(name: str) -> Immersion:
                 )
             key, _, value = piece.partition("=")
             try:
-                params[key.strip()] = float(value)
+                number = float(value)
             except ValueError:
                 raise UnknownImmersionError(f"{base}: non-numeric value for {key.strip()!r}")
+            if not abs(number) <= sys.float_info.max:
+                raise UnknownImmersionError(f"{base}: {key.strip()!r} = {number} is not a finite number")
+            params[key.strip()] = number
     try:
         return _CATALOG[base](**params)
     except TypeError:
@@ -413,14 +417,15 @@ def _file_error(field: str, message: str):
 
 
 def _check_number(value, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _file_error(field, f"expected a number, got {value!r}")
+    # NaN, +-inf and integers past the float range all fail the comparison
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        _file_error(field, f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _check_int(value, field: str) -> int:
     # JSON writers routinely emit 1.0 for 1; accept integral floats.
-    if isinstance(value, float) and value == int(value):
+    if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         _file_error(field, f"expected an integer, got {value!r}")

@@ -345,6 +345,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_surface_args(sp) -> None:
     sp.add_argument("--surface", help="catalog surface name, e.g. sphere2_r4 or torus_rev_r3(R=2,r=0.5)")
     sp.add_argument("--surface-file", help="path to a JSON surface file")
@@ -376,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--resolution", type=_positive_int, help="nodes per axis (default: per-dimension policy)")
     sp.add_argument("--route", choices=("moments", "quadrature"), default="moments")
-    sp.add_argument("--fail-threshold", type=float, help="exit 1 if the residual exceeds this")
+    sp.add_argument("--fail-threshold", type=_finite_float, help="exit 1 if the residual exceeds this")
     sp.set_defaults(func=cmd_gauss_bonnet)
 
     sp = sub.add_parser("tube", help="tube-boundary identity, spectrum, and total checks")
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--resolution", type=_positive_int)
-    sp.add_argument("--fail-threshold", type=float)
+    sp.add_argument("--fail-threshold", type=_finite_float)
     sp.set_defaults(func=cmd_tube)
 
     sp = sub.add_parser("egregium", help="extrinsic-vs-intrinsic curvature residual at random points")
@@ -397,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--fail-threshold", type=float)
+    sp.add_argument("--fail-threshold", type=_finite_float)
     sp.set_defaults(func=cmd_egregium)
 
     return parser

@@ -7,9 +7,11 @@ The boundary of the eps-neighborhood of a base immersion X is charted as
 where (nu_s) is a smooth orthonormal normal frame along the chart and y
 is a unit-sphere chart of the normal fiber (codimension 1: two sheets
 with y = +-1; codimension 2: one angle; codimension 3: polar/azimuth).
-The frame is differentiated exactly: seed vectors are projected onto the
-normal complement and orthonormalized in truncated-Taylor arithmetic, so
-the tube's fundamental forms carry no finite-difference error.
+The frame is differentiated exactly: one modified Gram-Schmidt pass over the
+tangents, then the seed vectors, runs in truncated-Taylor arithmetic, so the
+tube's fundamental forms carry no finite-difference error.  Where a seed keeps
+less than 1e-3 of its length off the tangents, the frame raises
+`DegenerateImmersionError` naming the base point, rather than turning abruptly.
 
 Checks provided: the curvature rescaling identity
 K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu, the shape-operator spectrum
@@ -26,9 +28,10 @@ from typing import Optional
 import numpy as np
 
 from .curvature import NormalDirection, directional_curvature, sphere_volume, whiten_second_form
-from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
+from .errors import CurvlabError, DegenerateImmersionError, ReachExceededError, UnsupportedDimensionError
 from .immersion import (
     Axis,
+    FrameData,
     Immersion,
     forms_from_jets,
     frame_data_at,
@@ -66,11 +69,11 @@ class TubeConfig:
             raise UnsupportedDimensionError(
                 f"tube construction supports codimension 1-3, got {self.base.n}"
             )
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ReachExceededError(f"tube radius {self.eps} must be positive")
         if self.base.reach is None:
             raise ReachExceededError(f"{self.base.name} declares no reach bound")
-        if self.eps >= self.base.reach:
+        if not self.eps < self.base.reach:
             raise ReachExceededError(
                 f"tube radius {self.eps} is not below the reach bound {self.base.reach} "
                 f"of {self.base.name}"
@@ -89,6 +92,9 @@ class TubePoint:
     normal_jacobian: float
     sheet_index: int
     sheet_param: np.ndarray
+    base_frame: FrameData  # base forms at u; nu_hat is read in its normal frame
+    sheet_frame: FrameData  # sheet forms at sheet_param, normal 0 turned to gauss_normal
+    shape_operator: np.ndarray  # Pi^nu at u in an orthonormal tangent basis, (m, m)
 
 
 @dataclass
@@ -97,64 +103,38 @@ class TubeBoundary:
 
     config: TubeConfig
     sheets: tuple[Immersion, ...]
+    pivots: Optional[list] = None  # constant seeds, for a base without normal_seeds
 
 
 # -- generic-scalar frame construction ------------------------------------
 
 
-def _cholesky_generic(G, m):
-    L = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1):
-            s = G[i][j]
-            for t in range(j):
-                s = s - L[i][t] * L[j][t]
-            L[i][j] = sqrt(s) if i == j else s / L[j][j]
-    return L
-
-
-def _solve_spd_generic(L, c, m):
-    y = [None] * m
-    for i in range(m):
-        s = c[i]
-        for t in range(i):
-            s = s - L[i][t] * y[t]
-        y[i] = s / L[i][i]
-    w = [None] * m
-    for i in reversed(range(m)):
-        s = y[i]
-        for t in range(i + 1, m):
-            s = s - L[t][i] * w[t]
-        w[i] = s / L[i][i]
-    return w
+_SEED_RANK_TOL = 1e-3
 
 
 def _orthonormal_frame(tangents, seeds, k):
-    """Project seeds onto the normal complement of the tangents, then orthonormalize.
+    """Modified Gram-Schmidt over tangents + seeds, in order; returns the seed part.
 
     Every argument is a list of ambient vectors whose components are generic
     scalars (jets or arrays); the result differentiates wherever the inputs do.
+    Also returns, per point, the smallest ratio |normal part| / |seed|.
     """
+    basis, kept = [], []
+    for v in [*tangents, *seeds]:
+        length = np.sqrt(sum(np.square(c.val if isinstance(c, Jet) else c) for c in v))
+        for e in basis:
+            proj = dot(e, v)
+            v = [v[a] - proj * e[a] for a in range(k)]
+        norm = sqrt(dot(v, v))
+        kept.append(norm.val / length)
+        inv_norm = 1.0 / norm
+        basis.append([v[a] * inv_norm for a in range(k)])
     m = len(tangents)
-    G = [[dot(tangents[i], tangents[j]) for j in range(m)] for i in range(m)]
-    L = _cholesky_generic(G, m)
-    frame = []
-    for v in seeds:
-        c = [dot(tangents[i], v) for i in range(m)]
-        w = _solve_spd_generic(L, c, m)
-        perp = [v[a] - dot([tangents[i][a] for i in range(m)], w) for a in range(k)]
-        for prev in frame:
-            proj = dot(prev, perp)
-            perp = [perp[a] - proj * prev[a] for a in range(k)]
-        inv_norm = 1.0 / sqrt(dot(perp, perp))
-        frame.append([perp[a] * inv_norm for a in range(k)])
-    return frame
+    return basis[m:], np.min(kept[m:], axis=0)
 
 
 def _sphere_values(n, thetas):
-    """Unit-sphere chart values y(theta) in generic scalars; len(thetas) = n - 1."""
-    if n == 1:
-        return None  # handled by a per-sheet constant sign
+    """Unit-sphere chart values y(theta) in generic scalars; len(thetas) = n - 1 >= 1."""
     if n == 2:
         return [cos(thetas[0]), sin(thetas[0])]
     ps, th = thetas
@@ -178,8 +158,8 @@ def _default_pivots(base: Immersion) -> list[list[float]]:
     return [[1.0 if a == piv else 0.0 for a in range(base.k)] for piv in order]
 
 
-def _base_frame_pieces(base: Immersion, seeds_const, U, order):
-    """Jets of X, its tangents, and the smooth normal frame, at `order`."""
+def _base_frame_pieces(base: Immersion, pivots, U, order):
+    """Jets of X, its tangents, and the smooth normal frame, at `order`; checks seed rank."""
     p = U.shape[1]
     xs = Jet.variables(U, order + 1)
     b = U.shape[0]
@@ -188,25 +168,26 @@ def _base_frame_pieces(base: Immersion, seeds_const, U, order):
         c if isinstance(c, Jet) else Jet.constant(c, p, order + 1, b) for c in raw
     ]
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
+    seeds = pivots
     if base.normal_seeds is not None:
-        seeds = []
-        for vec in base.normal_seeds(xs[: base.m]):
-            seeds.append(
-                [c.truncate(order) if isinstance(c, Jet) else float(c) for c in vec]
-            )
-    else:
-        seeds = seeds_const
-    frame = _orthonormal_frame(tangents, seeds, base.k)
+        seeds = [[c.truncate(order) if isinstance(c, Jet) else float(c) for c in vec]
+                 for vec in base.normal_seeds(xs[: base.m])]
+    frame, kept = _orthonormal_frame(tangents, seeds, base.k)
+    bad = kept < _SEED_RANK_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DegenerateImmersionError(
+            f"{base.name}: normal seeds lose rank at parameter point {U[i, : base.m].tolist()}: "
+            f"a seed keeps {kept[i]:.1e} of its length off the tangents")
     X_trunc = [X[a].truncate(order) for a in range(base.k)]
     return xs, X_trunc, frame
 
 
-def _tube_jet_map(cfg: TubeConfig, seeds_const, sheet_sign: float):
+def _tube_jet_map(cfg: TubeConfig, pivots, sheet_sign: float):
     base, eps = cfg.base, cfg.eps
 
     def jet_map(U, order):
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        xs, X, frame = _base_frame_pieces(base, seeds_const, U, order)
+        xs, X, frame = _base_frame_pieces(base, pivots, U, order)
         if base.n == 1:
             y = [sheet_sign]
         else:
@@ -238,7 +219,7 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     parameters.  Sheet jets go through the exact frame construction above.
     """
     base = cfg.base
-    seeds_const = None if base.normal_seeds is not None else _default_pivots(base)
+    pivots = None if base.normal_seeds is not None else _default_pivots(base)
     domain = _sheet_domain(base)
     signs = (1.0, -1.0) if base.n == 1 else (1.0,)
     suffixes = ("_tube_plus", "_tube_minus") if base.n == 1 else ("_tube",)
@@ -250,28 +231,24 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
                 m=len(domain),
                 k=base.k,
                 domain=domain,
-                jet_map_override=_tube_jet_map(cfg, seeds_const, sign),
+                jet_map_override=_tube_jet_map(cfg, pivots, sign),
                 max_jet_order=2,
             )
         )
-    return TubeBoundary(config=cfg, sheets=tuple(sheets))
+    return TubeBoundary(config=cfg, sheets=tuple(sheets), pivots=pivots)
 
 
-def _frame_values(base: Immersion, seeds_const, U: np.ndarray) -> np.ndarray:
-    """Pointwise smooth-frame values (B, k, n) without jet overhead."""
-    _, d1 = jets_at(base, U, order=1)
-    tangents = [[d1[:, a, i] for a in range(base.k)] for i in range(base.m)]
-    if base.normal_seeds is not None:
-        seeds = base.normal_seeds([U[:, i] for i in range(base.m)])
-    else:
-        seeds = seeds_const
-    frame = _orthonormal_frame(tangents, seeds, base.k)
-    b = U.shape[0]
-    out = np.empty((b, base.k, base.n))
-    for s in range(base.n):
-        for a in range(base.k):
-            out[:, a, s] = frame[s][a]
-    return out
+def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
+    """Sheet point, outward normal g = (point - base point)/eps, metric, and the
+    second form and frame with normal 0 turned to g, for a batch of sheet parameters."""
+    base = cfg.base
+    point, d1, d2 = jets_at(sheet, U, order=2)
+    metric, second, frame = forms_from_jets(d1, d2)
+    g = (point - base.points(U[:, : base.m])) / cfg.eps
+    sign = np.sign(np.einsum("bk,bk->b", frame[:, :, 0], g))
+    second[:, 0] *= sign[:, None, None]
+    frame[:, :, 0] *= sign[:, None]
+    return point, g, metric, second, frame
 
 
 # -- pointwise operations --------------------------------------------------
@@ -280,17 +257,15 @@ def _frame_values(base: Immersion, seeds_const, U: np.ndarray) -> np.ndarray:
 def _locate(boundary: TubeBoundary, u: np.ndarray, nu_amb: np.ndarray):
     """Map a base point and ambient unit normal to (sheet index, sheet parameter)."""
     base = boundary.config.base
-    seeds_const = None if base.normal_seeds is not None else _default_pivots(base)
-    frame = _frame_values(base, seeds_const, u[None, :])[0]
-    y = frame.T @ nu_amb
+    _, _, frame = _base_frame_pieces(base, boundary.pivots, u[None, :], 1)
+    y = np.array([[c.val[0] for c in vec] for vec in frame]) @ nu_amb
     if base.n == 1:
         return (0 if y[0] > 0 else 1), u.copy()
     return 0, np.concatenate([u, _sphere_coords(base.n, y)])
 
 
-def normal_jacobian(cfg: TubeConfig, u, nu_hat: NormalDirection) -> float:
-    """NJ = 1/det(1 - eps * Pi^nu) with Pi^nu in an orthonormal tangent basis."""
-    fd = frame_data_at(cfg.base, u)
+def _shape_and_jacobian(cfg: TubeConfig, fd: FrameData, nu_hat: NormalDirection):
+    """Pi^nu in an orthonormal tangent basis, and NJ = 1/det(1 - eps * Pi^nu)."""
     pi_orth, _ = whiten_second_form(fd.metric, fd.second_form)
     pi_nu = np.einsum("s,sij->ij", nu_hat.coeffs, pi_orth)
     det = float(np.linalg.det(np.eye(cfg.base.m) - cfg.eps * pi_nu))
@@ -298,7 +273,12 @@ def normal_jacobian(cfg: TubeConfig, u, nu_hat: NormalDirection) -> float:
         raise ReachExceededError(
             f"1 - eps*shape operator is singular at eps = {cfg.eps}; radius exceeds the reach"
         )
-    return 1.0 / det
+    return pi_nu, 1.0 / det
+
+
+def normal_jacobian(cfg: TubeConfig, u, nu_hat: NormalDirection) -> float:
+    """NJ = 1/det(1 - eps * Pi^nu) with Pi^nu in an orthonormal tangent basis."""
+    return _shape_and_jacobian(cfg, frame_data_at(cfg.base, u), nu_hat)[1]
 
 
 def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
@@ -307,31 +287,32 @@ def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
 
     nu_hat is read in the normal frame of `frame_data_at(base, u)`; the
     classical curvature comes from the sheet's own jets, oriented by the
-    outward normal g = (point - base point)/eps.
+    outward normal g = (point - base point)/eps.  The base and sheet forms
+    built here are kept on the result for the checks below.
     """
     base = cfg.base
     u = base.wrap(u)
     if boundary is None:
         boundary = tube_boundary_immersion(cfg)
     fd = frame_data_at(base, u)
-    nu_amb = fd.normal_frame @ nu_hat.coeffs
-    sheet_index, param = _locate(boundary, u, nu_amb)
-    sheet = boundary.sheets[sheet_index]
-    point = sheet.points(param[None, :])[0]
-    base_point = base.points(u[None, :])[0]
-    g = (point - base_point) / cfg.eps
-    fd_tube = frame_data_at(sheet, param)
-    coeff = math.copysign(1.0, float(fd_tube.normal_frame[:, 0] @ g))
-    classical = directional_curvature(fd_tube, NormalDirection(np.array([coeff])))
+    sheet_index, param = _locate(boundary, u, fd.normal_frame @ nu_hat.coeffs)
+    point, g, metric, second, frame = _oriented_sheet_forms(
+        cfg, boundary.sheets[sheet_index], param[None, :]
+    )
+    sheet_fd = FrameData(metric=metric[0], second_form=second[0], normal_frame=frame[0])
+    pi_nu, nj = _shape_and_jacobian(cfg, fd, nu_hat)
     return TubePoint(
         u=u,
         nu_hat=nu_hat,
-        point=point,
-        gauss_normal=g,
-        classical_k=classical,
-        normal_jacobian=normal_jacobian(cfg, u, nu_hat),
+        point=point[0],
+        gauss_normal=g[0],
+        classical_k=directional_curvature(sheet_fd, NormalDirection(np.ones(1))),
+        normal_jacobian=nj,
         sheet_index=sheet_index,
         sheet_param=param,
+        base_frame=fd,
+        sheet_frame=sheet_fd,
+        shape_operator=pi_nu,
     )
 
 
@@ -349,8 +330,7 @@ def tube_identity_check(cfg: TubeConfig, u, nu_hat: NormalDirection,
                         boundary: Optional[TubeBoundary] = None) -> TubeIdentityResult:
     """Compare the tube-jet curvature route against the rescaled base curvature."""
     tp = tube_point(cfg, u, nu_hat, boundary=boundary)
-    fd = frame_data_at(cfg.base, tp.u)
-    k_nu = directional_curvature(fd, nu_hat)
+    k_nu = directional_curvature(tp.base_frame, nu_hat)
     n = cfg.base.n
     lhs = tp.classical_k / tp.normal_jacobian
     rhs = (-1.0) ** (n - 1) * cfg.eps ** (-(n - 1)) * k_nu
@@ -375,18 +355,10 @@ class TubeSpectrumResult:
 def tube_spectrum_check(cfg: TubeConfig, u, nu_hat: NormalDirection,
                         boundary: Optional[TubeBoundary] = None) -> TubeSpectrumResult:
     """Predicted spectrum: {lambda_i/(1 - eps lambda_i)} plus -1/eps (n-1 times)."""
-    if boundary is None:
-        boundary = tube_boundary_immersion(cfg)
     tp = tube_point(cfg, u, nu_hat, boundary=boundary)
-    sheet = boundary.sheets[tp.sheet_index]
-    fd_tube = frame_data_at(sheet, tp.sheet_param)
-    coeff = math.copysign(1.0, float(fd_tube.normal_frame[:, 0] @ tp.gauss_normal))
-    pi_orth_t, _ = whiten_second_form(fd_tube.metric, fd_tube.second_form)
-    computed = np.sort(np.linalg.eigvalsh(coeff * pi_orth_t[0]))
-
-    fd = frame_data_at(cfg.base, tp.u)
-    pi_orth, _ = whiten_second_form(fd.metric, fd.second_form)
-    lam = np.linalg.eigvalsh(np.einsum("s,sij->ij", nu_hat.coeffs, pi_orth))
+    pi_orth_t, _ = whiten_second_form(tp.sheet_frame.metric, tp.sheet_frame.second_form)
+    computed = np.sort(np.linalg.eigvalsh(pi_orth_t[0]))
+    lam = np.linalg.eigvalsh(tp.shape_operator)
     predicted = np.sort(
         np.concatenate([lam / (1.0 - cfg.eps * lam), np.full(cfg.base.n - 1, -1.0 / cfg.eps)])
     )
@@ -405,17 +377,10 @@ class TubeTotalResult:
 
 
 def _sheet_total(cfg: TubeConfig, sheet: Immersion, grid: QuadratureGrid) -> float:
-    base = cfg.base
-
     def integrand(U):
-        # the sheet point orients the Gauss map, so the jets are taken here
-        point, d1, d2 = jets_at(sheet, U, order=2)
-        metric, second, frame = forms_from_jets(d1, d2)
-        g = (point - base.points(U[:, : base.m])) / cfg.eps
-        coeff = np.einsum("bk,bk->b", frame[:, :, 0], g)
+        _, _, metric, second, _ = _oriented_sheet_forms(cfg, sheet, U)
         det_g = np.linalg.det(metric)
-        K = np.sign(coeff) ** sheet.m * np.linalg.det(second[:, 0]) / det_g
-        return K * np.sqrt(det_g)
+        return np.linalg.det(second[:, 0]) / det_g * np.sqrt(det_g)
 
     return reduce_over_grid(sheet, grid, integrand)
 

@@ -1,4 +1,7 @@
-"""Shared catalog name lists for the test suite."""
+"""Shared catalog name lists and surface files for the test suite."""
+
+import json
+import math
 
 import numpy as np
 import pytest
@@ -32,3 +35,23 @@ def rng():
 
 def get(name):
     return cl.catalog_get(name)
+
+
+def unit_circle_file(tmp_path, **fields):
+    """A surface file for the unit circle in R^2 with no normal seeds; `fields` override."""
+    doc = {
+        "name": "unit_circle",
+        "m": 1,
+        "k": 2,
+        "euler_char": 0,
+        "reach": 0.5,
+        "domain": [{"lo": 0.0, "hi": 2 * math.pi, "periodic": True}],
+        "coordinates": [
+            [{"coeff": 1.0, "factors": [{"axis": 0, "kind": "cos", "freq": 1}]}],
+            [{"coeff": 1.0, "factors": [{"axis": 0, "kind": "sin", "freq": 1}]}],
+        ],
+        **fields,
+    }
+    path = tmp_path / "unit_circle.json"
+    path.write_text(json.dumps(doc))
+    return str(path)

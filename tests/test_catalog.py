@@ -64,6 +64,8 @@ def test_catalog_get_errors():
         cl.catalog_get("sphere2_r3(R=abc)")
     with pytest.raises(UnknownImmersionError):
         cl.catalog_get("sphere2_r3(bogus=1)")
+    with pytest.raises(UnknownImmersionError, match="'R'"):
+        cl.catalog_get("sphere2_r3(R=nan)")
 
 
 def test_graph_poly_custom_terms():
@@ -218,6 +220,25 @@ def test_file_errors_name_the_offending_field(tmp_path, mutate, field):
     with pytest.raises(ImmersionFileError) as err:
         cl.load_immersion(_write(tmp_path, doc))
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d.update(m=float("inf")), "m"),
+        (lambda d: d.update(reach=float("nan")), "reach"),
+        (lambda d: d["domain"][0].update(hi=float("inf")), "domain[0].hi"),
+        (lambda d: d["coordinates"][1][0].update(coeff=float("nan")), "coordinates[1][0].coeff"),
+        (lambda d: d["coordinates"][1][0].update(coeff=10**400), "coordinates[1][0].coeff"),
+    ],
+)
+def test_non_finite_file_numbers_name_the_field(tmp_path, mutate, field):
+    # JSON readers accept NaN, Infinity and integers past the float range
+    doc = _flat_torus_doc()
+    mutate(doc)
+    with pytest.raises(ImmersionFileError, match="finite|integer") as err:
+        cl.load_immersion(_write(tmp_path, doc))
+    assert str(err.value).startswith(field + ":")
 
 
 def test_file_error_on_bad_paths(tmp_path):

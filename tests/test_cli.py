@@ -12,6 +12,8 @@ import pytest
 
 from curvlab.cli import RunReport, _threshold_exit, main
 
+from conftest import unit_circle_file
+
 
 def run_cli(capsys, *args):
     code = main(list(args))
@@ -228,6 +230,30 @@ def test_tube_eps_above_reach_exit_2(capsys):
     code, _, err = run_cli(capsys, "tube", "--surface", "sphere2_r3", "--eps", "0.7")
     assert code == 2
     assert "reach" in err
+
+
+def test_tube_seed_rank_loss_exit_2_names_the_point(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "tube", "--surface-file", unit_circle_file(tmp_path), "--eps", "0.1", "--total"
+    )
+    assert code == 2 and out == ""
+    assert "lose rank" in err and str([np.pi / 2]) in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("--surface", "sphere2_r3", "--eps", "nan", "--identity"), "tube radius"),
+        (("--surface", "sphere2_r3", "--eps", "0.1", "--fail-threshold", "nan"), "--fail-threshold"),
+        (("--surface-file", {"m": float("inf")}, "--eps", "0.1"), "m:"),
+        (("--surface-file", {"reach": float("nan")}, "--eps", "5"), "reach:"),
+    ],
+)
+def test_non_finite_inputs_exit_2(capsys, tmp_path, argv, name):
+    argv = [unit_circle_file(tmp_path, **a) if isinstance(a, dict) else a for a in argv]
+    code, out, err = run_cli(capsys, "tube", *argv)
+    assert code == 2 and out == ""
+    assert name in err
 
 
 def test_tube_default_runs_identity(capsys):

@@ -7,9 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curvlab as cl
-from curvlab.errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
+from curvlab import immersion
+from curvlab.errors import (
+    CurvlabError,
+    DegenerateImmersionError,
+    ReachExceededError,
+    UnsupportedDimensionError,
+)
 
-from conftest import ALL_NAMES, get
+from conftest import ALL_NAMES, get, unit_circle_file
 
 
 def _outward_direction(imm, u):
@@ -34,6 +40,8 @@ def test_config_guards():
         cl.TubeConfig(get("sphere2_r3"), 0.6)  # above declared reach 0.5
     with pytest.raises(ReachExceededError):
         cl.TubeConfig(get("sphere2_r3"), -0.1)
+    with pytest.raises(ReachExceededError):
+        cl.TubeConfig(get("sphere2_r3"), float("nan"))
     no_reach = cl.Immersion(
         name="bare",
         m=1,
@@ -95,6 +103,49 @@ def test_tube_point_invariants(rng):
         amb = fd.normal_frame @ nu.coeffs
         assert_allclose(tp.point, base_point + cfg.eps * amb, atol=1e-12)
         assert_allclose(np.linalg.norm(tp.gauss_normal), 1.0, rtol=1e-12)
+        for name in ("metric", "second_form", "normal_frame"):
+            assert_allclose(getattr(tp.base_frame, name), getattr(fd, name), rtol=0, atol=0)
+        assert_allclose(tp.sheet_frame.normal_frame[:, 0], tp.gauss_normal, atol=1e-12)
+
+
+def test_checks_build_each_frame_once(monkeypatch):
+    # one base frame and one sheet-jet evaluation per check; tube_point keeps both
+    cfg = cl.TubeConfig(get("sphere2_r4"), 0.05)
+    boundary = cl.tube_boundary_immersion(cfg)
+    calls = {"base_frames": 0, "sheet_jets": 0}
+    frames_at, jet_map = immersion.frames_at, cl.Immersion.jet_map
+
+    def counting_frames_at(imm, U):
+        calls["base_frames"] += 1
+        return frames_at(imm, U)
+
+    def counting_jet_map(imm, U, order):
+        calls["sheet_jets"] += imm.jet_map_override is not None
+        return jet_map(imm, U, order)
+
+    monkeypatch.setattr(immersion, "frames_at", counting_frames_at)
+    monkeypatch.setattr(cl.Immersion, "jet_map", counting_jet_map)
+    nu = cl.NormalDirection.unit(np.array([0.6, 0.8]))
+    for check in (cl.tube_identity_check, cl.tube_spectrum_check):
+        calls.update(base_frames=0, sheet_jets=0)
+        check(cfg, np.array([1.1, 0.7]), nu, boundary=boundary)
+        assert calls == {"base_frames": 1, "sheet_jets": 1}, check.__name__
+
+
+def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
+    # the pivot seed e_x, picked at u = pi, is tangent to the circle at u = pi/2
+    cfg = cl.TubeConfig(cl.load_immersion(unit_circle_file(tmp_path)), 0.1)
+    with pytest.raises(DegenerateImmersionError, match="unit_circle") as err:
+        cl.tube_total_curvature(cfg)  # node 32 of the 128-node grid is u = pi/2
+    assert str([math.pi / 2]) in str(err.value)
+    nu = cl.NormalDirection(np.array([1.0]))
+    for u in (math.pi / 2, math.pi / 2 + 1e-9):
+        with pytest.raises(DegenerateImmersionError) as err:
+            cl.tube_identity_check(cfg, [u], nu)
+        assert str([u]) in str(err.value)
+    # off the bad point the seed keeps enough length and the tube is right
+    assert abs(cl.tube_total_curvature(cfg, resolution=127).integral) < 1e-6
+    assert cl.tube_identity_check(cfg, [1.0], nu).relative < 1e-10
 
 
 # -- classical curvature and normal Jacobian -------------------------------

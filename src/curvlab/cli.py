@@ -93,13 +93,13 @@ class RunReport:
         return buf.getvalue()
 
 
-def _csv_value(value) -> str:
+def _csv_value(value, sep: str = ";") -> str:
     if value is None:
         return ""
     if isinstance(value, float):
         return "%.17g" % value
-    if isinstance(value, (list, tuple)):
-        return ";".join(_csv_value(v) for v in value)
+    if isinstance(value, (list, tuple)):  # nested lists, such as grid shapes, join by "x"
+        return sep.join(_csv_value(v, "x") for v in value)
     return str(value)
 
 
@@ -158,11 +158,16 @@ def _random_directions(rng: np.random.Generator, count: int, n: int) -> list[Nor
     return out
 
 
-def _threshold_exit(args, metrics: dict) -> int:
-    """1 if a named metric exceeds --fail-threshold or is not finite, else 0."""
+def _threshold_exit(args, metrics: dict, converged: Optional[bool] = None) -> int:
+    """1 if a named metric exceeds --fail-threshold or is not finite, or a refined
+    integral did not converge, else 0."""
     threshold = getattr(args, "fail_threshold", None)
     if threshold is None:
         return 0
+    if converged is False:
+        print("error: converged is false: the integral reached its default grid "
+              "before two refinement levels agreed", file=sys.stderr)
+        return 1
     for name, value in metrics.items():
         if not math.isfinite(value):
             print(f"error: {name} is {value}, not a finite number", file=sys.stderr)
@@ -232,7 +237,7 @@ def cmd_curvature(args) -> int:
 def cmd_gauss_bonnet(args) -> int:
     start = time.perf_counter()
     imm, label = _resolve_surface(args)
-    grid = default_grid(imm, args.resolution)
+    grid = None if args.resolution is None else default_grid(imm, args.resolution)
     rep = gauss_bonnet_check(imm, grid, route=args.route)
     results = {
         "integral": rep.integral,
@@ -240,6 +245,8 @@ def cmd_gauss_bonnet(args) -> int:
         "residual": rep.residual,
         "estimated_chi": rep.estimated_chi,
         "chi_distance": rep.chi_distance,
+        "error_estimate": rep.error_estimate,
+        "converged": rep.converged,
     }
     report = RunReport(
         command="gauss-bonnet",
@@ -254,7 +261,7 @@ def cmd_gauss_bonnet(args) -> int:
     )
     _emit(report, args.format)
     gate = {"residual": rep.residual} if rep.residual is not None else {"chi_distance": rep.chi_distance}
-    return _threshold_exit(args, gate)
+    return _threshold_exit(args, gate, rep.converged)
 
 
 def cmd_tube(args) -> int:
@@ -266,6 +273,7 @@ def cmd_tube(args) -> int:
     rng = np.random.default_rng(args.seed)
     results: dict = {"eps": args.eps}
     metrics = {}
+    converged = None
     if do_identity or args.spectrum:
         boundary = tube_boundary_immersion(cfg)
         points = sample_domain(imm, args.samples, rng)
@@ -292,7 +300,11 @@ def cmd_tube(args) -> int:
         results["total_expected"] = total.expected
         results["total_residual"] = total.residual
         results["per_sheet"] = list(total.per_sheet)
+        results["total_grid_shapes"] = [list(shape) for shape in total.grid_shapes]
+        results["total_error_estimate"] = total.error_estimate
+        results["total_converged"] = total.converged
         metrics["total_residual"] = total.residual
+        converged = total.converged
     report = RunReport(
         command="tube",
         surface=label,
@@ -306,7 +318,7 @@ def cmd_tube(args) -> int:
         wall_time_s=time.perf_counter() - start,
     )
     _emit(report, args.format)
-    return _threshold_exit(args, metrics)
+    return _threshold_exit(args, metrics, converged)
 
 
 def cmd_egregium(args) -> int:
@@ -352,6 +364,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+_RESOLUTION_HELP = (
+    "nodes per axis (default: refine from 8 nodes per axis until two levels agree, "
+    "capped at the per-dimension default grid)"
+)
+
+
 def _add_surface_args(sp) -> None:
     sp.add_argument("--surface", help="catalog surface name, e.g. sphere2_r4 or torus_rev_r3(R=2,r=0.5)")
     sp.add_argument("--surface-file", help="path to a JSON surface file")
@@ -381,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("gauss-bonnet", help="total curvature against the Euler characteristic")
     _add_surface_args(sp)
     _add_common(sp)
-    sp.add_argument("--resolution", type=_positive_int, help="nodes per axis (default: per-dimension policy)")
+    sp.add_argument("--resolution", type=_positive_int, help=_RESOLUTION_HELP)
     sp.add_argument("--route", choices=("moments", "quadrature"), default="moments")
     sp.add_argument("--fail-threshold", type=_finite_float, help="exit 1 if the residual exceeds this")
     sp.set_defaults(func=cmd_gauss_bonnet)
@@ -395,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--spectrum", action="store_true", help="check the shape-operator spectrum")
     sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--resolution", type=_positive_int)
+    sp.add_argument("--resolution", type=_positive_int, help=_RESOLUTION_HELP)
     sp.add_argument("--fail-threshold", type=_finite_float)
     sp.set_defaults(func=cmd_tube)
 

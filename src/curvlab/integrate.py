@@ -10,6 +10,12 @@ deterministic: fixed chunking, pairwise summation inside each chunk,
 compensated summation across chunks — repeated runs give bit-identical
 integrals.  A non-finite integrand value fails the integral and names its
 parameter point.
+
+When the caller fixes no grid, `reduce_until_converged` refines: uniform
+grids of 8, 12, 18, 27, ... nodes per axis, capped by `default_grid`, until
+two successive integrals agree within 1e-12 of the integral's topological
+quantum.  For analytic charts both rules converge exponentially, so the last
+difference between levels is the reported error estimate.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
     "NormalSphereRule",
     "default_grid",
     "reduce_over_grid",
+    "reduce_until_converged",
     "integrate_scalar",
     "normal_sphere_rule",
     "batched_curvature",
@@ -39,6 +46,8 @@ __all__ = [
 
 _CHUNK = 16384
 _MC_SEED = 20260823
+_REFINE_START = 8  # nodes per axis on the first refinement level; each next has 3/2 as many
+_REFINE_TOL = 1e-12  # two levels agree within this fraction of the topological quantum
 
 
 @dataclass(frozen=True)
@@ -75,13 +84,11 @@ class NormalSphereRule:
     weights: np.ndarray  # (Q,)
 
 
-def _axis_counts(m: int) -> tuple[int, int]:
-    """(gauss-legendre, trapezoid) node counts keeping cost ~ count^m bounded."""
-    if m <= 2:
-        return 96, 128
-    if m == 3:
-        return 48, 64
-    return 32, 48
+def _axis_counts(imm: Immersion) -> list[int]:
+    """Default node count per axis, gauss-legendre/trapezoid 96/128 (m <= 2),
+    48/64 (m = 3), 32/48 (m >= 4), keeping cost ~ count^m bounded."""
+    gl, tr = (96, 128) if imm.m <= 2 else (48, 64) if imm.m == 3 else (32, 48)
+    return [tr if ax.periodic else gl for ax in imm.domain]
 
 
 def _make_axis(lo: float, hi: float, periodic: bool, count: int) -> GridAxis:
@@ -96,13 +103,14 @@ def _make_axis(lo: float, hi: float, periodic: bool, count: int) -> GridAxis:
 
 
 def default_grid(imm: Immersion, resolution: Optional[int] = None) -> QuadratureGrid:
-    """Product grid at default (or uniform `resolution`) node counts."""
-    gl, tr = _axis_counts(imm.m)
-    axes = []
-    for ax in imm.domain:
-        count = resolution if resolution is not None else (tr if ax.periodic else gl)
-        axes.append(_make_axis(ax.lo, ax.hi, ax.periodic, count))
-    return QuadratureGrid(tuple(axes))
+    """Product grid at uniform `resolution` nodes per axis, or at the default counts.
+
+    The default counts are the cap of `reduce_until_converged`'s refinement.
+    """
+    counts = _axis_counts(imm) if resolution is None else [resolution] * imm.m
+    return QuadratureGrid(tuple(
+        _make_axis(ax.lo, ax.hi, ax.periodic, count) for ax, count in zip(imm.domain, counts)
+    ))
 
 
 def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
@@ -123,6 +131,44 @@ def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
             )
         partials.append(float(np.sum(values * W[start:start + _CHUNK])))
     return math.fsum(partials)
+
+
+def _refinement_ladder(imm: Immersion) -> list[Optional[int]]:
+    """Resolutions 8, 12, 18, 27, ... below every default axis count, then None: the cap."""
+    cap = min(_axis_counts(imm))
+    ladder = []
+    resolution = _REFINE_START
+    while resolution < cap:
+        ladder.append(resolution)
+        resolution = resolution * 3 // 2
+    return ladder + [None]
+
+
+def reduce_until_converged(
+    imm: Immersion, integrand: Callable[[np.ndarray], np.ndarray], quantum: float,
+    grid: Optional[QuadratureGrid] = None,
+) -> tuple[float, tuple[int, ...], Optional[float], Optional[bool]]:
+    """(integral, grid shape, error estimate, converged) of `reduce_over_grid`.
+
+    On a `grid` the caller fixed: one reduction, with no estimate or flag
+    (None).  Otherwise the levels are `default_grid(imm, r)` along
+    `_refinement_ladder`, ending on `default_grid(imm)`.  Refinement stops at
+    the first level within 1e-12 * `quantum` of the level before and reports
+    that finer value; the estimate is the last difference between levels, and
+    converged is False when the cap was reached before two levels agreed.
+    """
+    if grid is not None:
+        return reduce_over_grid(imm, grid, integrand), grid.shape, None, None
+    previous = error = None
+    for resolution in _refinement_ladder(imm):
+        grid = default_grid(imm, resolution)
+        value = reduce_over_grid(imm, grid, integrand)
+        if previous is not None:
+            error = abs(value - previous)
+            if error <= _REFINE_TOL * quantum:
+                return value, grid.shape, error, True
+        previous = value
+    return value, grid.shape, error, False
 
 
 def integrate_scalar(imm: Immersion, f: Callable[[np.ndarray], np.ndarray],
@@ -207,6 +253,8 @@ class GaussBonnetReport:
     chi_distance: float
     route: str
     grid_shape: tuple[int, ...]
+    error_estimate: Optional[float]  # None on a grid the caller fixed
+    converged: Optional[bool]
 
 
 def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
@@ -215,19 +263,18 @@ def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
 
     expected = chi * (volume of S^(k-1)) / (volume of S^(n-1)); when chi is
     unknown the report still carries the rounded estimate and the rounding
-    distance.
+    distance.  Without a `grid` the default grid is refined until converged,
+    with the volume ratio (one unit of chi) as the quantum.
     """
     curvature = _curvature_route(route, imm.n)
-    if grid is None:
-        grid = default_grid(imm)
+    ratio = sphere_volume(imm.k - 1) / sphere_volume(imm.n - 1)
 
     def integrand(U):
         metric, second, _ = frames_at(imm, U)
         return curvature(metric, second) * np.sqrt(np.linalg.det(metric))
 
-    integral = reduce_over_grid(imm, grid, integrand)
-
-    ratio = sphere_volume(imm.k - 1) / sphere_volume(imm.n - 1)
+    integral, grid_shape, error_estimate, converged = reduce_until_converged(
+        imm, integrand, ratio, grid)
     raw_chi = integral / ratio
     estimated_chi = int(np.rint(raw_chi))
     chi_distance = abs(raw_chi - estimated_chi)
@@ -242,5 +289,7 @@ def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
         estimated_chi=estimated_chi,
         chi_distance=chi_distance,
         route=route,
-        grid_shape=grid.shape,
+        grid_shape=grid_shape,
+        error_estimate=error_estimate,
+        converged=converged,
     )

@@ -39,7 +39,7 @@ from .immersion import (
     jets_at,
     normal_projection,
 )
-from .integrate import QuadratureGrid, default_grid, reduce_over_grid
+from .integrate import default_grid, reduce_until_converged
 from .jets import Jet, cos, dot, sin, sqrt
 
 __all__ = [
@@ -374,34 +374,53 @@ class TubeTotalResult:
     expected: float
     residual: float
     per_sheet: tuple[float, ...]
+    grid_shapes: tuple[tuple[int, ...], ...]  # per sheet, the grid each integral was taken on
+    error_estimate: Optional[float]  # summed over sheets; None on a resolution the caller fixed
+    converged: Optional[bool]  # every sheet converged
 
 
-def _sheet_total(cfg: TubeConfig, sheet: Immersion, grid: QuadratureGrid) -> float:
+def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
+    """Gaussian curvature times area density of one sheet, (B, m) -> (B,)."""
     def integrand(U):
         _, _, metric, second, _ = _oriented_sheet_forms(cfg, sheet, U)
         det_g = np.linalg.det(metric)
         return np.linalg.det(second[:, 0]) / det_g * np.sqrt(det_g)
 
-    return reduce_over_grid(sheet, grid, integrand)
+    return integrand
 
 
 def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> TubeTotalResult:
-    """Integrate the tube's Gaussian curvature; expect (-1)^(k-1) vol(S^(k-1)) chi."""
+    """Integrate the tube's Gaussian curvature; expect (-1)^(k-1) vol(S^(k-1)) chi.
+
+    Without a `resolution` each sheet's default grid is refined until
+    converged, with vol(S^(k-1)) as the quantum.
+    """
     base = cfg.base
     if base.euler_char is None:
         raise CurvlabError(
             f"{base.name}: total tube curvature needs a known Euler characteristic"
         )
     boundary = tube_boundary_immersion(cfg)
-    per_sheet = []
-    for sheet in boundary.sheets:
-        grid = default_grid(sheet, resolution)
-        per_sheet.append(_sheet_total(cfg, sheet, grid))
+    quantum = sphere_volume(base.k - 1)
+    per_sheet, grid_shapes, errors, flags = zip(*(
+        reduce_until_converged(
+            sheet, _sheet_integrand(cfg, sheet), quantum,
+            None if resolution is None else default_grid(sheet, resolution),
+        )
+        for sheet in boundary.sheets
+    ))
     integral = math.fsum(per_sheet)
-    expected = (-1.0) ** (base.k - 1) * sphere_volume(base.k - 1) * base.euler_char
+    expected = (-1.0) ** (base.k - 1) * quantum * base.euler_char
+    error_estimate = converged = None
+    if resolution is None:
+        error_estimate = math.fsum(errors)
+        converged = all(flags)
     return TubeTotalResult(
         integral=integral,
         expected=expected,
         residual=abs(integral - expected),
-        per_sheet=tuple(per_sheet),
+        per_sheet=per_sheet,
+        grid_shapes=grid_shapes,
+        error_estimate=error_estimate,
+        converged=converged,
     )

@@ -151,10 +151,13 @@ def test_gauss_bonnet_sphere(capsys):
     rep = json.loads(out)
     assert rep["results"]["residual"] < 1e-8
     assert rep["results"]["estimated_chi"] == 2
+    assert rep["results"]["converged"] is True
+    assert 0.0 <= rep["results"]["error_estimate"] <= 1e-12 * 2 * np.pi
+    assert rep["options"]["grid_shape"] == [12, 12]
 
 
 def test_gauss_bonnet_product_default_resolution(capsys):
-    # m = 4 run at the default resolution policy; the long one
+    # m = 4 run on the refined default grid
     code, out, _ = run_cli(
         capsys, "gauss-bonnet", "--surface", "product_s2s2_r6", "--format", "json"
     )
@@ -169,6 +172,56 @@ def test_gauss_bonnet_threshold_failure_exit_1(capsys):
         "--resolution", "4", "--fail-threshold", "1e-14",
     )
     assert code == 1
+
+
+def _wiggly_torus_file(tmp_path):
+    """Torus (R + r cos v + a cos(60 u)) (cos u, sin u), r sin v.
+
+    Its curvature is periodic in u with period 2 pi / 60, so every ladder level
+    that shares a factor with 60 (12, 60) aliases: no two levels agree.
+    """
+    def f(axis, kind, freq=1):
+        return {"axis": axis, "kind": kind, "freq": freq}
+
+    R, r, a = 2.0, 0.5, 0.002
+    doc = {
+        "name": "wiggly_torus",
+        "m": 2,
+        "k": 3,
+        "euler_char": 0,
+        "domain": [{"lo": 0.0, "hi": 2 * np.pi, "periodic": True}] * 2,
+        "coordinates": [
+            [{"coeff": R, "factors": [f(0, trig)]},
+             {"coeff": r, "factors": [f(1, "cos"), f(0, trig)]},
+             {"coeff": a, "factors": [f(0, "cos", 60), f(0, trig)]}]
+            for trig in ("cos", "sin")
+        ] + [[{"coeff": r, "factors": [f(1, "sin")]}]],
+    }
+    path = tmp_path / "wiggly_torus.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_unconverged_refinement_fails_the_gate(capsys, tmp_path):
+    path = _wiggly_torus_file(tmp_path)
+    code, out, _ = run_cli(capsys, "gauss-bonnet", "--surface-file", path, "--format", "json")
+    assert code == 0  # without --fail-threshold nothing is gated
+    rep = json.loads(out)
+    assert rep["results"]["converged"] is False
+    assert rep["results"]["error_estimate"] > 1e-3
+    assert rep["options"]["grid_shape"] == [128, 128]  # the cap: today's default grid
+    assert rep["results"]["residual"] < 1e-6  # small, so only convergence can fail the gate
+    code, _, err = run_cli(capsys, "gauss-bonnet", "--surface-file", path, "--fail-threshold", "1")
+    assert code == 1
+    assert "converged" in err
+    # a grid the caller fixed has no estimate, so it passes on its residual alone
+    code, out, _ = run_cli(capsys, "gauss-bonnet", "--surface-file", path, "--resolution", "128",
+                           "--fail-threshold", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["converged"] is None
+    args = argparse.Namespace(fail_threshold=1.0)
+    assert _threshold_exit(args, {"total_residual": 0.0}, converged=False) == 1
+    assert _threshold_exit(args, {"total_residual": 0.0}, converged=True) == 0
 
 
 def test_gauss_bonnet_threshold_pass_exit_0(capsys):
@@ -214,6 +267,9 @@ def test_tube_total_sphere(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["total_integral"] == pytest.approx(8 * np.pi, rel=1e-3)
+    assert rep["results"]["total_converged"] is True
+    assert rep["results"]["total_error_estimate"] <= 1e-12 * 4 * np.pi
+    assert rep["results"]["total_grid_shapes"] == [[12, 12], [12, 12]]
 
 
 def test_tube_identity_sphere2_r4(capsys):
@@ -317,6 +373,12 @@ def test_run_report_csv_keys_match_flat_items(capsys):
     assert rows[0] == ["key", "value"]
     keys = [r[0] for r in rows[1:]]
     assert "results.integral" in keys and "wall_time_s" in keys
+    _, out, _ = run_cli(
+        capsys, "tube", "--surface", "sphere2_r3", "--eps", "0.1", "--total", "--format", "csv",
+    )
+    values = dict(csv.reader(io.StringIO(out)))
+    assert values["results.total_grid_shapes"] == "12x12;12x12"
+    assert values["results.total_converged"] == "True"
 
 
 def test_machine_output_deterministic_modulo_wall_time(capsys):

@@ -8,7 +8,14 @@ from numpy.testing import assert_allclose
 
 import curvlab as cl
 from curvlab.errors import DegenerateImmersionError
-from curvlab.integrate import GridAxis, QuadratureGrid, _make_axis
+from curvlab.integrate import (
+    GridAxis,
+    QuadratureGrid,
+    _make_axis,
+    _refinement_ladder,
+    reduce_over_grid,
+    reduce_until_converged,
+)
 
 from conftest import CHI_NAMES, get
 
@@ -157,6 +164,7 @@ def test_gauss_bonnet_deterministic():
     a = cl.gauss_bonnet_check(imm)
     b = cl.gauss_bonnet_check(imm)
     assert a.integral == b.integral  # bit-identical accumulation
+    assert a == b  # and the same grid, error estimate and convergence flag
 
 
 @pytest.mark.parametrize("name", CHI_NAMES)
@@ -168,6 +176,71 @@ def test_grid_refinement_converges(name):
         errors.append(rep.residual)
     for coarse, fine in zip(errors, errors[1:]):
         assert fine <= coarse / 4.0 or fine < 1e-10
+
+
+# -- refinement of the default grid ----------------------------------------
+
+REFINE_TOL = 1e-12  # agreement between levels, as a fraction of the quantum
+M2_CHI_NAMES = [n for n in CHI_NAMES if get(n).m <= 2]
+
+
+def _quantum(imm):
+    return cl.sphere_volume(imm.k - 1) / cl.sphere_volume(imm.n - 1)
+
+
+def test_refinement_ladder_grows_by_half_up_to_the_default_grid():
+    assert _refinement_ladder(get("product_s2s2_r6")) == [8, 12, 18, 27, None]
+    assert _refinement_ladder(get("sphere2_r3")) == [8, 12, 18, 27, 40, 60, 90, None]
+    assert _refinement_ladder(get("circle_r2")) == [8, 12, 18, 27, 40, 60, 90, None]
+
+
+@pytest.mark.parametrize("route", ["moments", "quadrature"])
+@pytest.mark.parametrize("name", M2_CHI_NAMES)
+def test_refined_integral_matches_the_default_grid(name, route):
+    imm = get(name)
+    refined = cl.gauss_bonnet_check(imm, route=route)
+    capped = cl.gauss_bonnet_check(imm, cl.default_grid(imm), route=route)
+    assert refined.converged is True
+    assert refined.error_estimate <= REFINE_TOL * _quantum(imm)
+    assert abs(refined.integral - capped.integral) <= REFINE_TOL * _quantum(imm)
+
+
+@pytest.mark.parametrize("route", ["moments", "quadrature"])
+@pytest.mark.parametrize("name", ["sphere4_r5", "product_s2s2_r6"])
+def test_refined_m4_integral_matches_euler_characteristic(name, route):
+    # their default grids cost 10-60 s each, so these check against chi instead
+    imm = get(name)
+    rep = cl.gauss_bonnet_check(imm, route=route)
+    assert rep.converged is True
+    assert rep.error_estimate <= REFINE_TOL * _quantum(imm)
+    assert rep.residual <= REFINE_TOL * _quantum(imm)
+
+
+def test_refinement_that_cannot_converge_ends_on_the_default_grid():
+    imm = get("circle_r2")  # |sin u| has kinks: the trapezoid error falls only as 1/N^2
+    value, grid_shape, error_estimate, converged = reduce_until_converged(
+        imm, lambda U: np.abs(np.sin(U[:, 0])), 1.0)
+    assert grid_shape == cl.default_grid(imm).shape
+    assert converged is False
+    assert error_estimate > REFINE_TOL
+    assert abs(value - 4.0) < 1e-3
+
+
+def test_a_fixed_grid_runs_one_reduction_on_exactly_that_grid():
+    imm = get("sphere2_r4")
+
+    def integrand(U):
+        metric = cl.frames_at(imm, U)[0]
+        return cl.batched_curvature(imm, U) * np.sqrt(np.linalg.det(metric))
+
+    for grid in (cl.default_grid(imm, 16), cl.default_grid(imm)):
+        rep = cl.gauss_bonnet_check(imm, grid)
+        assert rep.integral == reduce_over_grid(imm, grid, integrand)
+        assert rep.grid_shape == grid.shape
+        assert rep.error_estimate is None and rep.converged is None
+    refined = cl.gauss_bonnet_check(imm)
+    fixed = cl.gauss_bonnet_check(imm, cl.default_grid(imm, refined.grid_shape[0]))
+    assert refined.integral == fixed.integral  # the refinement reports its finer level
 
 
 def test_unknown_route_is_rejected_before_the_mesh(monkeypatch):

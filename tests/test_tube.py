@@ -7,13 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curvlab as cl
-from curvlab import immersion
+from curvlab import immersion, tube
 from curvlab.errors import (
     CurvlabError,
     DegenerateImmersionError,
     ReachExceededError,
     UnsupportedDimensionError,
 )
+
+from curvlab.integrate import reduce_over_grid
 
 from conftest import ALL_NAMES, get, unit_circle_file
 
@@ -136,7 +138,7 @@ def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
     # the pivot seed e_x, picked at u = pi, is tangent to the circle at u = pi/2
     cfg = cl.TubeConfig(cl.load_immersion(unit_circle_file(tmp_path)), 0.1)
     with pytest.raises(DegenerateImmersionError, match="unit_circle") as err:
-        cl.tube_total_curvature(cfg)  # node 32 of the 128-node grid is u = pi/2
+        cl.tube_total_curvature(cfg)  # node 2 of the first, 8-node level is u = pi/2
     assert str([math.pi / 2]) in str(err.value)
     nu = cl.NormalDirection(np.array([1.0]))
     for u in (math.pi / 2, math.pi / 2 + 1e-9):
@@ -357,6 +359,38 @@ def test_total_curvature_sphere2_r4():
     res = cl.tube_total_curvature(cl.TubeConfig(get("sphere2_r4"), 0.05))
     assert_allclose(res.expected, -4 * np.pi**2, rtol=1e-15)
     assert abs(res.integral - res.expected) < 1e-3 * abs(res.expected)
+
+
+CRITERION_8_TUBES = [("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1)]
+
+
+@pytest.mark.parametrize("name, eps", CRITERION_8_TUBES)
+def test_refined_total_matches_the_default_grids(name, eps):
+    cfg = cl.TubeConfig(get(name), eps)
+    quantum = cl.sphere_volume(cfg.base.k - 1)
+    res = cl.tube_total_curvature(cfg)
+    assert res.converged is True
+    assert res.error_estimate <= 1e-12 * quantum
+    for sheet, value in zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet):
+        capped = reduce_over_grid(sheet, cl.default_grid(sheet), tube._sheet_integrand(cfg, sheet))
+        assert abs(value - capped) <= 1e-12 * quantum
+    # every sheet stops on the same uniform level, and reports that level's value
+    resolution = res.grid_shapes[0][0]
+    assert all(shape == (resolution,) * len(shape) for shape in res.grid_shapes)
+    assert res.per_sheet == cl.tube_total_curvature(cfg, resolution=resolution).per_sheet
+    assert res == cl.tube_total_curvature(cfg)  # bit-identical on a second call
+
+
+def test_fixed_resolution_runs_one_reduction_per_sheet():
+    cfg = cl.TubeConfig(get("sphere2_r3"), 0.1)
+    res = cl.tube_total_curvature(cfg, resolution=16)
+    sheets = cl.tube_boundary_immersion(cfg).sheets
+    assert res.per_sheet == tuple(
+        reduce_over_grid(sheet, cl.default_grid(sheet, 16), tube._sheet_integrand(cfg, sheet))
+        for sheet in sheets
+    )
+    assert res.grid_shapes == ((16, 16), (16, 16))
+    assert res.error_estimate is None and res.converged is None
 
 
 def test_total_curvature_requires_euler_char():

@@ -93,13 +93,13 @@ class RunReport:
         return buf.getvalue()
 
 
-def _csv_value(value, sep: str = ";") -> str:
+def _csv_value(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
         return "%.17g" % value
-    if isinstance(value, (list, tuple)):  # nested lists, such as grid shapes, join by "x"
-        return sep.join(_csv_value(v, "x") for v in value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(_csv_value(v) for v in value)
     return str(value)
 
 

@@ -12,10 +12,11 @@ integrals.  A non-finite integrand value fails the integral and names its
 parameter point.
 
 When the caller fixes no grid, `reduce_until_converged` refines: uniform
-grids of 8, 12, 18, 27, ... nodes per axis, capped by `default_grid`, until
-two successive integrals agree within 1e-12 of the integral's topological
-quantum.  For analytic charts both rules converge exponentially, so the last
-difference between levels is the reported error estimate.
+grids of 8, 13, 20, 31, ... nodes per axis (coprime neighbours), capped by
+`default_grid`, until two successive integrals agree within 1e-12 of the
+integral's topological quantum.  For analytic charts both rules converge
+exponentially, so the last difference between levels is the reported error
+estimate: the error of the coarser level, which the finer one improves on.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ __all__ = [
 
 _CHUNK = 16384
 _MC_SEED = 20260823
-_REFINE_START = 8  # nodes per axis on the first refinement level; each next has 3/2 as many
+_REFINE_START = 8  # nodes per axis on the first refinement level; each next has ~3/2 as many
 _REFINE_TOL = 1e-12  # two levels agree within this fraction of the topological quantum
 
 
@@ -134,13 +135,21 @@ def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
 
 
 def _refinement_ladder(imm: Immersion) -> list[Optional[int]]:
-    """Resolutions 8, 12, 18, 27, ... below every default axis count, then None: the cap."""
+    """Resolutions 8, 13, 20, 31, 47, 71, 107 below every default axis count, then None: the cap.
+
+    A trapezoid sum on N nodes is exact for every harmonic but the multiples
+    of N, so two levels err alike on an integrand whose harmonics are all
+    multiples of both counts.  Neighbouring counts here are coprime (as are
+    the last one and the cap's 128, 96, 64, 48 and 32), so that takes a
+    symmetry of order at least 8 * 13 = 104, where counts 8 and 12 would be
+    fooled by a 24-fold one.
+    """
     cap = min(_axis_counts(imm))
     ladder = []
     resolution = _REFINE_START
     while resolution < cap:
         ladder.append(resolution)
-        resolution = resolution * 3 // 2
+        resolution = resolution * 3 // 2 + 1
     return ladder + [None]
 
 

@@ -55,3 +55,51 @@ def unit_circle_file(tmp_path, **fields):
     path = tmp_path / "unit_circle.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _torus_file(tmp_path, name, terms_xy, terms_z):
+    """A surface file for a torus, both axes periodic, with the given coordinate terms."""
+    doc = {
+        "name": name,
+        "m": 2,
+        "k": 3,
+        "euler_char": 0,
+        "domain": [{"lo": 0.0, "hi": 2 * math.pi, "periodic": True}] * 2,
+        "coordinates": [terms_xy(trig) for trig in ("cos", "sin")] + [terms_z],
+    }
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _factor(axis, kind, freq=1):
+    return {"axis": axis, "kind": kind, "freq": freq}
+
+
+def wiggly_torus_file(tmp_path, freq, R=2.0, r=0.5, a=0.002):
+    """Torus (R + r cos v + a cos(freq u)) (cos u, sin u), r sin v.
+
+    Its curvature is periodic in u with period 2 pi / freq: every harmonic
+    in u is a multiple of freq.
+    """
+    return _torus_file(
+        tmp_path, f"wiggly_torus_{freq}",
+        lambda trig: [
+            {"coeff": R, "factors": [_factor(0, trig)]},
+            {"coeff": r, "factors": [_factor(1, "cos"), _factor(0, trig)]},
+            {"coeff": a, "factors": [_factor(0, "cos", freq), _factor(0, trig)]},
+        ],
+        [{"coeff": r, "factors": [_factor(1, "sin")]}],
+    )
+
+
+def elliptic_torus_file(tmp_path, R=2.0, p=0.5, q=0.05):
+    """Torus of revolution (R + p cos v) (cos u, sin u), q sin v: an ellipse profile."""
+    return _torus_file(
+        tmp_path, "elliptic_torus",
+        lambda trig: [
+            {"coeff": R, "factors": [_factor(0, trig)]},
+            {"coeff": p, "factors": [_factor(1, "cos"), _factor(0, trig)]},
+        ],
+        [{"coeff": q, "factors": [_factor(1, "sin")]}],
+    )

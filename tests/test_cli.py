@@ -12,7 +12,7 @@ import pytest
 
 from curvlab.cli import RunReport, _threshold_exit, main
 
-from conftest import unit_circle_file
+from conftest import elliptic_torus_file, unit_circle_file
 
 
 def run_cli(capsys, *args):
@@ -153,7 +153,7 @@ def test_gauss_bonnet_sphere(capsys):
     assert rep["results"]["estimated_chi"] == 2
     assert rep["results"]["converged"] is True
     assert 0.0 <= rep["results"]["error_estimate"] <= 1e-12 * 2 * np.pi
-    assert rep["options"]["grid_shape"] == [12, 12]
+    assert rep["options"]["grid_shape"] == [13, 13]
 
 
 def test_gauss_bonnet_product_default_resolution(capsys):
@@ -174,36 +174,13 @@ def test_gauss_bonnet_threshold_failure_exit_1(capsys):
     assert code == 1
 
 
-def _wiggly_torus_file(tmp_path):
-    """Torus (R + r cos v + a cos(60 u)) (cos u, sin u), r sin v.
-
-    Its curvature is periodic in u with period 2 pi / 60, so every ladder level
-    that shares a factor with 60 (12, 60) aliases: no two levels agree.
-    """
-    def f(axis, kind, freq=1):
-        return {"axis": axis, "kind": kind, "freq": freq}
-
-    R, r, a = 2.0, 0.5, 0.002
-    doc = {
-        "name": "wiggly_torus",
-        "m": 2,
-        "k": 3,
-        "euler_char": 0,
-        "domain": [{"lo": 0.0, "hi": 2 * np.pi, "periodic": True}] * 2,
-        "coordinates": [
-            [{"coeff": R, "factors": [f(0, trig)]},
-             {"coeff": r, "factors": [f(1, "cos"), f(0, trig)]},
-             {"coeff": a, "factors": [f(0, "cos", 60), f(0, trig)]}]
-            for trig in ("cos", "sin")
-        ] + [[{"coeff": r, "factors": [f(1, "sin")]}]],
-    }
-    path = tmp_path / "wiggly_torus.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 def test_unconverged_refinement_fails_the_gate(capsys, tmp_path):
-    path = _wiggly_torus_file(tmp_path)
+    # A thin ellipse profile (axes 0.5 and 0.05): K dA is the v-derivative of a
+    # function with only odd harmonics, so an even node count integrates it
+    # exactly, while on an odd count the error falls only like (0.45 / 0.55)^N.
+    # The ladder alternates parity, so no two levels agree before the 128-node
+    # cap, which is exact.
+    path = elliptic_torus_file(tmp_path)
     code, out, _ = run_cli(capsys, "gauss-bonnet", "--surface-file", path, "--format", "json")
     assert code == 0  # without --fail-threshold nothing is gated
     rep = json.loads(out)
@@ -269,7 +246,7 @@ def test_tube_total_sphere(capsys):
     assert rep["results"]["total_integral"] == pytest.approx(8 * np.pi, rel=1e-3)
     assert rep["results"]["total_converged"] is True
     assert rep["results"]["total_error_estimate"] <= 1e-12 * 4 * np.pi
-    assert rep["results"]["total_grid_shapes"] == [[12, 12], [12, 12]]
+    assert rep["results"]["total_grid_shapes"] == [[13, 13], [13, 13]]
 
 
 def test_tube_identity_sphere2_r4(capsys):
@@ -377,7 +354,7 @@ def test_run_report_csv_keys_match_flat_items(capsys):
         capsys, "tube", "--surface", "sphere2_r3", "--eps", "0.1", "--total", "--format", "csv",
     )
     values = dict(csv.reader(io.StringIO(out)))
-    assert values["results.total_grid_shapes"] == "12x12;12x12"
+    assert values["results.total_grid_shapes"] == "13;13;13;13"  # two sheets' shapes, flattened
     assert values["results.total_converged"] == "True"
 
 

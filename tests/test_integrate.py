@@ -1,6 +1,7 @@
 """Quadrature rules, Riemannian areas, normal-sphere rules, and Gauss-Bonnet."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from curvlab.integrate import (
     reduce_until_converged,
 )
 
-from conftest import CHI_NAMES, get
+from conftest import ALL_NAMES, CHI_NAMES, get, wiggly_torus_file
 
 
 # -- axis rules -------------------------------------------------------------
@@ -189,9 +190,31 @@ def _quantum(imm):
 
 
 def test_refinement_ladder_grows_by_half_up_to_the_default_grid():
-    assert _refinement_ladder(get("product_s2s2_r6")) == [8, 12, 18, 27, None]
-    assert _refinement_ladder(get("sphere2_r3")) == [8, 12, 18, 27, 40, 60, 90, None]
-    assert _refinement_ladder(get("circle_r2")) == [8, 12, 18, 27, 40, 60, 90, None]
+    assert _refinement_ladder(get("product_s2s2_r6")) == [8, 13, 20, 31, None]
+    assert _refinement_ladder(get("sphere2_r3")) == [8, 13, 20, 31, 47, 71, None]
+    assert _refinement_ladder(get("circle_r2")) == [8, 13, 20, 31, 47, 71, 107, None]
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_neighbouring_ladder_levels_share_no_factor(name):
+    imm = get(name)
+    *levels, _ = _refinement_ladder(imm)
+    for coarse, fine in zip(levels, levels[1:]):
+        assert math.gcd(coarse, fine) == 1
+    for count in cl.default_grid(imm).shape:  # the last level and the cap
+        assert math.gcd(levels[-1], count) == 1
+
+
+@pytest.mark.parametrize("freq", [24, 36, 120])
+def test_refinement_is_not_fooled_by_a_symmetric_integrand(tmp_path, freq):
+    # every harmonic in u is a multiple of freq; two levels whose node counts
+    # both divide freq sample the same u-values and would agree on a wrong value
+    imm = cl.load_immersion(wiggly_torus_file(tmp_path, freq))
+    refined = cl.gauss_bonnet_check(imm)
+    capped = cl.gauss_bonnet_check(imm, cl.default_grid(imm))
+    assert refined.converged is True
+    assert abs(refined.integral - capped.integral) <= REFINE_TOL * _quantum(imm)
+    assert refined.residual <= REFINE_TOL * _quantum(imm)  # chi = 0
 
 
 @pytest.mark.parametrize("route", ["moments", "quadrature"])

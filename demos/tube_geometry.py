@@ -12,6 +12,12 @@ import numpy as np
 
 import curvlab as cl
 
+
+def direction(imm, u, ambient):
+    """The unit normal direction along an ambient vector, in the frame nu_hat is read in."""
+    return cl.NormalDirection.unit(cl.frame_data_at(imm, u).normal_frame.T @ ambient)
+
+
 # -- a tube around a circle in R^3 ------------------------------------------
 
 imm = cl.catalog_get("circle_r3")
@@ -20,9 +26,9 @@ boundary = cl.tube_boundary_immersion(cfg)
 print(f"circle_r3, eps = 0.1: boundary is a torus, m = {boundary.sheets[0].m}")
 
 u = np.array([0.8])
-nu = cl.NormalDirection.unit(np.array([0.6, -0.8]))
-tp = cl.tube_point(cfg, u, nu, boundary=boundary)
 base = imm.points(u[None, :])[0]
+nu = direction(imm, u, 0.6 * np.array([0.0, 0.0, 1.0]) - 0.8 * base)  # up and toward the center
+tp = cl.tube_point(cfg, u, nu, boundary=boundary)
 print(f"  base point distance from tube point = {np.linalg.norm(tp.point - base):.6f}")
 
 res = cl.tube_identity_check(cfg, u, nu, boundary=boundary)
@@ -36,7 +42,7 @@ imm = cl.catalog_get("sphere2_r3")
 cfg = cl.TubeConfig(imm, 0.1)
 boundary = cl.tube_boundary_immersion(cfg)
 u = np.array([1.1, 0.4])
-outward = cl.NormalDirection(np.array([1.0]))
+outward = direction(imm, u, imm.points(u[None, :])[0])
 tp = cl.tube_point(cfg, u, outward, boundary=boundary)
 print("sphere2_r3, eps = 0.1: the tube boundary is two concentric spheres")
 print(f"  outer sheet K^g  = {tp.classical_k:.10f}  (1/1.1^2 = {1 / 1.21:.10f})")

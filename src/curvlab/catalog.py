@@ -101,7 +101,6 @@ def _sphere2_r3(R: float = 1.0) -> Immersion:
         reach=0.5 * R,
         normal_seeds=seeds,
         reference_curvature=lambda U: np.full(len(U), 1.0 / R**2),
-        params={"R": R},
     )
 
 
@@ -158,7 +157,6 @@ def _torus_rev_r3(R: float = 2.0, r: float = 0.5) -> Immersion:
         reach=0.5 * min(r, R - r),
         normal_seeds=seeds,
         reference_curvature=ref,
-        params={"R": R, "r": r},
     )
 
 
@@ -317,7 +315,6 @@ def graph_poly(m: int, n: int, terms, box: float = 1.0, name: str = "graph_poly"
         chart=chart,
         euler_char=None,
         reach=None,
-        params={"box": float(box), "terms": compiled},
     )
     imm.reach = _estimate_reach(imm)
     return imm

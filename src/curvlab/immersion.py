@@ -3,8 +3,9 @@
 An `Immersion` couples a chart domain with an evaluator written in jet
 arithmetic, so point values and first/second derivatives come out exact to
 roundoff (finite differences appear only in consistency tests).  From the
-2-jet we derive the induced metric, a deterministic orthonormal normal
-frame, and the vector-valued second fundamental form.
+2-jet we derive the induced metric, an orthonormal normal frame (the normal
+block of a complete QR of the tangents) and the vector-valued second
+fundamental form.
 
 Sign convention: `second_form[s, i, j]` is the inner product of the ambient
 second derivative of the chart with normal frame vector s, i.e. the normal
@@ -14,7 +15,7 @@ this gives minus the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,8 +29,6 @@ __all__ = [
     "FrameData",
     "jets_at",
     "induced_metric",
-    "normal_projection",
-    "forms_from_jets",
     "frames_at",
     "frame_data_at",
     "sample_domain",
@@ -72,7 +71,6 @@ class Immersion:
     reach: Optional[float] = None
     normal_seeds: Optional[Callable] = None
     reference_curvature: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
     jet_map_override: Optional[Callable] = None
     max_jet_order: int = 3
 
@@ -157,53 +155,43 @@ def induced_metric(d1: np.ndarray) -> np.ndarray:
     return np.einsum("bki,bkj->bij", d1, d1)
 
 
-def normal_projection(d1: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Normal parts of the k ambient basis vectors, as columns of (B, k, k); checks rank."""
-    try:
-        np.linalg.cholesky(metric)
-        sol = np.linalg.solve(metric, np.transpose(d1, (0, 2, 1)))  # (B, m, k)
-    except np.linalg.LinAlgError:
-        raise DegenerateImmersionError("first-derivative matrix is rank deficient at a sampled point")
-    return np.eye(d1.shape[1])[None, :, :] - np.einsum("bkm,bmj->bkj", d1, sol)
+def _normal_frames(d1: np.ndarray):
+    """Orthonormal normal frames (B, k, n) for a batch of 1-jets (B, k, m), and a rank-loss mask (B,).
 
-
-def _normal_frames(d1: np.ndarray, metric: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal normal frames for a batch of 1-jets.
-
-    Greedy column-pivoted Gram-Schmidt on the normal projections of the k
-    ambient basis vectors: repeatedly take the candidate with the largest
-    remaining residual (ties toward lower index), normalize, deflate.  Fails
-    only when the normal projector loses rank.
+    The frame is the last n columns of a complete QR of d1.  Any orthonormal
+    frame will do, since K_M averages over the whole normal sphere.  QR
+    leaves tangential roundoff of the frame's own size in it, which swamps
+    the normal part of d2 where a coordinate vector nearly vanishes (near a
+    polar axis), so one corrected semi-normal step removes the tangential
+    part measured against d1 itself.  A point loses rank when its smallest
+    |R_ii| is at most `_RANK_TOL` times its largest; its frame is left
+    uncorrected.  NaN jets pass, for the reduction's finite-value check.
     """
-    b, k, m = d1.shape
-    n = k - m
-    cand = normal_projection(d1, metric)
-    frame = np.empty((b, k, n))
-    for s in range(n):
-        norms = np.linalg.norm(cand, axis=1)  # (B, k)
-        pick = np.argmax(norms, axis=1)
-        v = np.take_along_axis(cand, pick[:, None, None], axis=2)[:, :, 0]
-        nrm = np.linalg.norm(v, axis=1)
-        if np.any(nrm < _RANK_TOL):
-            raise DegenerateImmersionError("normal frame construction degenerated (near rank-deficient jet)")
-        v = v / nrm[:, None]
-        frame[:, :, s] = v
-        cand -= v[:, :, None] * np.sum(v[:, :, None] * cand, axis=1, keepdims=True)
-    return frame
+    m = d1.shape[2]
+    q, r = np.linalg.qr(d1, mode="complete")
+    frame, r = q[:, :, m:], r[:, :m]
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    lost = diag.min(axis=1) <= _RANK_TOL * diag.max(axis=1)
+    r[lost] = np.eye(m)
+    y = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(d1, 1, 2) @ frame)
+    return frame - d1 @ np.linalg.solve(r, y), lost
 
 
-def forms_from_jets(d1: np.ndarray, d2: np.ndarray):
-    """Metric (B,m,m), second form (B,n,m,m) and normal frame (B,k,n) from batched jets."""
-    metric = induced_metric(d1)
-    frame = _normal_frames(d1, metric)
+def _forms_at(imm: Immersion, U: np.ndarray):
+    """Points (B,k) and the fundamental forms of `frames_at`; names the first point of rank loss."""
+    point, d1, d2 = jets_at(imm, U, order=2)
+    frame, lost = _normal_frames(d1)
+    if lost.any():
+        raise DegenerateImmersionError(
+            f"{imm.name}: first-derivative matrix is rank deficient at parameter point "
+            f"{U[np.argmax(lost)].tolist()}")
     second = np.einsum("bks,bkij->bsij", frame, d2)
-    return metric, second, frame
+    return point, induced_metric(d1), second, frame
 
 
 def frames_at(imm: Immersion, U: np.ndarray):
     """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n)."""
-    _, d1, d2 = jets_at(imm, U, order=2)
-    return forms_from_jets(d1, d2)
+    return _forms_at(imm, U)[1:]
 
 
 def frame_data_at(imm: Immersion, u: Sequence[float]) -> FrameData:

@@ -33,11 +33,8 @@ from .immersion import (
     Axis,
     FrameData,
     Immersion,
-    forms_from_jets,
+    _forms_at,
     frame_data_at,
-    induced_metric,
-    jets_at,
-    normal_projection,
 )
 from .integrate import default_grid, reduce_until_converged
 from .jets import Jet, cos, dot, sin, sqrt
@@ -152,9 +149,8 @@ def _sphere_coords(n, y):
 
 def _default_pivots(base: Immersion) -> list[list[float]]:
     """Constant seed vectors: ambient basis directions most normal at chart center."""
-    _, d1 = jets_at(base, base.chart_center()[None, :], order=1)
-    proj = normal_projection(d1, induced_metric(d1))[0]
-    order = np.argsort(-np.linalg.norm(proj, axis=0), kind="stable")[: base.n]
+    frame = frame_data_at(base, base.chart_center()).normal_frame
+    order = np.argsort(-np.linalg.norm(frame, axis=1), kind="stable")[: base.n]
     return [[1.0 if a == piv else 0.0 for a in range(base.k)] for piv in order]
 
 
@@ -242,8 +238,7 @@ def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
     """Sheet point, outward normal g = (point - base point)/eps, metric, and the
     second form and frame with normal 0 turned to g, for a batch of sheet parameters."""
     base = cfg.base
-    point, d1, d2 = jets_at(sheet, U, order=2)
-    metric, second, frame = forms_from_jets(d1, d2)
+    point, metric, second, frame = _forms_at(sheet, U)
     g = (point - base.points(U[:, : base.m])) / cfg.eps
     sign = np.sign(np.einsum("bk,bk->b", frame[:, :, 0], g))
     second[:, 0] *= sign[:, None, None]

@@ -125,22 +125,22 @@ def test_sign_symmetry_under_normal_flip(rng):
 
 
 def test_generalized_curvature_pinned_values(rng):
-    cases = {
-        "sphere2_r3": 1.0,
-        "sphere2_r4": 0.5,
-        "clifford_torus_r4": 0.0,
-        "product_s2s2_r6": 0.125,
-        "sphere4_r5": 1.0,
-    }
-    for name, expected in cases.items():
+    # every catalog entry that declares a closed-form K_M is checked against it
+    checked = []
+    for name in ALL_NAMES:
         imm = get(name)
-        for u in cl.sample_domain(imm, 3, rng):
+        if imm.reference_curvature is None:
+            continue
+        checked.append(imm.name)
+        U = cl.sample_domain(imm, 3, rng)
+        for u, expected in zip(U, imm.reference_curvature(U)):
             fd = cl.frame_data_at(imm, u)
             assert_allclose(cl.generalized_curvature_moments(fd), expected, atol=1e-12)
             rule = cl.normal_sphere_rule(imm.n)
             assert_allclose(
                 cl.generalized_curvature_quadrature(fd, rule), expected, atol=1e-10
             )
+    assert len(checked) == 8 and "torus_rev_r3" in checked
 
 
 def _moments_oracle(fd):

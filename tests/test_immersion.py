@@ -148,8 +148,22 @@ def test_degenerate_immersion_raises():
         domain=(cl.Axis(-1.0, 1.0), cl.Axis(-1.0, 1.0)),
         chart=lambda xs: [xs[0] + xs[1], xs[0] + xs[1], 0.0 * xs[0]],
     )
-    with pytest.raises(DegenerateImmersionError):
+    with pytest.raises(DegenerateImmersionError, match="pinched") as err:
         cl.frame_data_at(bad, [0.1, 0.2])
+    assert "[0.1, 0.2]" in str(err.value)
+
+
+def test_rank_threshold_clears_the_polar_corner_node():
+    # a worst-conditioned node of the catalog cap grids: the first node on
+    # each axis of sphere4_r5, a polar angle of ~0.0043, where the smallest
+    # |R_ii| is 7.9e-8 of the largest.  A frame that keeps the tangential
+    # roundoff of its QR puts K_M off by 1.2e-9 here.
+    imm = get("sphere4_r5")
+    corner = np.array([[ax.nodes[0] for ax in cl.default_grid(imm).axes]])
+    assert corner[0, 0] < 0.005
+    cl.frames_at(imm, corner)
+    for route in ("moments", "quadrature"):
+        assert_allclose(cl.batched_curvature(imm, corner, route), 1.0, rtol=0, atol=1e-12)
 
 
 def test_immersion_validation():

@@ -177,12 +177,14 @@ def test_classical_curvature_circle_tube_outermost():
 
 
 def test_classical_curvature_vanishing_direction_clifford():
-    # nu = first frame vector kills one principal direction: K^nu = 0 and the
-    # rescaling identity forces the tube curvature to vanish too
+    # nu = the radial direction of the first circle factor kills one principal
+    # direction: K^nu = 0 and the rescaling identity forces the tube curvature
+    # to vanish too
     cfg = cl.TubeConfig(get("clifford_torus_r4"), 0.2)
     u = np.array([0.8, 1.9])
-    nu = cl.NormalDirection(np.array([1.0, 0.0]))
     fd = cl.frame_data_at(cfg.base, u)
+    c = fd.normal_frame.T @ np.array([np.cos(u[0]), np.sin(u[0]), 0.0, 0.0])
+    nu = cl.NormalDirection(c / np.linalg.norm(c))
     assert abs(cl.directional_curvature(fd, nu)) < 1e-13
     tp = cl.tube_point(cfg, u, nu)
     assert abs(tp.classical_k) < 1e-10

@@ -170,11 +170,17 @@ def _even_index_table(m: int, n: int):
     return np.array(alphas, dtype=int), np.array(moments)
 
 
+def _metric_det(metric: np.ndarray) -> np.ndarray:
+    """det(I) of a batch of metrics (B,m,m); a (B,) array is taken as those determinants."""
+    return metric if metric.ndim == 1 else np.linalg.det(metric)
+
+
 def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Moments-route K_M for a batch: metric (B,m,m), second form (B,n,m,m).
 
     Row-mixed determinants of the chart-coordinate form, divided by det(I)
     once: whitening scales their moment-weighted sum by exactly 1/det(I).
+    A caller that needs det(I) itself may pass it, shape (B,), as `metric`.
     """
     b, n, m, _ = second.shape
     if m % 2:
@@ -183,21 +189,24 @@ def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndar
     acc = np.zeros(b)
     for alpha, moment in zip(alphas, moments):
         acc += moment * np.linalg.det(second[:, alpha, np.arange(m), :])
-    return acc / np.linalg.det(metric) / sphere_volume(n - 1)
+    return acc / _metric_det(metric) / sphere_volume(n - 1)
 
 
 _QUADRATURE_BLOCK = 2048
 
 
 def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray, rule) -> np.ndarray:
-    """Rule-averaged K^nu for a batch; blocked to bound the (B, Q, m, m) buffer."""
+    """Rule-averaged K^nu for a batch; blocked to bound the (B, Q, m, m) buffer.
+
+    `metric` is (B,m,m), or its determinants (B,) as in `batched_curvature_moments`.
+    """
     b = metric.shape[0]
     out = np.empty(b)
     for start in range(0, b, _QUADRATURE_BLOCK):
         stop = start + _QUADRATURE_BLOCK
         pi_nu = np.einsum("qs,bsij->bqij", rule.nodes, second[start:stop])
         out[start:stop] = np.linalg.det(pi_nu) @ rule.weights
-    return out / np.linalg.det(metric) / sphere_volume(second.shape[1] - 1)
+    return out / _metric_det(metric) / sphere_volume(second.shape[1] - 1)
 
 
 def generalized_curvature_moments(fd: FrameData) -> float:

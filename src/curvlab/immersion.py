@@ -152,7 +152,7 @@ def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):
 
 def induced_metric(d1: np.ndarray) -> np.ndarray:
     """First fundamental forms (B, m, m) of a batch of 1-jets (B, k, m)."""
-    return np.einsum("bki,bkj->bij", d1, d1)
+    return np.swapaxes(d1, -1, -2) @ d1
 
 
 def _normal_frames(d1: np.ndarray):
@@ -185,7 +185,8 @@ def _forms_at(imm: Immersion, U: np.ndarray):
         raise DegenerateImmersionError(
             f"{imm.name}: first-derivative matrix is rank deficient at parameter point "
             f"{U[np.argmax(lost)].tolist()}")
-    second = np.einsum("bks,bkij->bsij", frame, d2)
+    b, k, m, _ = d2.shape
+    second = (np.swapaxes(frame, 1, 2) @ d2.reshape(b, k, m * m)).reshape(b, -1, m, m)
     return point, induced_metric(d1), second, frame
 
 

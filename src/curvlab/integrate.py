@@ -233,7 +233,7 @@ def normal_sphere_rule(n: int, order: Optional[int] = None) -> NormalSphereRule:
 
 
 def _curvature_route(route: str, n: int, rule: Optional[NormalSphereRule] = None):
-    """The batched K_M kernel (metric, second form) -> (B,) of a named route."""
+    """The batched K_M kernel (metric or det(metric), second form) -> (B,) of a named route."""
     if route == "moments":
         return batched_curvature_moments
     if route == "quadrature":
@@ -280,7 +280,8 @@ def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
 
     def integrand(U):
         metric, second, _ = frames_at(imm, U)
-        return curvature(metric, second) * np.sqrt(np.linalg.det(metric))
+        det_g = np.linalg.det(metric)
+        return curvature(det_g, second) * np.sqrt(det_g)
 
     integral, grid_shape, error_estimate, converged = reduce_until_converged(
         imm, integrand, ratio, grid)

@@ -104,6 +104,19 @@ class Jet:
             self.d3 if order >= 3 else None,
         )
 
+    def widen(self, nvars: int) -> "Jet":
+        """The same jet in `nvars` variables: the new ones go last and it does not depend on them."""
+        extra = nvars - self.nvars
+        if extra < 0:
+            raise ValueError("cannot drop jet variables by widening")
+        if extra == 0:
+            return self
+
+        def pad(d, rank):
+            return None if d is None else np.pad(d, [(0, 0)] + [(0, extra)] * rank)
+
+        return Jet(self.order, nvars, self.val, pad(self.d1, 1), pad(self.d2, 2), pad(self.d3, 3))
+
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):

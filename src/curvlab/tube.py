@@ -13,6 +13,10 @@ tube's fundamental forms carry no finite-difference error.  Where a seed keeps
 less than 1e-3 of its length off the tangents, the frame raises
 `DegenerateImmersionError` naming the base point, rather than turning abruptly.
 
+X and the frame depend on u alone, so they are jets in the m base variables,
+widened once into the sheet's p = m + n - 1 variables (theta last, with zero
+derivative blocks); only y(theta) is seeded in all p.
+
 Checks provided: the curvature rescaling identity
 K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu, the shape-operator spectrum
 {lambda_i/(1 - eps lambda_i)} plus an eigenvalue -1/eps of multiplicity
@@ -155,44 +159,45 @@ def _default_pivots(base: Immersion) -> list[list[float]]:
 
 
 def _base_frame_pieces(base: Immersion, pivots, U, order):
-    """Jets of X, its tangents, and the smooth normal frame, at `order`; checks seed rank."""
-    p = U.shape[1]
-    xs = Jet.variables(U, order + 1)
+    """Jets of X and of the smooth normal frame at `order`, all in the m base variables.
+
+    `U` holds base parameters, shape (B, m).  The chart runs at order + 1,
+    so its tangents are m-variable jets at `order`; the seeds run on the
+    base variables truncated to `order`.  Raises where a seed loses rank
+    against the tangents, naming the base parameter point.
+    """
     b = U.shape[0]
-    raw = base.chart(xs[: base.m])
-    X = [
-        c if isinstance(c, Jet) else Jet.constant(c, p, order + 1, b) for c in raw
-    ]
+    xs = Jet.variables(U, order + 1)
+    X = [c if isinstance(c, Jet) else Jet.constant(c, base.m, order + 1, b)
+         for c in base.chart(xs)]
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
     seeds = pivots
     if base.normal_seeds is not None:
-        seeds = [[c.truncate(order) if isinstance(c, Jet) else float(c) for c in vec]
-                 for vec in base.normal_seeds(xs[: base.m])]
+        seeds = base.normal_seeds([x.truncate(order) for x in xs])
     frame, kept = _orthonormal_frame(tangents, seeds, base.k)
     bad = kept < _SEED_RANK_TOL
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateImmersionError(
-            f"{base.name}: normal seeds lose rank at parameter point {U[i, : base.m].tolist()}: "
+            f"{base.name}: normal seeds lose rank at parameter point {U[i].tolist()}: "
             f"a seed keeps {kept[i]:.1e} of its length off the tangents")
-    X_trunc = [X[a].truncate(order) for a in range(base.k)]
-    return xs, X_trunc, frame
+    return [x.truncate(order) for x in X], frame
 
 
 def _tube_jet_map(cfg: TubeConfig, pivots, sheet_sign: float):
     base, eps = cfg.base, cfg.eps
 
     def jet_map(U, order):
-        xs, X, frame = _base_frame_pieces(base, pivots, U, order)
+        p = U.shape[1]
+        X, frame = _base_frame_pieces(base, pivots, U[:, : base.m], order)
         if base.n == 1:
             y = [sheet_sign]
         else:
-            thetas = [xs[base.m + j].truncate(order) for j in range(base.n - 1)]
-            y = _sphere_values(base.n, thetas)
+            y = _sphere_values(base.n, Jet.variables(U, order)[base.m:])
         out = []
         for a in range(base.k):
-            shift = dot(y, [frame[s][a] for s in range(base.n)])
-            out.append(X[a] + eps * shift)
+            shift = dot(y, [frame[s][a].widen(p) for s in range(base.n)])
+            out.append(X[a].widen(p) + eps * shift)
         return out
 
     return jet_map
@@ -252,7 +257,7 @@ def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
 def _locate(boundary: TubeBoundary, u: np.ndarray, nu_amb: np.ndarray):
     """Map a base point and ambient unit normal to (sheet index, sheet parameter)."""
     base = boundary.config.base
-    _, _, frame = _base_frame_pieces(base, boundary.pivots, u[None, :], 1)
+    _, frame = _base_frame_pieces(base, boundary.pivots, u[None, :], 1)
     y = np.array([[c.val[0] for c in vec] for vec in frame]) @ nu_amb
     if base.n == 1:
         return (0 if y[0] > 0 else 1), u.copy()

@@ -72,9 +72,9 @@ def test_graph_poly_custom_terms():
     # X(x, y) = (x, y, 0.5 x^2, x y)
     imm = cl.graph_poly(2, 2, [[(0.5, (2, 0))], [(1.0, (1, 1))]], box=2.0)
     point, _, d2 = cl.jets_at(imm, imm.wrap([0.3, -0.4])[None], order=2)
-    assert_allclose(point[0], [0.3, -0.4, 0.5 * 0.09, -0.12], atol=1e-15)
-    assert_allclose(d2[0, 2, 0, 0], 1.0, atol=1e-15)
-    assert_allclose(d2[0, 3, 0, 1], 1.0, atol=1e-15)
+    assert_allclose(point[0], [0.3, -0.4, 0.5 * 0.09, -0.12], rtol=0, atol=1e-15)
+    assert_allclose(d2[0, 2, 0, 0], 1.0, rtol=0, atol=1e-15)
+    assert_allclose(d2[0, 3, 0, 1], 1.0, rtol=0, atol=1e-15)
     assert imm.euler_char is None
     assert imm.domain[0].lo == -2.0 and imm.domain[0].hi == 2.0
 
@@ -130,7 +130,7 @@ def test_load_flat_torus_file(tmp_path):
     imm = cl.load_immersion(_write(tmp_path, _flat_torus_doc()))
     assert (imm.name, imm.m, imm.k, imm.euler_char) == ("flat_torus_file", 2, 4, 0)
     fd = cl.frame_data_at(imm, [0.7, 2.1])
-    assert_allclose(fd.metric, np.eye(2), atol=1e-14)
+    assert_allclose(fd.metric, np.eye(2), rtol=0, atol=1e-14)
     assert cl.generalized_curvature_moments(fd) == pytest.approx(0.0, abs=1e-14)
     assert imm.reach is not None and 0 < imm.reach < 1.0  # sampled curvature bound
 
@@ -154,7 +154,7 @@ def test_load_polynomial_graph_file(tmp_path):
     }
     imm = cl.load_immersion(_write(tmp_path, doc))
     fd = cl.frame_data_at(imm, [0.0, 0.0])
-    assert_allclose(fd.metric, np.eye(2), atol=1e-15)
+    assert_allclose(fd.metric, np.eye(2), rtol=0, atol=1e-15)
     # same surface as graph_poly(x^2 + y^2): R_1221 = 4 at the origin
     tensor = cl.gauss_equation_tensor(fd)
     assert_allclose(tensor.R[0, 1, 1, 0], 4.0, rtol=1e-13)
@@ -275,8 +275,10 @@ def _phase_circle_doc(key="phase"):
 def test_file_factor_phase_is_honoured(tmp_path):
     imm = cl.load_immersion(_write(tmp_path, _phase_circle_doc()))
     point, d1 = cl.jets_at(imm, np.array([[0.0], [0.5]]), order=1)
-    assert_allclose(point, [[np.cos(1.0), np.sin(1.0)], [np.cos(1.5), np.sin(1.5)]], atol=1e-15)
-    assert_allclose(d1[:, :, 0], [[-np.sin(1.0), np.cos(1.0)], [-np.sin(1.5), np.cos(1.5)]], atol=1e-15)
+    assert_allclose(point, [[np.cos(1.0), np.sin(1.0)], [np.cos(1.5), np.sin(1.5)]],
+                    rtol=0, atol=1e-15)
+    assert_allclose(d1[:, :, 0], [[-np.sin(1.0), np.cos(1.0)], [-np.sin(1.5), np.cos(1.5)]],
+                    rtol=0, atol=1e-15)
 
 
 def test_file_rejects_unknown_factor_fields(tmp_path):

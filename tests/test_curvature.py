@@ -104,7 +104,7 @@ def test_directional_pinned_values():
         coeffs = np.cos(alpha) * c_rad + np.sin(alpha) * c_e4
         nu_a = cl.NormalDirection(coeffs / np.linalg.norm(coeffs))
         assert_allclose(
-            cl.directional_curvature(fd4, nu_a), np.cos(alpha) ** 2, atol=1e-12
+            cl.directional_curvature(fd4, nu_a), np.cos(alpha) ** 2, rtol=0, atol=1e-12
         )
 
 
@@ -135,10 +135,10 @@ def test_generalized_curvature_pinned_values(rng):
         U = cl.sample_domain(imm, 3, rng)
         for u, expected in zip(U, imm.reference_curvature(U)):
             fd = cl.frame_data_at(imm, u)
-            assert_allclose(cl.generalized_curvature_moments(fd), expected, atol=1e-12)
+            assert_allclose(cl.generalized_curvature_moments(fd), expected, rtol=0, atol=1e-12)
             rule = cl.normal_sphere_rule(imm.n)
             assert_allclose(
-                cl.generalized_curvature_quadrature(fd, rule), expected, atol=1e-10
+                cl.generalized_curvature_quadrature(fd, rule), expected, rtol=0, atol=1e-10
             )
     assert len(checked) == 8 and "torus_rev_r3" in checked
 
@@ -191,6 +191,19 @@ def test_route_agreement_on_catalog(rng):
         assert np.max(np.abs(km - kq)) < 1e-8
 
 
+def test_batched_routes_take_the_metric_or_its_determinants(rng):
+    # Gauss-Bonnet passes det g, which it also needs for the density; K must not move
+    for name in ("sphere2_r4", "product_s2s2_r6"):
+        imm = get(name)
+        metric, second, _ = cl.frames_at(imm, cl.sample_domain(imm, 30, rng))
+        det_g = np.linalg.det(metric)
+        rule = cl.normal_sphere_rule(imm.n)
+        assert np.array_equal(cl.batched_curvature_moments(det_g, second),
+                              cl.batched_curvature_moments(metric, second))
+        assert np.array_equal(cl.batched_curvature_quadrature(det_g, second, rule),
+                              cl.batched_curvature_quadrature(metric, second, rule))
+
+
 def test_odd_dimension_vanishing(rng):
     for name in ODD_M_NAMES:
         imm = get(name)
@@ -228,13 +241,13 @@ def test_invariance_under_normal_frame_rotation(rng):
     assert_allclose(
         cl.generalized_curvature_moments(fd_rot),
         cl.generalized_curvature_moments(fd),
-        atol=1e-10,
+        rtol=0, atol=1e-10,
     )
     rule = cl.normal_sphere_rule(imm.n)
     assert_allclose(
         cl.generalized_curvature_quadrature(fd_rot, rule),
         cl.generalized_curvature_quadrature(fd, rule),
-        atol=1e-10,
+        rtol=0, atol=1e-10,
     )
     v = rng.normal(size=imm.n)
     nu = cl.NormalDirection.unit(v)
@@ -242,7 +255,7 @@ def test_invariance_under_normal_frame_rotation(rng):
     assert_allclose(
         cl.directional_curvature(fd_rot, nu_rot),
         cl.directional_curvature(fd, nu),
-        atol=1e-12,
+        rtol=0, atol=1e-12,
     )
 
 
@@ -259,12 +272,12 @@ def test_invariance_under_tangent_coordinate_change(rng):
     assert_allclose(
         cl.generalized_curvature_moments(fd_new),
         cl.generalized_curvature_moments(fd),
-        atol=1e-10,
+        rtol=0, atol=1e-10,
     )
     assert_allclose(
         cl.pfaffian_density(cl.gauss_equation_tensor(fd_new)),
         cl.pfaffian_density(cl.gauss_equation_tensor(fd)),
-        atol=1e-10,
+        rtol=0, atol=1e-10,
     )
 
 
@@ -385,9 +398,9 @@ def test_egregium_report_sphere():
     rep = cl.egregium_report(get("sphere2_r3"), [1.0, 2.0])
     assert rep.egregium_residual < 1e-10
     assert_allclose(rep.egregium_lhs, 1.0 / (2 * np.pi), rtol=1e-12)
-    assert_allclose(rep.route_residual, abs(rep.k_moments - rep.k_quadrature), atol=1e-16)
+    assert_allclose(rep.route_residual, abs(rep.k_moments - rep.k_quadrature), rtol=0, atol=1e-16)
     assert_allclose(
-        rep.egregium_residual, abs(rep.egregium_lhs - rep.pfaffian_density), atol=1e-16
+        rep.egregium_residual, abs(rep.egregium_lhs - rep.pfaffian_density), rtol=0, atol=1e-16
     )
 
 
@@ -395,7 +408,7 @@ def test_egregium_report_product():
     rep = cl.egregium_report(get("product_s2s2_r6"), [1.0, 0.5, 2.0, 1.5])
     assert rep.egregium_residual < 1e-10
     assert_allclose(rep.egregium_lhs, 1.0 / (4 * np.pi**2), rtol=1e-11)
-    assert_allclose(rep.pfaffian_density, rep.egregium_lhs, atol=1e-12)
+    assert_allclose(rep.pfaffian_density, rep.egregium_lhs, rtol=0, atol=1e-12)
 
 
 def test_egregium_random_graphs_at_origin(rng):

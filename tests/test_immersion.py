@@ -25,14 +25,14 @@ def _jet2(imm, u):
 
 def test_circle_r2_jet_at_zero():
     point, d1, d2 = _jet2(get("circle_r2"), [0.0])
-    assert_allclose(point, [1.0, 0.0], atol=1e-15)
-    assert_allclose(d1[:, 0], [0.0, 1.0], atol=1e-15)
-    assert_allclose(d2[:, 0, 0], [-1.0, 0.0], atol=1e-15)
+    assert_allclose(point, [1.0, 0.0], rtol=0, atol=1e-15)
+    assert_allclose(d1[:, 0], [0.0, 1.0], rtol=0, atol=1e-15)
+    assert_allclose(d2[:, 0, 0], [-1.0, 0.0], rtol=0, atol=1e-15)
 
 
 def test_sphere2_r3_jet_at_equator():
     point, d1, _ = _jet2(get("sphere2_r3"), [np.pi / 2, 0.0])
-    assert_allclose(point, [1.0, 0.0, 0.0], atol=1e-15)
+    assert_allclose(point, [1.0, 0.0, 0.0], rtol=0, atol=1e-15)
     t1, t2 = d1[:, 0], d1[:, 1]
     assert abs(t1 @ t2) < 1e-15
     assert_allclose(np.linalg.norm(t1), 1.0, rtol=1e-15)
@@ -43,10 +43,10 @@ def test_quadratic_graph_jet_at_origin():
     # X(x1, x2) = (x1, x2, x1^2 + x2^2)
     imm = cl.graph_poly(2, 1, [[(1.0, (2, 0)), (1.0, (0, 2))]])
     point, d1, d2 = _jet2(imm, [0.0, 0.0])
-    assert_allclose(point, np.zeros(3), atol=1e-15)
-    assert_allclose(d1[:2, :], np.eye(2), atol=1e-15)
-    assert_allclose(d1[2, :], np.zeros(2), atol=1e-15)
-    assert_allclose(d2[2], 2.0 * np.eye(2), atol=1e-15)
+    assert_allclose(point, np.zeros(3), rtol=0, atol=1e-15)
+    assert_allclose(d1[:2, :], np.eye(2), rtol=0, atol=1e-15)
+    assert_allclose(d1[2, :], np.zeros(2), rtol=0, atol=1e-15)
+    assert_allclose(d2[2], 2.0 * np.eye(2), rtol=0, atol=1e-15)
 
 
 # -- pinned fundamental forms ----------------------------------------------
@@ -55,7 +55,7 @@ def test_quadratic_graph_jet_at_origin():
 def test_graph_origin_metric_is_identity():
     imm = cl.graph_poly(2, 1, [[(1.0, (2, 0)), (1.0, (0, 2))]])
     fd = cl.frame_data_at(imm, [0.0, 0.0])
-    assert_allclose(fd.metric, np.eye(2), atol=1e-15)
+    assert_allclose(fd.metric, np.eye(2), rtol=0, atol=1e-15)
 
 
 def test_sphere_second_form_is_minus_identity_outward():
@@ -64,13 +64,13 @@ def test_sphere_second_form_is_minus_identity_outward():
     fd = cl.frame_data_at(imm, u)
     outward = imm.points(np.array([u]))[0]  # radial direction on the unit sphere
     sign = np.sign(fd.normal_frame[:, 0] @ outward)
-    assert_allclose(fd.metric, np.eye(2), atol=1e-15)
-    assert_allclose(sign * fd.second_form[0], -np.eye(2), atol=1e-14)
+    assert_allclose(fd.metric, np.eye(2), rtol=0, atol=1e-15)
+    assert_allclose(sign * fd.second_form[0], -np.eye(2), rtol=0, atol=1e-14)
 
 
 def test_clifford_metric_is_half_identity():
     fd = cl.frame_data_at(get("clifford_torus_r4"), [0.8, 2.5])
-    assert_allclose(fd.metric, 0.5 * np.eye(2), atol=1e-15)
+    assert_allclose(fd.metric, 0.5 * np.eye(2), rtol=0, atol=1e-15)
 
 
 # -- frame and metric properties at random points --------------------------
@@ -115,7 +115,7 @@ def test_jets_match_finite_differences(name, rng):
 def test_wrap_periodic_and_domain_error():
     imm = get("torus_rev_r3")
     wrapped = imm.wrap([2 * np.pi + 0.3, -0.1])
-    assert_allclose(wrapped, [0.3, 2 * np.pi - 0.1], atol=1e-12)
+    assert_allclose(wrapped, [0.3, 2 * np.pi - 0.1], rtol=0, atol=1e-12)
     graph = get("graph_poly")
     with pytest.raises(DomainError):
         graph.wrap([2.0, 0.0])  # box is [-1, 1]^2
@@ -129,7 +129,7 @@ def test_wrapped_jets_agree_across_periods():
     imm = get("sphere2_r3")
     a, _, _ = _jet2(imm, [1.0, 0.5])
     b, _, _ = _jet2(imm, [1.0, 0.5 + 2 * np.pi])
-    assert_allclose(a, b, atol=1e-12)
+    assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_sample_domain_margins(rng):

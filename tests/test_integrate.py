@@ -140,7 +140,7 @@ def test_gauss_bonnet_sphere():
     assert_allclose(rep.expected, 4 * np.pi, rtol=1e-15)
     assert rep.residual < 1e-8
     assert rep.estimated_chi == 2
-    assert_allclose(rep.residual, abs(rep.integral - rep.expected), atol=1e-16)
+    assert_allclose(rep.residual, abs(rep.integral - rep.expected), rtol=0, atol=1e-16)
 
 
 def test_gauss_bonnet_chi_estimation_with_chi_withheld():

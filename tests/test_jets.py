@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from curvlab.jets import Jet, cos, dot, sin, sqrt
 
@@ -142,3 +142,30 @@ def test_batched_evaluation_matches_pointwise():
         assert_allclose(single.val[0], batched.val[b], rtol=0, atol=0)
         assert_allclose(single.d2[0], batched.d2[b], rtol=0, atol=0)
         assert_allclose(single.d3[0], batched.d3[b], rtol=0, atol=0)
+
+
+def _tensors(jet):
+    return [jet.val, jet.d1, jet.d2, jet.d3][: jet.order + 1]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_widened_jet_equals_the_expression_in_more_variables(order):
+    U = np.array([[0.3, -0.7, 1.2], [1.1, 0.4, -0.3], [-0.5, 0.9, 2.0]])
+    widened = _f_jet(*Jet.variables(U[:, :2], order)).widen(3)
+    x, y, _ = Jet.variables(U, order)
+    direct = _f_jet(x, y)
+    assert (widened.order, widened.nvars) == (order, 3)
+    for w, d in zip(_tensors(widened), _tensors(direct), strict=True):
+        assert_array_equal(w, d)
+    # every block that involves the new variable is exactly zero
+    for rank, t in enumerate(_tensors(widened)[1:], start=1):
+        for axis in range(1, rank + 1):
+            assert np.all(np.take(t, [2], axis=axis) == 0.0)
+
+
+def test_widen_to_the_same_variables_is_the_identity():
+    (x,) = Jet.variables(np.array([[0.4], [1.3]]), order=3)
+    f = x.sin() * x
+    assert f.widen(1) is f
+    with pytest.raises(ValueError):
+        f.widen(3).widen(2)

@@ -1,5 +1,6 @@
 """Tube-boundary geometry: sheets, curvature rescaling, spectrum, totals."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from curvlab.errors import (
 )
 
 from curvlab.integrate import reduce_over_grid
+from curvlab.jets import Jet, dot
 
 from conftest import ALL_NAMES, get, unit_circle_file
 
@@ -103,11 +105,11 @@ def test_tube_point_invariants(rng):
         base_point = base.points(u[None, :])[0]
         fd = cl.frame_data_at(base, u)
         amb = fd.normal_frame @ nu.coeffs
-        assert_allclose(tp.point, base_point + cfg.eps * amb, atol=1e-12)
+        assert_allclose(tp.point, base_point + cfg.eps * amb, rtol=0, atol=1e-12)
         assert_allclose(np.linalg.norm(tp.gauss_normal), 1.0, rtol=1e-12)
         for name in ("metric", "second_form", "normal_frame"):
             assert_allclose(getattr(tp.base_frame, name), getattr(fd, name), rtol=0, atol=0)
-        assert_allclose(tp.sheet_frame.normal_frame[:, 0], tp.gauss_normal, atol=1e-12)
+        assert_allclose(tp.sheet_frame.normal_frame[:, 0], tp.gauss_normal, rtol=0, atol=1e-12)
 
 
 def test_checks_build_each_frame_once(monkeypatch):
@@ -132,6 +134,61 @@ def test_checks_build_each_frame_once(monkeypatch):
         calls.update(base_frames=0, sheet_jets=0)
         check(cfg, np.array([1.1, 0.7]), nu, boundary=boundary)
         assert calls == {"base_frames": 1, "sheet_jets": 1}, check.__name__
+
+
+def _all_variable_sheet_jets(cfg, pivots, sign, U, order):
+    """Sheet jets with the base chart and frame seeded in all p sheet variables."""
+    base, (b, p) = cfg.base, U.shape
+    xs = Jet.variables(U, order + 1)
+    X = [c if isinstance(c, Jet) else Jet.constant(c, p, order + 1, b)
+         for c in base.chart(xs[: base.m])]
+    tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
+    seeds = pivots
+    if base.normal_seeds is not None:
+        seeds = [[c.truncate(order) if isinstance(c, Jet) else float(c) for c in vec]
+                 for vec in base.normal_seeds(xs[: base.m])]
+    frame, _ = tube._orthonormal_frame(tangents, seeds, base.k)
+    y = [sign] if base.n == 1 else tube._sphere_values(
+        base.n, [x.truncate(order) for x in xs[base.m:]])
+    return [X[a].truncate(order) + cfg.eps * dot(y, [frame[s][a] for s in range(base.n)])
+            for a in range(base.k)]
+
+
+@pytest.mark.parametrize("name, eps", [
+    ("sphere2_r3", 0.1), ("circle_r3", 0.1), ("sphere2_r4", 0.05), ("graph_n3", 0.1),
+])
+def test_sheet_jets_match_the_all_variable_construction(name, eps, rng):
+    if name == "graph_n3":
+        base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=3, degree=2, scale=0.2)
+        eps = min(eps, 0.5 * base.reach)
+    else:
+        base = get(name)
+    cfg = cl.TubeConfig(base, eps)
+    boundary = cl.tube_boundary_immersion(cfg)
+    signs = (1.0, -1.0) if base.n == 1 else (1.0,)
+    for sheet, sign in zip(boundary.sheets, signs, strict=True):
+        U = cl.sample_domain(sheet, 40, rng)
+        ref = _all_variable_sheet_jets(cfg, boundary.pivots, sign, U, 2)
+        want = [np.stack([getattr(j, d) for j in ref], axis=1) for d in ("val", "d1", "d2")]
+        for got, expected in zip(cl.jets_at(sheet, U, 2), want, strict=True):
+            assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+
+def test_base_pieces_are_evaluated_in_base_variables_at_the_sheet_order():
+    # normal_seeds gets the sheet's order (not order + 1), in the m base variables
+    base = get("sphere2_r4")
+    seen = []
+
+    def recording_seeds(xs):
+        seen.extend((x.order, x.nvars) for x in xs)
+        return base.normal_seeds(xs)
+
+    cfg = cl.TubeConfig(dataclasses.replace(base, normal_seeds=recording_seeds), 0.05)
+    sheet = cl.tube_boundary_immersion(cfg).sheets[0]
+    for order in (1, 2):
+        seen.clear()
+        sheet.jet_map(np.array([[1.1, 0.7, 0.3], [0.4, 2.0, 5.0]]), order)
+        assert seen == [(order, base.m)] * base.m
 
 
 def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
@@ -234,7 +291,7 @@ def test_identity_sphere_hypersurface(rng):
         nu = _random_direction(rng, 1)
         res = cl.tube_identity_check(cfg, u, nu, boundary=boundary)
         assert res.residual < 1e-10  # n = 1: K^g/NJ = K^nu exactly
-        assert_allclose(res.lhs, res.rhs, atol=1e-10)
+        assert_allclose(res.lhs, res.rhs, rtol=0, atol=1e-10)
 
 
 def test_identity_sphere2_r4_random_points(rng):

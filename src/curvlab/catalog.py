@@ -378,6 +378,8 @@ def catalog_get(name: str) -> Immersion:
                     f"{base}: parameters must be key=value pairs, got {piece.strip()!r}"
                 )
             key, _, value = piece.partition("=")
+            if key.strip() in params:
+                raise UnknownImmersionError(f"{base}: parameter {key.strip()!r} given twice")
             try:
                 number = float(value)
             except ValueError:
@@ -413,6 +415,12 @@ def _file_error(field: str, message: str):
     raise ImmersionFileError(f"{field}: {message}")
 
 
+def _reject_unknown(raw: dict, allowed: tuple, field: str, what: str):
+    for key in raw:
+        if key not in allowed:
+            _file_error(f"{field}.{key}" if field else key, f"unknown field; {what} takes {allowed}")
+
+
 def _check_number(value, field: str) -> float:
     # NaN, +-inf and integers past the float range all fail the comparison
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
@@ -438,9 +446,7 @@ def _parse_factor(raw, m: int, field: str):
     kind = raw.get("kind")
     if kind not in _FACTOR_KEYS:
         _file_error(f"{field}.kind", f"expected one of {tuple(_FACTOR_KEYS)}, got {kind!r}")
-    for key in raw:
-        if key not in _FACTOR_KEYS[kind]:
-            _file_error(f"{field}.{key}", f"unknown field; a {kind} factor takes {_FACTOR_KEYS[kind]}")
+    _reject_unknown(raw, _FACTOR_KEYS[kind], field, f"a {kind} factor")
     if kind == "pow":
         expo = _check_int(raw.get("exponent"), f"{field}.exponent")
         if expo < 0:
@@ -454,6 +460,7 @@ def _parse_factor(raw, m: int, field: str):
 def _parse_term(raw, m: int, field: str):
     if not isinstance(raw, dict):
         _file_error(field, "expected an object with coeff/factors fields")
+    _reject_unknown(raw, ("coeff", "factors"), field, "a term")
     coeff = _check_number(raw.get("coeff"), f"{field}.coeff")
     factors_raw = raw.get("factors", [])
     if not isinstance(factors_raw, list):
@@ -492,7 +499,8 @@ def load_immersion(path: str) -> Immersion:
     Required fields: m, k, domain (list of {lo, hi, periodic}), coordinates
     (k lists of {coeff, factors} terms; factors are monomial powers or
     cos/sin(freq * x + phase) in one axis, integer freq, optional phase).
-    Optional: name, euler_char, reach.  Errors name the offending field.
+    Optional: name, euler_char, reach.  Any other field is rejected.  Errors
+    name the offending field.
     """
     try:
         with open(path) as fh:
@@ -503,6 +511,8 @@ def load_immersion(path: str) -> Immersion:
         raise ImmersionFileError(f"{path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         _file_error("(top level)", "expected a JSON object")
+    _reject_unknown(data, ("name", "m", "k", "domain", "coordinates", "euler_char", "reach"), "",
+                    "a surface file")
 
     for required in ("m", "k", "domain", "coordinates"):
         if required not in data:
@@ -521,6 +531,7 @@ def load_immersion(path: str) -> Immersion:
     for i, ax in enumerate(domain_raw):
         if not isinstance(ax, dict):
             _file_error(f"domain[{i}]", "expected an object with lo/hi/periodic")
+        _reject_unknown(ax, ("lo", "hi", "periodic"), f"domain[{i}]", "an axis")
         lo = _check_number(ax.get("lo"), f"domain[{i}].lo")
         hi = _check_number(ax.get("hi"), f"domain[{i}].hi")
         if not hi > lo:

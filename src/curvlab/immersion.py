@@ -140,14 +140,10 @@ class FrameData:
 
 
 def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):
-    """Batched chart derivatives: arrays (B,k), (B,k,m), and for order 2 (B,k,m,m)."""
+    """Batched chart derivatives up to `order`: arrays (B,k), (B,k,m), (B,k,m,m), ...; rank r
+    stacks views of the coordinates' d[r] with the batch axis moved first, so it is copied once."""
     js = imm.jet_map(U, order)
-    point = np.stack([j.val for j in js], axis=1)
-    d1 = np.stack([j.d1 for j in js], axis=1)
-    if order < 2:
-        return point, d1
-    d2 = np.stack([j.d2 for j in js], axis=1)
-    return point, d1, d2
+    return tuple(np.stack([np.moveaxis(j.d[r], -1, 0) for j in js], axis=1) for r in range(order + 1))
 
 
 def induced_metric(d1: np.ndarray) -> np.ndarray:

@@ -1,19 +1,29 @@
-"""Truncated multivariate Taylor arithmetic (jets) up to third order.
+"""Truncated multivariate Taylor arithmetic (jets) of any order.
 
 Every chart in the catalog is written as an ordinary Python function of its
 parameters using the `sin`/`cos`/`sqrt` wrappers below.  Running that function
 on `Jet` inputs produces exact derivatives of the chart to machine precision;
-running it on plain floats or numpy arrays evaluates values only.  All jet
-data is batched over a leading axis so whole quadrature grids are pushed
-through a chart in a handful of vectorized operations.
+running it on plain floats or numpy arrays evaluates values only.
 
-A jet of order q in p variables stores the value and all partial derivative
-tensors up to order q (dense, fully symmetric).  Order 3 exists so that first
-derivatives of a chart (tangent vectors) can themselves be carried as
-order-2 jets, which is what differentiating a moving normal frame requires.
+A jet of order q in p variables is the tuple `d` of its dense, fully
+symmetric derivative tensors: `d[r]` holds the r-th partials of a whole batch,
+shape (p,)*r + (B,).  The batch axis is last so that every broadcast product
+runs its inner loop over the batch, not over p = 2-4 variables.  Two rules
+carry every operation to any order (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., 2008, ch. 13).  Leibniz: d_k(fg) sums, over the
+subsets S of the k axes, d_|S| f laid on S times d_(k-|S|) g on the other
+axes.  Faa di Bruno: d_k h(f) sums, over the set partitions of the k axes,
+h^(r)(f) for r blocks times the product of d_|b| f laid on each block b.
+Subsets and blocks are sorted, so laying a tensor on them only inserts
+singleton axes.  Order 3 makes tangents order-2 jets, for moving frames.
 """
 
 from __future__ import annotations
+
+from functools import cache, reduce
+from itertools import combinations
+from math import factorial
+from operator import mul
 
 import numpy as np
 
@@ -22,32 +32,56 @@ __all__ = ["Jet", "sin", "cos", "sqrt", "dot"]
 _COEFF_TYPES = (int, float, np.floating, np.integer, np.ndarray)
 
 
-def _outer2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # (B,p) x (B,p) -> (B,p,p)
-    return a[:, :, None] * b[:, None, :]
+@cache
+def _splits(k: int):
+    """Pairs (S, rest) of sorted axis tuples that split range(k), for the Leibniz rule."""
+    return tuple((s, tuple(a for a in range(k) if a not in s))
+                 for size in range(k + 1) for s in combinations(range(k), size))
 
 
-def _sym3(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # symmetrized (B,p,p) x (B,p) -> (B,p,p,p): H_ab g_c + H_ac g_b + H_bc g_a
-    return (
-        h[:, :, :, None] * g[:, None, None, :]
-        + h[:, :, None, :] * g[:, None, :, None]
-        + h[:, None, :, :] * g[:, :, None, None]
-    )
+@cache
+def _partitions(k: int):
+    """Set partitions of range(k) into sorted blocks, grouped by block count (index r - 1)."""
+    parts = [[]]
+    for a in range(k):
+        parts = [p[:i] + [p[i] + [a]] + p[i + 1:] for p in parts for i in range(len(p))] + [
+            p + [[a]] for p in parts]
+    return tuple(tuple(tuple(map(tuple, p)) for p in parts if len(p) == r) for r in range(1, k + 1))
+
+
+def _place(t: np.ndarray, axes: tuple, k: int) -> np.ndarray:
+    """A view of t, shape (p,)*len(axes) + (B,), with its axes at the sorted positions `axes` of rank k."""
+    shape = [1] * k + [t.shape[-1]]
+    for a, n in zip(axes, t.shape):
+        shape[a] = n
+    return t.reshape(shape)
+
+
+def _sum(terms):
+    """Sum of same-shape arrays, in place into the first: a fresh array, unless it is the only term."""
+    terms = iter(terms)
+    acc = next(terms)
+    for t in terms:
+        acc += t
+    return acc
 
 
 class Jet:
-    """Batched truncated Taylor expansion in `nvars` variables."""
+    """Batched truncated Taylor expansion in `nvars` variables; `d[r]` has shape (nvars,)*r + (B,)."""
 
-    __slots__ = ("order", "nvars", "val", "d1", "d2", "d3")
+    __slots__ = ("nvars", "d")
 
-    def __init__(self, order, nvars, val, d1=None, d2=None, d3=None):
-        self.order = order
+    def __init__(self, nvars: int, d):
         self.nvars = nvars
-        self.val = val
-        self.d1 = d1
-        self.d2 = d2
-        self.d3 = d3
+        self.d = tuple(d)
+
+    @property
+    def order(self) -> int:
+        return len(self.d) - 1
+
+    @property
+    def val(self) -> np.ndarray:
+        return self.d[0]
 
     # -- construction -----------------------------------------------------
 
@@ -58,25 +92,21 @@ class Jet:
         if values.ndim != 2:
             raise ValueError("expected a (batch, nvars) array of parameter values")
         b, p = values.shape
-        out = []
-        for i in range(p):
-            d1 = np.zeros((b, p))
-            d1[:, i] = 1.0
-            d2 = np.zeros((b, p, p)) if order >= 2 else None
-            d3 = np.zeros((b, p, p, p)) if order >= 3 else None
-            out.append(Jet(order, p, values[:, i].copy(), d1, d2, d3))
-        return out
+        unit = np.repeat(np.eye(p)[:, :, None], b, axis=2)
+        zeros = [np.zeros((p,) * r + (b,)) for r in range(2, order + 1)]
+        return [Jet(p, (values[:, i].copy(), unit[i], *zeros)[: order + 1]) for i in range(p)]
 
     @staticmethod
     def constant(value, nvars: int, order: int, batch: int) -> "Jet":
         val = np.broadcast_to(np.asarray(value, dtype=float), (batch,)).copy()
-        d1 = np.zeros((batch, nvars))
-        d2 = np.zeros((batch, nvars, nvars)) if order >= 2 else None
-        d3 = np.zeros((batch, nvars, nvars, nvars)) if order >= 3 else None
-        return Jet(order, nvars, val, d1, d2, d3)
+        return Jet(nvars, [val] + [np.zeros((nvars,) * r + (batch,)) for r in range(1, order + 1)])
 
-    def _lift(self, value) -> "Jet":
-        return Jet.constant(value, self.nvars, self.order, self.val.shape[0])
+    def _pair(self, other: "Jet"):
+        """The derivative tensors of two jets side by side; jets of different shape do not combine."""
+        if (other.order, other.nvars) != (self.order, self.nvars):
+            raise ValueError(f"cannot combine jets of (order, nvars) {(self.order, self.nvars)} "
+                             f"and {(other.order, other.nvars)}")
+        return zip(self.d, other.d)
 
     # -- structural ops ---------------------------------------------------
 
@@ -84,25 +114,12 @@ class Jet:
         """Formal derivative with respect to variable i; drops one order."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(
-            self.order - 1,
-            self.nvars,
-            self.d1[:, i].copy(),
-            self.d2[:, i, :].copy() if self.order >= 2 else None,
-            self.d3[:, i, :, :].copy() if self.order >= 3 else None,
-        )
+        return Jet(self.nvars, [t[i] for t in self.d[1:]])
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
-        return Jet(
-            order,
-            self.nvars,
-            self.val,
-            self.d1 if order >= 1 else None,
-            self.d2 if order >= 2 else None,
-            self.d3 if order >= 3 else None,
-        )
+        return Jet(self.nvars, self.d[: order + 1])
 
     def widen(self, nvars: int) -> "Jet":
         """The same jet in `nvars` variables: the new ones go last and it does not depend on them."""
@@ -111,52 +128,27 @@ class Jet:
             raise ValueError("cannot drop jet variables by widening")
         if extra == 0:
             return self
-
-        def pad(d, rank):
-            return None if d is None else np.pad(d, [(0, 0)] + [(0, extra)] * rank)
-
-        return Jet(self.order, nvars, self.val, pad(self.d1, 1), pad(self.d2, 2), pad(self.d3, 3))
+        return Jet(nvars, [np.pad(t, [(0, extra)] * r + [(0, 0)]) for r, t in enumerate(self.d)])
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(
-                self.order,
-                self.nvars,
-                self.val + other.val,
-                self.d1 + other.d1,
-                self.d2 + other.d2 if self.order >= 2 else None,
-                self.d3 + other.d3 if self.order >= 3 else None,
-            )
+            return Jet(self.nvars, [a + b for a, b in self._pair(other)])
         if isinstance(other, _COEFF_TYPES):
-            return Jet(self.order, self.nvars, self.val + other, self.d1, self.d2, self.d3)
+            return Jet(self.nvars, (self.val + other,) + self.d[1:])
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(
-            self.order,
-            self.nvars,
-            -self.val,
-            -self.d1,
-            -self.d2 if self.order >= 2 else None,
-            -self.d3 if self.order >= 3 else None,
-        )
+        return Jet(self.nvars, [-t for t in self.d])
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(
-                self.order,
-                self.nvars,
-                self.val - other.val,
-                self.d1 - other.d1,
-                self.d2 - other.d2 if self.order >= 2 else None,
-                self.d3 - other.d3 if self.order >= 3 else None,
-            )
+            return Jet(self.nvars, [a - b for a, b in self._pair(other)])
         if isinstance(other, _COEFF_TYPES):
-            return Jet(self.order, self.nvars, self.val - other, self.d1, self.d2, self.d3)
+            return Jet(self.nvars, (self.val - other,) + self.d[1:])
         return NotImplemented
 
     def __rsub__(self, other):
@@ -164,38 +156,13 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            fv, gv = self.val, other.val
-            val = fv * gv
-            d1 = fv[:, None] * other.d1 + gv[:, None] * self.d1
-            d2 = d3 = None
-            if self.order >= 2:
-                d2 = (
-                    fv[:, None, None] * other.d2
-                    + gv[:, None, None] * self.d2
-                    + _outer2(self.d1, other.d1)
-                    + _outer2(other.d1, self.d1)
-                )
-            if self.order >= 3:
-                d3 = (
-                    fv[:, None, None, None] * other.d3
-                    + gv[:, None, None, None] * self.d3
-                    + _sym3(self.d2, other.d1)
-                    + _sym3(other.d2, self.d1)
-                )
-            return Jet(self.order, self.nvars, val, d1, d2, d3)
+            f, g = zip(*self._pair(other))
+            return Jet(self.nvars, [
+                _sum(_place(f[len(s)], s, k) * _place(g[len(rest)], rest, k) for s, rest in _splits(k))
+                for k in range(self.order + 1)])
         if isinstance(other, _COEFF_TYPES):
             c = np.asarray(other, dtype=float)
-            cg = c if c.ndim == 0 else c[:, None]
-            ch = c if c.ndim == 0 else c[:, None, None]
-            ct = c if c.ndim == 0 else c[:, None, None, None]
-            return Jet(
-                self.order,
-                self.nvars,
-                self.val * c,
-                self.d1 * cg,
-                self.d2 * ch if self.order >= 2 else None,
-                self.d3 * ct if self.order >= 3 else None,
-            )
+            return Jet(self.nvars, [t * c for t in self.d])
         return NotImplemented
 
     __rmul__ = __mul__
@@ -212,54 +179,40 @@ class Jet:
             return self._reciprocal() * other
         return NotImplemented
 
-    def __pow__(self, n):
-        # integer powers only, by repeated squaring: exact and safe at val=0
-        if not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError("jet powers must be nonnegative integers")
-        result = self._lift(1.0)
-        base = self
-        n = int(n)
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     # -- analytic functions -----------------------------------------------
 
-    def _compose(self, c0, c1, c2=None, c3=None) -> "Jet":
-        """Chain rule for a scalar function with derivative values c0..c3 at val."""
-        d1 = c1[:, None] * self.d1
-        d2 = d3 = None
-        if self.order >= 2:
-            d2 = c1[:, None, None] * self.d2 + c2[:, None, None] * _outer2(self.d1, self.d1)
-        if self.order >= 3:
-            d3 = (
-                c1[:, None, None, None] * self.d3
-                + c2[:, None, None, None] * _sym3(self.d2, self.d1)
-                + c3[:, None, None, None]
-                * self.d1[:, :, None, None]
-                * self.d1[:, None, :, None]
-                * self.d1[:, None, None, :]
-            )
-        return Jet(self.order, self.nvars, c0, d1, d2, d3)
+    def _compose(self, c) -> "Jet":
+        """h(self) for a scalar function h with derivative values c[r] = h^(r)(val), r = 0..order."""
+        return Jet(self.nvars, [c[0]] + [
+            _sum(c[r] * _sum(reduce(mul, (_place(self.d[len(b)], b, k) for b in blocks)) for blocks in parts)
+                 for r, parts in enumerate(_partitions(k), start=1))
+            for k in range(1, self.order + 1)])
+
+    def __pow__(self, n):
+        # integer powers only: d^r/dv^r v^n = n!/(n-r)! v^(n-r), exactly zero past r = n
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError("jet powers must be nonnegative integers")
+        v, n = self.val, int(n)
+        return self._compose([factorial(n) // factorial(n - r) * v ** (n - r) if r <= n else np.zeros_like(v)
+                              for r in range(self.order + 1)])
 
     def _reciprocal(self) -> "Jet":
         v = self.val
-        return self._compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        return self._compose([(-1) ** r * factorial(r) / v ** (r + 1) for r in range(self.order + 1)])
 
     def sin(self) -> "Jet":
         s, c = np.sin(self.val), np.cos(self.val)
-        return self._compose(s, c, -s, -c)
+        return self._compose([(s, c, -s, -c)[r % 4] for r in range(self.order + 1)])
 
     def cos(self) -> "Jet":
         s, c = np.sin(self.val), np.cos(self.val)
-        return self._compose(c, -s, -c, s)
+        return self._compose([(c, -s, -c, s)[r % 4] for r in range(self.order + 1)])
 
     def sqrt(self) -> "Jet":
-        r = np.sqrt(self.val)
-        return self._compose(r, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
+        # d^r/dv^r sqrt(v) = (1/2)(1/2 - 1)...(1/2 - r + 1) / sqrt(v)^(2r - 1)
+        root = np.sqrt(self.val)
+        coeffs = np.cumprod([0.5 - j for j in range(self.order)])
+        return self._compose([root] + [a / root ** (2 * r - 1) for r, a in enumerate(coeffs, start=1)])
 
     def __repr__(self):
         return f"Jet(order={self.order}, nvars={self.nvars}, batch={self.val.shape[0]})"

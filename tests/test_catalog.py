@@ -66,6 +66,8 @@ def test_catalog_get_errors():
         cl.catalog_get("sphere2_r3(bogus=1)")
     with pytest.raises(UnknownImmersionError, match="'R'"):
         cl.catalog_get("sphere2_r3(R=nan)")
+    with pytest.raises(UnknownImmersionError, match="'R' given twice"):
+        cl.catalog_get("sphere2_r3(R=1, R=2)")
 
 
 def test_graph_poly_custom_terms():
@@ -295,3 +297,17 @@ def test_file_rejects_unknown_factor_fields(tmp_path):
     with pytest.raises(ImmersionFileError) as err:
         cl.load_immersion(_write(tmp_path, doc))
     assert "coordinates[1][0].factors[0].phase" in str(err.value)
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (lambda d: d.update(eular_char=2), "eular_char"),
+    (lambda d: d["domain"][0].update(periodc=True), "domain[0].periodc"),
+    (lambda d: d["coordinates"][2][0].update(coef=2.0), "coordinates[2][0].coef"),
+])
+def test_file_rejects_unknown_fields_at_every_level(tmp_path, mutate, field):
+    # a misspelt field must not load as its default (a misspelt "periodic" as a non-periodic axis)
+    doc = _flat_torus_doc()
+    mutate(doc)
+    with pytest.raises(ImmersionFileError, match="unknown field") as err:
+        cl.load_immersion(_write(tmp_path, doc))
+    assert str(err.value).startswith(field + ":")

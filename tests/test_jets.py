@@ -42,19 +42,19 @@ def test_jet_derivatives_match_closed_form():
     f = _f_jet(x, y)
     val, d = _f_closed(U[:, 0], U[:, 1])
     assert_allclose(f.val, val, rtol=1e-14)
-    assert_allclose(f.d1[:, 0], d["x"], rtol=1e-13)
-    assert_allclose(f.d1[:, 1], d["y"], rtol=1e-13)
-    assert_allclose(f.d2[:, 0, 0], d["xx"], rtol=1e-13)
-    assert_allclose(f.d2[:, 0, 1], d["xy"], rtol=1e-13, atol=1e-14)
-    assert_allclose(f.d2[:, 1, 1], d["yy"], rtol=1e-13)
-    assert_allclose(f.d3[:, 0, 0, 0], d["xxx"], rtol=1e-12, atol=1e-13)
-    assert_allclose(f.d3[:, 0, 0, 1], d["xxy"], rtol=1e-12, atol=1e-13)
-    assert_allclose(f.d3[:, 0, 1, 1], d["xyy"], rtol=1e-12, atol=1e-13)
-    assert_allclose(f.d3[:, 1, 1, 1], d["yyy"], rtol=1e-12, atol=1e-13)
+    assert_allclose(f.d[1][0], d["x"], rtol=1e-13)
+    assert_allclose(f.d[1][1], d["y"], rtol=1e-13)
+    assert_allclose(f.d[2][0, 0], d["xx"], rtol=1e-13)
+    assert_allclose(f.d[2][0, 1], d["xy"], rtol=1e-13, atol=1e-14)
+    assert_allclose(f.d[2][1, 1], d["yy"], rtol=1e-13)
+    assert_allclose(f.d[3][0, 0, 0], d["xxx"], rtol=1e-12, atol=1e-13)
+    assert_allclose(f.d[3][0, 0, 1], d["xxy"], rtol=1e-12, atol=1e-13)
+    assert_allclose(f.d[3][0, 1, 1], d["xyy"], rtol=1e-12, atol=1e-13)
+    assert_allclose(f.d[3][1, 1, 1], d["yyy"], rtol=1e-12, atol=1e-13)
     # full symmetry of the stored tensors
-    assert_allclose(f.d2, np.swapaxes(f.d2, 1, 2), rtol=0, atol=0)
-    for perm in [(0, 2, 1, 3), (0, 3, 2, 1), (0, 1, 3, 2)]:
-        assert_allclose(f.d3, np.transpose(f.d3, perm), rtol=1e-12, atol=1e-13)
+    assert_allclose(f.d[2], np.swapaxes(f.d[2], 0, 1), rtol=0, atol=0)
+    for perm in [(1, 0, 2, 3), (2, 1, 0, 3), (0, 2, 1, 3)]:
+        assert_allclose(f.d[3], np.transpose(f.d[3], perm), rtol=1e-12, atol=1e-13)
 
 
 def test_partial_drops_one_order_and_matches_derivative():
@@ -65,9 +65,9 @@ def test_partial_drops_one_order_and_matches_derivative():
     assert fx.order == 2
     _, d = _f_closed(U[:, 0], U[:, 1])
     assert_allclose(fx.val, d["x"], rtol=1e-13)
-    assert_allclose(fx.d1[:, 0], d["xx"], rtol=1e-13)
-    assert_allclose(fx.d1[:, 1], d["xy"], rtol=1e-13, atol=1e-14)
-    assert_allclose(fx.d2[:, 0, 1], d["xxy"], rtol=1e-12, atol=1e-13)
+    assert_allclose(fx.d[1][0], d["xx"], rtol=1e-13)
+    assert_allclose(fx.d[1][1], d["xy"], rtol=1e-13, atol=1e-14)
+    assert_allclose(fx.d[2][0, 1], d["xxy"], rtol=1e-12, atol=1e-13)
 
 
 def test_pow_zero_base_and_zero_exponent():
@@ -76,11 +76,11 @@ def test_pow_zero_base_and_zero_exponent():
     cube = x**3
     # x^3 at x=0: value, gradient, Hessian (6x) all vanish, no NaN from 0/0
     assert cube.val[0] == 0.0
-    assert np.all(cube.d1 == 0.0)
-    assert np.all(cube.d2 == 0.0)
+    assert np.all(cube.d[1] == 0.0)
+    assert np.all(cube.d[2] == 0.0)
     one = x**0
     assert one.val[0] == 1.0
-    assert np.all(one.d1 == 0.0)
+    assert np.all(one.d[1] == 0.0)
     with pytest.raises(ValueError):
         x ** (-1)
     with pytest.raises(ValueError):
@@ -93,27 +93,27 @@ def test_reflected_and_scalar_operations():
     v = U[:, 0]
     g = 2.0 / x
     assert_allclose(g.val, 2 / v)
-    assert_allclose(g.d1[:, 0], -2 / v**2)
-    assert_allclose(g.d2[:, 0, 0], 4 / v**3)
+    assert_allclose(g.d[1][0], -2 / v**2)
+    assert_allclose(g.d[2][0, 0], 4 / v**3)
     h = 3.0 - x
     assert_allclose(h.val, 3 - v)
-    assert_allclose(h.d1[:, 0], -1.0)
+    assert_allclose(h.d[1][0], -1.0)
     k = 1 + x  # __radd__
     assert_allclose(k.val, 1 + v)
     # per-batch array coefficient scales each batch row independently
     c = np.array([2.0, -3.0])
     s = x * c
     assert_allclose(s.val, v * c)
-    assert_allclose(s.d1[:, 0], c)
+    assert_allclose(s.d[1][0], c)
 
 
 def test_constant_and_truncate():
     c = Jet.constant(4.5, nvars=3, order=2, batch=5)
     assert c.val.shape == (5,)
     assert np.all(c.val == 4.5)
-    assert np.all(c.d1 == 0) and np.all(c.d2 == 0)
+    assert np.all(c.d[1] == 0) and np.all(c.d[2] == 0)
     t = c.truncate(1)
-    assert t.order == 1 and t.d2 is None
+    assert t.order == 1 and len(t.d) == 2
     with pytest.raises(ValueError):
         t.truncate(2)
     with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ def test_generic_dispatchers_pass_through_plain_values():
     x, y = Jet.variables(U, order=1)
     d = dot([x, y], [y, x])  # 2xy
     assert_allclose(d.val, 2 * 0.3 * 0.9)
-    assert_allclose(d.d1[0], [2 * 0.9, 2 * 0.3])
+    assert_allclose(d.d[1][:, 0], [2 * 0.9, 2 * 0.3])
 
 
 def test_batched_evaluation_matches_pointwise():
@@ -140,12 +140,8 @@ def test_batched_evaluation_matches_pointwise():
         xs = Jet.variables(U[b : b + 1], order=3)
         single = _f_jet(*xs)
         assert_allclose(single.val[0], batched.val[b], rtol=0, atol=0)
-        assert_allclose(single.d2[0], batched.d2[b], rtol=0, atol=0)
-        assert_allclose(single.d3[0], batched.d3[b], rtol=0, atol=0)
-
-
-def _tensors(jet):
-    return [jet.val, jet.d1, jet.d2, jet.d3][: jet.order + 1]
+        assert_allclose(single.d[2][..., 0], batched.d[2][..., b], rtol=0, atol=0)
+        assert_allclose(single.d[3][..., 0], batched.d[3][..., b], rtol=0, atol=0)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -155,11 +151,11 @@ def test_widened_jet_equals_the_expression_in_more_variables(order):
     x, y, _ = Jet.variables(U, order)
     direct = _f_jet(x, y)
     assert (widened.order, widened.nvars) == (order, 3)
-    for w, d in zip(_tensors(widened), _tensors(direct), strict=True):
+    for w, d in zip(widened.d, direct.d, strict=True):
         assert_array_equal(w, d)
     # every block that involves the new variable is exactly zero
-    for rank, t in enumerate(_tensors(widened)[1:], start=1):
-        for axis in range(1, rank + 1):
+    for rank, t in enumerate(widened.d):
+        for axis in range(rank):
             assert np.all(np.take(t, [2], axis=axis) == 0.0)
 
 
@@ -169,3 +165,14 @@ def test_widen_to_the_same_variables_is_the_identity():
     assert f.widen(1) is f
     with pytest.raises(ValueError):
         f.widen(3).widen(2)
+
+
+def test_jets_of_different_order_or_variable_count_do_not_combine():
+    U = np.array([[0.4, 1.3], [1.1, -0.2]])
+    x3, y3 = Jet.variables(U, order=3)
+    x2, _ = Jet.variables(U, order=2)
+    (x1,) = Jet.variables(U[:, :1], order=3)
+    for a, b in ((x3, x2), (x2, x3), (x3, x1), (x1, y3)):
+        for op in (lambda f, g: f + g, lambda f, g: f - g, lambda f, g: f * g, lambda f, g: f / g):
+            with pytest.raises(ValueError, match="cannot combine"):
+                op(a, b)

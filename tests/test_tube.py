@@ -169,7 +169,7 @@ def test_sheet_jets_match_the_all_variable_construction(name, eps, rng):
     for sheet, sign in zip(boundary.sheets, signs, strict=True):
         U = cl.sample_domain(sheet, 40, rng)
         ref = _all_variable_sheet_jets(cfg, boundary.pivots, sign, U, 2)
-        want = [np.stack([getattr(j, d) for j in ref], axis=1) for d in ("val", "d1", "d2")]
+        want = [np.stack([np.moveaxis(j.d[r], -1, 0) for j in ref], axis=1) for r in range(3)]
         for got, expected in zip(cl.jets_at(sheet, U, 2), want, strict=True):
             assert_allclose(got, expected, rtol=0, atol=1e-14)
 

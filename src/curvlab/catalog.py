@@ -262,7 +262,7 @@ def _estimate_reach(imm: Immersion) -> float:
     mesh = np.meshgrid(*axes, indexing="ij")
     U = np.stack([g.ravel() for g in mesh], axis=1)
     metric, second, _ = frames_at(imm, U)
-    A, _ = whiten_second_form(metric, second)
+    A = whiten_second_form(metric, second)
     # |eigs of sum(nu_s A_s)| <= sqrt(sum_s ||A_s||_F^2) for unit nu
     bound = float(np.sqrt(np.sum(A**2, axis=(1, 2, 3))).max())
     if bound < 1e-12:
@@ -270,7 +270,8 @@ def _estimate_reach(imm: Immersion) -> float:
     return 1.0 / (2.0 * bound)
 
 
-def _validate_graph_terms(m: int, n: int, terms) -> list[list[tuple[float, tuple[int, ...]]]]:
+def _validate_graph_terms(m: int, n: int, terms) -> list[list[tuple[float, tuple]]]:
+    """The terms as surface-file terms: (coeff, pow factors of the nonzero exponents)."""
     if len(terms) != n:
         raise ValueError(f"graph_poly: expected {n} term lists, got {len(terms)}")
     compiled = []
@@ -280,39 +281,25 @@ def _validate_graph_terms(m: int, n: int, terms) -> list[list[tuple[float, tuple
             exps = tuple(int(e) for e in exps)
             if len(exps) != m or any(e < 0 for e in exps):
                 raise ValueError(f"graph_poly: bad exponent tuple {exps} in output {s}")
-            row.append((float(coeff), exps))
+            row.append((float(coeff), tuple(("pow", i, e, 0.0) for i, e in enumerate(exps) if e)))
         compiled.append(row)
     return compiled
 
 
-def graph_poly(m: int, n: int, terms, box: float = 1.0, name: str = "graph_poly") -> Immersion:
+def graph_poly(m: int, n: int, terms, box: float = 1.0) -> Immersion:
     """Graph of a polynomial map R^m -> R^n over the box [-box, box]^m.
 
     `terms[s]` is a list of (coefficient, exponent-tuple) pairs for output
     coordinate s.  The Euler characteristic is declared unknown (graphs
     over a box are not closed); reach is estimated by sampling.
     """
-    compiled = _validate_graph_terms(m, n, terms)
-
-    def chart(xs):
-        out = list(xs)
-        for tl in compiled:
-            acc = 0.0
-            for coeff, exps in tl:
-                term = coeff
-                for i, e in enumerate(exps):
-                    if e:
-                        term = term * xs[i] ** e
-                acc = acc + term
-            out.append(acc)
-        return out
-
+    heights = _compile_file_chart(_validate_graph_terms(m, n, terms))
     imm = Immersion(
-        name=name,
+        name="graph_poly",
         m=m,
         k=m + n,
         domain=tuple(Axis(-float(box), float(box), periodic=False) for _ in range(m)),
-        chart=chart,
+        chart=lambda xs: [*xs, *heights(xs)],
         euler_char=None,
         reach=None,
     )
@@ -321,14 +308,14 @@ def graph_poly(m: int, n: int, terms, box: float = 1.0, name: str = "graph_poly"
 
 
 def random_graph_poly(rng: np.random.Generator, m: int = 2, n: int = 2, degree: int = 3,
-                      scale: float = 0.3, box: float = 1.0) -> Immersion:
+                      scale: float = 0.3) -> Immersion:
     """Random polynomial graph with moderate coefficients (keeps frames well conditioned)."""
     exps = [e for e in np.ndindex(*([degree + 1] * m)) if 1 <= sum(e) <= degree]
     terms = []
     for _ in range(n):
         coeffs = rng.uniform(-scale, scale, size=len(exps)) / len(exps)
         terms.append(list(zip(coeffs, exps)))
-    return graph_poly(m, n, terms, box=box)
+    return graph_poly(m, n, terms)
 
 
 def _graph_poly_default() -> Immersion:

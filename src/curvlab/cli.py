@@ -15,7 +15,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -51,31 +52,12 @@ class RunReport:
     results: dict
     wall_time_s: float
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "surface": self.surface,
-            "options": self.options,
-            "results": self.results,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "RunReport":
-        return RunReport(
-            command=data["command"],
-            surface=data["surface"],
-            options=data["options"],
-            results=data["results"],
-            wall_time_s=data["wall_time_s"],
-        )
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "RunReport":
-        return RunReport.from_dict(json.loads(text))
+        return RunReport(**json.loads(text))
 
     def flat_items(self) -> list[tuple[str, object]]:
         rows: list[tuple[str, object]] = [("command", self.command), ("surface", self.surface)]
@@ -196,11 +178,8 @@ def cmd_catalog(args) -> int:
     return 0
 
 
-def cmd_curvature(args) -> int:
-    start = time.perf_counter()
-    imm, label = _resolve_surface(args)
+def cmd_curvature(args, imm):
     u = _parse_point(args.point, imm.m)
-    results: dict = {}
     if imm.m % 2 == 0:
         rep = egregium_report(imm, u)
         results = {
@@ -223,22 +202,13 @@ def cmd_curvature(args) -> int:
             "egregium_lhs": None,
             "egregium_residual": None,
         }
-    report = RunReport(
-        command="curvature",
-        surface=label,
-        options={"point": [float(x) for x in u]},
-        results={k: _clean(v) for k, v in results.items()},
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args.format)
-    return 0
+    return {"point": [float(x) for x in u]}, results, [], None
 
 
-def cmd_gauss_bonnet(args) -> int:
-    start = time.perf_counter()
-    imm, label = _resolve_surface(args)
+def cmd_gauss_bonnet(args, imm):
     grid = None if args.resolution is None else default_grid(imm, args.resolution)
     rep = gauss_bonnet_check(imm, grid, route=args.route)
+    options = {"route": args.route, "resolution": args.resolution, "grid_shape": list(rep.grid_shape)}
     results = {
         "integral": rep.integral,
         "expected": rep.expected,
@@ -248,31 +218,16 @@ def cmd_gauss_bonnet(args) -> int:
         "error_estimate": rep.error_estimate,
         "converged": rep.converged,
     }
-    report = RunReport(
-        command="gauss-bonnet",
-        surface=label,
-        options={
-            "route": args.route,
-            "resolution": args.resolution,
-            "grid_shape": list(rep.grid_shape),
-        },
-        results={k: _clean(v) for k, v in results.items()},
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args.format)
-    gate = {"residual": rep.residual} if rep.residual is not None else {"chi_distance": rep.chi_distance}
-    return _threshold_exit(args, gate, rep.converged)
+    gated = ["residual"] if rep.residual is not None else ["chi_distance"]
+    return options, results, gated, rep.converged
 
 
-def cmd_tube(args) -> int:
-    start = time.perf_counter()
-    imm, label = _resolve_surface(args)
+def cmd_tube(args, imm):
     cfg = TubeConfig(imm, args.eps)
     do_any = args.total or args.identity or args.spectrum
     do_identity = args.identity or not do_any
     rng = np.random.default_rng(args.seed)
     results: dict = {"eps": args.eps}
-    metrics = {}
     converged = None
     if do_identity or args.spectrum:
         boundary = tube_boundary_immersion(cfg)
@@ -285,7 +240,6 @@ def cmd_tube(args) -> int:
             )
             results["max_identity_residual"] = worst
             results["identity_samples"] = args.samples
-            metrics["max_identity_residual"] = worst
         if args.spectrum:
             worst = max(
                 tube_spectrum_check(cfg, u, nu, boundary=boundary).residual
@@ -293,7 +247,6 @@ def cmd_tube(args) -> int:
             )
             results["max_spectrum_residual"] = worst
             results["spectrum_samples"] = args.samples
-            metrics["max_spectrum_residual"] = worst
     if args.total:
         total = tube_total_curvature(cfg, resolution=args.resolution)
         results["total_integral"] = total.integral
@@ -303,27 +256,13 @@ def cmd_tube(args) -> int:
         results["total_grid_shapes"] = [list(shape) for shape in total.grid_shapes]
         results["total_error_estimate"] = total.error_estimate
         results["total_converged"] = total.converged
-        metrics["total_residual"] = total.residual
         converged = total.converged
-    report = RunReport(
-        command="tube",
-        surface=label,
-        options={
-            "eps": args.eps,
-            "seed": args.seed,
-            "samples": args.samples,
-            "resolution": args.resolution,
-        },
-        results={k: _clean(v) for k, v in results.items()},
-        wall_time_s=time.perf_counter() - start,
-    )
-    _emit(report, args.format)
-    return _threshold_exit(args, metrics, converged)
+    options = {"eps": args.eps, "seed": args.seed, "samples": args.samples, "resolution": args.resolution}
+    gated = [k for k in ("max_identity_residual", "max_spectrum_residual", "total_residual") if k in results]
+    return options, results, gated, converged
 
 
-def cmd_egregium(args) -> int:
-    start = time.perf_counter()
-    imm, label = _resolve_surface(args)
+def cmd_egregium(args, imm):
     rng = np.random.default_rng(args.seed)
     points = sample_domain(imm, args.samples, rng)
     worst_egregium = 0.0
@@ -337,15 +276,28 @@ def cmd_egregium(args) -> int:
         "max_egregium_residual": worst_egregium,
         "max_route_residual": worst_route,
     }
+    options = {"seed": args.seed, "samples": args.samples}
+    return options, results, ["max_egregium_residual"], None
+
+
+def _surface_report(command, args) -> int:
+    """Run a surface subcommand and emit its RunReport, timed from surface lookup on.
+
+    `command(args, imm)` returns (options, results, the names of the results
+    that --fail-threshold gates, converged).
+    """
+    start = time.perf_counter()
+    imm, label = _resolve_surface(args)
+    options, results, gated, converged = command(args, imm)
     report = RunReport(
-        command="egregium",
+        command=args.command,
         surface=label,
-        options={"seed": args.seed, "samples": args.samples},
+        options=options,
         results={k: _clean(v) for k, v in results.items()},
         wall_time_s=time.perf_counter() - start,
     )
     _emit(report, args.format)
-    return _threshold_exit(args, {"max_egregium_residual": worst_egregium})
+    return _threshold_exit(args, {k: results[k] for k in gated}, converged)
 
 
 # -- parser ----------------------------------------------------------------
@@ -394,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(sp)
     _add_common(sp)
     sp.add_argument("--point", required=True, help="comma-separated chart coordinates")
-    sp.set_defaults(func=cmd_curvature)
+    sp.set_defaults(func=partial(_surface_report, cmd_curvature))
 
     sp = sub.add_parser("gauss-bonnet", help="total curvature against the Euler characteristic")
     _add_surface_args(sp)
@@ -402,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--resolution", type=_positive_int, help=_RESOLUTION_HELP)
     sp.add_argument("--route", choices=("moments", "quadrature"), default="moments")
     sp.add_argument("--fail-threshold", type=_finite_float, help="exit 1 if the residual exceeds this")
-    sp.set_defaults(func=cmd_gauss_bonnet)
+    sp.set_defaults(func=partial(_surface_report, cmd_gauss_bonnet))
 
     sp = sub.add_parser("tube", help="tube-boundary identity, spectrum, and total checks")
     _add_surface_args(sp)
@@ -415,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--resolution", type=_positive_int, help=_RESOLUTION_HELP)
     sp.add_argument("--fail-threshold", type=_finite_float)
-    sp.set_defaults(func=cmd_tube)
+    sp.set_defaults(func=partial(_surface_report, cmd_tube))
 
     sp = sub.add_parser("egregium", help="extrinsic-vs-intrinsic curvature residual at random points")
     _add_surface_args(sp)
@@ -423,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--fail-threshold", type=_finite_float)
-    sp.set_defaults(func=cmd_egregium)
+    sp.set_defaults(func=partial(_surface_report, cmd_egregium))
 
     return parser
 

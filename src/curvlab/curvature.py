@@ -59,7 +59,7 @@ class NormalDirection:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         nrm = np.linalg.norm(self.coeffs)
-        if abs(nrm - 1.0) > 1e-10:
+        if not abs(nrm - 1.0) <= 1e-10:
             raise ValueError(f"normal direction coefficients have norm {nrm}, expected 1")
 
     @staticmethod
@@ -137,23 +137,26 @@ def sphere_moment(a) -> float:
 # -- directional and generalized curvature --------------------------------
 
 
+def _check_direction(nu: NormalDirection, n: int) -> None:
+    if len(nu.coeffs) != n:
+        raise ValueError(f"direction has {len(nu.coeffs)} coefficients, codimension is {n}")
+
+
 def directional_curvature(fd: FrameData, nu: NormalDirection) -> float:
     """K^nu = det(sum_s nu_s Pi_s) / det(metric)."""
-    if len(nu.coeffs) != fd.n:
-        raise ValueError(f"direction has {len(nu.coeffs)} coefficients, codimension is {fd.n}")
+    _check_direction(nu, fd.n)
     pi_nu = np.einsum("s,sij->ij", nu.coeffs, fd.second_form)
     return float(np.linalg.det(pi_nu) / np.linalg.det(fd.metric))
 
 
-def whiten_second_form(metric: np.ndarray, second: np.ndarray):
+def whiten_second_form(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Second form in the orthonormal tangent basis e_a = sum_i W[i,a] d_i.
 
-    W = inverse transpose of the Cholesky factor of the metric; returns
-    (whitened second form, W).  Accepts single points or batches.
+    W = inverse transpose of the Cholesky factor of the metric.  Accepts
+    single points or batches.
     """
     Linv = np.linalg.inv(np.linalg.cholesky(metric))
-    out = np.einsum("...ij,...sjk,...lk->...sil", Linv, second, Linv)
-    return out, np.swapaxes(Linv, -1, -2)
+    return np.einsum("...ij,...sjk,...lk->...sil", Linv, second, Linv)
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +229,7 @@ def generalized_curvature_quadrature(fd: FrameData, rule) -> float:
 
 def gauss_equation_tensor(fd: FrameData) -> CurvatureTensor:
     """Riemann tensor of the induced metric from the second fundamental form."""
-    pi_orth, _ = whiten_second_form(fd.metric, fd.second_form)
+    pi_orth = whiten_second_form(fd.metric, fd.second_form)
     R = np.einsum("sil,sjk->ijkl", pi_orth, pi_orth) - np.einsum(
         "sik,sjl->ijkl", pi_orth, pi_orth
     )
@@ -337,17 +340,15 @@ def pfaffian_density(tensor: CurvatureTensor) -> float:
     return coeff * total
 
 
-def egregium_report(imm: Immersion, u, rule=None) -> CurvatureReport:
+def egregium_report(imm: Immersion, u) -> CurvatureReport:
     """Compare every curvature route at one parameter point (even m only)."""
     from .integrate import normal_sphere_rule
 
     fd = frame_data_at(imm, u)
     if fd.m % 2:
         raise UnsupportedDimensionError("Pfaffian undefined for odd dimension")
-    if rule is None:
-        rule = normal_sphere_rule(fd.n)
     k_m = generalized_curvature_moments(fd)
-    k_q = generalized_curvature_quadrature(fd, rule)
+    k_q = generalized_curvature_quadrature(fd, normal_sphere_rule(fd.n))
     pff = pfaffian_density(gauss_equation_tensor(fd))
     lhs = sphere_volume(fd.n - 1) / sphere_volume(imm.k - 1) * k_m
     return CurvatureReport(

@@ -72,7 +72,6 @@ class Immersion:
     normal_seeds: Optional[Callable] = None
     reference_curvature: Optional[Callable] = None
     jet_map_override: Optional[Callable] = None
-    max_jet_order: int = 3
 
     def __post_init__(self):
         if self.k - self.m < 1:
@@ -92,6 +91,8 @@ class Immersion:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.m,):
             raise DomainError(f"{self.name}: expected a point with {self.m} coordinates, got shape {u.shape}")
+        if not np.isfinite(u).all():
+            raise DomainError(f"{self.name}: parameter point {u.tolist()} is not finite")
         out = u.copy()
         for i, ax in enumerate(self.domain):
             if ax.periodic:
@@ -105,8 +106,8 @@ class Immersion:
     def jet_map(self, U: np.ndarray, order: int) -> list[Jet]:
         """Evaluate the chart on a (batch, m) array of points as jets of `order`."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        if order > self.max_jet_order:
-            raise ValueError(f"{self.name}: jets of order {order} not available (max {self.max_jet_order})")
+        if order < 0:
+            raise ValueError(f"{self.name}: jet order {order} must be >= 0")
         if self.jet_map_override is not None:
             return self.jet_map_override(U, order)
         xs = Jet.variables(U, order)

@@ -108,6 +108,8 @@ def default_grid(imm: Immersion, resolution: Optional[int] = None) -> Quadrature
 
     The default counts are the cap of `reduce_until_converged`'s refinement.
     """
+    if resolution is not None and resolution < 1:
+        raise ValueError(f"resolution {resolution} must be >= 1 node per axis")
     counts = _axis_counts(imm) if resolution is None else [resolution] * imm.m
     return QuadratureGrid(tuple(
         _make_axis(ax.lo, ax.hi, ax.periodic, count) for ax, count in zip(imm.domain, counts)
@@ -193,60 +195,54 @@ def integrate_scalar(imm: Immersion, f: Callable[[np.ndarray], np.ndarray],
     return reduce_over_grid(imm, grid, integrand)
 
 
-def normal_sphere_rule(n: int, order: Optional[int] = None) -> NormalSphereRule:
+def normal_sphere_rule(n: int) -> NormalSphereRule:
     """Quadrature on the unit sphere S^(n-1) of an n-dimensional normal space.
 
-    n=1: the two points +-1, weight 1 each.  n=2: equispaced angles
-    (default 64).  n=3: Gauss-Legendre in the polar cosine times equispaced
-    azimuth (default 32 x 64).  n>3: Monte Carlo with a fixed seed.
+    n=1: the two points +-1, weight 1 each.  n=2: 64 equispaced angles.
+    n=3: 32 Gauss-Legendre polar cosines times 64 equispaced azimuths.
+    n>3: 4096 Monte Carlo nodes with a fixed seed.
     """
     if n < 1:
         raise ValueError(f"codimension {n} must be >= 1")
     if n == 1:
         return NormalSphereRule(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
     if n == 2:
-        q = order or 64
-        theta = 2.0 * np.pi * np.arange(q) / q
+        theta = 2.0 * np.pi * np.arange(64) / 64
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return NormalSphereRule(nodes, np.full(q, 2.0 * np.pi / q))
+        return NormalSphereRule(nodes, np.full(64, 2.0 * np.pi / 64))
     if n == 3:
-        q = order or 32
-        x, w = np.polynomial.legendre.leggauss(q)  # x = cos(polar angle)
-        qa = 2 * q
-        phi = 2.0 * np.pi * np.arange(qa) / qa
+        x, w = np.polynomial.legendre.leggauss(32)  # x = cos(polar angle)
+        phi = 2.0 * np.pi * np.arange(64) / 64
         sin_pol = np.sqrt(1.0 - x**2)
         nodes = np.stack(
             [
                 np.outer(sin_pol, np.cos(phi)).ravel(),
                 np.outer(sin_pol, np.sin(phi)).ravel(),
-                np.outer(x, np.ones(qa)).ravel(),
+                np.outer(x, np.ones(64)).ravel(),
             ],
             axis=1,
         )
-        weights = np.outer(w, np.full(qa, 2.0 * np.pi / qa)).ravel()
+        weights = np.outer(w, np.full(64, 2.0 * np.pi / 64)).ravel()
         return NormalSphereRule(nodes, weights)
-    q = order or 4096
     rng = np.random.default_rng(_MC_SEED)
-    raw = rng.standard_normal((q, n))
+    raw = rng.standard_normal((4096, n))
     nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return NormalSphereRule(nodes, np.full(q, sphere_volume(n - 1) / q))
+    return NormalSphereRule(nodes, np.full(4096, sphere_volume(n - 1) / 4096))
 
 
-def _curvature_route(route: str, n: int, rule: Optional[NormalSphereRule] = None):
+def _curvature_route(route: str, n: int):
     """The batched K_M kernel (metric or det(metric), second form) -> (B,) of a named route."""
     if route == "moments":
         return batched_curvature_moments
     if route == "quadrature":
-        if rule is None:
-            rule = normal_sphere_rule(n)
+        rule = normal_sphere_rule(n)
         return lambda metric, second: batched_curvature_quadrature(metric, second, rule)
     raise ValueError(f"unknown curvature route {route!r}")
 
 
-def batched_curvature(imm: Immersion, U: np.ndarray, route: str = "moments",
-                      rule: Optional[NormalSphereRule] = None) -> np.ndarray:
+def batched_curvature(imm: Immersion, U: np.ndarray, route: str = "moments") -> np.ndarray:
     """Generalized curvature K_M at a batch of parameter points."""
-    curvature = _curvature_route(route, imm.n, rule)
+    curvature = _curvature_route(route, imm.n)
     metric, second, _ = frames_at(imm, U)
     return curvature(metric, second)
 

@@ -31,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import NormalDirection, directional_curvature, sphere_volume, whiten_second_form
+from .curvature import (NormalDirection, _check_direction, directional_curvature, sphere_volume,
+                        whiten_second_form)
 from .errors import CurvlabError, DegenerateImmersionError, ReachExceededError, UnsupportedDimensionError
 from .immersion import (
     Axis,
@@ -233,7 +234,6 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
                 k=base.k,
                 domain=domain,
                 jet_map_override=_tube_jet_map(cfg, pivots, sign),
-                max_jet_order=2,
             )
         )
     return TubeBoundary(config=cfg, sheets=tuple(sheets), pivots=pivots)
@@ -266,7 +266,8 @@ def _locate(boundary: TubeBoundary, u: np.ndarray, nu_amb: np.ndarray):
 
 def _shape_and_jacobian(cfg: TubeConfig, fd: FrameData, nu_hat: NormalDirection):
     """Pi^nu in an orthonormal tangent basis, and NJ = 1/det(1 - eps * Pi^nu)."""
-    pi_orth, _ = whiten_second_form(fd.metric, fd.second_form)
+    _check_direction(nu_hat, fd.n)
+    pi_orth = whiten_second_form(fd.metric, fd.second_form)
     pi_nu = np.einsum("s,sij->ij", nu_hat.coeffs, pi_orth)
     det = float(np.linalg.det(np.eye(cfg.base.m) - cfg.eps * pi_nu))
     if abs(det) < 1e-12:
@@ -295,12 +296,12 @@ def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
     if boundary is None:
         boundary = tube_boundary_immersion(cfg)
     fd = frame_data_at(base, u)
+    pi_nu, nj = _shape_and_jacobian(cfg, fd, nu_hat)
     sheet_index, param = _locate(boundary, u, fd.normal_frame @ nu_hat.coeffs)
     point, g, metric, second, frame = _oriented_sheet_forms(
         cfg, boundary.sheets[sheet_index], param[None, :]
     )
     sheet_fd = FrameData(metric=metric[0], second_form=second[0], normal_frame=frame[0])
-    pi_nu, nj = _shape_and_jacobian(cfg, fd, nu_hat)
     return TubePoint(
         u=u,
         nu_hat=nu_hat,
@@ -356,7 +357,7 @@ def tube_spectrum_check(cfg: TubeConfig, u, nu_hat: NormalDirection,
                         boundary: Optional[TubeBoundary] = None) -> TubeSpectrumResult:
     """Predicted spectrum: {lambda_i/(1 - eps lambda_i)} plus -1/eps (n-1 times)."""
     tp = tube_point(cfg, u, nu_hat, boundary=boundary)
-    pi_orth_t, _ = whiten_second_form(tp.sheet_frame.metric, tp.sheet_frame.second_form)
+    pi_orth_t = whiten_second_form(tp.sheet_frame.metric, tp.sheet_frame.second_form)
     computed = np.sort(np.linalg.eigvalsh(pi_orth_t[0]))
     lam = np.linalg.eigvalsh(tp.shape_operator)
     predicted = np.sort(

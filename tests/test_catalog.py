@@ -81,6 +81,27 @@ def test_graph_poly_custom_terms():
     assert imm.domain[0].lo == -2.0 and imm.domain[0].hi == 2.0
 
 
+def test_graph_poly_equals_the_surface_file_of_its_polynomial(tmp_path):
+    # README's saddle graph (x, y, x y), once as graph_poly and once as a file
+    x, y = ({"axis": i, "kind": "pow", "exponent": 1} for i in range(2))
+    doc = {
+        "m": 2,
+        "k": 3,
+        "domain": [{"lo": -1.0, "hi": 1.0}, {"lo": -1.0, "hi": 1.0}],
+        "coordinates": [
+            [{"coeff": 1.0, "factors": [x]}],
+            [{"coeff": 1.0, "factors": [y]}],
+            [{"coeff": 1.0, "factors": [x, y]}],
+        ],
+    }
+    from_file = cl.load_immersion(_write(tmp_path, doc))
+    graph = cl.graph_poly(2, 1, [[(1.0, (1, 1))]])
+    U = cl.sample_domain(graph, 50, np.random.default_rng(4), margin=0.0)
+    for a, b in zip(cl.jets_at(graph, U, order=3), cl.jets_at(from_file, U, order=3), strict=True):
+        assert np.array_equal(a, b)
+    assert graph.reach == from_file.reach
+
+
 def test_graph_poly_validation():
     with pytest.raises(ValueError):
         cl.graph_poly(2, 1, [[(1.0, (2,))]])  # exponent arity != m

@@ -140,6 +140,14 @@ def test_curvature_bad_point_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("point", ["nan,0", "inf,0"])
+def test_curvature_non_finite_point_exit_2(capsys, point):
+    # axis 0 of the torus is periodic, where wrapping would turn it into NaN
+    code, out, err = run_cli(capsys, "curvature", "--surface", "torus_rev_r3", "--point", point)
+    assert code == 2 and out == ""
+    assert "is not finite" in err and point.split(",")[0] in err
+
+
 # -- gauss-bonnet -----------------------------------------------------------
 
 

@@ -80,6 +80,8 @@ def test_normal_direction_validation():
     cl.NormalDirection(np.array([0.6, 0.8]))
     with pytest.raises(ValueError):
         cl.NormalDirection(np.array([0.6, 0.7]))
+    with pytest.raises(ValueError, match="norm nan"):
+        cl.NormalDirection(np.array([np.nan, 0.0]))
     assert_allclose(cl.NormalDirection.unit([3.0, 4.0]).coeffs, [0.6, 0.8], rtol=1e-15)
 
 
@@ -145,7 +147,7 @@ def test_generalized_curvature_pinned_values(rng):
 
 def _moments_oracle(fd):
     """Literal sum over permutations and normal-index words, m! * n^m terms."""
-    pi_orth, _ = cl.whiten_second_form(fd.metric, fd.second_form)
+    pi_orth = cl.whiten_second_form(fd.metric, fd.second_form)
     m, n = fd.m, fd.n
     total = 0.0
     for sigma in itertools.permutations(range(m)):

@@ -125,6 +125,15 @@ def test_wrap_periodic_and_domain_error():
         graph.wrap([0.0])  # wrong arity
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wrap_refuses_a_non_finite_point_on_any_axis(bad):
+    # on a periodic axis the modulo would turn the coordinate into NaN
+    for name, u in (("torus_rev_r3", [bad, 0.0]), ("graph_poly", [0.0, bad])):
+        with pytest.raises(DomainError, match="not finite") as err:
+            get(name).wrap(u)
+        assert str(u) in str(err.value)
+
+
 def test_wrapped_jets_agree_across_periods():
     imm = get("sphere2_r3")
     a, _, _ = _jet2(imm, [1.0, 0.5])
@@ -173,7 +182,11 @@ def test_immersion_validation():
         cl.Immersion(name="arity", m=2, k=4, domain=(cl.Axis(0, 1),))
 
 
-def test_jet_order_cap():
+def test_jets_of_any_order_truncate_and_a_negative_order_raises():
     imm = get("sphere2_r3")
-    with pytest.raises(ValueError):
-        imm.jet_map(np.array([[1.0, 1.0]]), order=4)
+    U = np.array([[1.0, 1.0], [0.3, 4.0]])
+    four, three = cl.jets_at(imm, U, order=4), cl.jets_at(imm, U, order=3)
+    assert len(four) == 5
+    assert all(np.array_equal(a, b) for a, b in zip(four, three))
+    with pytest.raises(ValueError, match="jet order -1"):
+        imm.jet_map(U, order=-1)

@@ -57,6 +57,15 @@ def test_grid_mesh_shape_and_weights():
     assert cl.default_grid(get("sphere2_r3"), resolution=10).shape == (10, 10)
 
 
+@pytest.mark.parametrize("resolution", [0, -1])
+def test_resolution_below_one_is_rejected_by_name(resolution):
+    imm = get("sphere2_r3")
+    with pytest.raises(ValueError, match=f"resolution {resolution} must be >= 1"):
+        cl.default_grid(imm, resolution)
+    with pytest.raises(ValueError, match=f"resolution {resolution} must be >= 1"):
+        cl.tube_total_curvature(cl.TubeConfig(imm, 0.1), resolution=resolution)
+
+
 # -- areas ------------------------------------------------------------------
 
 
@@ -111,7 +120,6 @@ def test_normal_sphere_rule_n2():
     assert rule.nodes.shape == (64, 2)
     assert_allclose(np.sum(rule.weights), 2 * np.pi, rtol=1e-14)
     assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, rtol=1e-14)
-    assert cl.normal_sphere_rule(2, order=128).nodes.shape == (128, 2)
 
 
 def test_normal_sphere_rule_n3():

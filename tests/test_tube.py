@@ -280,6 +280,14 @@ def test_normal_jacobian_singular_raises():
         cl.normal_jacobian(cl.TubeConfig(inflated, 1.0), u, nu_in)
 
 
+def test_a_direction_of_the_wrong_length_is_named():
+    cfg = cl.TubeConfig(get("sphere2_r4"), 0.05)
+    u, nu = np.array([1.0, 1.0]), cl.NormalDirection.unit([1.0, 1.0, 1.0])
+    for check in (cl.normal_jacobian, cl.tube_point, cl.tube_identity_check, cl.tube_spectrum_check):
+        with pytest.raises(ValueError, match="direction has 3 coefficients, codimension is 2"):
+            check(cfg, u, nu)
+
+
 # -- rescaling identity -----------------------------------------------------
 
 
@@ -347,7 +355,7 @@ def test_spectrum_eps_sequence_clifford(rng):
     u = np.array([0.7, 2.4])
     nu = cl.NormalDirection.unit(np.array([0.6, 0.8]))
     fd = cl.frame_data_at(base, u)
-    pi_orth, _ = cl.whiten_second_form(fd.metric, fd.second_form)
+    pi_orth = cl.whiten_second_form(fd.metric, fd.second_form)
     lam = np.sort(np.linalg.eigvalsh(np.einsum("s,sij->ij", nu.coeffs, pi_orth)))
     errors = []
     for eps in (0.1, 0.05, 0.025):

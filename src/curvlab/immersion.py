@@ -3,9 +3,9 @@
 An `Immersion` couples a chart domain with an evaluator written in jet
 arithmetic, so point values and first/second derivatives come out exact to
 roundoff (finite differences appear only in consistency tests).  From the
-2-jet we derive the induced metric, an orthonormal normal frame (the normal
-block of a complete QR of the tangents) and the vector-valued second
-fundamental form.
+2-jet we derive the induced metric, an orthonormal normal frame (Householder
+reflections of the tangents, applied with the batch axis last) and the
+vector-valued second fundamental form.
 
 Sign convention: `second_form[s, i, j]` is the inner product of the ambient
 second derivative of the chart with normal frame vector s, i.e. the normal
@@ -152,26 +152,65 @@ def induced_metric(d1: np.ndarray) -> np.ndarray:
     return np.swapaxes(d1, -1, -2) @ d1
 
 
+def _reflect(v, beta, x):
+    """(I - beta v v^T) x for reflection vectors v (r, B) and columns x (r, c, B)."""
+    return x - v[:, None] * (beta * (v[:, None] * x).sum(axis=0))
+
+
 def _normal_frames(d1: np.ndarray):
     """Orthonormal normal frames (B, k, n) for a batch of 1-jets (B, k, m), and a rank-loss mask (B,).
 
-    The frame is the last n columns of a complete QR of d1.  Any orthonormal
-    frame will do, since K_M averages over the whole normal sphere.  QR
-    leaves tangential roundoff of the frame's own size in it, which swamps
-    the normal part of d2 where a coordinate vector nearly vanishes (near a
-    polar axis), so one corrected semi-normal step removes the tangential
-    part measured against d1 itself.  A point loses rank when its smallest
-    |R_ii| is at most `_RANK_TOL` times its largest; its frame is left
-    uncorrected.  NaN jets pass, for the reduction's finite-value check.
+    A Householder QR of d1 with the batch axis last, so that every step is
+    one vector operation over the whole batch.  m reflections with
+    alpha = -copysign(|x|, x_0) reduce d1 to R, and applying them in reverse
+    to e_m ... e_(k-1) gives the frame, the normal block of Q.  Any
+    orthonormal frame will do, since K_M averages over the whole normal
+    sphere.  The reflections leave tangential roundoff of the frame's own
+    size in it, which swamps the normal part of d2 where a coordinate
+    vector nearly vanishes (near a polar axis).  So one corrected
+    semi-normal step F - d1 R^-1 R^-T d1^T F (a forward substitution with
+    R^T, then a back substitution with R) removes the tangential part
+    measured against d1 itself.  A point loses rank when its smallest
+    |R_ii| is at most `_RANK_TOL` times its largest; it solves with the
+    identity in place of R.  A zero column divides by zero within its own
+    point only, and that point has lost rank.  NaN jets pass, for the
+    reduction's finite-value check.
     """
-    m = d1.shape[2]
-    q, r = np.linalg.qr(d1, mode="complete")
-    frame, r = q[:, :, m:], r[:, :m]
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    lost = diag.min(axis=1) <= _RANK_TOL * diag.max(axis=1)
-    r[lost] = np.eye(m)
-    y = np.linalg.solve(np.swapaxes(r, 1, 2), np.swapaxes(d1, 1, 2) @ frame)
-    return frame - d1 @ np.linalg.solve(r, y), lost
+    b, k, m = d1.shape
+    a = np.moveaxis(d1, 0, -1).copy()  # (k, m, B)
+    rest, vs, betas, diag, rows = a, [], [], [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(m):
+            x = rest[:, 0]
+            norm = np.sqrt((x * x).sum(axis=0))
+            alpha = -np.copysign(norm, x[0])
+            v = x.copy()
+            v[0] -= alpha
+            beta = 1.0 / (norm * (norm + np.abs(x[0])))  # 2 / |v|^2
+            rest = _reflect(v, beta, rest[:, 1:])
+            vs.append(v)
+            betas.append(beta)
+            diag.append(alpha)
+            rows.append(rest[0])  # R_(j, j+1:)
+            rest = rest[1:]
+        frame = np.zeros((k, k - m, b))
+        frame[m:] = np.eye(k - m)[:, :, None]
+        for j in reversed(range(m)):
+            frame[j:] = _reflect(vs[j], betas[j], frame[j:])
+    size = np.abs(diag)
+    lost = np.fmin.reduce(size, axis=0) <= _RANK_TOL * np.fmax.reduce(size, axis=0)
+    diag = np.where(lost, 1.0, diag)
+    rows = [np.where(lost, 0.0, row) for row in rows]
+    c = [(a[:, i, None] * frame).sum(axis=0) for i in range(m)]  # d1^T F, m of (n, B)
+    y = []
+    for i in range(m):  # R^T y = d1^T F
+        y.append((c[i] - sum(rows[j][i - j - 1] * y[j] for j in range(i))) / diag[i])
+    z = [None] * m
+    for i in reversed(range(m)):  # R z = y
+        z[i] = (y[i] - sum(rows[i][j - i - 1] * z[j] for j in range(i + 1, m))) / diag[i]
+    for i in range(m):
+        frame -= a[:, i, None] * z[i]
+    return np.moveaxis(frame, -1, 0), lost
 
 
 def _forms_at(imm: Immersion, U: np.ndarray):

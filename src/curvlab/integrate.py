@@ -21,6 +21,7 @@ estimate: the error of the coarser level, which the finer one improves on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -195,13 +196,22 @@ def integrate_scalar(imm: Immersion, f: Callable[[np.ndarray], np.ndarray],
     return reduce_over_grid(imm, grid, integrand)
 
 
+@functools.lru_cache(maxsize=None)
 def normal_sphere_rule(n: int) -> NormalSphereRule:
     """Quadrature on the unit sphere S^(n-1) of an n-dimensional normal space.
 
     n=1: the two points +-1, weight 1 each.  n=2: 64 equispaced angles.
     n=3: 32 Gauss-Legendre polar cosines times 64 equispaced azimuths.
-    n>3: 4096 Monte Carlo nodes with a fixed seed.
+    n>3: 4096 Monte Carlo nodes with a fixed seed.  Built once per n and
+    shared by every caller, so its nodes and weights are read-only.
     """
+    rule = _build_sphere_rule(n)
+    rule.nodes.flags.writeable = False
+    rule.weights.flags.writeable = False
+    return rule
+
+
+def _build_sphere_rule(n: int) -> NormalSphereRule:
     if n < 1:
         raise ValueError(f"codimension {n} must be >= 1")
     if n == 1:

@@ -1,5 +1,7 @@
 """Exact 2-jets, fundamental forms, and normal frames of parametrized surfaces."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -160,6 +162,25 @@ def test_degenerate_immersion_raises():
     with pytest.raises(DegenerateImmersionError, match="pinched") as err:
         cl.frame_data_at(bad, [0.1, 0.2])
     assert "[0.1, 0.2]" in str(err.value)
+
+
+@pytest.mark.parametrize("cube", [0, 1])
+def test_rank_loss_inside_a_batch_names_its_own_point(cube):
+    # tangent `cube` vanishes where its coordinate is 0, at the third point
+    # only: a zero column there, before or after the other one
+    def chart(xs):
+        ys = list(xs)
+        ys[cube] = xs[cube] ** 3
+        return [*ys, 0.0 * xs[0]]
+
+    cusp = cl.Immersion(name="cusp", m=2, k=3, domain=(cl.Axis(-1.0, 1.0), cl.Axis(-1.0, 1.0)), chart=chart)
+    U = np.array([[0.1, 0.5], [0.2, -0.4], [0.3, 0.3], [0.4, 0.7]])
+    U[2, cube] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateImmersionError, match="cusp") as err:
+            cl.frames_at(cusp, U)
+    assert str(U[2].tolist()) in str(err.value)
 
 
 def test_rank_threshold_clears_the_polar_corner_node():

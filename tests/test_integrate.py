@@ -140,6 +140,19 @@ def test_normal_sphere_rule_n4_monte_carlo_deterministic():
     assert_allclose(np.linalg.norm(a.nodes, axis=1), 1.0, rtol=1e-12)
 
 
+def test_normal_sphere_rule_is_built_once_per_n_and_read_only():
+    for n in (1, 2, 3, 4):
+        rule = cl.normal_sphere_rule(n)
+        assert cl.normal_sphere_rule(n) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        with pytest.raises(ValueError):
+            rule.nodes[0, 0] = 0.0
+    # the n = 4 nodes are the seeded Monte Carlo draw, bit for bit
+    raw = np.random.default_rng(20260823).standard_normal((4096, 4))
+    np.testing.assert_array_equal(cl.normal_sphere_rule(4).nodes,
+                                  raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
 # -- Gauss-Bonnet pipeline --------------------------------------------------
 
 

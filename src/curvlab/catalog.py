@@ -87,10 +87,6 @@ def _sphere2_r3(R: float = 1.0) -> Immersion:
         t, p = xs
         return [R * sin(t) * cos(p), R * sin(t) * sin(p), R * cos(t)]
 
-    def seeds(xs):
-        t, p = xs
-        return [[sin(t) * cos(p), sin(t) * sin(p), cos(t)]]
-
     return Immersion(
         name="sphere2_r3",
         m=2,
@@ -99,7 +95,7 @@ def _sphere2_r3(R: float = 1.0) -> Immersion:
         chart=chart,
         euler_char=2,
         reach=0.5 * R,
-        normal_seeds=seeds,
+        normal_seeds=lambda xs: [chart(xs)],
         reference_curvature=lambda U: np.full(len(U), 1.0 / R**2),
     )
 
@@ -109,13 +105,6 @@ def _sphere2_r4() -> Immersion:
         t, p = xs
         return [sin(t) * cos(p), sin(t) * sin(p), cos(t), 0.0]
 
-    def seeds(xs):
-        t, p = xs
-        return [
-            [sin(t) * cos(p), sin(t) * sin(p), cos(t), 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
-
     return Immersion(
         name="sphere2_r4",
         m=2,
@@ -124,7 +113,7 @@ def _sphere2_r4() -> Immersion:
         chart=chart,
         euler_char=2,
         reach=0.5,
-        normal_seeds=seeds,
+        normal_seeds=lambda xs: [chart(xs), [0.0, 0.0, 0.0, 1.0]],
         reference_curvature=lambda U: np.full(len(U), 0.5),
     )
 
@@ -222,11 +211,8 @@ def _product_s2s2_r6() -> Immersion:
         ]
 
     def seeds(xs):
-        t1, p1, t2, p2 = xs
-        return [
-            [sin(t1) * cos(p1), sin(t1) * sin(p1), cos(t1), 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, sin(t2) * cos(p2), sin(t2) * sin(p2), cos(t2)],
-        ]
+        x = chart(xs)
+        return [x[:3] + [0.0] * 3, [0.0] * 3 + x[3:]]
 
     return Immersion(
         name="product_s2s2_r6",

@@ -223,6 +223,8 @@ def cmd_gauss_bonnet(args, imm):
 
 
 def cmd_tube(args, imm):
+    if args.resolution is not None and not args.total:
+        raise DomainError("--resolution sets the grid of --total: give --total too, or drop --resolution")
     cfg = TubeConfig(imm, args.eps)
     do_any = args.total or args.identity or args.spectrum
     do_identity = args.identity or not do_any

@@ -117,7 +117,7 @@ class Immersion:
 
     def points(self, U: np.ndarray) -> np.ndarray:
         """Ambient positions only, shape (batch, k)."""
-        return np.stack([j.val for j in self.jet_map(U, 1)], axis=1)
+        return np.stack([j.val for j in self.jet_map(U, 0)], axis=1)
 
     def without_euler_char(self) -> "Immersion":
         return replace(self, euler_char=None)

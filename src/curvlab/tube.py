@@ -257,7 +257,7 @@ def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
 def _locate(boundary: TubeBoundary, u: np.ndarray, nu_amb: np.ndarray):
     """Map a base point and ambient unit normal to (sheet index, sheet parameter)."""
     base = boundary.config.base
-    _, frame = _base_frame_pieces(base, boundary.pivots, u[None, :], 1)
+    _, frame = _base_frame_pieces(base, boundary.pivots, u[None, :], 0)
     y = np.array([[c.val[0] for c in vec] for vec in frame]) @ nu_amb
     if base.n == 1:
         return (0 if y[0] > 0 else 1), u.copy()

@@ -297,6 +297,14 @@ def test_non_finite_inputs_exit_2(capsys, tmp_path, argv, name):
     assert name in err
 
 
+def test_tube_resolution_without_total_exit_2(capsys):
+    code, out, err = run_cli(
+        capsys, "tube", "--surface", "sphere2_r3", "--eps", "0.1", "--resolution", "20"
+    )
+    assert code == 2 and out == ""
+    assert "--resolution" in err and "--total" in err
+
+
 def test_tube_default_runs_identity(capsys):
     code, out, _ = run_cli(
         capsys, "tube", "--surface", "circle_r3", "--eps", "0.1", "--samples", "5",

@@ -6,9 +6,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import curvlab as cl
+from curvlab.curvature import _FD_OFFSETS, _five_point
 from curvlab.errors import DomainError, UnsupportedDimensionError
 from curvlab.jets import cos as jcos, sin as jsin
 
@@ -349,6 +350,37 @@ def test_curvature_tensor_symmetries_on_random_graphs(rng):
         imm = cl.random_graph_poly(rng, m=3, n=2, degree=2, scale=0.4)
         fd = cl.frame_data_at(imm, cl.sample_domain(imm, 1, rng)[0])
         assert cl.gauss_equation_tensor(fd).symmetry_residual() < 1e-10
+
+
+def test_five_point_rule_is_exact_on_quartics(rng):
+    # a (B, 2, 2)-valued quartic in m = 3 variables, with a different step per axis
+    exps = np.array([e for e in np.ndindex(5, 5, 5) if sum(e) <= 4])
+    coeffs = rng.uniform(-1.0, 1.0, (len(exps), 2, 2))
+    U = rng.uniform(-1.0, 1.0, (5, 3))
+    h = np.array([0.3, 0.05, 0.12])
+    calls = []
+
+    def quartic(P):
+        calls.append(P)
+        return np.einsum("pe,eab->pab", np.prod(P[:, None, :] ** exps, axis=2), coeffs)
+
+    value, partials = _five_point(quartic, U, h)
+    assert len(calls) == 1 and calls[0].shape == (5 * 13, 3)
+    assert_array_equal(value, quartic(U))
+    points = calls[0].reshape(13, 5, 3)
+    assert_array_equal(points[0], U)
+    for i in range(3):
+        for j, off in enumerate(_FD_OFFSETS):
+            shifted = U.copy()
+            shifted[:, i] += off * h[i]
+            assert_array_equal(points[1 + 4 * i + j], shifted)
+    assert partials.shape == (5, 3, 2, 2)
+    for i in range(3):
+        lowered = np.maximum(exps - np.eye(3, dtype=int)[i], 0)
+        monomials = exps[:, i] * np.prod(U[:, None, :] ** lowered, axis=2)
+        want = np.einsum("pe,eab->pab", monomials, coeffs)
+        # roundoff only: at most 3.7e-14 over 200 seeds
+        assert_allclose(partials[:, i], want, rtol=0, atol=1e-12, err_msg=f"axis {i}")
 
 
 def test_intrinsic_fd_matches_gauss_equation(rng):

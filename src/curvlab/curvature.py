@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
-from .immersion import FrameData, Immersion, frame_data_at, induced_metric, jets_at
+from .immersion import FrameData, Immersion, _stacked_jets, frame_data_at, induced_metric
 
 __all__ = [
     "NormalDirection",
@@ -146,7 +146,7 @@ def directional_curvature(fd: FrameData, nu: NormalDirection) -> float:
     """K^nu = det(sum_s nu_s Pi_s) / det(metric)."""
     _check_direction(nu, fd.n)
     pi_nu = np.einsum("s,sij->ij", nu.coeffs, fd.second_form)
-    return float(np.linalg.det(pi_nu) / np.linalg.det(fd.metric))
+    return float(_det(pi_nu) / _det(fd.metric))
 
 
 def whiten_second_form(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -170,12 +170,34 @@ def _even_index_table(m: int, n: int):
             continue
         alphas.append(alpha)
         moments.append(sphere_moment(counts // 2))
-    return np.array(alphas, dtype=int), np.array(moments)
+    return tuple(alphas), tuple(moments)
 
 
-def _metric_det(metric: np.ndarray) -> np.ndarray:
-    """det(I) of a batch of metrics (B,m,m); a (B,) array is taken as those determinants."""
-    return metric if metric.ndim == 1 else np.linalg.det(metric)
+def _add_row(minors: dict, row) -> dict:
+    """Laplace step: from the minors of some bottom rows, keyed by their column sets,
+    to those of the same rows with `row` (m, ...) on top."""
+    size = len(next(iter(minors))) + 1
+    out = {}
+    for cols in itertools.combinations(range(len(row)), size):
+        acc = row[cols[0]] * minors[cols[1:]]
+        for t in range(1, size):
+            term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
+            if t % 2:
+                acc -= term
+            else:
+                acc += term
+        out[cols] = acc
+    return out
+
+
+def _det(a) -> np.ndarray:
+    """Determinants of square matrices a (m, m, ...), batch axes last, by bottom-up
+    Laplace expansion: the minors of the last row, of the last two rows, ..., of all m.
+    Elementwise arithmetic only, so a NaN entry gives a NaN determinant."""
+    minors = {(): 1.0}
+    for row in a[::-1]:
+        minors = _add_row(minors, row)
+    return minors[tuple(range(len(a)))]
 
 
 def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -184,32 +206,46 @@ def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndar
     Row-mixed determinants of the chart-coordinate form, divided by det(I)
     once: whitening scales their moment-weighted sum by exactly 1/det(I).
     A caller that needs det(I) itself may pass it, shape (B,), as `metric`.
+    The kernel works on (n,m,m,B), a view of batch-first input: contiguous
+    when `second` is itself a view of batch-last storage, as from `frames_at`.
+    Row i of the determinant for alpha is second[alpha_i, i], so the minors
+    over rows i..m-1 depend on alpha[i:] only; for i >= 2, where alphas share
+    them, they are built once per suffix.
     """
     b, n, m, _ = second.shape
     if m % 2:
         return np.zeros(b)
+    second = np.moveaxis(second, 0, -1)
+    det_g = metric if metric.ndim == 1 else _det(np.moveaxis(metric, 0, -1))
     alphas, moments = _even_index_table(m, n)
+    memo = {(): {(): 1.0}}
     acc = np.zeros(b)
     for alpha, moment in zip(alphas, moments):
-        acc += moment * np.linalg.det(second[:, alpha, np.arange(m), :])
-    return acc / _metric_det(metric) / sphere_volume(n - 1)
+        for i in range(m - 1, 1, -1):
+            if alpha[i:] not in memo:
+                memo[alpha[i:]] = _add_row(memo[alpha[i + 1:]], second[alpha[i], i])
+        minors = _add_row(memo[alpha[2:]], second[alpha[1], 1])
+        acc += moment * _add_row(minors, second[alpha[0], 0])[tuple(range(m))]
+    return acc / det_g / sphere_volume(n - 1)
 
 
 _QUADRATURE_BLOCK = 2048
 
 
 def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray, rule) -> np.ndarray:
-    """Rule-averaged K^nu for a batch; blocked to bound the (B, Q, m, m) buffer.
+    """Rule-averaged K^nu for a batch; blocked to bound the (m, m, B, Q) buffer.
 
     `metric` is (B,m,m), or its determinants (B,) as in `batched_curvature_moments`.
     """
     b = metric.shape[0]
+    det_g = metric if metric.ndim == 1 else _det(np.moveaxis(metric, 0, -1))
+    second = np.moveaxis(second, 0, -1)  # (n, m, m, B)
     out = np.empty(b)
     for start in range(0, b, _QUADRATURE_BLOCK):
         stop = start + _QUADRATURE_BLOCK
-        pi_nu = np.einsum("qs,bsij->bqij", rule.nodes, second[start:stop])
-        out[start:stop] = np.linalg.det(pi_nu) @ rule.weights
-    return out / _metric_det(metric) / sphere_volume(second.shape[1] - 1)
+        pi_nu = np.tensordot(second[..., start:stop], rule.nodes, axes=(0, 1))  # (m, m, b, Q)
+        out[start:stop] = _det(pi_nu) @ rule.weights
+    return out / det_g / sphere_volume(second.shape[0] - 1)
 
 
 def generalized_curvature_moments(fd: FrameData) -> float:
@@ -256,12 +292,16 @@ def _five_point(f, U, h):
     return F[:b], np.stack(partials, axis=1)
 
 
-def _christoffel(imm: Immersion, U: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Christoffel symbols Gamma^r_{ns}, (B, m, m, m), by 5-point differences of the metric."""
-    G, dG = _five_point(lambda V: induced_metric(jets_at(imm, V, order=1)[1]), U, h)
+def _christoffel(imm: Immersion, U: np.ndarray, h: np.ndarray):
+    """Christoffel symbols Gamma^r_{ns} (B, m, m, m), by 5-point differences of the
+    metric, and the metric (B, m, m) at U."""
+    def metric(V):
+        return np.moveaxis(induced_metric(_stacked_jets(imm, V, order=1)[1]), -1, 0)
+
+    G, dG = _five_point(metric, U, h)
     # Gamma^r_{ns} = 1/2 g^{rl} (d_n g_{ls} + d_s g_{ln} - d_l g_{ns})
     sym = np.einsum("bnls->blns", dG) + np.einsum("bsln->blns", dG) - dG
-    return 0.5 * np.einsum("brl,blns->brns", np.linalg.inv(G), sym)
+    return 0.5 * np.einsum("brl,blns->brns", np.linalg.inv(G), sym), G
 
 
 def intrinsic_curvature_fd(imm: Immersion, u) -> CurvatureTensor:
@@ -279,9 +319,16 @@ def intrinsic_curvature_fd(imm: Immersion, u) -> CurvatureTensor:
             raise DomainError(
                 f"{imm.name}: difference stencil at coordinate {i} = {u[i]} leaves [{ax.lo}, {ax.hi}]"
             )
-    gamma, dgamma = _five_point(lambda V: _christoffel(imm, V, h), u[None, :], h)
+    metrics = []
+
+    def christoffel(V):
+        gamma, G = _christoffel(imm, V, h)
+        metrics.append(G)
+        return gamma
+
+    gamma, dgamma = _five_point(christoffel, u[None, :], h)
     gamma0, dgamma = gamma[0], dgamma[0]  # dgamma[mu, r, n, s] = d_mu Gamma^r_{ns}
-    G0 = induced_metric(jets_at(imm, u[None, :], order=1)[1])[0]
+    G0 = metrics[0][0]  # the stencil's first point is u
     # R^r_{s mu nu} = d_mu Gamma^r_{nu s} - d_nu Gamma^r_{mu s} + Gamma Gamma terms
     upper = (
         np.einsum("mrns->rsmn", dgamma)

@@ -140,16 +140,17 @@ class FrameData:
         return self.second_form.shape[0]
 
 
-def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):
-    """Batched chart derivatives up to `order`: arrays (B,k), (B,k,m), (B,k,m,m), ...; rank r
-    stacks views of the coordinates' d[r] with the batch axis moved first, so it is copied once."""
+def _stacked_jets(imm: Immersion, U: np.ndarray, order: int):
+    """Chart derivatives up to `order`, batch axis last: (k,B), (k,m,B), (k,m,m,B), ...;
+    rank r stacks the coordinates' d[r] as they are."""
     js = imm.jet_map(U, order)
-    return tuple(np.stack([np.moveaxis(j.d[r], -1, 0) for j in js], axis=1) for r in range(order + 1))
+    return tuple(np.stack([j.d[r] for j in js]) for r in range(order + 1))
 
 
-def induced_metric(d1: np.ndarray) -> np.ndarray:
-    """First fundamental forms (B, m, m) of a batch of 1-jets (B, k, m)."""
-    return np.swapaxes(d1, -1, -2) @ d1
+def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):
+    """Batched chart derivatives up to `order`: arrays (B,k), (B,k,m), (B,k,m,m), ...,
+    each a view of batch-last storage with the batch axis moved first."""
+    return tuple(np.moveaxis(t, -1, 0) for t in _stacked_jets(imm, U, order))
 
 
 def _reflect(v, beta, x):
@@ -157,8 +158,13 @@ def _reflect(v, beta, x):
     return x - v[:, None] * (beta * (v[:, None] * x).sum(axis=0))
 
 
+def induced_metric(d1: np.ndarray) -> np.ndarray:
+    """First fundamental forms (m, m, B) of a batch of 1-jets (k, m, B), batch axis last."""
+    return np.einsum("aib,ajb->ijb", d1, d1)
+
+
 def _normal_frames(d1: np.ndarray):
-    """Orthonormal normal frames (B, k, n) for a batch of 1-jets (B, k, m), and a rank-loss mask (B,).
+    """Orthonormal normal frames (k, n, B) for a batch of 1-jets (k, m, B), and a rank-loss mask (B,).
 
     A Householder QR of d1 with the batch axis last, so that every step is
     one vector operation over the whole batch.  m reflections with
@@ -176,9 +182,8 @@ def _normal_frames(d1: np.ndarray):
     point only, and that point has lost rank.  NaN jets pass, for the
     reduction's finite-value check.
     """
-    b, k, m = d1.shape
-    a = np.moveaxis(d1, 0, -1).copy()  # (k, m, B)
-    rest, vs, betas, diag, rows = a, [], [], [], []
+    k, m, b = d1.shape
+    rest, vs, betas, diag, rows = d1, [], [], [], []
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(m):
             x = rest[:, 0]
@@ -201,7 +206,7 @@ def _normal_frames(d1: np.ndarray):
     lost = np.fmin.reduce(size, axis=0) <= _RANK_TOL * np.fmax.reduce(size, axis=0)
     diag = np.where(lost, 1.0, diag)
     rows = [np.where(lost, 0.0, row) for row in rows]
-    c = [(a[:, i, None] * frame).sum(axis=0) for i in range(m)]  # d1^T F, m of (n, B)
+    c = [(d1[:, i, None] * frame).sum(axis=0) for i in range(m)]  # d1^T F, m of (n, B)
     y = []
     for i in range(m):  # R^T y = d1^T F
         y.append((c[i] - sum(rows[j][i - j - 1] * y[j] for j in range(i))) / diag[i])
@@ -209,26 +214,27 @@ def _normal_frames(d1: np.ndarray):
     for i in reversed(range(m)):  # R z = y
         z[i] = (y[i] - sum(rows[i][j - i - 1] * z[j] for j in range(i + 1, m))) / diag[i]
     for i in range(m):
-        frame -= a[:, i, None] * z[i]
-    return np.moveaxis(frame, -1, 0), lost
+        frame -= d1[:, i, None] * z[i]
+    return frame, lost
 
 
 def _forms_at(imm: Immersion, U: np.ndarray):
-    """Points (B,k) and the fundamental forms of `frames_at`; names the first point of rank loss."""
-    point, d1, d2 = jets_at(imm, U, order=2)
+    """Points (k,B), metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis
+    last; names the first point of rank loss."""
+    point, d1, d2 = _stacked_jets(imm, U, order=2)
     frame, lost = _normal_frames(d1)
     if lost.any():
         raise DegenerateImmersionError(
             f"{imm.name}: first-derivative matrix is rank deficient at parameter point "
             f"{U[np.argmax(lost)].tolist()}")
-    b, k, m, _ = d2.shape
-    second = (np.swapaxes(frame, 1, 2) @ d2.reshape(b, k, m * m)).reshape(b, -1, m, m)
+    second = np.einsum("asb,aijb->sijb", frame, d2)
     return point, induced_metric(d1), second, frame
 
 
 def frames_at(imm: Immersion, U: np.ndarray):
-    """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n)."""
-    return _forms_at(imm, U)[1:]
+    """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n),
+    views of batch-last storage with the batch axis moved first."""
+    return tuple(np.moveaxis(t, -1, 0) for t in _forms_at(imm, U)[1:])
 
 
 def frame_data_at(imm: Immersion, u: Sequence[float]) -> FrameData:

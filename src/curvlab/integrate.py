@@ -28,9 +28,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import batched_curvature_moments, batched_curvature_quadrature, sphere_volume
+from .curvature import _det, batched_curvature_moments, batched_curvature_quadrature, sphere_volume
 from .errors import DegenerateImmersionError
-from .immersion import Immersion, frames_at, induced_metric, jets_at
+from .immersion import Immersion, _stacked_jets, frames_at, induced_metric
 
 __all__ = [
     "GridAxis",
@@ -190,8 +190,8 @@ def integrate_scalar(imm: Immersion, f: Callable[[np.ndarray], np.ndarray],
     `f` maps a (B, m) batch of parameter points to (B,) values.
     """
     def integrand(U):
-        _, d1 = jets_at(imm, U, order=1)
-        return f(U) * np.sqrt(np.linalg.det(induced_metric(d1)))
+        _, d1 = _stacked_jets(imm, U, order=1)
+        return f(U) * np.sqrt(_det(induced_metric(d1)))
 
     return reduce_over_grid(imm, grid, integrand)
 
@@ -286,7 +286,7 @@ def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
 
     def integrand(U):
         metric, second, _ = frames_at(imm, U)
-        det_g = np.linalg.det(metric)
+        det_g = _det(np.moveaxis(metric, 0, -1))
         return curvature(det_g, second) * np.sqrt(det_g)
 
     integral, grid_shape, error_estimate, converged = reduce_until_converged(

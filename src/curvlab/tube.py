@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import (NormalDirection, _check_direction, directional_curvature, sphere_volume,
+from .curvature import (NormalDirection, _check_direction, _det, directional_curvature, sphere_volume,
                         whiten_second_form)
 from .errors import CurvlabError, DegenerateImmersionError, ReachExceededError, UnsupportedDimensionError
 from .immersion import (
@@ -240,14 +240,14 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
 
 
 def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
-    """Sheet point, outward normal g = (point - base point)/eps, metric, and the
-    second form and frame with normal 0 turned to g, for a batch of sheet parameters."""
+    """Sheet point, outward normal g = (point - base point)/eps, metric, and the second
+    form and frame with normal 0 turned to g, batch axis last as from `_forms_at`."""
     base = cfg.base
     point, metric, second, frame = _forms_at(sheet, U)
-    g = (point - base.points(U[:, : base.m])) / cfg.eps
-    sign = np.sign(np.einsum("bk,bk->b", frame[:, :, 0], g))
-    second[:, 0] *= sign[:, None, None]
-    frame[:, :, 0] *= sign[:, None]
+    g = (point - base.points(U[:, : base.m]).T) / cfg.eps
+    sign = np.sign((frame[:, 0] * g).sum(axis=0))
+    second[0] *= sign
+    frame[:, 0] *= sign
     return point, g, metric, second, frame
 
 
@@ -269,7 +269,7 @@ def _shape_and_jacobian(cfg: TubeConfig, fd: FrameData, nu_hat: NormalDirection)
     _check_direction(nu_hat, fd.n)
     pi_orth = whiten_second_form(fd.metric, fd.second_form)
     pi_nu = np.einsum("s,sij->ij", nu_hat.coeffs, pi_orth)
-    det = float(np.linalg.det(np.eye(cfg.base.m) - cfg.eps * pi_nu))
+    det = float(_det(np.eye(cfg.base.m) - cfg.eps * pi_nu))
     if abs(det) < 1e-12:
         raise ReachExceededError(
             f"1 - eps*shape operator is singular at eps = {cfg.eps}; radius exceeds the reach"
@@ -301,12 +301,12 @@ def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
     point, g, metric, second, frame = _oriented_sheet_forms(
         cfg, boundary.sheets[sheet_index], param[None, :]
     )
-    sheet_fd = FrameData(metric=metric[0], second_form=second[0], normal_frame=frame[0])
+    sheet_fd = FrameData(metric=metric[..., 0], second_form=second[..., 0], normal_frame=frame[..., 0])
     return TubePoint(
         u=u,
         nu_hat=nu_hat,
-        point=point[0],
-        gauss_normal=g[0],
+        point=point[:, 0],
+        gauss_normal=g[:, 0],
         classical_k=directional_curvature(sheet_fd, NormalDirection(np.ones(1))),
         normal_jacobian=nj,
         sheet_index=sheet_index,
@@ -384,8 +384,8 @@ def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
     """Gaussian curvature times area density of one sheet, (B, m) -> (B,)."""
     def integrand(U):
         _, _, metric, second, _ = _oriented_sheet_forms(cfg, sheet, U)
-        det_g = np.linalg.det(metric)
-        return np.linalg.det(second[:, 0]) / det_g * np.sqrt(det_g)
+        det_g = _det(metric)
+        return _det(second[0]) / det_g * np.sqrt(det_g)
 
     return integrand
 

@@ -9,7 +9,9 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import curvlab as cl
-from curvlab.curvature import _FD_OFFSETS, _five_point
+from curvlab import curvature
+from curvlab.curvature import _FD_OFFSETS, _det, _five_point
+from curvlab.immersion import _stacked_jets, induced_metric
 from curvlab.errors import DomainError, UnsupportedDimensionError
 from curvlab.jets import cos as jcos, sin as jsin
 
@@ -67,6 +69,38 @@ def test_sphere_moment_against_brute_force():
                 continue
             ref = _brute_moment(a)
             assert abs(cl.sphere_moment(a) - ref) < 1e-10 * ref
+
+
+# -- batched determinants ---------------------------------------------------
+
+
+def test_det_matches_lapack_for_m_1_to_5(rng):
+    for m in range(1, 6):
+        a = rng.normal(size=(m, m, 4096))
+        scale = np.prod(np.linalg.norm(a, axis=1), axis=0)  # Hadamard's bound on |det|
+        # measured at most 6.6e-16
+        assert_allclose(_det(a) / scale, np.linalg.det(np.moveaxis(a, -1, 0)) / scale,
+                        rtol=0, atol=1e-14, err_msg=f"m = {m}")
+        assert_allclose(_det(a[..., 0]), np.linalg.det(a[..., 0]), rtol=0, atol=1e-14 * scale[0])
+
+
+def test_det_of_the_sphere4_r5_metrics_on_the_20_node_grid():
+    # det g falls to 2.5e-24 at the polar corners; measured at most 7.4e-15 relative
+    imm = get("sphere4_r5")
+    U = cl.default_grid(imm, 20).mesh()[0]
+    metric = induced_metric(_stacked_jets(imm, U, order=1)[1])
+    want = np.linalg.det(np.moveaxis(metric, -1, 0))
+    assert_allclose(_det(metric) / want, 1.0, rtol=0, atol=1e-13)
+
+
+def test_det_of_a_matrix_with_a_nan_entry_is_nan(rng):
+    # the reduction's finite-value gate reads this
+    for m in range(1, 6):
+        for i, j in itertools.product(range(m), repeat=2):
+            a = rng.normal(size=(m, m, 3))
+            a[i, j, 1] = np.nan
+            det = _det(a)
+            assert np.isnan(det[1]) and np.isfinite(det[[0, 2]]).all(), (m, i, j)
 
 
 # -- directional curvature --------------------------------------------------
@@ -199,12 +233,25 @@ def test_batched_routes_take_the_metric_or_its_determinants(rng):
     for name in ("sphere2_r4", "product_s2s2_r6"):
         imm = get(name)
         metric, second, _ = cl.frames_at(imm, cl.sample_domain(imm, 30, rng))
-        det_g = np.linalg.det(metric)
+        det_g = _det(np.moveaxis(metric, 0, -1))
         rule = cl.normal_sphere_rule(imm.n)
         assert np.array_equal(cl.batched_curvature_moments(det_g, second),
                               cl.batched_curvature_moments(metric, second))
         assert np.array_equal(cl.batched_curvature_quadrature(det_g, second, rule),
                               cl.batched_curvature_quadrature(metric, second, rule))
+
+
+def test_batch_last_storage_and_its_batch_first_view_give_identical_k(rng):
+    for name in ("sphere2_r4", "sphere4_r5", "product_s2s2_r6"):
+        imm = get(name)
+        metric, second, _ = cl.frames_at(imm, cl.sample_domain(imm, 30, rng))
+        assert np.moveaxis(second, 0, -1).flags.c_contiguous  # a view of batch-last storage
+        flat_metric, flat_second = np.ascontiguousarray(metric), np.ascontiguousarray(second)
+        rule = cl.normal_sphere_rule(imm.n)
+        assert_array_equal(cl.batched_curvature_moments(metric, second),
+                           cl.batched_curvature_moments(flat_metric, flat_second))
+        assert_array_equal(cl.batched_curvature_quadrature(metric, second, rule),
+                           cl.batched_curvature_quadrature(flat_metric, flat_second, rule))
 
 
 def test_odd_dimension_vanishing(rng):
@@ -383,8 +430,31 @@ def test_five_point_rule_is_exact_on_quartics(rng):
         assert_allclose(partials[:, i], want, rtol=0, atol=1e-12, err_msg=f"axis {i}")
 
 
+def test_intrinsic_fd_reads_the_metric_at_u_off_its_stencil(monkeypatch, rng):
+    # G0 is the first row of the outer stencil's metrics, bit-identical to a 1-point evaluation
+    seen = []
+
+    def recording(imm, V, h):
+        gamma, G = christoffel(imm, V, h)
+        seen.append((V, G))
+        return gamma, G
+
+    christoffel = curvature._christoffel
+    monkeypatch.setattr(curvature, "_christoffel", recording)
+    for name in ("sphere2_r3", "torus_rev_r3", "sphere4_r5", "product_s2s2_r6"):
+        imm = get(name)
+        for u in cl.sample_domain(imm, 2, rng, margin=0.1):
+            seen.clear()
+            cl.intrinsic_curvature_fd(imm, u)
+            (V, G), = seen
+            assert_array_equal(V[0], imm.wrap(u))
+            one_point = induced_metric(_stacked_jets(imm, imm.wrap(u)[None, :], order=1)[1])[..., 0]
+            assert_array_equal(G[0], one_point)
+
+
 def test_intrinsic_fd_matches_gauss_equation(rng):
-    for name, tol in [("sphere2_r3", 1e-5), ("torus_rev_r3", 1e-5)]:
+    # measured at most 2.7e-9
+    for name, tol in [("sphere2_r3", 1e-7), ("torus_rev_r3", 1e-7)]:
         imm = get(name)
         for u in cl.sample_domain(imm, 3, rng):
             extrinsic = cl.gauss_equation_tensor(cl.frame_data_at(imm, u)).R

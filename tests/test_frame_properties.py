@@ -31,12 +31,13 @@ def _qr_frames(d1):
 def _moments_K(d1, d2, frame):
     b, k, m, _ = d2.shape
     second = (np.swapaxes(frame, 1, 2) @ d2.reshape(b, k, m * m)).reshape(b, -1, m, m)
-    return batched_curvature_moments(induced_metric(d1), second)
+    return batched_curvature_moments(np.moveaxis(induced_metric(np.moveaxis(d1, 0, -1)), -1, 0), second)
 
 
 def _check_frame(imm, U):
     _, d1, d2 = cl.jets_at(imm, U, order=2)
-    frame, lost = _normal_frames(d1)
+    frame, lost = _normal_frames(np.moveaxis(d1, 0, -1))
+    frame = np.moveaxis(frame, -1, 0)
     reference = _qr_frames(d1)
     assert not lost.any()
     assert_allclose(np.swapaxes(frame, 1, 2) @ frame, np.broadcast_to(np.eye(imm.n), (len(U), imm.n, imm.n)),

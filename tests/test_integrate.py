@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curvlab as cl
+from curvlab.curvature import _det
 from curvlab.errors import DegenerateImmersionError
 from curvlab.integrate import (
     GridAxis,
@@ -275,7 +276,7 @@ def test_a_fixed_grid_runs_one_reduction_on_exactly_that_grid():
 
     def integrand(U):
         metric = cl.frames_at(imm, U)[0]
-        return cl.batched_curvature(imm, U) * np.sqrt(np.linalg.det(metric))
+        return cl.batched_curvature(imm, U) * np.sqrt(_det(np.moveaxis(metric, 0, -1)))
 
     for grid in (cl.default_grid(imm, 16), cl.default_grid(imm)):
         rep = cl.gauss_bonnet_check(imm, grid)

@@ -206,8 +206,8 @@ def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndar
     Row-mixed determinants of the chart-coordinate form, divided by det(I)
     once: whitening scales their moment-weighted sum by exactly 1/det(I).
     A caller that needs det(I) itself may pass it, shape (B,), as `metric`.
-    The kernel works on (n,m,m,B), a view of batch-first input: contiguous
-    when `second` is itself a view of batch-last storage, as from `frames_at`.
+    The kernel works on (n,m,m,B) batch-last storage: a view when `second` is
+    itself a view of such storage, as from `frames_at`, and one copy otherwise.
     Row i of the determinant for alpha is second[alpha_i, i], so the minors
     over rows i..m-1 depend on alpha[i:] only; for i >= 2, where alphas share
     them, they are built once per suffix.
@@ -215,7 +215,7 @@ def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndar
     b, n, m, _ = second.shape
     if m % 2:
         return np.zeros(b)
-    second = np.moveaxis(second, 0, -1)
+    second = np.ascontiguousarray(np.moveaxis(second, 0, -1))
     det_g = metric if metric.ndim == 1 else _det(np.moveaxis(metric, 0, -1))
     alphas, moments = _even_index_table(m, n)
     memo = {(): {(): 1.0}}
@@ -344,38 +344,25 @@ def intrinsic_curvature_fd(imm: Immersion, u) -> CurvatureTensor:
     return CurvatureTensor(R=R_on)
 
 
-@lru_cache(maxsize=None)
-def _perm_table(m: int):
-    perms = list(itertools.permutations(range(m)))
-    signs = []
-    for p in perms:
-        inversions = sum(p[i] > p[j] for i in range(m) for j in range(i + 1, m))
-        signs.append(-1.0 if inversions % 2 else 1.0)
-    return np.array(perms, dtype=int), np.array(signs)
-
-
 def pfaffian_density(tensor: CurvatureTensor) -> float:
     """Density of the Pfaffian of the curvature forms against the volume form.
 
-    Double permutation sum with coefficient (-1)^r / (2^(m+r) pi^r r!),
-    r = m/2; supported for m in {2, 4}.  Integrates to the Euler
-    characteristic over a closed surface.
+    Supported for m in {2, 4}, in closed form: R[0,1,1,0] / (2 pi) at m = 2,
+    and Chern's integrand (|Rm|^2 - 4 |Ric|^2 + Scal^2) / (32 pi^2) at m = 4
+    (Chern, Ann. of Math. 45, 1944), with Ric[j,k] = sum_i R[i,j,k,i] and
+    Scal its trace.  Integrates to the Euler characteristic over a closed
+    manifold.
     """
     m = tensor.m
     if m % 2:
         raise UnsupportedDimensionError("Pfaffian undefined for odd dimension")
     if m not in (2, 4):
         raise UnsupportedDimensionError(f"Pfaffian density implemented for m in {{2, 4}}, got {m}")
-    r = m // 2
-    perms, signs = _perm_table(m)
     R = tensor.R
-    prod = np.ones((len(perms), len(perms)))
-    for t in range(r):
-        i, j = perms[:, 2 * t], perms[:, 2 * t + 1]
-        prod *= R[i[:, None], j[:, None], perms[None, :, 2 * t], perms[None, :, 2 * t + 1]]
-    total = float(np.einsum("e,t,et->", signs, signs, prod))
-    coeff = (-1.0) ** r / (2.0 ** (m + r) * math.pi**r * math.factorial(r))
-    return coeff * total
+    if m == 2:
+        return float(R[0, 1, 1, 0]) / (2.0 * math.pi)
+    ric = np.einsum("ijki->jk", R)
+    return float(np.sum(R * R) - 4.0 * np.sum(ric * ric) + np.trace(ric) ** 2) / (32.0 * math.pi**2)
 
 
 def egregium_report(imm: Immersion, u) -> CurvatureReport:

@@ -289,12 +289,17 @@ def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
     nu_hat is read in the normal frame of `frame_data_at(base, u)`; the
     classical curvature comes from the sheet's own jets, oriented by the
     outward normal g = (point - base point)/eps.  The base and sheet forms
-    built here are kept on the result for the checks below.
+    built here are kept on the result for the checks below.  A `boundary`
+    built for another config is refused.
     """
     base = cfg.base
     u = base.wrap(u)
     if boundary is None:
         boundary = tube_boundary_immersion(cfg)
+    elif boundary.config != cfg:
+        raise ValueError(
+            f"boundary was built for another config: {boundary.config.base.name} at "
+            f"eps = {boundary.config.eps}, not {base.name} at eps = {cfg.eps}")
     fd = frame_data_at(base, u)
     pi_nu, nj = _shape_and_jacobian(cfg, fd, nu_hat)
     sheet_index, param = _locate(boundary, u, fd.normal_frame @ nu_hat.coeffs)

@@ -68,6 +68,14 @@ def test_catalog_get_errors():
         cl.catalog_get("sphere2_r3(R=nan)")
     with pytest.raises(UnknownImmersionError, match="'R' given twice"):
         cl.catalog_get("sphere2_r3(R=1, R=2)")
+    with pytest.raises(UnknownImmersionError, match="radius R = -1.0 must be positive"):
+        cl.catalog_get("sphere2_r3(R=-1)")
+    with pytest.raises(UnknownImmersionError, match="need 0 < r < R, got R = 1.0, r = 2.0"):
+        cl.catalog_get("torus_rev_r3(R=1,r=2)")
+    with pytest.raises(UnknownImmersionError, match="cannot parse surface name 'sphere2_r3\\('"):
+        cl.catalog_get("sphere2_r3(")
+    with pytest.raises(UnknownImmersionError, match="key=value pairs, got '1'"):
+        cl.catalog_get("sphere2_r3(1)")
 
 
 def test_graph_poly_custom_terms():
@@ -216,10 +224,16 @@ def test_flat_graph_reach_is_unbounded(tmp_path):
         (lambda d: d["domain"][1].update(hi=-1.0), "domain[1]"),
         (lambda d: d["domain"][0].update(lo="x"), "domain[0].lo"),
         (lambda d: d["domain"][0].update(periodic="yes"), "domain[0].periodic"),
+        (lambda d: d["domain"].__setitem__(0, [0.0, 1.0]), "domain[0]: expected an object"),
         (lambda d: d.update(coordinates=d["coordinates"][:3]), "coordinates"),
+        (lambda d: d["coordinates"].__setitem__(0, {"coeff": 1.0}), "coordinates[0]: expected a list"),
         (lambda d: d["coordinates"][2].append(7), "coordinates[2][1]"),
         (lambda d: d["coordinates"][1][0].update(coeff=None), "coordinates[1][0].coeff"),
         (lambda d: d["coordinates"][1][0].update(factors=3), "coordinates[1][0].factors"),
+        (
+            lambda d: d["coordinates"][0][0]["factors"].__setitem__(0, "cos"),
+            "coordinates[0][0].factors[0]: expected an object",
+        ),
         (
             lambda d: d["coordinates"][0][0]["factors"][0].update(kind="tan"),
             "coordinates[0][0].factors[0].kind",

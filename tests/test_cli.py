@@ -70,6 +70,16 @@ def test_catalog_json_is_parseable_array(capsys):
     assert "sphere2_r4" in names and "product_s2s2_r6" in names
 
 
+def test_catalog_csv_has_one_row_per_entry(capsys):
+    code, out, _ = run_cli(capsys, "catalog", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["name", "m", "k", "n", "chi"]
+    by_name = {row[0]: row[1:] for row in rows[1:]}
+    assert by_name["product_s2s2_r6"] == ["4", "6", "2", "4"]
+    assert by_name["graph_poly"][-1] == ""  # no declared Euler characteristic
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "catalog", "--bogus")
     assert code == 2
@@ -138,6 +148,9 @@ def test_curvature_bad_point_exit_2(capsys):
         capsys, "curvature", "--surface", "sphere2_r3", "--point", "1.0,abc"
     )
     assert code == 2
+    code, out, err = run_cli(capsys, "curvature", "--surface", "sphere2_r3", "--point", "1.0,2.0,3.0")
+    assert code == 2 and out == ""
+    assert "has 3 coordinates, surface needs 2" in err
 
 
 @pytest.mark.parametrize("point", ["nan,0", "inf,0"])
@@ -265,6 +278,18 @@ def test_tube_identity_sphere2_r4(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["max_identity_residual"] < 1e-6
+
+
+def test_tube_spectrum_sphere2_r4(capsys):
+    code, out, _ = run_cli(
+        capsys, "tube", "--surface", "sphere2_r4", "--eps", "0.05", "--spectrum",
+        "--samples", "20", "--format", "json",
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["max_spectrum_residual"] < 1e-6
+    assert results["spectrum_samples"] == 20
+    assert not any("identity" in key for key in results)
 
 
 def test_tube_eps_above_reach_exit_2(capsys):

@@ -288,6 +288,16 @@ def test_a_direction_of_the_wrong_length_is_named():
             check(cfg, u, nu)
 
 
+def test_a_boundary_built_for_another_config_is_refused():
+    cfg = cl.TubeConfig(get("sphere2_r4"), 0.05)
+    other = cl.tube_boundary_immersion(cl.TubeConfig(cfg.base, 0.2))
+    u, nu = np.array([1.0, 1.0]), cl.NormalDirection.unit([0.6, 0.8])
+    for check in (cl.tube_point, cl.tube_identity_check, cl.tube_spectrum_check):
+        with pytest.raises(ValueError, match=r"boundary was built for another config: "
+                                             r"sphere2_r4 at eps = 0\.2, not sphere2_r4 at eps = 0\.05"):
+            check(cfg, u, nu, boundary=other)
+
+
 # -- rescaling identity -----------------------------------------------------
 
 
@@ -458,6 +468,18 @@ def test_fixed_resolution_runs_one_reduction_per_sheet():
     )
     assert res.grid_shapes == ((16, 16), (16, 16))
     assert res.error_estimate is None and res.converged is None
+
+
+@pytest.mark.parametrize("name, eps, resolution, sheet_m", [
+    ("sphere4_r5", 0.25, 13, (4, 4)), ("product_s2s2_r6", 0.25, 8, (5,)),
+])
+def test_fixed_resolution_totals_on_four_dimensional_bases(name, eps, resolution, sheet_m):
+    base = get(name)
+    res = cl.tube_total_curvature(cl.TubeConfig(base, eps), resolution=resolution)
+    assert res.grid_shapes == tuple((resolution,) * m for m in sheet_m)
+    expected = (-1.0) ** (base.k - 1) * cl.sphere_volume(base.k - 1) * base.euler_char
+    assert_allclose(res.expected, expected, rtol=1e-15)
+    assert_allclose(res.integral, expected, rtol=1e-12, atol=0)
 
 
 def test_total_curvature_requires_euler_char():

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Optional
 
@@ -23,6 +23,7 @@ import numpy as np
 
 from .catalog import catalog_entries, catalog_get, load_immersion
 from .curvature import (
+    CurvatureReport,
     NormalDirection,
     egregium_report,
     generalized_curvature_moments,
@@ -98,23 +99,12 @@ def _emit(report: RunReport, fmt: str) -> None:
             print(f"{key:<{width}}  {value}")
 
 
-def _clean(value):
-    """Coerce numpy scalars/containers into JSON-serializable builtins."""
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_clean(v) for v in value]
-    return value
-
-
 def _resolve_surface(args) -> tuple:
-    if getattr(args, "surface", None) and getattr(args, "surface_file", None):
+    if args.surface and args.surface_file:
         raise DomainError("give either --surface or --surface-file, not both")
-    if getattr(args, "surface", None):
+    if args.surface:
         return catalog_get(args.surface), args.surface
-    if getattr(args, "surface_file", None):
+    if args.surface_file:
         imm = load_immersion(args.surface_file)
         return imm, f"file:{args.surface_file}"
     raise DomainError("a surface is required: --surface NAME or --surface-file PATH")
@@ -181,43 +171,23 @@ def cmd_catalog(args) -> int:
 def cmd_curvature(args, imm):
     u = _parse_point(args.point, imm.m)
     if imm.m % 2 == 0:
-        rep = egregium_report(imm, u)
-        results = {
-            "k_moments": rep.k_moments,
-            "k_quadrature": rep.k_quadrature,
-            "route_residual": rep.route_residual,
-            "pfaffian_density": rep.pfaffian_density,
-            "egregium_lhs": rep.egregium_lhs,
-            "egregium_residual": rep.egregium_residual,
-        }
+        results = asdict(egregium_report(imm, u))
     else:
+        # no Pfaffian at odd m: the report's keys, with its Pfaffian fields null
         fd = frame_data_at(imm, u)
         k_m = generalized_curvature_moments(fd)
         k_q = generalized_curvature_quadrature(fd, normal_sphere_rule(fd.n))
-        results = {
-            "k_moments": k_m,
-            "k_quadrature": k_q,
-            "route_residual": abs(k_m - k_q),
-            "pfaffian_density": None,
-            "egregium_lhs": None,
-            "egregium_residual": None,
-        }
+        results = dict.fromkeys(f.name for f in fields(CurvatureReport))
+        results.update(k_moments=k_m, k_quadrature=k_q, route_residual=abs(k_m - k_q))
     return {"point": [float(x) for x in u]}, results, [], None
 
 
 def cmd_gauss_bonnet(args, imm):
     grid = None if args.resolution is None else default_grid(imm, args.resolution)
     rep = gauss_bonnet_check(imm, grid, route=args.route)
-    options = {"route": args.route, "resolution": args.resolution, "grid_shape": list(rep.grid_shape)}
-    results = {
-        "integral": rep.integral,
-        "expected": rep.expected,
-        "residual": rep.residual,
-        "estimated_chi": rep.estimated_chi,
-        "chi_distance": rep.chi_distance,
-        "error_estimate": rep.error_estimate,
-        "converged": rep.converged,
-    }
+    results = asdict(rep)
+    options = {"route": results.pop("route"), "resolution": args.resolution,
+               "grid_shape": list(results.pop("grid_shape"))}
     gated = ["residual"] if rep.residual is not None else ["chi_distance"]
     return options, results, gated, rep.converged
 
@@ -295,7 +265,7 @@ def _surface_report(command, args) -> int:
         command=args.command,
         surface=label,
         options=options,
-        results={k: _clean(v) for k, v in results.items()},
+        results=results,
         wall_time_s=time.perf_counter() - start,
     )
     _emit(report, args.format)
@@ -390,10 +360,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CurvlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (CurvlabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

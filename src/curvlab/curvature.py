@@ -96,13 +96,17 @@ class CurvatureTensor:
 
 @dataclass
 class CurvatureReport:
-    """K_M by every route at one point, with pairwise residuals."""
+    """K_M by every route at one point, with pairwise residuals.
+
+    Field order is the row order of the `curvature` command's report: the two
+    K_M routes and their residual, then the Pfaffian side of the egregium check.
+    """
 
     k_moments: float
     k_quadrature: float
+    route_residual: float
     pfaffian_density: float
     egregium_lhs: float
-    route_residual: float
     egregium_residual: float
 
 
@@ -379,8 +383,8 @@ def egregium_report(imm: Immersion, u) -> CurvatureReport:
     return CurvatureReport(
         k_moments=k_m,
         k_quadrature=k_q,
+        route_residual=abs(k_m - k_q),
         pfaffian_density=pff,
         egregium_lhs=lhs,
-        route_residual=abs(k_m - k_q),
         egregium_residual=abs(lhs - pff),
     )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -105,7 +105,9 @@ class TubeBoundary:
 
     config: TubeConfig
     sheets: tuple[Immersion, ...]
-    pivots: Optional[list] = None  # constant seeds, for a base without normal_seeds
+    # The frame's seed function, m base-variable jets -> n ambient vectors:
+    # base.normal_seeds, or for a base without them, constant pivots.
+    seeds: Callable
 
 
 # -- generic-scalar frame construction ------------------------------------
@@ -152,30 +154,26 @@ def _sphere_coords(n, y):
     return np.array([ps, th])
 
 
-def _default_pivots(base: Immersion) -> list[list[float]]:
-    """Constant seed vectors: ambient basis directions most normal at chart center."""
+def _pivot_seeds(base: Immersion) -> Callable:
+    """A seed function returning constant ambient basis directions, those most normal at
+    the chart center, whatever the base point."""
     frame = frame_data_at(base, base.chart_center()).normal_frame
     order = np.argsort(-np.linalg.norm(frame, axis=1), kind="stable")[: base.n]
-    return [[1.0 if a == piv else 0.0 for a in range(base.k)] for piv in order]
+    pivots = [[1.0 if a == piv else 0.0 for a in range(base.k)] for piv in order]
+    return lambda xs: pivots
 
 
-def _base_frame_pieces(base: Immersion, pivots, U, order):
+def _base_frame_pieces(base: Immersion, seeds: Callable, U, order):
     """Jets of X and of the smooth normal frame at `order`, all in the m base variables.
 
-    `U` holds base parameters, shape (B, m).  The chart runs at order + 1,
-    so its tangents are m-variable jets at `order`; the seeds run on the
-    base variables truncated to `order`.  Raises where a seed loses rank
-    against the tangents, naming the base parameter point.
+    `U` holds base parameters, shape (B, m).  X comes from `base.jet_map` at
+    order + 1, so its tangents are m-variable jets at `order`; `seeds` runs on
+    the base variables at `order`.  Raises where a seed loses rank against the
+    tangents, naming the base parameter point.
     """
-    b = U.shape[0]
-    xs = Jet.variables(U, order + 1)
-    X = [c if isinstance(c, Jet) else Jet.constant(c, base.m, order + 1, b)
-         for c in base.chart(xs)]
+    X = base.jet_map(U, order + 1)
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
-    seeds = pivots
-    if base.normal_seeds is not None:
-        seeds = base.normal_seeds([x.truncate(order) for x in xs])
-    frame, kept = _orthonormal_frame(tangents, seeds, base.k)
+    frame, kept = _orthonormal_frame(tangents, seeds(Jet.variables(U, order)), base.k)
     bad = kept < _SEED_RANK_TOL
     if bad.any():
         i = int(np.argmax(bad))
@@ -185,12 +183,12 @@ def _base_frame_pieces(base: Immersion, pivots, U, order):
     return [x.truncate(order) for x in X], frame
 
 
-def _tube_jet_map(cfg: TubeConfig, pivots, sheet_sign: float):
+def _tube_jet_map(cfg: TubeConfig, seeds: Callable, sheet_sign: float):
     base, eps = cfg.base, cfg.eps
 
     def jet_map(U, order):
         p = U.shape[1]
-        X, frame = _base_frame_pieces(base, pivots, U[:, : base.m], order)
+        X, frame = _base_frame_pieces(base, seeds, U[:, : base.m], order)
         if base.n == 1:
             y = [sheet_sign]
         else:
@@ -221,7 +219,7 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     parameters.  Sheet jets go through the exact frame construction above.
     """
     base = cfg.base
-    pivots = None if base.normal_seeds is not None else _default_pivots(base)
+    seeds = base.normal_seeds if base.normal_seeds is not None else _pivot_seeds(base)
     domain = _sheet_domain(base)
     signs = (1.0, -1.0) if base.n == 1 else (1.0,)
     suffixes = ("_tube_plus", "_tube_minus") if base.n == 1 else ("_tube",)
@@ -233,10 +231,10 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
                 m=len(domain),
                 k=base.k,
                 domain=domain,
-                jet_map_override=_tube_jet_map(cfg, pivots, sign),
+                jet_map_override=_tube_jet_map(cfg, seeds, sign),
             )
         )
-    return TubeBoundary(config=cfg, sheets=tuple(sheets), pivots=pivots)
+    return TubeBoundary(config=cfg, sheets=tuple(sheets), seeds=seeds)
 
 
 def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
@@ -257,7 +255,7 @@ def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
 def _locate(boundary: TubeBoundary, u: np.ndarray, nu_amb: np.ndarray):
     """Map a base point and ambient unit normal to (sheet index, sheet parameter)."""
     base = boundary.config.base
-    _, frame = _base_frame_pieces(base, boundary.pivots, u[None, :], 0)
+    _, frame = _base_frame_pieces(base, boundary.seeds, u[None, :], 0)
     y = np.array([[c.val[0] for c in vec] for vec in frame]) @ nu_amb
     if base.n == 1:
         return (0 if y[0] > 0 else 1), u.copy()

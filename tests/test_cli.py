@@ -4,12 +4,16 @@ import argparse
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvlab as cl
 from curvlab.cli import RunReport, _threshold_exit, main
 
 from conftest import elliptic_torus_file, unit_circle_file
@@ -102,6 +106,12 @@ def test_curvature_sphere2_r4(capsys):
     rep = json.loads(out)
     assert rep["results"]["k_moments"] == pytest.approx(0.5, abs=1e-12)
     assert rep["results"]["egregium_residual"] < 1e-10
+    imm = cl.catalog_get("sphere2_r4")
+    assert rep["results"] == asdict(cl.egregium_report(imm, np.array([1.0, 1.0])))
+
+
+CURVATURE_KEYS = ["k_moments", "k_quadrature", "route_residual",
+                  "pfaffian_density", "egregium_lhs", "egregium_residual"]
 
 
 def test_curvature_odd_m_reports_zero(capsys):
@@ -110,9 +120,18 @@ def test_curvature_odd_m_reports_zero(capsys):
         "--format", "json",
     )
     assert code == 0
-    rep = json.loads(out)
-    assert rep["results"]["k_moments"] == 0.0
-    assert rep["results"]["pfaffian_density"] is None  # undefined for odd m
+    results = json.loads(out)["results"]
+    assert results["k_moments"] == 0.0
+    # the report's keys, with the Pfaffian fields undefined for odd m
+    assert sorted(results) == sorted(CURVATURE_KEYS)
+    assert [results[k] for k in CURVATURE_KEYS[3:]] == [None, None, None]
+
+
+@pytest.mark.parametrize("surface, point", [("sphere2_r4", "1.0,1.0"), ("circle_r3", "0.3")])
+def test_curvature_csv_rows_follow_the_report_fields(capsys, surface, point):
+    _, out, _ = run_cli(capsys, "curvature", "--surface", surface, "--point", point, "--format", "csv")
+    keys = [row[0] for row in csv.reader(io.StringIO(out))]
+    assert [k.removeprefix("results.") for k in keys if k.startswith("results.")] == CURVATURE_KEYS
 
 
 def test_curvature_clifford_near_zero(capsys):
@@ -175,6 +194,18 @@ def test_gauss_bonnet_sphere(capsys):
     assert rep["results"]["converged"] is True
     assert 0.0 <= rep["results"]["error_estimate"] <= 1e-12 * 2 * np.pi
     assert rep["options"]["grid_shape"] == [13, 13]
+
+
+def test_gauss_bonnet_results_are_the_library_report(capsys):
+    _, out, _ = run_cli(
+        capsys, "gauss-bonnet", "--surface", "sphere2_r4", "--resolution", "12", "--format", "json",
+    )
+    imm = cl.catalog_get("sphere2_r4")
+    want = asdict(cl.gauss_bonnet_check(imm, cl.default_grid(imm, 12)))
+    rep = json.loads(out)
+    assert rep["options"] == {"route": want.pop("route"), "resolution": 12,
+                              "grid_shape": list(want.pop("grid_shape"))}
+    assert rep["results"] == want
 
 
 def test_gauss_bonnet_product_default_resolution(capsys):
@@ -427,22 +458,27 @@ def test_seed_changes_samples(capsys):
 # -- installed entry point --------------------------------------------------
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*args):
+    """`python -m curvlab.cli ARGS` in a child process importing curvlab from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "curvlab.cli", *args],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_module_invocation_end_to_end():
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvlab.cli", "catalog"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("catalog", "--format", "csv")
     assert proc.returncode == 0
-    assert "sphere2_r4 m=2 k=4 chi=2" in proc.stdout
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert rows[0] == ["name", "m", "k", "n", "chi"] and len(rows) == 1 + 9
+    assert ["sphere2_r4", "2", "4", "2", "2"] in rows
 
 
 def test_module_invocation_error_path():
-    proc = subprocess.run(
-        [sys.executable, "-m", "curvlab.cli", "tube", "--surface", "sphere2_r3",
-         "--eps", "0.9"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert "error:" in proc.stderr
+    for argv in (("tube", "--surface", "sphere2_r3", "--eps", "0.9"),
+                 ("curvature", "--surface", "nope", "--point", "0")):
+        proc = run_module(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and "error:" in proc.stderr

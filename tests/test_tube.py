@@ -136,17 +136,15 @@ def test_checks_build_each_frame_once(monkeypatch):
         assert calls == {"base_frames": 1, "sheet_jets": 1}, check.__name__
 
 
-def _all_variable_sheet_jets(cfg, pivots, sign, U, order):
+def _all_variable_sheet_jets(cfg, seeds, sign, U, order):
     """Sheet jets with the base chart and frame seeded in all p sheet variables."""
     base, (b, p) = cfg.base, U.shape
     xs = Jet.variables(U, order + 1)
     X = [c if isinstance(c, Jet) else Jet.constant(c, p, order + 1, b)
          for c in base.chart(xs[: base.m])]
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
-    seeds = pivots
-    if base.normal_seeds is not None:
-        seeds = [[c.truncate(order) if isinstance(c, Jet) else float(c) for c in vec]
-                 for vec in base.normal_seeds(xs[: base.m])]
+    seeds = [[c.truncate(order) if isinstance(c, Jet) else float(c) for c in vec]
+             for vec in seeds(xs[: base.m])]
     frame, _ = tube._orthonormal_frame(tangents, seeds, base.k)
     y = [sign] if base.n == 1 else tube._sphere_values(
         base.n, [x.truncate(order) for x in xs[base.m:]])
@@ -168,7 +166,7 @@ def test_sheet_jets_match_the_all_variable_construction(name, eps, rng):
     signs = (1.0, -1.0) if base.n == 1 else (1.0,)
     for sheet, sign in zip(boundary.sheets, signs, strict=True):
         U = cl.sample_domain(sheet, 40, rng)
-        ref = _all_variable_sheet_jets(cfg, boundary.pivots, sign, U, 2)
+        ref = _all_variable_sheet_jets(cfg, boundary.seeds, sign, U, 2)
         want = [np.stack([np.moveaxis(j.d[r], -1, 0) for j in ref], axis=1) for r in range(3)]
         for got, expected in zip(cl.jets_at(sheet, U, 2), want, strict=True):
             assert_allclose(got, expected, rtol=0, atol=1e-14)
@@ -189,6 +187,30 @@ def test_base_pieces_are_evaluated_in_base_variables_at_the_sheet_order():
         seen.clear()
         sheet.jet_map(np.array([[1.1, 0.7, 0.3], [0.4, 2.0, 5.0]]), order)
         assert seen == [(order, base.m)] * base.m
+
+
+@pytest.mark.parametrize("name", ["sphere2_r4", "graph_poly"])
+def test_sheet_jets_evaluate_the_base_once_through_its_jet_map(name, monkeypatch):
+    # a seeded base and a seedless one: one base Immersion.jet_map call, at order + 1
+    base = get(name)
+    boundary = cl.tube_boundary_immersion(cl.TubeConfig(base, 0.05))
+    if base.normal_seeds is not None:
+        assert boundary.seeds is base.normal_seeds
+    orders = []
+    jet_map = cl.Immersion.jet_map
+
+    def recording_jet_map(imm, U, order):
+        if imm is base:
+            orders.append(order)
+        return jet_map(imm, U, order)
+
+    monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
+    sheet = boundary.sheets[0]
+    U = cl.sample_domain(sheet, 3, np.random.default_rng(0))
+    for order in (0, 2):
+        orders.clear()
+        sheet.jet_map(U, order)
+        assert orders == [order + 1]
 
 
 def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
@@ -319,8 +341,8 @@ def test_identity_sphere2_r4_random_points(rng):
         u = cl.sample_domain(cfg.base, 1, rng)[0]
         nu = _random_direction(rng, 2)
         res = cl.tube_identity_check(cfg, u, nu, boundary=boundary)
-        assert res.residual < 1e-6 * max(1.0, abs(res.rhs))
-        assert res.relative < 1e-6
+        assert res.residual < 1e-12 * max(1.0, abs(res.rhs))
+        assert res.relative < 1e-12
 
 
 def test_identity_circle_r3(rng):
@@ -502,9 +524,9 @@ def test_identity_and_spectrum_all_bases(name, rng):
         u = cl.sample_domain(base, 1, rng)[0]
         nu = _random_direction(rng, base.n)
         res = cl.tube_identity_check(cfg, u, nu, boundary=boundary)
-        assert res.relative < 1e-6
+        assert res.relative < 1e-12
         spec = cl.tube_spectrum_check(cfg, u, nu, boundary=boundary)
-        assert spec.residual < 1e-6
+        assert spec.residual < 1e-12
 
 
 def test_identity_and_spectrum_codim3_graph(rng):
@@ -515,5 +537,5 @@ def test_identity_and_spectrum_codim3_graph(rng):
     for _ in range(20):
         u = cl.sample_domain(base, 1, rng)[0]
         nu = _random_direction(rng, 3)
-        assert cl.tube_identity_check(cfg, u, nu, boundary=boundary).relative < 1e-6
-        assert cl.tube_spectrum_check(cfg, u, nu, boundary=boundary).residual < 1e-6
+        assert cl.tube_identity_check(cfg, u, nu, boundary=boundary).relative < 1e-12
+        assert cl.tube_spectrum_check(cfg, u, nu, boundary=boundary).residual < 1e-12

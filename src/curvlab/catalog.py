@@ -53,7 +53,6 @@ def _polar() -> Axis:
 def _circle_r2() -> Immersion:
     return Immersion(
         name="circle_r2",
-        m=1,
         k=2,
         domain=_periodic(1),
         chart=lambda xs: [cos(xs[0]), sin(xs[0])],
@@ -67,7 +66,6 @@ def _circle_r2() -> Immersion:
 def _circle_r3() -> Immersion:
     return Immersion(
         name="circle_r3",
-        m=1,
         k=3,
         domain=_periodic(1),
         chart=lambda xs: [cos(xs[0]), sin(xs[0]), 0.0],
@@ -89,7 +87,6 @@ def _sphere2_r3(R: float = 1.0) -> Immersion:
 
     return Immersion(
         name="sphere2_r3",
-        m=2,
         k=3,
         domain=(_polar(), Axis(0.0, TWO_PI, periodic=True)),
         chart=chart,
@@ -107,7 +104,6 @@ def _sphere2_r4() -> Immersion:
 
     return Immersion(
         name="sphere2_r4",
-        m=2,
         k=4,
         domain=(_polar(), Axis(0.0, TWO_PI, periodic=True)),
         chart=chart,
@@ -138,7 +134,6 @@ def _torus_rev_r3(R: float = 2.0, r: float = 0.5) -> Immersion:
 
     return Immersion(
         name="torus_rev_r3",
-        m=2,
         k=3,
         domain=_periodic(2),
         chart=chart,
@@ -162,7 +157,6 @@ def _clifford_torus_r4() -> Immersion:
 
     return Immersion(
         name="clifford_torus_r4",
-        m=2,
         k=4,
         domain=_periodic(2),
         chart=chart,
@@ -187,7 +181,6 @@ def _sphere4_r5() -> Immersion:
 
     return Immersion(
         name="sphere4_r5",
-        m=4,
         k=5,
         domain=(_polar(), _polar(), _polar(), Axis(0.0, TWO_PI, periodic=True)),
         chart=chart,
@@ -216,7 +209,6 @@ def _product_s2s2_r6() -> Immersion:
 
     return Immersion(
         name="product_s2s2_r6",
-        m=4,
         k=6,
         domain=(
             _polar(),
@@ -272,8 +264,8 @@ def _validate_graph_terms(m: int, n: int, terms) -> list[list[tuple[float, tuple
     return compiled
 
 
-def graph_poly(m: int, n: int, terms, box: float = 1.0) -> Immersion:
-    """Graph of a polynomial map R^m -> R^n over the box [-box, box]^m.
+def graph_poly(m: int, n: int, terms) -> Immersion:
+    """Graph of a polynomial map R^m -> R^n over the box [-1, 1]^m.
 
     `terms[s]` is a list of (coefficient, exponent-tuple) pairs for output
     coordinate s.  The Euler characteristic is declared unknown (graphs
@@ -282,9 +274,8 @@ def graph_poly(m: int, n: int, terms, box: float = 1.0) -> Immersion:
     heights = _compile_file_chart(_validate_graph_terms(m, n, terms))
     imm = Immersion(
         name="graph_poly",
-        m=m,
         k=m + n,
-        domain=tuple(Axis(-float(box), float(box), periodic=False) for _ in range(m)),
+        domain=(Axis(-1.0, 1.0),) * m,
         chart=lambda xs: [*xs, *heights(xs)],
         euler_char=None,
         reach=None,
@@ -540,7 +531,6 @@ def load_immersion(path: str) -> Immersion:
 
     imm = Immersion(
         name=name,
-        m=m,
         k=k,
         domain=tuple(axes),
         chart=_compile_file_chart(coords),

@@ -52,18 +52,17 @@ class Axis:
 
 @dataclass
 class Immersion:
-    """A parametrized m-dimensional submanifold of R^k.
+    """A parametrized submanifold of R^k; m is its number of domain axes, n = k - m.
 
-    `chart` maps a list of m generic scalars (floats, arrays, or jets) to a
-    list of k generic scalars.  `normal_seeds`, when given, maps the same
-    inputs to n ambient vectors spanning the normal space smoothly across
-    the chart; the tube construction differentiates through it.
-    `jet_map_override` replaces the default chart evaluation for derived
-    immersions (tube boundaries) that need custom seeding.
+    `chart` maps a list of m generic scalars (floats, arrays, or jets) to k
+    of them.  `normal_seeds`, when given, maps the same inputs to n ambient
+    vectors of k components spanning the normal space smoothly across the
+    chart; the tube construction differentiates through it.  Derived
+    immersions (tube boundaries) give `jet_map_override` in place of `chart`:
+    exactly one of the two.  Other counts raise `ValueError` when evaluated.
     """
 
     name: str
-    m: int
     k: int
     domain: tuple[Axis, ...]
     chart: Optional[Callable] = None
@@ -76,8 +75,12 @@ class Immersion:
     def __post_init__(self):
         if self.k - self.m < 1:
             raise ValueError(f"{self.name}: codimension k - m = {self.k - self.m} must be >= 1")
-        if len(self.domain) != self.m:
-            raise ValueError(f"{self.name}: domain has {len(self.domain)} axes, expected m = {self.m}")
+        if (self.chart is None) == (self.jet_map_override is None):
+            raise ValueError(f"{self.name}: give exactly one of chart and jet_map_override")
+
+    @property
+    def m(self) -> int:
+        return len(self.domain)
 
     @property
     def n(self) -> int:
@@ -110,8 +113,9 @@ class Immersion:
             raise ValueError(f"{self.name}: jet order {order} must be >= 0")
         if self.jet_map_override is not None:
             return self.jet_map_override(U, order)
-        xs = Jet.variables(U, order)
-        out = self.chart(xs)
+        out = self.chart(Jet.variables(U, order))
+        if len(out) != self.k:
+            raise ValueError(f"{self.name}: chart returned {len(out)} coordinates, expected k = {self.k}")
         b = U.shape[0]
         return [o if isinstance(o, Jet) else Jet.constant(o, self.m, order, b) for o in out]
 

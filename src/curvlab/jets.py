@@ -70,6 +70,7 @@ class Jet:
     """Batched truncated Taylor expansion in `nvars` variables; `d[r]` has shape (nvars,)*r + (B,)."""
 
     __slots__ = ("nvars", "d")
+    __array_ufunc__ = None  # so an array on the left defers to the reflected operators, not broadcasts
 
     def __init__(self, nvars: int, d):
         self.nvars = nvars

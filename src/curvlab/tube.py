@@ -168,12 +168,17 @@ def _base_frame_pieces(base: Immersion, seeds: Callable, U, order):
 
     `U` holds base parameters, shape (B, m).  X comes from `base.jet_map` at
     order + 1, so its tangents are m-variable jets at `order`; `seeds` runs on
-    the base variables at `order`.  Raises where a seed loses rank against the
-    tangents, naming the base parameter point.
+    the base variables at `order` and must return n vectors of k components.
+    Raises where a seed loses rank against the tangents, naming the base
+    parameter point.
     """
     X = base.jet_map(U, order + 1)
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
-    frame, kept = _orthonormal_frame(tangents, seeds(Jet.variables(U, order)), base.k)
+    vecs = seeds(Jet.variables(U, order))
+    if len(vecs) != base.n or any(len(v) != base.k for v in vecs):
+        raise ValueError(f"{base.name}: normal seeds returned vectors of lengths {[len(v) for v in vecs]}, "
+                         f"expected n = {base.n} vectors of k = {base.k}")
+    frame, kept = _orthonormal_frame(tangents, vecs, base.k)
     bad = kept < _SEED_RANK_TOL
     if bad.any():
         i = int(np.argmax(bad))
@@ -228,7 +233,6 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
         sheets.append(
             Immersion(
                 name=base.name + suffix,
-                m=len(domain),
                 k=base.k,
                 domain=domain,
                 jet_map_override=_tube_jet_map(cfg, seeds, sign),

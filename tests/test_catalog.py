@@ -80,13 +80,13 @@ def test_catalog_get_errors():
 
 def test_graph_poly_custom_terms():
     # X(x, y) = (x, y, 0.5 x^2, x y)
-    imm = cl.graph_poly(2, 2, [[(0.5, (2, 0))], [(1.0, (1, 1))]], box=2.0)
+    imm = cl.graph_poly(2, 2, [[(0.5, (2, 0))], [(1.0, (1, 1))]])
     point, _, d2 = cl.jets_at(imm, imm.wrap([0.3, -0.4])[None], order=2)
     assert_allclose(point[0], [0.3, -0.4, 0.5 * 0.09, -0.12], rtol=0, atol=1e-15)
     assert_allclose(d2[0, 2, 0, 0], 1.0, rtol=0, atol=1e-15)
     assert_allclose(d2[0, 3, 0, 1], 1.0, rtol=0, atol=1e-15)
     assert imm.euler_char is None
-    assert imm.domain[0].lo == -2.0 and imm.domain[0].hi == 2.0
+    assert imm.domain == (cl.Axis(-1.0, 1.0), cl.Axis(-1.0, 1.0))
 
 
 def test_graph_poly_equals_the_surface_file_of_its_polynomial(tmp_path):

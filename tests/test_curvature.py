@@ -346,7 +346,7 @@ def test_reparametrization_invariance_sphere_two_charts():
         p = imm.chart(xs)
         return [sum(rot[a][b] * p[b] for b in range(3)) for a in range(3)]
 
-    imm2 = cl.Immersion(name="sphere_rot", m=2, k=3, domain=imm.domain, chart=chart2)
+    imm2 = cl.Immersion(name="sphere_rot", k=3, domain=imm.domain, chart=chart2)
     u1 = np.array([1.2, 0.8])
     p_target = rot.T @ imm.points(u1[None, :])[0]  # same geometric point, chart 2
     u2 = np.array([math.acos(p_target[2]), math.atan2(p_target[1], p_target[0])])
@@ -363,7 +363,6 @@ def test_reparametrization_invariance_torus_nonlinear():
 
     imm2 = cl.Immersion(
         name="torus_reparam",
-        m=2,
         k=3,
         domain=imm.domain,
         chart=lambda xs: imm.chart(phi(xs)),

@@ -1,5 +1,6 @@
 """Exact 2-jets, fundamental forms, and normal frames of parametrized surfaces."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -154,7 +155,6 @@ def test_degenerate_immersion_raises():
     # rank-deficient chart: both parameters move the same ambient direction
     bad = cl.Immersion(
         name="pinched",
-        m=2,
         k=3,
         domain=(cl.Axis(-1.0, 1.0), cl.Axis(-1.0, 1.0)),
         chart=lambda xs: [xs[0] + xs[1], xs[0] + xs[1], 0.0 * xs[0]],
@@ -173,7 +173,7 @@ def test_rank_loss_inside_a_batch_names_its_own_point(cube):
         ys[cube] = xs[cube] ** 3
         return [*ys, 0.0 * xs[0]]
 
-    cusp = cl.Immersion(name="cusp", m=2, k=3, domain=(cl.Axis(-1.0, 1.0), cl.Axis(-1.0, 1.0)), chart=chart)
+    cusp = cl.Immersion(name="cusp", k=3, domain=(cl.Axis(-1.0, 1.0), cl.Axis(-1.0, 1.0)), chart=chart)
     U = np.array([[0.1, 0.5], [0.2, -0.4], [0.3, 0.3], [0.4, 0.7]])
     U[2, cube] = 0.0
     with warnings.catch_warnings():
@@ -197,10 +197,30 @@ def test_rank_threshold_clears_the_polar_corner_node():
 
 
 def test_immersion_validation():
-    with pytest.raises(ValueError):
-        cl.Immersion(name="flat", m=2, k=2, domain=(cl.Axis(0, 1), cl.Axis(0, 1)))
-    with pytest.raises(ValueError):
-        cl.Immersion(name="arity", m=2, k=4, domain=(cl.Axis(0, 1),))
+    square = (cl.Axis(0, 1), cl.Axis(0, 1))
+    with pytest.raises(ValueError, match="flat: codimension"):
+        cl.Immersion(name="flat", k=2, domain=square, chart=lambda xs: list(xs))
+    assert cl.Immersion(name="plane", k=3, domain=square, chart=lambda xs: [*xs, 0.0]).m == 2
+
+
+def test_an_immersion_takes_exactly_one_of_chart_and_override():
+    # neither failed on first use with a TypeError; with both the chart was ignored
+    sphere = get("sphere2_r3")
+    for chart, override in [(None, None), (sphere.chart, sphere.jet_map)]:
+        with pytest.raises(ValueError, match="blank: give exactly one of chart and jet_map_override"):
+            cl.Immersion(name="blank", k=3, domain=sphere.domain, chart=chart, jet_map_override=override)
+
+
+@pytest.mark.parametrize("name, k", [("sphere2_r3", 4), ("sphere2_r4", 3)])
+def test_a_chart_with_other_than_k_coordinates_is_refused(name, k):
+    # sphere2_r3's three coordinates declared as k = 4 gave gauss_bonnet_check
+    # 4 pi against an expected 2 pi, reported as converged
+    imm = dataclasses.replace(get(name), k=k)
+    coords = get(name).k
+    with pytest.raises(ValueError, match=f"{name}: chart returned {coords} coordinates, expected k = {k}"):
+        cl.gauss_bonnet_check(imm)
+    with pytest.raises(ValueError, match=f"{name}: chart returned {coords} coordinates"):
+        cl.egregium_report(imm, [1.0, 0.5])
 
 
 def test_jets_of_any_order_truncate_and_a_negative_order_raises():

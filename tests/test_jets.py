@@ -88,23 +88,30 @@ def test_pow_zero_base_and_zero_exponent():
 
 
 def test_reflected_and_scalar_operations():
-    U = np.array([[0.7], [1.9]])
-    (x,) = Jet.variables(U, order=2)
-    v = U[:, 0]
-    g = 2.0 / x
-    assert_allclose(g.val, 2 / v)
-    assert_allclose(g.d[1][0], -2 / v**2)
-    assert_allclose(g.d[2][0, 0], 4 / v**3)
-    h = 3.0 - x
-    assert_allclose(h.val, 3 - v)
-    assert_allclose(h.d[1][0], -1.0)
-    k = 1 + x  # __radd__
-    assert_allclose(k.val, 1 + v)
-    # per-batch array coefficient scales each batch row independently
-    c = np.array([2.0, -3.0])
-    s = x * c
-    assert_allclose(s.val, v * c)
-    assert_allclose(s.d[1][0], c)
+    # a number, or a per-batch array, on either side of +, -, * and /, against
+    # closed-form derivatives in x up to order 3; y's partials stay zero
+    U = np.array([[0.7, 0.2], [1.9, -0.5]])
+    x, _ = Jet.variables(U, order=3)
+    v, zero = U[:, 0], np.zeros(2)
+    for c in (2.5, np.array([2.5, -0.4])):
+        cases = [
+            (x - c, [v - c, 1.0 + zero, zero, zero]),
+            (c - x, [c - v, -1.0 + zero, zero, zero]),
+            (x / c, [v / c, 1.0 / c + zero, zero, zero]),
+            (c / x, [c / v, -c / v**2, 2 * c / v**3, -6 * c / v**4]),
+            (1 + x, [1 + v, 1.0 + zero, zero, zero]),  # __radd__
+            (x * c, [v * c, c + zero, zero, zero]),
+            (c * x, [c * v, c + zero, zero, zero]),
+        ]
+        for f, want in cases:
+            assert isinstance(f, Jet)  # an array on the left once broadcast over the jet
+            assert_allclose(f.val, want[0], rtol=0, atol=1e-15)
+            for r in (1, 2, 3):
+                assert_allclose(f.d[r][(0,) * r], want[r], rtol=0, atol=1e-13)
+                assert np.all(np.delete(f.d[r].reshape(2**r, 2), 0, axis=0) == 0.0)
+    for bad in (lambda: x + "a", lambda: "a" + x):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_constant_and_truncate():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -48,7 +49,6 @@ def test_config_guards():
         cl.TubeConfig(get("sphere2_r3"), float("nan"))
     no_reach = cl.Immersion(
         name="bare",
-        m=1,
         k=2,
         domain=get("circle_r2").domain,
         chart=get("circle_r2").chart,
@@ -229,6 +229,52 @@ def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
     assert cl.tube_identity_check(cfg, [1.0], nu).relative < 1e-10
 
 
+def _pick(seeds, count, length):
+    """Seed function keeping `count` of the given vectors (repeating them), each cut or padded to `length`."""
+    def picked(xs):
+        vecs = seeds(xs)
+        return [(vecs[i % len(vecs)] + [0.0] * length)[:length] for i in range(count)]
+    return picked
+
+
+@pytest.mark.parametrize("name, count, length", [
+    ("sphere2_r4", 1, 4),  # n = 2: one vector too few
+    ("sphere2_r3", 2, 3),  # n = 1: one vector too many
+    ("sphere2_r4", 2, 3),  # k = 4: vectors too short
+    ("circle_r3", 2, 4),  # k = 3: vectors too long
+])
+def test_normal_seeds_of_the_wrong_count_or_length_are_refused(name, count, length):
+    # too few raised an IndexError; too many, a rank loss with RuntimeWarnings
+    base = get(name)
+    cfg = cl.TubeConfig(dataclasses.replace(base, normal_seeds=_pick(base.normal_seeds, count, length)), 0.1)
+    message = f"{name}: normal seeds returned vectors of lengths {[length] * count}, expected n = {base.n}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cl.tube_total_curvature(cfg, resolution=4)
+    u = cl.sample_domain(base, 1, np.random.default_rng(0))[0]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cl.tube_point(cfg, u, cl.NormalDirection.unit(np.ones(base.n)))
+
+
+@pytest.mark.parametrize("u", [(0.1, -0.2), (0.3, 0.4), (-0.5, 0.2)])
+def test_codim3_tube_point_on_the_fiber_pole_is_refused(u):
+    # The fiber chart (cos psi, sin psi cos theta, sin psi sin theta) has its
+    # pole at psi = 0, the direction of the first seeded frame vector; there
+    # d/dtheta vanishes and the sheet point is rank deficient.  Within ~1e-8
+    # of the pole, roundoff in acos puts psi at 0 (refused, as at these u) or
+    # at ~1.5e-8 (evaluated); 1e-7 away the identity still holds.
+    base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=3, degree=2, scale=0.2)
+    cfg = cl.TubeConfig(base, 0.1)
+    boundary = cl.tube_boundary_immersion(cfg)
+    u = np.array(u)
+    pole = (boundary.sheets[0].points([[*u, 0.0, 0.0]]) - base.points(u[None]))[0] / cfg.eps
+    coeffs = cl.frame_data_at(base, u).normal_frame.T @ pole
+    with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
+        cl.tube_point(cfg, u, cl.NormalDirection.unit(coeffs), boundary=boundary)
+    assert f"parameter point [{u[0]}, {u[1]}, 0.0, " in str(err.value)
+    near = cl.NormalDirection.unit(coeffs + [0.0, 1e-7, 0.0])
+    assert cl.tube_identity_check(cfg, u, near, boundary=boundary).relative < 1e-9
+
+
 # -- classical curvature and normal Jacobian -------------------------------
 
 
@@ -288,7 +334,6 @@ def test_normal_jacobian_singular_raises():
     base = get("sphere2_r3")
     inflated = cl.Immersion(
         name="sphere_overreach",
-        m=2,
         k=3,
         domain=base.domain,
         chart=base.chart,

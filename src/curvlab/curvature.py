@@ -241,7 +241,9 @@ def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray, rule) -
 
     `metric` is (B,m,m), or its determinants (B,) as in `batched_curvature_moments`.
     """
-    b = metric.shape[0]
+    b, n = second.shape[:2]
+    if rule.nodes.shape[1] != n:
+        raise ValueError(f"rule is on S^{rule.nodes.shape[1] - 1}, codimension is {n}")
     det_g = metric if metric.ndim == 1 else _det(np.moveaxis(metric, 0, -1))
     second = np.moveaxis(second, 0, -1)  # (n, m, m, B)
     out = np.empty(b)
@@ -249,7 +251,7 @@ def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray, rule) -
         stop = start + _QUADRATURE_BLOCK
         pi_nu = np.tensordot(second[..., start:stop], rule.nodes, axes=(0, 1))  # (m, m, b, Q)
         out[start:stop] = _det(pi_nu) @ rule.weights
-    return out / det_g / sphere_volume(second.shape[0] - 1)
+    return out / det_g / sphere_volume(n - 1)
 
 
 def generalized_curvature_moments(fd: FrameData) -> float:
@@ -259,8 +261,6 @@ def generalized_curvature_moments(fd: FrameData) -> float:
 
 def generalized_curvature_quadrature(fd: FrameData, rule) -> float:
     """K_M as the rule-weighted average of K^nu over the unit normal sphere."""
-    if rule.nodes.shape[1] != fd.n:
-        raise ValueError(f"rule is on S^{rule.nodes.shape[1] - 1}, codimension is {fd.n}")
     return float(batched_curvature_quadrature(fd.metric[None], fd.second_form[None], rule)[0])
 
 

@@ -108,7 +108,9 @@ class Immersion:
 
     def jet_map(self, U: np.ndarray, order: int) -> list[Jet]:
         """Evaluate the chart on a (batch, m) array of points as jets of `order`."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
+        shape, U = np.shape(U), np.atleast_2d(np.asarray(U, dtype=float))
+        if U.ndim != 2 or U.shape[1] != self.m:
+            raise ValueError(f"{self.name}: parameter points of shape {shape}, expected (batch, m = {self.m})")
         if order < 0:
             raise ValueError(f"{self.name}: jet order {order} must be >= 0")
         if self.jet_map_override is not None:
@@ -144,11 +146,15 @@ class FrameData:
         return self.second_form.shape[0]
 
 
-def _stacked_jets(imm: Immersion, U: np.ndarray, order: int):
-    """Chart derivatives up to `order`, batch axis last: (k,B), (k,m,B), (k,m,m,B), ...;
+def _stack(js: list[Jet], order: int):
+    """Jet derivatives up to `order`, batch axis last: (k,B), (k,m,B), (k,m,m,B), ...;
     rank r stacks the coordinates' d[r] as they are."""
-    js = imm.jet_map(U, order)
     return tuple(np.stack([j.d[r] for j in js]) for r in range(order + 1))
+
+
+def _stacked_jets(imm: Immersion, U: np.ndarray, order: int):
+    """`_stack` of the chart's jets of `order` at U."""
+    return _stack(imm.jet_map(U, order), order)
 
 
 def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):
@@ -222,17 +228,22 @@ def _normal_frames(d1: np.ndarray):
     return frame, lost
 
 
-def _forms_at(imm: Immersion, U: np.ndarray):
+def _forms(name: str, U: np.ndarray, point, d1, d2):
     """Points (k,B), metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis
-    last; names the first point of rank loss."""
-    point, d1, d2 = _stacked_jets(imm, U, order=2)
+    last, from the stacked 2-jets of immersion `name` at U; names the first point of
+    rank loss."""
     frame, lost = _normal_frames(d1)
     if lost.any():
         raise DegenerateImmersionError(
-            f"{imm.name}: first-derivative matrix is rank deficient at parameter point "
+            f"{name}: first-derivative matrix is rank deficient at parameter point "
             f"{U[np.argmax(lost)].tolist()}")
     second = np.einsum("asb,aijb->sijb", frame, d2)
     return point, induced_metric(d1), second, frame
+
+
+def _forms_at(imm: Immersion, U: np.ndarray):
+    """`_forms` of the chart at U; the jets are freed once stacked."""
+    return _forms(imm.name, U, *_stacked_jets(imm, U, 2))
 
 
 def frames_at(imm: Immersion, U: np.ndarray):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,13 +35,7 @@ import numpy as np
 from .curvature import (NormalDirection, _check_direction, _det, directional_curvature, sphere_volume,
                         whiten_second_form)
 from .errors import CurvlabError, DegenerateImmersionError, ReachExceededError, UnsupportedDimensionError
-from .immersion import (
-    Axis,
-    FrameData,
-    Immersion,
-    _forms_at,
-    frame_data_at,
-)
+from .immersion import Axis, FrameData, Immersion, _forms, _forms_at, _stack, frame_data_at
 from .integrate import default_grid, reduce_until_converged
 from .jets import Jet, cos, dot, sin, sqrt
 
@@ -163,16 +158,16 @@ def _pivot_seeds(base: Immersion) -> Callable:
     return lambda xs: pivots
 
 
-def _base_frame_pieces(base: Immersion, seeds: Callable, U, order):
+def _base_frame_pieces(base: Immersion, seeds: Callable, U, X):
     """Jets of X and of the smooth normal frame at `order`, all in the m base variables.
 
-    `U` holds base parameters, shape (B, m).  X comes from `base.jet_map` at
-    order + 1, so its tangents are m-variable jets at `order`; `seeds` runs on
-    the base variables at `order` and must return n vectors of k components.
-    Raises where a seed loses rank against the tangents, naming the base
-    parameter point.
+    `U` holds base parameters, shape (B, m), and `X` is `base.jet_map(U, order + 1)`,
+    evaluated by the caller, so its tangents are m-variable jets at `order`;
+    `seeds` runs on the base variables at `order` and must return n vectors of
+    k components.  Raises where a seed loses rank against the tangents, naming
+    the base parameter point.
     """
-    X = base.jet_map(U, order + 1)
+    order = X[0].order - 1
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
     vecs = seeds(Jet.variables(U, order))
     if len(vecs) != base.n or any(len(v) != base.k for v in vecs):
@@ -188,23 +183,19 @@ def _base_frame_pieces(base: Immersion, seeds: Callable, U, order):
     return [x.truncate(order) for x in X], frame
 
 
-def _tube_jet_map(cfg: TubeConfig, seeds: Callable, sheet_sign: float):
-    base, eps = cfg.base, cfg.eps
+def _sheet_chart(cfg: TubeConfig, X, frame, U, sheet_sign: float):
+    """The sheet chart X + eps * sum_s y_s nu_s as jets in the p variables of sheet points U (B, p),
+    from `_base_frame_pieces` at their base parameters; y is `sheet_sign` in codimension 1."""
+    base, p = cfg.base, U.shape[1]
+    y = [sheet_sign] if base.n == 1 else _sphere_values(base.n, Jet.variables(U, X[0].order)[base.m:])
+    return [X[a].widen(p) + cfg.eps * dot(y, [frame[s][a].widen(p) for s in range(base.n)])
+            for a in range(base.k)]
 
-    def jet_map(U, order):
-        p = U.shape[1]
-        X, frame = _base_frame_pieces(base, seeds, U[:, : base.m], order)
-        if base.n == 1:
-            y = [sheet_sign]
-        else:
-            y = _sphere_values(base.n, Jet.variables(U, order)[base.m:])
-        out = []
-        for a in range(base.k):
-            shift = dot(y, [frame[s][a].widen(p) for s in range(base.n)])
-            out.append(X[a].widen(p) + eps * shift)
-        return out
 
-    return jet_map
+def _sheet_jet_map(cfg: TubeConfig, seeds: Callable, sheet_sign: float, U, order):
+    V = U[:, : cfg.base.m]
+    X, frame = _base_frame_pieces(cfg.base, seeds, V, cfg.base.jet_map(V, order + 1))
+    return _sheet_chart(cfg, X, frame, U, sheet_sign)
 
 
 def _sheet_domain(base: Immersion) -> tuple[Axis, ...]:
@@ -228,25 +219,16 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     domain = _sheet_domain(base)
     signs = (1.0, -1.0) if base.n == 1 else (1.0,)
     suffixes = ("_tube_plus", "_tube_minus") if base.n == 1 else ("_tube",)
-    sheets = []
-    for sign, suffix in zip(signs, suffixes):
-        sheets.append(
-            Immersion(
-                name=base.name + suffix,
-                k=base.k,
-                domain=domain,
-                jet_map_override=_tube_jet_map(cfg, seeds, sign),
-            )
-        )
-    return TubeBoundary(config=cfg, sheets=tuple(sheets), seeds=seeds)
+    sheets = tuple(Immersion(name=base.name + suffix, k=base.k, domain=domain,
+                             jet_map_override=partial(_sheet_jet_map, cfg, seeds, sign))
+                   for sign, suffix in zip(signs, suffixes))
+    return TubeBoundary(config=cfg, sheets=sheets, seeds=seeds)
 
 
-def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
-    """Sheet point, outward normal g = (point - base point)/eps, metric, and the second
-    form and frame with normal 0 turned to g, batch axis last as from `_forms_at`."""
-    base = cfg.base
-    point, metric, second, frame = _forms_at(sheet, U)
-    g = (point - base.points(U[:, : base.m]).T) / cfg.eps
+def _oriented(cfg: TubeConfig, point, metric, second, frame, x: np.ndarray):
+    """Sheet forms from `_forms` over base points x (k, B), batch axis last: point, outward
+    normal g = (point - x)/eps, metric, and the second form and frame with normal 0 turned to g."""
+    g = (point - x) / cfg.eps
     sign = np.sign((frame[:, 0] * g).sum(axis=0))
     second[0] *= sign
     frame[:, 0] *= sign
@@ -254,16 +236,6 @@ def _oriented_sheet_forms(cfg: TubeConfig, sheet: Immersion, U: np.ndarray):
 
 
 # -- pointwise operations --------------------------------------------------
-
-
-def _locate(boundary: TubeBoundary, u: np.ndarray, nu_amb: np.ndarray):
-    """Map a base point and ambient unit normal to (sheet index, sheet parameter)."""
-    base = boundary.config.base
-    _, frame = _base_frame_pieces(base, boundary.seeds, u[None, :], 0)
-    y = np.array([[c.val[0] for c in vec] for vec in frame]) @ nu_amb
-    if base.n == 1:
-        return (0 if y[0] > 0 else 1), u.copy()
-    return 0, np.concatenate([u, _sphere_coords(base.n, y)])
 
 
 def _shape_and_jacobian(cfg: TubeConfig, fd: FrameData, nu_hat: NormalDirection):
@@ -288,11 +260,14 @@ def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
                boundary: Optional[TubeBoundary] = None) -> TubePoint:
     """Evaluate the tube boundary at (u, nu_hat) and derive its scalars.
 
-    nu_hat is read in the normal frame of `frame_data_at(base, u)`; the
-    classical curvature comes from the sheet's own jets, oriented by the
-    outward normal g = (point - base point)/eps.  The base and sheet forms
-    built here are kept on the result for the checks below.  A `boundary`
-    built for another config is refused.
+    One evaluation of the base chart, its 3-jet at u, serves three ends: its
+    2-jet gives the base forms, in whose normal frame nu_hat is read; it
+    builds the smooth normal frame that locates the fiber point; and the
+    two give the sheet chart's 2-jet at that point, the sheet's own jets
+    as its `jet_map` would return them.  The classical curvature comes from
+    those jets, oriented by the outward normal g = (point - base point)/eps.
+    The base and sheet forms built here are kept on the result for the
+    checks below.  A `boundary` built for another config is refused.
     """
     base = cfg.base
     u = base.wrap(u)
@@ -302,12 +277,20 @@ def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
         raise ValueError(
             f"boundary was built for another config: {boundary.config.base.name} at "
             f"eps = {boundary.config.eps}, not {base.name} at eps = {cfg.eps}")
-    fd = frame_data_at(base, u)
+    X = base.jet_map(u[None, :], 3)
+    _, metric, second, frame = _forms(base.name, u[None, :], *_stack(X, 2))  # rank check first
+    fd = FrameData(metric=metric[..., 0], second_form=second[..., 0], normal_frame=frame[..., 0])
     pi_nu, nj = _shape_and_jacobian(cfg, fd, nu_hat)
-    sheet_index, param = _locate(boundary, u, fd.normal_frame @ nu_hat.coeffs)
-    point, g, metric, second, frame = _oriented_sheet_forms(
-        cfg, boundary.sheets[sheet_index], param[None, :]
-    )
+    X, nus = _base_frame_pieces(base, boundary.seeds, u[None, :], X)
+    y = np.array([[c.val[0] for c in vec] for vec in nus]) @ (fd.normal_frame @ nu_hat.coeffs)
+    if base.n == 1:
+        sheet_index, param = (0 if y[0] > 0 else 1), u.copy()
+    else:
+        sheet_index, param = 0, np.concatenate([u, _sphere_coords(base.n, y)])
+    U = param[None, :]
+    jets = _sheet_chart(cfg, X, nus, U, (1.0, -1.0)[sheet_index])
+    point, g, metric, second, frame = _oriented(
+        cfg, *_forms(boundary.sheets[sheet_index].name, U, *_stack(jets, 2)), np.stack([x.val for x in X]))
     sheet_fd = FrameData(metric=metric[..., 0], second_form=second[..., 0], normal_frame=frame[..., 0])
     return TubePoint(
         u=u,
@@ -390,7 +373,7 @@ class TubeTotalResult:
 def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
     """Gaussian curvature times area density of one sheet, (B, m) -> (B,)."""
     def integrand(U):
-        _, _, metric, second, _ = _oriented_sheet_forms(cfg, sheet, U)
+        _, _, metric, second, _ = _oriented(cfg, *_forms_at(sheet, U), cfg.base.points(U[:, : cfg.base.m]).T)
         det_g = _det(metric)
         return _det(second[0]) / det_g * np.sqrt(det_g)
 

@@ -265,9 +265,13 @@ def test_odd_dimension_vanishing(rng):
 
 
 def test_quadrature_rule_dimension_mismatch():
+    # the batched kernel raised numpy's unnamed "shape-mismatch for sum"
     fd = cl.frame_data_at(get("sphere2_r4"), [1.0, 1.0])
-    with pytest.raises(ValueError):
-        cl.generalized_curvature_quadrature(fd, cl.normal_sphere_rule(3))
+    rule = cl.normal_sphere_rule(3)
+    with pytest.raises(ValueError, match=r"rule is on S\^2, codimension is 2"):
+        cl.generalized_curvature_quadrature(fd, rule)
+    with pytest.raises(ValueError, match=r"rule is on S\^2, codimension is 2"):
+        cl.batched_curvature_quadrature(fd.metric[None], fd.second_form[None], rule)
 
 
 # -- frame and coordinate invariance ---------------------------------------

@@ -1,6 +1,7 @@
 """Exact 2-jets, fundamental forms, and normal frames of parametrized surfaces."""
 
 import dataclasses
+import re
 import warnings
 
 import numpy as np
@@ -221,6 +222,24 @@ def test_a_chart_with_other_than_k_coordinates_is_refused(name, k):
         cl.gauss_bonnet_check(imm)
     with pytest.raises(ValueError, match=f"{name}: chart returned {coords} coordinates"):
         cl.egregium_report(imm, [1.0, 0.5])
+
+
+@pytest.mark.parametrize("name, U", [
+    ("graph_poly", np.zeros((2, 3))),  # blamed the chart: "returned 5 coordinates, expected k = 4"
+    ("sphere2_r3", np.ones((2, 3))),  # "too many values to unpack"
+    ("sphere2_r3", np.ones((2, 1))),  # "not enough values to unpack"
+    ("circle_r3", np.ones(2)),  # "all input arrays must have the same shape"
+])
+def test_parameter_points_of_the_wrong_shape_are_refused(name, U):
+    imm = get(name)
+    message = f"{name}: parameter points of shape {U.shape}, expected (batch, m = {imm.m})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cl.frames_at(imm, U)
+    # a tube sheet's jet_map_override gets the same check on its own m
+    sheet = cl.tube_boundary_immersion(cl.TubeConfig(imm, 0.05)).sheets[0]
+    V = np.ones((2, sheet.m + 1))
+    with pytest.raises(ValueError, match=re.escape(f"{sheet.name}: parameter points of shape {V.shape}")):
+        sheet.jet_map(V, 2)
 
 
 def test_jets_of_any_order_truncate_and_a_negative_order_raises():

@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curvlab as cl
-from curvlab import immersion, tube
+from curvlab import tube
 from curvlab.errors import (
     CurvlabError,
     DegenerateImmersionError,
@@ -112,28 +112,41 @@ def test_tube_point_invariants(rng):
         assert_allclose(tp.sheet_frame.normal_frame[:, 0], tp.gauss_normal, rtol=0, atol=1e-12)
 
 
-def test_checks_build_each_frame_once(monkeypatch):
-    # one base frame and one sheet-jet evaluation per check; tube_point keeps both
-    cfg = cl.TubeConfig(get("sphere2_r4"), 0.05)
+@pytest.mark.parametrize("name", ["sphere2_r4", "sphere2_r3", "graph_poly"])
+def test_a_tube_point_evaluates_its_base_once(name, monkeypatch):
+    # one base 3-jet gives the base forms, the fiber frame and the sheet jets; no sheet
+    # jet_map runs (a seeded base in codimension 2, two sheets, pivot seeds)
+    base = get(name)
+    cfg = cl.TubeConfig(base, 0.05)
     boundary = cl.tube_boundary_immersion(cfg)
-    calls = {"base_frames": 0, "sheet_jets": 0}
-    frames_at, jet_map = immersion.frames_at, cl.Immersion.jet_map
+    calls = []
+    jet_map = cl.Immersion.jet_map
 
-    def counting_frames_at(imm, U):
-        calls["base_frames"] += 1
-        return frames_at(imm, U)
-
-    def counting_jet_map(imm, U, order):
-        calls["sheet_jets"] += imm.jet_map_override is not None
+    def recording_jet_map(imm, U, order):
+        calls.append((imm.name, order))
         return jet_map(imm, U, order)
 
-    monkeypatch.setattr(immersion, "frames_at", counting_frames_at)
-    monkeypatch.setattr(cl.Immersion, "jet_map", counting_jet_map)
-    nu = cl.NormalDirection.unit(np.array([0.6, 0.8]))
-    for check in (cl.tube_identity_check, cl.tube_spectrum_check):
-        calls.update(base_frames=0, sheet_jets=0)
-        check(cfg, np.array([1.1, 0.7]), nu, boundary=boundary)
-        assert calls == {"base_frames": 1, "sheet_jets": 1}, check.__name__
+    monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
+    nu = cl.NormalDirection.unit(np.linspace(0.6, 0.8, base.n))
+    for u in (np.array([0.7, 0.4]), np.array([0.3, 0.9])):
+        for check in (cl.tube_point, cl.tube_identity_check, cl.tube_spectrum_check):
+            calls.clear()
+            check(cfg, u, nu, boundary=boundary)
+            assert calls == [(name, 3)], check.__name__
+
+
+@pytest.mark.parametrize("name, u", [
+    ("sphere2_r3", (0.0, 0.3)), ("sphere2_r4", (0.0, 0.3)), ("sphere2_r3", (math.pi, 1.0)),
+])
+def test_base_rank_loss_at_a_tube_point_is_named(name, u):
+    # the base forms' rank check runs before the fiber frame divides by the lost tangent
+    base = get(name)
+    cfg = cl.TubeConfig(base, 0.25)
+    nu = cl.NormalDirection.unit(np.ones(base.n))
+    message = f"{name}: first-derivative matrix is rank deficient at parameter point {list(u)}"
+    for check in (cl.tube_point, cl.tube_identity_check):
+        with pytest.raises(DegenerateImmersionError, match=re.escape(message)):
+            check(cfg, u, nu)
 
 
 def _all_variable_sheet_jets(cfg, seeds, sign, U, order):

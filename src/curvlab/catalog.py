@@ -4,8 +4,8 @@ Entries cover every codimension the library exercises: plane and space
 circles, round spheres in codimension 1 and 2, flat and curved tori,
 a 4-sphere, a product of 2-spheres, and polynomial graphs.  Each entry
 carries its Euler characteristic (when defined), a conservative reach
-bound for tube construction, a smooth global normal seed field when one
-exists in closed form, and a closed-form curvature reference when known.
+bound for tube construction, closed-form normal seeds in codimension 2
+(codimension 1 needs none), and a closed-form curvature reference when known.
 
 Reach bounds are declared at half the true reach so tube determinants
 stay uniformly away from zero.  For graphs and file-loaded surfaces the
@@ -58,7 +58,6 @@ def _circle_r2() -> Immersion:
         chart=lambda xs: [cos(xs[0]), sin(xs[0])],
         euler_char=0,
         reach=0.5,
-        normal_seeds=lambda xs: [[cos(xs[0]), sin(xs[0])]],
         reference_curvature=lambda U: np.zeros(len(U)),
     )
 
@@ -92,7 +91,6 @@ def _sphere2_r3(R: float = 1.0) -> Immersion:
         chart=chart,
         euler_char=2,
         reach=0.5 * R,
-        normal_seeds=lambda xs: [chart(xs)],
         reference_curvature=lambda U: np.full(len(U), 1.0 / R**2),
     )
 
@@ -124,10 +122,6 @@ def _torus_rev_r3(R: float = 2.0, r: float = 0.5) -> Immersion:
         w = R + r * cos(v)
         return [w * cos(u), w * sin(u), r * sin(v)]
 
-    def seeds(xs):
-        u, v = xs
-        return [[cos(v) * cos(u), cos(v) * sin(u), sin(v)]]
-
     def ref(U):
         v = U[:, 1]
         return np.cos(v) / (r * (R + r * np.cos(v)))
@@ -139,7 +133,6 @@ def _torus_rev_r3(R: float = 2.0, r: float = 0.5) -> Immersion:
         chart=chart,
         euler_char=0,
         reach=0.5 * min(r, R - r),
-        normal_seeds=seeds,
         reference_curvature=ref,
     )
 
@@ -186,7 +179,6 @@ def _sphere4_r5() -> Immersion:
         chart=chart,
         euler_char=2,
         reach=0.5,
-        normal_seeds=lambda xs: [chart(xs)],
         reference_curvature=lambda U: np.ones(len(U)),
     )
 

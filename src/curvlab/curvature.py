@@ -194,14 +194,18 @@ def _add_row(minors: dict, row) -> dict:
     return out
 
 
-def _det(a) -> np.ndarray:
-    """Determinants of square matrices a (m, m, ...), batch axes last, by bottom-up
-    Laplace expansion: the minors of the last row, of the last two rows, ..., of all m.
-    Elementwise arithmetic only, so a NaN entry gives a NaN determinant."""
+def _minors(rows) -> dict:
+    """Maximal minors of r rows (r, k, ...), batch axes last, keyed by column set, by bottom-up Laplace
+    expansion: those of the last row, the last two, ..., all r.  Elementwise only (arrays or jets)."""
     minors = {(): 1.0}
-    for row in a[::-1]:
+    for row in rows[::-1]:
         minors = _add_row(minors, row)
-    return minors[tuple(range(len(a)))]
+    return minors
+
+
+def _det(a) -> np.ndarray:
+    """Determinants of square matrices a (m, m, ...), batch axes last; a NaN entry gives a NaN."""
+    return _minors(a)[tuple(range(len(a)))]
 
 
 def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndarray:

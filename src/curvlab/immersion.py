@@ -54,12 +54,12 @@ class Axis:
 class Immersion:
     """A parametrized submanifold of R^k; m is its number of domain axes, n = k - m.
 
-    `chart` maps a list of m generic scalars (floats, arrays, or jets) to k
-    of them.  `normal_seeds`, when given, maps the same inputs to n ambient
-    vectors of k components spanning the normal space smoothly across the
-    chart; the tube construction differentiates through it.  Derived
-    immersions (tube boundaries) give `jet_map_override` in place of `chart`:
-    exactly one of the two.  Other counts raise `ValueError` when evaluated.
+    `chart` maps a list of m generic scalars (floats, arrays, or jets) to k of them.
+    `normal_seeds`, for codimension 2 and 3, maps the same inputs to n ambient vectors of
+    k components spanning the normal space smoothly across the chart; the tube frame
+    differentiates through it.  At n = 1 that frame comes from the tangents, and a tube
+    refuses seeds.  Derived immersions (tube boundaries) give `jet_map_override` in place
+    of `chart`: exactly one of the two.  Other counts raise `ValueError` when evaluated.
     """
 
     name: str

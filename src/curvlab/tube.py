@@ -7,11 +7,11 @@ The boundary of the eps-neighborhood of a base immersion X is charted as
 where (nu_s) is a smooth orthonormal normal frame along the chart and y
 is a unit-sphere chart of the normal fiber (codimension 1: two sheets
 with y = +-1; codimension 2: one angle; codimension 3: polar/azimuth).
-The frame is differentiated exactly: one modified Gram-Schmidt pass over the
-tangents, then the seed vectors, runs in truncated-Taylor arithmetic, so the
-tube's fundamental forms carry no finite-difference error.  Where a seed keeps
-less than 1e-3 of its length off the tangents, the frame raises
-`DegenerateImmersionError` naming the base point, rather than turning abruptly.
+The frame is differentiated exactly, in truncated-Taylor arithmetic: in codimension 1
+the unit cross product of the unit tangents, else one modified Gram-Schmidt pass over
+the tangents, then the seed vectors.  Where a seed keeps less than 1e-3 of its length
+off the tangents, the frame raises `DegenerateImmersionError` naming the base point,
+rather than turning abruptly.
 
 X and the frame depend on u alone, so they are jets in the m base variables,
 widened once into the sheet's p = m + n - 1 variables (theta last, with zero
@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import (NormalDirection, _check_direction, _det, directional_curvature, sphere_volume,
+from .curvature import (NormalDirection, _check_direction, _det, _minors, directional_curvature, sphere_volume,
                         whiten_second_form)
 from .errors import CurvlabError, DegenerateImmersionError, ReachExceededError, UnsupportedDimensionError
 from .immersion import Axis, FrameData, Immersion, _forms, _forms_at, _stack, frame_data_at
@@ -56,7 +56,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TubeConfig:
-    """A base immersion with a tube radius below its declared reach bound."""
+    """A base immersion with a tube radius below its declared reach bound, and normal seeds only if n > 1."""
 
     base: Immersion
     eps: float
@@ -66,6 +66,8 @@ class TubeConfig:
             raise UnsupportedDimensionError(
                 f"tube construction supports codimension 1-3, got {self.base.n}"
             )
+        if self.base.n == 1 and self.base.normal_seeds is not None:
+            raise ValueError(f"{self.base.name}: normal_seeds are for codimension 2 and 3, not 1")
         if not self.eps > 0:
             raise ReachExceededError(f"tube radius {self.eps} must be positive")
         if self.base.reach is None:
@@ -100,9 +102,9 @@ class TubeBoundary:
 
     config: TubeConfig
     sheets: tuple[Immersion, ...]
-    # The frame's seed function, m base-variable jets -> n ambient vectors:
-    # base.normal_seeds, or for a base without them, constant pivots.
-    seeds: Callable
+    # The frame's seed function, m base-variable jets -> n ambient vectors: base.normal_seeds,
+    # or else constant pivots; None in codimension 1, where the frame comes from the tangents.
+    seeds: Optional[Callable]
 
 
 # -- generic-scalar frame construction ------------------------------------
@@ -132,6 +134,11 @@ def _orthonormal_frame(tangents, seeds, k):
     return basis[m:], np.min(kept[m:], axis=0)
 
 
+def _unit(v):  # v / |v| for an ambient vector of generic scalars
+    inv_norm = 1.0 / sqrt(dot(v, v))
+    return [c * inv_norm for c in v]
+
+
 def _sphere_values(n, thetas):
     """Unit-sphere chart values y(theta) in generic scalars; len(thetas) = n - 1 >= 1."""
     if n == 2:
@@ -151,24 +158,28 @@ def _sphere_coords(n, y):
 
 def _pivot_seeds(base: Immersion) -> Callable:
     """A seed function returning constant ambient basis directions, those most normal at
-    the chart center, whatever the base point."""
+    the chart center, whatever the base point; for a base of codimension 2 or 3 without seeds."""
     frame = frame_data_at(base, base.chart_center()).normal_frame
     order = np.argsort(-np.linalg.norm(frame, axis=1), kind="stable")[: base.n]
     pivots = [[1.0 if a == piv else 0.0 for a in range(base.k)] for piv in order]
     return lambda xs: pivots
 
 
-def _base_frame_pieces(base: Immersion, seeds: Callable, U, X):
+def _base_frame_pieces(base: Immersion, seeds: Optional[Callable], U, X):
     """Jets of X and of the smooth normal frame at `order`, all in the m base variables.
 
     `U` holds base parameters, shape (B, m), and `X` is `base.jet_map(U, order + 1)`,
-    evaluated by the caller, so its tangents are m-variable jets at `order`;
-    `seeds` runs on the base variables at `order` and must return n vectors of
-    k components.  Raises where a seed loses rank against the tangents, naming
-    the base parameter point.
+    evaluated by the caller, so its tangents are m-variable jets at `order`.  In codimension 1
+    the frame is their unit cross product: component a is (-1)^a times the minor without
+    coordinate a of the unit tangents.  Else `seeds` runs on the base variables at `order` and
+    must return n vectors of k components; a seed losing rank raises, naming the base point.
     """
     order = X[0].order - 1
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
+    X = [x.truncate(order) for x in X]
+    if base.n == 1:
+        minors = _minors([_unit(t) for t in tangents])
+        return X, [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
     vecs = seeds(Jet.variables(U, order))
     if len(vecs) != base.n or any(len(v) != base.k for v in vecs):
         raise ValueError(f"{base.name}: normal seeds returned vectors of lengths {[len(v) for v in vecs]}, "
@@ -180,7 +191,7 @@ def _base_frame_pieces(base: Immersion, seeds: Callable, U, X):
         raise DegenerateImmersionError(
             f"{base.name}: normal seeds lose rank at parameter point {U[i].tolist()}: "
             f"a seed keeps {kept[i]:.1e} of its length off the tangents")
-    return [x.truncate(order) for x in X], frame
+    return X, frame
 
 
 def _sheet_chart(cfg: TubeConfig, X, frame, U, sheet_sign: float):
@@ -192,7 +203,7 @@ def _sheet_chart(cfg: TubeConfig, X, frame, U, sheet_sign: float):
             for a in range(base.k)]
 
 
-def _sheet_jet_map(cfg: TubeConfig, seeds: Callable, sheet_sign: float, U, order):
+def _sheet_jet_map(cfg: TubeConfig, seeds: Optional[Callable], sheet_sign: float, U, order):
     V = U[:, : cfg.base.m]
     X, frame = _base_frame_pieces(cfg.base, seeds, V, cfg.base.jet_map(V, order + 1))
     return _sheet_chart(cfg, X, frame, U, sheet_sign)
@@ -215,10 +226,9 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     parameters.  Sheet jets go through the exact frame construction above.
     """
     base = cfg.base
-    seeds = base.normal_seeds if base.normal_seeds is not None else _pivot_seeds(base)
+    seeds = None if base.n == 1 else base.normal_seeds or _pivot_seeds(base)
     domain = _sheet_domain(base)
-    signs = (1.0, -1.0) if base.n == 1 else (1.0,)
-    suffixes = ("_tube_plus", "_tube_minus") if base.n == 1 else ("_tube",)
+    signs, suffixes = ((1.0, -1.0), ("_tube_plus", "_tube_minus")) if base.n == 1 else ((1.0,), ("_tube",))
     sheets = tuple(Immersion(name=base.name + suffix, k=base.k, domain=domain,
                              jet_map_override=partial(_sheet_jet_map, cfg, seeds, sign))
                    for sign, suffix in zip(signs, suffixes))

@@ -57,6 +57,12 @@ def unit_circle_file(tmp_path, **fields):
     return str(path)
 
 
+def circle_r3_file(tmp_path):
+    """The unit circle in the xy-plane of R^3 as a surface file: codimension 2, no normal seeds."""
+    xy = [[{"coeff": 1.0, "factors": [_factor(0, trig)]}] for trig in ("cos", "sin")]
+    return unit_circle_file(tmp_path, name="circle_file_r3", k=3, coordinates=xy + [[]])
+
+
 def _torus_file(tmp_path, name, terms_xy, terms_z):
     """A surface file for a torus, both axes periodic, with the given coordinate terms."""
     doc = {

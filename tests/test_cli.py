@@ -16,7 +16,7 @@ import pytest
 import curvlab as cl
 from curvlab.cli import RunReport, _threshold_exit, main
 
-from conftest import elliptic_torus_file, unit_circle_file
+from conftest import circle_r3_file, elliptic_torus_file, unit_circle_file
 
 
 def run_cli(capsys, *args):
@@ -330,11 +330,30 @@ def test_tube_eps_above_reach_exit_2(capsys):
 
 
 def test_tube_seed_rank_loss_exit_2_names_the_point(capsys, tmp_path):
+    # codimension 2: the constant pivot seed e_x turns tangent to the circle at u = pi/2
     code, out, err = run_cli(
-        capsys, "tube", "--surface-file", unit_circle_file(tmp_path), "--eps", "0.1", "--total"
+        capsys, "tube", "--surface-file", circle_r3_file(tmp_path), "--eps", "0.1", "--total"
     )
     assert code == 2 and out == ""
     assert "lose rank" in err and str([np.pi / 2]) in err
+    # codimension 1 takes its frame from the tangents, so the plane circle needs no seeds
+    code, out, _ = run_cli(
+        capsys, "tube", "--surface-file", unit_circle_file(tmp_path), "--eps", "0.1", "--total",
+        "--fail-threshold", "1e-12",
+    )
+    assert code == 0 and "total_integral" in out
+
+
+def test_tube_total_on_a_closed_codim1_surface_file(capsys, tmp_path):
+    # a torus of revolution (R = 2, r = 0.5) declares no normal seeds
+    code, out, _ = run_cli(
+        capsys, "tube", "--surface-file", elliptic_torus_file(tmp_path, p=0.5, q=0.5), "--eps", "0.1",
+        "--total", "--identity", "--spectrum", "--fail-threshold", "1e-12", "--format", "json",
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["total_converged"] is True
+    assert results["total_grid_shapes"] == [[13, 13], [13, 13]]
 
 
 @pytest.mark.parametrize(

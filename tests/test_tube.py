@@ -18,9 +18,9 @@ from curvlab.errors import (
 )
 
 from curvlab.integrate import reduce_over_grid
-from curvlab.jets import Jet, dot
+from curvlab.jets import Jet, dot, sqrt
 
-from conftest import ALL_NAMES, get, unit_circle_file
+from conftest import ALL_NAMES, circle_r3_file, get
 
 
 def _outward_direction(imm, u):
@@ -156,9 +156,14 @@ def _all_variable_sheet_jets(cfg, seeds, sign, U, order):
     X = [c if isinstance(c, Jet) else Jet.constant(c, p, order + 1, b)
          for c in base.chart(xs[: base.m])]
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
-    seeds = [[c.truncate(order) if isinstance(c, Jet) else float(c) for c in vec]
-             for vec in seeds(xs[: base.m])]
-    frame, _ = tube._orthonormal_frame(tangents, seeds, base.k)
+    if base.n == 1:  # m = 2, k = 3: the unit cross product of the unit tangents
+        t, s = ([c * (1.0 / sqrt(dot(v, v))) for c in v] for v in tangents)
+        cross = [t[1] * s[2] - t[2] * s[1], t[2] * s[0] - t[0] * s[2], t[0] * s[1] - t[1] * s[0]]
+        frame = [[c * (1.0 / sqrt(dot(cross, cross))) for c in cross]]
+    else:
+        seeds = [[c.truncate(order) if isinstance(c, Jet) else float(c) for c in vec]
+                 for vec in seeds(xs[: base.m])]
+        frame, _ = tube._orthonormal_frame(tangents, seeds, base.k)
     y = [sign] if base.n == 1 else tube._sphere_values(
         base.n, [x.truncate(order) for x in xs[base.m:]])
     return [X[a].truncate(order) + cfg.eps * dot(y, [frame[s][a] for s in range(base.n)])
@@ -227,12 +232,13 @@ def test_sheet_jets_evaluate_the_base_once_through_its_jet_map(name, monkeypatch
 
 
 def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
-    # the pivot seed e_x, picked at u = pi, is tangent to the circle at u = pi/2
-    cfg = cl.TubeConfig(cl.load_immersion(unit_circle_file(tmp_path)), 0.1)
-    with pytest.raises(DegenerateImmersionError, match="unit_circle") as err:
+    # codimension 2: the pivot seed e_x, picked at u = pi, is tangent to the circle at u = pi/2
+    cfg = cl.TubeConfig(cl.load_immersion(circle_r3_file(tmp_path)), 0.1)
+    message = f"circle_file_r3: normal seeds lose rank at parameter point {[math.pi / 2]}"
+    with pytest.raises(DegenerateImmersionError, match=re.escape(message)) as err:
         cl.tube_total_curvature(cfg)  # node 2 of the first, 8-node level is u = pi/2
     assert str([math.pi / 2]) in str(err.value)
-    nu = cl.NormalDirection(np.array([1.0]))
+    nu = cl.NormalDirection.unit(np.array([0.6, 0.8]))
     for u in (math.pi / 2, math.pi / 2 + 1e-9):
         with pytest.raises(DegenerateImmersionError) as err:
             cl.tube_identity_check(cfg, [u], nu)
@@ -240,6 +246,17 @@ def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
     # off the bad point the seed keeps enough length and the tube is right
     assert abs(cl.tube_total_curvature(cfg, resolution=127).integral) < 1e-6
     assert cl.tube_identity_check(cfg, [1.0], nu).relative < 1e-10
+
+
+def test_a_codim1_frame_takes_no_seeds(monkeypatch):
+    # the unit normal is the cross product of the tangents: no declared seeds, no pivots
+    monkeypatch.setattr(tube, "_pivot_seeds", None)
+    for base in map(get, ALL_NAMES):
+        if base.n == 1:
+            assert base.normal_seeds is None, base.name
+            boundary = cl.tube_boundary_immersion(cl.TubeConfig(base, 0.5 * base.reach))
+            assert boundary.seeds is None
+            cl.jets_at(boundary.sheets[1], base.chart_center()[None, :], 2)
 
 
 def _pick(seeds, count, length):
@@ -252,14 +269,22 @@ def _pick(seeds, count, length):
 
 @pytest.mark.parametrize("name, count, length", [
     ("sphere2_r4", 1, 4),  # n = 2: one vector too few
-    ("sphere2_r3", 2, 3),  # n = 1: one vector too many
+    ("sphere2_r3", 2, 3),  # n = 1: any seeds at all
+    ("circle_r3", 3, 3),  # n = 2: one vector too many
     ("sphere2_r4", 2, 3),  # k = 4: vectors too short
     ("circle_r3", 2, 4),  # k = 3: vectors too long
 ])
 def test_normal_seeds_of_the_wrong_count_or_length_are_refused(name, count, length):
     # too few raised an IndexError; too many, a rank loss with RuntimeWarnings
     base = get(name)
-    cfg = cl.TubeConfig(dataclasses.replace(base, normal_seeds=_pick(base.normal_seeds, count, length)), 0.1)
+    seeded = dataclasses.replace(base, normal_seeds=_pick(base.normal_seeds or (lambda xs: [base.chart(xs)]),
+                                                          count, length))
+    if base.n == 1:  # the frame comes from the tangents, so the field is refused, not ignored
+        message = f"{name}: normal_seeds are for codimension 2 and 3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cl.TubeConfig(seeded, 0.1)
+        return
+    cfg = cl.TubeConfig(seeded, 0.1)
     message = f"{name}: normal seeds returned vectors of lengths {[length] * count}, expected n = {base.n}"
     with pytest.raises(ValueError, match=re.escape(message)):
         cl.tube_total_curvature(cfg, resolution=4)
@@ -352,7 +377,6 @@ def test_normal_jacobian_singular_raises():
         chart=base.chart,
         euler_char=2,
         reach=10.0,
-        normal_seeds=base.normal_seeds,
     )
     u = np.array([1.0, 1.0])
     nu_in = cl.NormalDirection(-_outward_direction(base, u).coeffs)
@@ -562,6 +586,20 @@ def test_fixed_resolution_totals_on_four_dimensional_bases(name, eps, resolution
     assert_allclose(res.integral, expected, rtol=1e-12, atol=0)
 
 
+def test_fixed_resolution_total_in_codimension_3():
+    # the unit sphere in the first three axes of R^5; chi = 2 and vol(S^4) = 8 pi^2 / 3
+    sphere = get("sphere2_r3")
+    base = cl.Immersion(
+        name="sphere2_r5", k=5, domain=sphere.domain,
+        chart=lambda xs: [*sphere.chart(xs), 0.0, 0.0], euler_char=2, reach=0.5,
+        normal_seeds=lambda xs: [[*sphere.chart(xs), 0.0, 0.0], [0.0] * 3 + [1.0, 0.0], [0.0] * 4 + [1.0]],
+    )
+    res = cl.tube_total_curvature(cl.TubeConfig(base, 0.25), resolution=13)  # 8 nodes: 5.7e-8
+    assert res.grid_shapes == ((13, 13, 13, 13),)
+    assert_allclose(res.expected, 2 * cl.sphere_volume(4), rtol=1e-15)
+    assert_allclose(res.integral, res.expected, rtol=1e-12, atol=0)
+
+
 def test_total_curvature_requires_euler_char():
     with pytest.raises(CurvlabError):
         cl.tube_total_curvature(cl.TubeConfig(get("graph_poly"), 0.05))
@@ -585,6 +623,28 @@ def test_identity_and_spectrum_all_bases(name, rng):
         assert res.relative < 1e-12
         spec = cl.tube_spectrum_check(cfg, u, nu, boundary=boundary)
         assert spec.residual < 1e-12
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_identity_and_spectrum_near_a_polar_axis_of_sphere4_r5(sign):
+    # the tangents in the cross product are normalized first: without that, 7.7e-12 to 2.3e-11
+    cfg = cl.TubeConfig(get("sphere4_r5"), 0.25)
+    u, nu = np.array([0.2, 0.2, 0.2, 1.0]), cl.NormalDirection(np.array([sign]))
+    assert cl.tube_identity_check(cfg, u, nu).relative < 1e-12
+    assert cl.tube_spectrum_check(cfg, u, nu).residual < 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_identity_and_spectrum_codim1_graphs(m, rng):
+    for _ in range(3):
+        base = cl.random_graph_poly(rng, m=m, n=1)
+        cfg = cl.TubeConfig(base, min(0.1, 0.5 * base.reach))
+        boundary = cl.tube_boundary_immersion(cfg)
+        for u in cl.sample_domain(base, 3, rng):
+            for sign in (1.0, -1.0):
+                nu = cl.NormalDirection(np.array([sign]))
+                assert cl.tube_identity_check(cfg, u, nu, boundary=boundary).relative < 1e-12
+                assert cl.tube_spectrum_check(cfg, u, nu, boundary=boundary).residual < 1e-12
 
 
 def test_identity_and_spectrum_codim3_graph(rng):

@@ -32,13 +32,7 @@ from .curvature import (
 from .errors import CurvlabError, DomainError
 from .immersion import frame_data_at, sample_domain
 from .integrate import default_grid, gauss_bonnet_check, normal_sphere_rule
-from .tube import (
-    TubeConfig,
-    tube_boundary_immersion,
-    tube_identity_check,
-    tube_spectrum_check,
-    tube_total_curvature,
-)
+from .tube import TubeConfig, _identities, _spectra, _tube_points, tube_total_curvature
 
 __all__ = ["main", "RunReport"]
 
@@ -121,13 +115,8 @@ def _parse_point(text: str, m: int) -> np.ndarray:
 
 
 def _random_directions(rng: np.random.Generator, count: int, n: int) -> list[NormalDirection]:
-    out = []
-    for _ in range(count):
-        if n == 1:
-            out.append(NormalDirection(np.array([rng.choice([-1.0, 1.0])])))
-        else:
-            out.append(NormalDirection.unit(rng.standard_normal(n)))
-    return out
+    return [NormalDirection(np.array([rng.choice([-1.0, 1.0])])) if n == 1
+            else NormalDirection.unit(rng.standard_normal(n)) for _ in range(count)]
 
 
 def _threshold_exit(args, metrics: dict, converged: Optional[bool] = None) -> int:
@@ -201,23 +190,14 @@ def cmd_tube(args, imm):
     rng = np.random.default_rng(args.seed)
     results: dict = {"eps": args.eps}
     converged = None
-    if do_identity or args.spectrum:
-        boundary = tube_boundary_immersion(cfg)
-        points = sample_domain(imm, args.samples, rng)
-        directions = _random_directions(rng, args.samples, imm.n)
+    if do_identity or args.spectrum:  # every sample in one batch, evaluated once for both checks
+        tp = _tube_points(cfg, sample_domain(imm, args.samples, rng),
+                          _random_directions(rng, args.samples, imm.n), None)
         if do_identity:
-            worst = max(
-                tube_identity_check(cfg, u, nu, boundary=boundary).relative
-                for u, nu in zip(points, directions)
-            )
-            results["max_identity_residual"] = worst
+            results["max_identity_residual"] = float(np.max(_identities(cfg, tp).relative))
             results["identity_samples"] = args.samples
         if args.spectrum:
-            worst = max(
-                tube_spectrum_check(cfg, u, nu, boundary=boundary).residual
-                for u, nu in zip(points, directions)
-            )
-            results["max_spectrum_residual"] = worst
+            results["max_spectrum_residual"] = float(np.max(_spectra(cfg, tp).residual))
             results["spectrum_samples"] = args.samples
     if args.total:
         total = tube_total_curvature(cfg, resolution=args.resolution)

@@ -228,15 +228,16 @@ def _normal_frames(d1: np.ndarray):
     return frame, lost
 
 
-def _forms(name: str, U: np.ndarray, point, d1, d2):
+def _forms(name, U: np.ndarray, point, d1, d2):
     """Points (k,B), metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis
-    last, from the stacked 2-jets of immersion `name` at U; names the first point of
-    rank loss."""
+    last, from the stacked 2-jets of immersion `name` (or one name per point) at U;
+    names the first point of rank loss."""
     frame, lost = _normal_frames(d1)
     if lost.any():
+        i = np.argmax(lost)
         raise DegenerateImmersionError(
-            f"{name}: first-derivative matrix is rank deficient at parameter point "
-            f"{U[np.argmax(lost)].tolist()}")
+            f"{name if isinstance(name, str) else name[i]}: first-derivative matrix is rank deficient "
+            f"at parameter point {U[i].tolist()}")
     second = np.einsum("asb,aijb->sijb", frame, d2)
     return point, induced_metric(d1), second, frame
 

@@ -26,14 +26,13 @@ n-1, and the total curvature (-1)^(k-1) * vol(S^(k-1)) * chi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import (NormalDirection, _check_direction, _det, _minors, directional_curvature, sphere_volume,
-                        whiten_second_form)
+from .curvature import NormalDirection, _check_direction, _det, _minors, sphere_volume, whiten_second_form
 from .errors import CurvlabError, DegenerateImmersionError, ReachExceededError, UnsupportedDimensionError
 from .immersion import Axis, FrameData, Immersion, _forms, _forms_at, _stack, frame_data_at
 from .integrate import default_grid, reduce_until_converged
@@ -81,7 +80,8 @@ class TubeConfig:
 
 @dataclass
 class TubePoint:
-    """One boundary point p + eps*nu with its derived scalars."""
+    """One boundary point p + eps*nu with its derived scalars.  Batched, every array (those of
+    both `FrameData` too) leads with a batch axis, and nu_hat is a tuple of one direction per point."""
 
     u: np.ndarray
     nu_hat: NormalDirection
@@ -148,12 +148,11 @@ def _sphere_values(n, thetas):
 
 
 def _sphere_coords(n, y):
-    """Inverse of `_sphere_values` for a concrete unit vector y."""
+    """Inverse of `_sphere_values` for unit vectors y (B, n): their angles, (B, n - 1)."""
+    th = np.arctan2(y[:, -1], y[:, -2]) % (2.0 * np.pi)
     if n == 2:
-        return np.array([math.atan2(y[1], y[0]) % (2.0 * math.pi)])
-    ps = math.acos(min(1.0, max(-1.0, y[0])))
-    th = math.atan2(y[2], y[1]) % (2.0 * math.pi)
-    return np.array([ps, th])
+        return th[:, None]
+    return np.stack([np.arccos(np.clip(y[:, 0], -1.0, 1.0)), th], axis=1)
 
 
 def _pivot_seeds(base: Immersion) -> Callable:
@@ -194,9 +193,9 @@ def _base_frame_pieces(base: Immersion, seeds: Optional[Callable], U, X):
     return X, frame
 
 
-def _sheet_chart(cfg: TubeConfig, X, frame, U, sheet_sign: float):
+def _sheet_chart(cfg: TubeConfig, X, frame, U, sheet_sign):
     """The sheet chart X + eps * sum_s y_s nu_s as jets in the p variables of sheet points U (B, p),
-    from `_base_frame_pieces` at their base parameters; y is `sheet_sign` in codimension 1."""
+    from `_base_frame_pieces` at their base parameters; y is `sheet_sign` (one, or one per point) at n = 1."""
     base, p = cfg.base, U.shape[1]
     y = [sheet_sign] if base.n == 1 else _sphere_values(base.n, Jet.variables(U, X[0].order)[base.m:])
     return [X[a].widen(p) + cfg.eps * dot(y, [frame[s][a].widen(p) for s in range(base.n)])
@@ -245,81 +244,95 @@ def _oriented(cfg: TubeConfig, point, metric, second, frame, x: np.ndarray):
     return point, g, metric, second, frame
 
 
-# -- pointwise operations --------------------------------------------------
+# -- pointwise operations, over a batch --------------------------------------
 
 
-def _shape_and_jacobian(cfg: TubeConfig, fd: FrameData, nu_hat: NormalDirection):
-    """Pi^nu in an orthonormal tangent basis, and NJ = 1/det(1 - eps * Pi^nu)."""
-    _check_direction(nu_hat, fd.n)
-    pi_orth = whiten_second_form(fd.metric, fd.second_form)
-    pi_nu = np.einsum("s,sij->ij", nu_hat.coeffs, pi_orth)
-    det = float(_det(np.eye(cfg.base.m) - cfg.eps * pi_nu))
-    if abs(det) < 1e-12:
+def _combine(c, a):
+    """sum_s c[s] * a[s] for c (r, B) and a (r, ..., B), batch axis last: elementwise, in the order of s."""
+    return sum(c[s] * a[s] for s in range(len(c)))
+
+
+def _shape_and_jacobian(cfg: TubeConfig, metric, second, C, U):
+    """Pi^nu in an orthonormal tangent basis, (m, m, B), and NJ = 1/det(1 - eps * Pi^nu), (B,), from the
+    base forms metric (B, m, m) and second (B, n, m, m) and the direction coefficients C (n, B) at the
+    base points U (B, m); names the first point where 1 - eps * Pi^nu is singular."""
+    pi_nu = _combine(C, np.moveaxis(whiten_second_form(metric, second), 0, -1))
+    det = _det(np.eye(cfg.base.m)[..., None] - cfg.eps * pi_nu)
+    singular = np.abs(det) < 1e-12
+    if singular.any():
         raise ReachExceededError(
-            f"1 - eps*shape operator is singular at eps = {cfg.eps}; radius exceeds the reach"
-        )
+            f"{cfg.base.name}: 1 - eps*shape operator is singular at parameter point "
+            f"{U[np.argmax(singular)].tolist()} (eps = {cfg.eps}); radius exceeds the reach")
     return pi_nu, 1.0 / det
 
 
 def normal_jacobian(cfg: TubeConfig, u, nu_hat: NormalDirection) -> float:
     """NJ = 1/det(1 - eps * Pi^nu) with Pi^nu in an orthonormal tangent basis."""
-    return _shape_and_jacobian(cfg, frame_data_at(cfg.base, u), nu_hat)[1]
+    _check_direction(nu_hat, cfg.base.n)
+    fd = frame_data_at(cfg.base, u)
+    return _shape_and_jacobian(cfg, fd.metric[None], fd.second_form[None], nu_hat.coeffs[:, None],
+                               cfg.base.wrap(u)[None])[1].item()
 
 
-def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
-               boundary: Optional[TubeBoundary] = None) -> TubePoint:
-    """Evaluate the tube boundary at (u, nu_hat) and derive its scalars.
+def _first(batch):
+    """A batch of one read at its point: every field drops its batch axis, and (1,) arrays become scalars."""
+    def at(v):
+        return _first(v) if isinstance(v, FrameData) else v[0].item() if getattr(v, "ndim", 0) == 1 else v[0]
+    return replace(batch, **{f.name: at(getattr(batch, f.name)) for f in fields(batch)})
 
-    One evaluation of the base chart, its 3-jet at u, serves three ends: its
-    2-jet gives the base forms, in whose normal frame nu_hat is read; it
-    builds the smooth normal frame that locates the fiber point; and the
-    two give the sheet chart's 2-jet at that point, the sheet's own jets
-    as its `jet_map` would return them.  The classical curvature comes from
-    those jets, oriented by the outward normal g = (point - base point)/eps.
-    The base and sheet forms built here are kept on the result for the
-    checks below.  A `boundary` built for another config is refused.
-    """
+
+def _tube_points(cfg: TubeConfig, U, directions, boundary: Optional[TubeBoundary]) -> TubePoint:
+    """`tube_point` at base parameters U (B, m), one `NormalDirection` per point, as one batched
+    `TubePoint`.  Every contraction over the batch is an elementwise sum in a fixed order, so a
+    point's values do not depend on its batch.  An error names the first failing point."""
     base = cfg.base
-    u = base.wrap(u)
     if boundary is None:
         boundary = tube_boundary_immersion(cfg)
     elif boundary.config != cfg:
         raise ValueError(
             f"boundary was built for another config: {boundary.config.base.name} at "
             f"eps = {boundary.config.eps}, not {base.name} at eps = {cfg.eps}")
-    X = base.jet_map(u[None, :], 3)
-    _, metric, second, frame = _forms(base.name, u[None, :], *_stack(X, 2))  # rank check first
-    fd = FrameData(metric=metric[..., 0], second_form=second[..., 0], normal_frame=frame[..., 0])
-    pi_nu, nj = _shape_and_jacobian(cfg, fd, nu_hat)
-    X, nus = _base_frame_pieces(base, boundary.seeds, u[None, :], X)
-    y = np.array([[c.val[0] for c in vec] for vec in nus]) @ (fd.normal_frame @ nu_hat.coeffs)
+    for nu in directions:
+        _check_direction(nu, base.n)
+    U = np.array([base.wrap(u) for u in U])
+    C = np.array([nu.coeffs for nu in directions]).T
+    X = base.jet_map(U, 3)
+    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2))[1:]))
+    pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
+    X, nus = _base_frame_pieces(base, boundary.seeds, U, X)
+    amb = _combine(C, base_frame.normal_frame.T)  # nu_hat in the ambient space, (k, B)
+    y = _combine(amb, np.array([[c.val for c in v] for v in nus]).swapaxes(0, 1))  # in the fiber frame
     if base.n == 1:
-        sheet_index, param = (0 if y[0] > 0 else 1), u.copy()
+        index, P = np.where(y[0] > 0, 0, 1), U.copy()
     else:
-        sheet_index, param = 0, np.concatenate([u, _sphere_coords(base.n, y)])
-    U = param[None, :]
-    jets = _sheet_chart(cfg, X, nus, U, (1.0, -1.0)[sheet_index])
+        index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(base.n, y.T)], axis=1)
+    names = np.array([sheet.name for sheet in boundary.sheets])[index]
     point, g, metric, second, frame = _oriented(
-        cfg, *_forms(boundary.sheets[sheet_index].name, U, *_stack(jets, 2)), np.stack([x.val for x in X]))
-    sheet_fd = FrameData(metric=metric[..., 0], second_form=second[..., 0], normal_frame=frame[..., 0])
-    return TubePoint(
-        u=u,
-        nu_hat=nu_hat,
-        point=point[:, 0],
-        gauss_normal=g[:, 0],
-        classical_k=directional_curvature(sheet_fd, NormalDirection(np.ones(1))),
-        normal_jacobian=nj,
-        sheet_index=sheet_index,
-        sheet_param=param,
-        base_frame=fd,
-        sheet_frame=sheet_fd,
-        shape_operator=pi_nu,
-    )
+        cfg, *_forms(names, P, *_stack(_sheet_chart(cfg, X, nus, P, 1.0 - 2.0 * index), 2)),
+        np.stack([x.val for x in X]))
+    return TubePoint(u=U, nu_hat=tuple(directions), point=point.T, gauss_normal=g.T,
+                     classical_k=_det(second[0]) / _det(metric), normal_jacobian=nj, sheet_index=index,
+                     sheet_param=P, base_frame=base_frame, shape_operator=np.moveaxis(pi_nu, -1, 0),
+                     sheet_frame=FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame))))
+
+
+def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
+               boundary: Optional[TubeBoundary] = None) -> TubePoint:
+    """Evaluate the tube boundary at (u, nu_hat) and derive its scalars: `_tube_points` on a batch of one.
+
+    One evaluation of the base chart, its 3-jet at u, serves three ends: its 2-jet gives
+    the base forms, in whose normal frame nu_hat is read; it builds the smooth normal frame
+    that locates the fiber point; and the two give the sheet chart's 2-jet there, as the
+    sheet's `jet_map` would.  The classical curvature comes from those jets, oriented by the
+    outward normal g = (point - base point)/eps.  The base and sheet forms are kept on the
+    result for the checks below.  A `boundary` built for another config is refused.
+    """
+    return _first(_tube_points(cfg, [u], [nu_hat], boundary))
 
 
 @dataclass
 class TubeIdentityResult:
-    """Both sides of K^g/NJ = (-1)^(n-1) eps^-(n-1) K^nu at one tube point."""
+    """Both sides of K^g/NJ = (-1)^(n-1) eps^-(n-1) K^nu at one tube point; over a batch, (B,) arrays."""
 
     lhs: float
     rhs: float
@@ -327,44 +340,49 @@ class TubeIdentityResult:
     relative: float
 
 
+def _identities(cfg: TubeConfig, tp: TubePoint) -> TubeIdentityResult:
+    """`tube_identity_check` at every point of a batched `TubePoint`."""
+    n, fd = cfg.base.n, tp.base_frame
+    C = np.array([nu.coeffs for nu in tp.nu_hat]).T
+    k_nu = _det(_combine(C, np.moveaxis(fd.second_form, 0, -1))) / _det(np.moveaxis(fd.metric, 0, -1))
+    lhs = tp.classical_k / tp.normal_jacobian
+    rhs = (-1.0) ** (n - 1) * cfg.eps ** (-(n - 1)) * k_nu
+    residual = np.abs(lhs - rhs)
+    relative = residual / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return TubeIdentityResult(lhs, rhs, residual, relative)
+
+
 def tube_identity_check(cfg: TubeConfig, u, nu_hat: NormalDirection,
                         boundary: Optional[TubeBoundary] = None) -> TubeIdentityResult:
     """Compare the tube-jet curvature route against the rescaled base curvature."""
-    tp = tube_point(cfg, u, nu_hat, boundary=boundary)
-    k_nu = directional_curvature(tp.base_frame, nu_hat)
-    n = cfg.base.n
-    lhs = tp.classical_k / tp.normal_jacobian
-    rhs = (-1.0) ** (n - 1) * cfg.eps ** (-(n - 1)) * k_nu
-    residual = abs(lhs - rhs)
-    return TubeIdentityResult(
-        lhs=lhs,
-        rhs=rhs,
-        residual=residual,
-        relative=residual / max(1.0, abs(lhs), abs(rhs)),
-    )
+    return _first(_identities(cfg, _tube_points(cfg, [u], [nu_hat], boundary)))
 
 
 @dataclass
 class TubeSpectrumResult:
-    """Shape-operator spectrum of the tube against its predicted multiset."""
+    """Shape-operator spectrum of the tube against its predicted multiset; over a batch, computed and
+    predicted are (B, m + n - 1) and residual is (B,)."""
 
     computed: np.ndarray
     predicted: np.ndarray
     residual: float
 
 
+def _spectra(cfg: TubeConfig, tp: TubePoint) -> TubeSpectrumResult:
+    """`tube_spectrum_check` at every point of a batched `TubePoint`."""
+    computed = np.sort(np.linalg.eigvalsh(
+        whiten_second_form(tp.sheet_frame.metric, tp.sheet_frame.second_form)[:, 0]))
+    lam = np.linalg.eigvalsh(tp.shape_operator)
+    fiber = np.full((len(lam), cfg.base.n - 1), -1.0 / cfg.eps)
+    predicted = np.sort(np.concatenate([lam / (1.0 - cfg.eps * lam), fiber], axis=1))
+    return TubeSpectrumResult(computed=computed, predicted=predicted,
+                              residual=np.max(np.abs(computed - predicted), axis=1))
+
+
 def tube_spectrum_check(cfg: TubeConfig, u, nu_hat: NormalDirection,
                         boundary: Optional[TubeBoundary] = None) -> TubeSpectrumResult:
     """Predicted spectrum: {lambda_i/(1 - eps lambda_i)} plus -1/eps (n-1 times)."""
-    tp = tube_point(cfg, u, nu_hat, boundary=boundary)
-    pi_orth_t = whiten_second_form(tp.sheet_frame.metric, tp.sheet_frame.second_form)
-    computed = np.sort(np.linalg.eigvalsh(pi_orth_t[0]))
-    lam = np.linalg.eigvalsh(tp.shape_operator)
-    predicted = np.sort(
-        np.concatenate([lam / (1.0 - cfg.eps * lam), np.full(cfg.base.n - 1, -1.0 / cfg.eps)])
-    )
-    residual = float(np.max(np.abs(computed - predicted)))
-    return TubeSpectrumResult(computed=computed, predicted=predicted, residual=residual)
+    return _first(_spectra(cfg, _tube_points(cfg, [u], [nu_hat], boundary)))
 
 
 @dataclass

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import curvlab as cl
-from curvlab.cli import RunReport, _threshold_exit, main
+from curvlab.cli import RunReport, _random_directions, _threshold_exit, main
+from curvlab.errors import ReachExceededError
 
 from conftest import circle_r3_file, elliptic_torus_file, unit_circle_file
 
@@ -323,6 +324,24 @@ def test_tube_spectrum_sphere2_r4(capsys):
     assert not any("identity" in key for key in results)
 
 
+def test_tube_checks_evaluate_each_sample_once(capsys, monkeypatch):
+    # one batch of 20 points serves both checks: one base 3-jet, and no frame of its own
+    calls = []
+    jet_map = cl.Immersion.jet_map
+
+    def recording_jet_map(imm, U, order):
+        calls.append((imm.name, order, len(U)))
+        return jet_map(imm, U, order)
+
+    monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
+    code, _, _ = run_cli(
+        capsys, "tube", "--surface", "sphere2_r4", "--eps", "0.05", "--identity", "--spectrum",
+        "--samples", "20",
+    )
+    assert code == 0
+    assert calls == [("sphere2_r4", 3, 20)]
+
+
 def test_tube_eps_above_reach_exit_2(capsys):
     code, _, err = run_cli(capsys, "tube", "--surface", "sphere2_r3", "--eps", "0.7")
     assert code == 2
@@ -342,6 +361,28 @@ def test_tube_seed_rank_loss_exit_2_names_the_point(capsys, tmp_path):
         "--fail-threshold", "1e-12",
     )
     assert code == 0 and "total_integral" in out
+
+
+def test_tube_singular_normal_jacobian_exit_2_names_the_point(capsys, tmp_path):
+    # a declared reach of 2.0 lets eps = 1.0 through, but the unit circle's inner sheet
+    # collapses to its center: the first sample with an inward direction is named
+    path = unit_circle_file(tmp_path, reach=2.0)
+    code, out, err = run_cli(capsys, "tube", "--surface-file", path, "--eps", "1.0", "--identity")
+    assert code == 2 and out == ""
+    cfg = cl.TubeConfig(cl.load_immersion(path), 1.0)
+    rng = np.random.default_rng(0)
+    points = cl.sample_domain(cfg.base, 20, rng)
+
+    def singular(u, nu):
+        try:
+            cl.normal_jacobian(cfg, u, nu)
+        except ReachExceededError:
+            return True
+        return False
+
+    first = next(u for u, nu in zip(points, _random_directions(rng, 20, 1)) if singular(u, nu))
+    assert (f"unit_circle: 1 - eps*shape operator is singular at parameter point "
+            f"{cfg.base.wrap(first).tolist()}") in err
 
 
 def test_tube_total_on_a_closed_codim1_surface_file(capsys, tmp_path):

@@ -147,6 +147,9 @@ def test_base_rank_loss_at_a_tube_point_is_named(name, u):
     for check in (cl.tube_point, cl.tube_identity_check):
         with pytest.raises(DegenerateImmersionError, match=re.escape(message)):
             check(cfg, u, nu)
+    # inside a batch, between two good points
+    with pytest.raises(DegenerateImmersionError, match=re.escape(message)):
+        tube._tube_points(cfg, [(1.0, 0.5), u, (2.0, 1.5)], [nu] * 3, None)
 
 
 def _all_variable_sheet_jets(cfg, seeds, sign, U, order):
@@ -306,8 +309,14 @@ def test_codim3_tube_point_on_the_fiber_pole_is_refused(u):
     u = np.array(u)
     pole = (boundary.sheets[0].points([[*u, 0.0, 0.0]]) - base.points(u[None]))[0] / cfg.eps
     coeffs = cl.frame_data_at(base, u).normal_frame.T @ pole
+    on_pole = cl.NormalDirection.unit(coeffs)
     with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
-        cl.tube_point(cfg, u, cl.NormalDirection.unit(coeffs), boundary=boundary)
+        cl.tube_point(cfg, u, on_pole, boundary=boundary)
+    assert f"parameter point [{u[0]}, {u[1]}, 0.0, " in str(err.value)
+    # after a good point in one batch, the pole point is the one named
+    good = cl.NormalDirection.unit([0.3, 0.5, 0.8])
+    with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
+        tube._tube_points(cfg, [(0.2, 0.1), u], [good, on_pole], boundary)
     assert f"parameter point [{u[0]}, {u[1]}, 0.0, " in str(err.value)
     near = cl.NormalDirection.unit(coeffs + [0.0, 1e-7, 0.0])
     assert cl.tube_identity_check(cfg, u, near, boundary=boundary).relative < 1e-9
@@ -380,8 +389,10 @@ def test_normal_jacobian_singular_raises():
     )
     u = np.array([1.0, 1.0])
     nu_in = cl.NormalDirection(-_outward_direction(base, u).coeffs)
-    with pytest.raises(ReachExceededError):
-        cl.normal_jacobian(cl.TubeConfig(inflated, 1.0), u, nu_in)
+    message = "sphere_overreach: 1 - eps*shape operator is singular at parameter point [1.0, 1.0]"
+    for check in (cl.normal_jacobian, cl.tube_point):
+        with pytest.raises(ReachExceededError, match=re.escape(message)):
+            check(cl.TubeConfig(inflated, 1.0), u, nu_in)
 
 
 def test_a_direction_of_the_wrong_length_is_named():
@@ -400,6 +411,39 @@ def test_a_boundary_built_for_another_config_is_refused():
         with pytest.raises(ValueError, match=r"boundary was built for another config: "
                                              r"sphere2_r4 at eps = 0\.2, not sphere2_r4 at eps = 0\.05"):
             check(cfg, u, nu, boundary=other)
+
+
+@pytest.mark.parametrize("name", [*ALL_NAMES, "graph_n1", "graph_n3"])
+def test_a_batch_equals_its_points_one_at_a_time(name):
+    # every contraction over the batch is elementwise, so no value depends on the batch;
+    # in codimension 1 the directions alternate in sign, so both sheets share the batch
+    if name.startswith("graph_n"):
+        base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=int(name[-1]), degree=2, scale=0.2)
+    else:
+        base = get(name)
+    cfg = cl.TubeConfig(base, min(0.1, 0.5 * base.reach))
+    boundary = cl.tube_boundary_immersion(cfg)
+    rng = np.random.default_rng(0)
+    U = cl.sample_domain(base, 50, rng)
+    directions = [cl.NormalDirection(np.array([(-1.0) ** i])) if base.n == 1
+                  else cl.NormalDirection.unit(rng.normal(size=base.n)) for i in range(len(U))]
+    tp = tube._tube_points(cfg, U, directions, boundary)
+    if base.n == 1:
+        assert set(tp.sheet_index) == {0, 1}
+    batches = (tp, tube._identities(cfg, tp), tube._spectra(cfg, tp))
+    for i, (u, nu) in enumerate(zip(U, directions)):
+        for batch, check in zip(batches, (cl.tube_point, cl.tube_identity_check, cl.tube_spectrum_check)):
+            _assert_point_of_batch(batch, i, check(cfg, u, nu, boundary=boundary))
+
+
+def _assert_point_of_batch(batch, i, single):
+    for field in dataclasses.fields(single):
+        got, want = getattr(batch, field.name), getattr(single, field.name)
+        if isinstance(want, cl.FrameData):
+            _assert_point_of_batch(got, i, want)
+        else:
+            got, want = (x.coeffs if isinstance(x, cl.NormalDirection) else x for x in (got[i], want))
+            assert np.array_equal(got, want), (field.name, i)
 
 
 # -- rescaling identity -----------------------------------------------------

@@ -15,23 +15,17 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .catalog import catalog_entries, catalog_get, load_immersion
-from .curvature import (
-    CurvatureReport,
-    NormalDirection,
-    egregium_report,
-    generalized_curvature_moments,
-    generalized_curvature_quadrature,
-)
+from .curvature import NormalDirection, _check_pfaffian_dimension, _curvature_reports, _first
 from .errors import CurvlabError, DomainError
-from .immersion import frame_data_at, sample_domain
-from .integrate import default_grid, gauss_bonnet_check, normal_sphere_rule
+from .immersion import frames_at, sample_domain
+from .integrate import default_grid, gauss_bonnet_check
 from .tube import TubeConfig, _identities, _spectra, _tube_points, tube_total_curvature
 
 __all__ = ["main", "RunReport"]
@@ -159,15 +153,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_curvature(args, imm):
     u = _parse_point(args.point, imm.m)
-    if imm.m % 2 == 0:
-        results = asdict(egregium_report(imm, u))
-    else:
-        # no Pfaffian at odd m: the report's keys, with its Pfaffian fields null
-        fd = frame_data_at(imm, u)
-        k_m = generalized_curvature_moments(fd)
-        k_q = generalized_curvature_quadrature(fd, normal_sphere_rule(fd.n))
-        results = dict.fromkeys(f.name for f in fields(CurvatureReport))
-        results.update(k_moments=k_m, k_quadrature=k_q, route_residual=abs(k_m - k_q))
+    metric, second, _ = frames_at(imm, imm.wrap(u)[None])
+    results = asdict(_first(_curvature_reports(imm, metric, second)))  # at odd m, Pfaffian fields null
     return {"point": [float(x) for x in u]}, results, [], None
 
 
@@ -215,19 +202,12 @@ def cmd_tube(args, imm):
 
 
 def cmd_egregium(args, imm):
-    rng = np.random.default_rng(args.seed)
-    points = sample_domain(imm, args.samples, rng)
-    worst_egregium = 0.0
-    worst_route = 0.0
-    for u in points:
-        rep = egregium_report(imm, u)
-        worst_egregium = max(worst_egregium, rep.egregium_residual)
-        worst_route = max(worst_route, rep.route_residual)
-    results = {
-        "samples": args.samples,
-        "max_egregium_residual": worst_egregium,
-        "max_route_residual": worst_route,
-    }
+    _check_pfaffian_dimension(imm.m, imm.name)
+    points = sample_domain(imm, args.samples, np.random.default_rng(args.seed))
+    metric, second, _ = frames_at(imm, np.array([imm.wrap(u) for u in points]))  # as `egregium_report` reads u
+    rep = _curvature_reports(imm, metric, second)
+    results = {"samples": args.samples, "max_egregium_residual": float(np.max(rep.egregium_residual)),
+               "max_route_residual": float(np.max(rep.route_residual))}
     options = {"seed": args.seed, "samples": args.samples}
     return options, results, ["max_egregium_residual"], None
 
@@ -241,13 +221,7 @@ def _surface_report(command, args) -> int:
     start = time.perf_counter()
     imm, label = _resolve_surface(args)
     options, results, gated, converged = command(args, imm)
-    report = RunReport(
-        command=args.command,
-        surface=label,
-        options=options,
-        results=results,
-        wall_time_s=time.perf_counter() - start,
-    )
+    report = RunReport(args.command, label, options, results, wall_time_s=time.perf_counter() - start)
     _emit(report, args.format)
     return _threshold_exit(args, {k: results[k] for k in gated}, converged)
 

@@ -14,17 +14,19 @@ form, dividing by det(I) once:
 
 A third, intrinsic route goes through the Gauss equation (or finite
 differences of the metric alone) to the Riemann tensor and its Pfaffian
-density; `egregium_report` compares all routes at a point.  Riemann
-tensors are expressed in the orthonormal tangent basis obtained by
-Cholesky whitening of the metric, so they compare across routes and charts.
+density; `_curvature_reports` compares all routes over a batch.  Each
+single-point function is its batched kernel on a batch of one, and no point's
+values depend on its batch.  Riemann tensors are expressed in the orthonormal
+tangent basis obtained by Cholesky whitening, so they compare across routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -78,10 +80,6 @@ class CurvatureTensor:
 
     R: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return self.R.shape[0]
-
     def symmetry_residual(self) -> float:
         """Worst violation of antisymmetry, pair symmetry, and first Bianchi."""
         R = self.R
@@ -96,18 +94,32 @@ class CurvatureTensor:
 
 @dataclass
 class CurvatureReport:
-    """K_M by every route at one point, with pairwise residuals.
+    """K_M by every route at one point, with pairwise residuals; over a batch, (B,) arrays.
 
-    Field order is the row order of the `curvature` command's report: the two
-    K_M routes and their residual, then the Pfaffian side of the egregium check.
+    Field order is the row order of the `curvature` command's report: the two K_M
+    routes and their residual, then the Pfaffian side of the egregium check (None at odd m).
     """
 
     k_moments: float
     k_quadrature: float
     route_residual: float
-    pfaffian_density: float
-    egregium_lhs: float
-    egregium_residual: float
+    pfaffian_density: Optional[float]
+    egregium_lhs: Optional[float]
+    egregium_residual: Optional[float]
+
+
+def _first(batch):
+    """A batch of one read at its point: each field drops its batch axis, (1,) arrays become scalars."""
+    def at(v):
+        if isinstance(v, FrameData):
+            return _first(v)
+        return v if v is None else v[0].item() if getattr(v, "ndim", 0) == 1 else v[0]
+    return replace(batch, **{f.name: at(getattr(batch, f.name)) for f in fields(batch)})
+
+
+def _combine(c, a):
+    """sum_s c[s] * a[s] for c (r, B) and a (r, ..., B), batch axis last: elementwise, in the order of s."""
+    return sum(c[s] * a[s] for s in range(len(c)))
 
 
 # -- sphere volumes and moments -------------------------------------------
@@ -146,11 +158,15 @@ def _check_direction(nu: NormalDirection, n: int) -> None:
         raise ValueError(f"direction has {len(nu.coeffs)} coefficients, codimension is {n}")
 
 
+def _directional_curvatures(metric: np.ndarray, second: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """K^nu for a batch: metric (B,m,m), second form (B,n,m,m), direction coefficients C (n, B)."""
+    return _det(_combine(C, np.moveaxis(second, 0, -1))) / _det(np.moveaxis(metric, 0, -1))
+
+
 def directional_curvature(fd: FrameData, nu: NormalDirection) -> float:
     """K^nu = det(sum_s nu_s Pi_s) / det(metric)."""
     _check_direction(nu, fd.n)
-    pi_nu = np.einsum("s,sij->ij", nu.coeffs, fd.second_form)
-    return float(_det(pi_nu) / _det(fd.metric))
+    return _directional_curvatures(fd.metric[None], fd.second_form[None], nu.coeffs[:, None]).item()
 
 
 def whiten_second_form(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -166,15 +182,9 @@ def whiten_second_form(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _even_index_table(m: int, n: int):
     """All alpha in {0..n-1}^m whose value counts are even, with their moments."""
-    alphas = []
-    moments = []
-    for alpha in itertools.product(range(n), repeat=m):
-        counts = np.bincount(alpha, minlength=n)
-        if np.any(counts % 2):
-            continue
-        alphas.append(alpha)
-        moments.append(sphere_moment(counts // 2))
-    return tuple(alphas), tuple(moments)
+    counts = {alpha: np.bincount(alpha, minlength=n) for alpha in itertools.product(range(n), repeat=m)}
+    alphas = tuple(alpha for alpha, c in counts.items() if not np.any(c % 2))
+    return alphas, tuple(sphere_moment(counts[alpha] // 2) for alpha in alphas)
 
 
 def _add_row(minors: dict, row) -> dict:
@@ -254,7 +264,7 @@ def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray, rule) -
     for start in range(0, b, _QUADRATURE_BLOCK):
         stop = start + _QUADRATURE_BLOCK
         pi_nu = np.tensordot(second[..., start:stop], rule.nodes, axes=(0, 1))  # (m, m, b, Q)
-        out[start:stop] = _det(pi_nu) @ rule.weights
+        out[start:stop] = np.einsum("bq,q->b", _det(pi_nu), rule.weights)  # per row, unlike a BLAS gemv
     return out / det_g / sphere_volume(n - 1)
 
 
@@ -271,13 +281,18 @@ def generalized_curvature_quadrature(fd: FrameData, rule) -> float:
 # -- Riemann tensor and Pfaffian ------------------------------------------
 
 
+def _gauss_equation(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Riemann coefficients R (m, m, m, m, B), batch axis last, of metric (B,m,m) and second (B,n,m,m):
+    R[i,j,k,l] = sum_s pi[s,i,l] pi[s,j,k] - sum_s pi[s,i,k] pi[s,j,l], pi the whitened form,
+    summed in the order of s."""
+    pi = np.moveaxis(whiten_second_form(metric, second), 0, -1)
+    return sum(p[:, None, None, :] * p[None, :, :, None] for p in pi) - sum(
+        p[:, None, :, None] * p[None, :, None, :] for p in pi)
+
+
 def gauss_equation_tensor(fd: FrameData) -> CurvatureTensor:
     """Riemann tensor of the induced metric from the second fundamental form."""
-    pi_orth = whiten_second_form(fd.metric, fd.second_form)
-    R = np.einsum("sil,sjk->ijkl", pi_orth, pi_orth) - np.einsum(
-        "sik,sjl->ijkl", pi_orth, pi_orth
-    )
-    return CurvatureTensor(R=R)
+    return CurvatureTensor(R=_gauss_equation(fd.metric[None], fd.second_form[None])[..., 0])
 
 
 _FD_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
@@ -352,6 +367,26 @@ def intrinsic_curvature_fd(imm: Immersion, u) -> CurvatureTensor:
     return CurvatureTensor(R=R_on)
 
 
+def _check_pfaffian_dimension(m: int, name: str = "") -> None:
+    """Refuse m outside {2, 4}, naming the immersion if given: the Pfaffian density is written for those."""
+    if m not in (2, 4):
+        reason = "undefined for odd dimension" if m % 2 else "density implemented for m in {2, 4}, got"
+        raise UnsupportedDimensionError(f"{name + ': ' if name else ''}Pfaffian {reason} m = {m}")
+
+
+def _pfaffian_densities(R: np.ndarray) -> np.ndarray:
+    """`pfaffian_density` for Riemann coefficients R (m, m, m, m, B), batch axis last: sums over
+    indices are elementwise, in a fixed order."""
+    m = len(R)
+    _check_pfaffian_dimension(m)
+    if m == 2:
+        return R[0, 1, 1, 0] / (2.0 * math.pi)
+    ric = sum(R[i, :, :, i] for i in range(m))
+    scal = sum(ric[i, i] for i in range(m))
+    rm2, ric2 = (sum(r * r for r in t.reshape(-1, t.shape[-1])) for t in (R, ric))
+    return (rm2 - 4.0 * ric2 + scal * scal) / (32.0 * math.pi**2)
+
+
 def pfaffian_density(tensor: CurvatureTensor) -> float:
     """Density of the Pfaffian of the curvature forms against the volume form.
 
@@ -361,34 +396,29 @@ def pfaffian_density(tensor: CurvatureTensor) -> float:
     Scal its trace.  Integrates to the Euler characteristic over a closed
     manifold.
     """
-    m = tensor.m
+    return _pfaffian_densities(tensor.R[..., None]).item()
+
+
+def _curvature_reports(imm: Immersion, metric: np.ndarray, second: np.ndarray) -> CurvatureReport:
+    """Every curvature route over a batch of forms, metric (B,m,m) and second form (B,n,m,m): one
+    report of (B,) arrays.  At odd m the Pfaffian fields are None; m = 6 and up are refused, named."""
+    from .integrate import normal_sphere_rule
+
+    n, m = second.shape[1:3]
+    if m % 2 == 0:
+        _check_pfaffian_dimension(m, imm.name)
+    det_g = _det(np.moveaxis(metric, 0, -1))
+    k_m = batched_curvature_moments(det_g, second)
+    k_q = batched_curvature_quadrature(det_g, second, normal_sphere_rule(n))
     if m % 2:
-        raise UnsupportedDimensionError("Pfaffian undefined for odd dimension")
-    if m not in (2, 4):
-        raise UnsupportedDimensionError(f"Pfaffian density implemented for m in {{2, 4}}, got {m}")
-    R = tensor.R
-    if m == 2:
-        return float(R[0, 1, 1, 0]) / (2.0 * math.pi)
-    ric = np.einsum("ijki->jk", R)
-    return float(np.sum(R * R) - 4.0 * np.sum(ric * ric) + np.trace(ric) ** 2) / (32.0 * math.pi**2)
+        return CurvatureReport(k_m, k_q, np.abs(k_m - k_q), None, None, None)
+    pff = _pfaffian_densities(_gauss_equation(metric, second))
+    lhs = sphere_volume(n - 1) / sphere_volume(imm.k - 1) * k_m
+    return CurvatureReport(k_m, k_q, np.abs(k_m - k_q), pff, lhs, np.abs(lhs - pff))
 
 
 def egregium_report(imm: Immersion, u) -> CurvatureReport:
-    """Compare every curvature route at one parameter point (even m only)."""
-    from .integrate import normal_sphere_rule
-
+    """Compare every curvature route at one parameter point (m in {2, 4}): a batch of one."""
+    _check_pfaffian_dimension(imm.m, imm.name)
     fd = frame_data_at(imm, u)
-    if fd.m % 2:
-        raise UnsupportedDimensionError("Pfaffian undefined for odd dimension")
-    k_m = generalized_curvature_moments(fd)
-    k_q = generalized_curvature_quadrature(fd, normal_sphere_rule(fd.n))
-    pff = pfaffian_density(gauss_equation_tensor(fd))
-    lhs = sphere_volume(fd.n - 1) / sphere_volume(imm.k - 1) * k_m
-    return CurvatureReport(
-        k_moments=k_m,
-        k_quadrature=k_q,
-        route_residual=abs(k_m - k_q),
-        pfaffian_density=pff,
-        egregium_lhs=lhs,
-        egregium_residual=abs(lhs - pff),
-    )
+    return _first(_curvature_reports(imm, fd.metric[None], fd.second_form[None]))

@@ -124,12 +124,15 @@ class Jet:
 
     def widen(self, nvars: int) -> "Jet":
         """The same jet in `nvars` variables: the new ones go last and it does not depend on them."""
-        extra = nvars - self.nvars
-        if extra < 0:
+        if nvars < self.nvars:
             raise ValueError("cannot drop jet variables by widening")
-        if extra == 0:
+        if nvars == self.nvars:
             return self
-        return Jet(nvars, [np.pad(t, [(0, extra)] * r + [(0, 0)]) for r, t in enumerate(self.d)])
+        d = []
+        for r, t in enumerate(self.d):
+            d.append(np.zeros((nvars,) * r + t.shape[r:], dtype=t.dtype))
+            d[-1][(slice(self.nvars),) * r] = t
+        return Jet(nvars, d)
 
     # -- ring operations --------------------------------------------------
 

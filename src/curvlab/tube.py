@@ -26,13 +26,14 @@ n-1, and the total curvature (-1)^(k-1) * vol(S^(k-1)) * chi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .curvature import NormalDirection, _check_direction, _det, _minors, sphere_volume, whiten_second_form
+from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
+                        _minors, sphere_volume, whiten_second_form)
 from .errors import CurvlabError, DegenerateImmersionError, ReachExceededError, UnsupportedDimensionError
 from .immersion import Axis, FrameData, Immersion, _forms, _forms_at, _stack, frame_data_at
 from .integrate import default_grid, reduce_until_converged
@@ -247,11 +248,6 @@ def _oriented(cfg: TubeConfig, point, metric, second, frame, x: np.ndarray):
 # -- pointwise operations, over a batch --------------------------------------
 
 
-def _combine(c, a):
-    """sum_s c[s] * a[s] for c (r, B) and a (r, ..., B), batch axis last: elementwise, in the order of s."""
-    return sum(c[s] * a[s] for s in range(len(c)))
-
-
 def _shape_and_jacobian(cfg: TubeConfig, metric, second, C, U):
     """Pi^nu in an orthonormal tangent basis, (m, m, B), and NJ = 1/det(1 - eps * Pi^nu), (B,), from the
     base forms metric (B, m, m) and second (B, n, m, m) and the direction coefficients C (n, B) at the
@@ -272,13 +268,6 @@ def normal_jacobian(cfg: TubeConfig, u, nu_hat: NormalDirection) -> float:
     fd = frame_data_at(cfg.base, u)
     return _shape_and_jacobian(cfg, fd.metric[None], fd.second_form[None], nu_hat.coeffs[:, None],
                                cfg.base.wrap(u)[None])[1].item()
-
-
-def _first(batch):
-    """A batch of one read at its point: every field drops its batch axis, and (1,) arrays become scalars."""
-    def at(v):
-        return _first(v) if isinstance(v, FrameData) else v[0].item() if getattr(v, "ndim", 0) == 1 else v[0]
-    return replace(batch, **{f.name: at(getattr(batch, f.name)) for f in fields(batch)})
 
 
 def _tube_points(cfg: TubeConfig, U, directions, boundary: Optional[TubeBoundary]) -> TubePoint:
@@ -344,7 +333,7 @@ def _identities(cfg: TubeConfig, tp: TubePoint) -> TubeIdentityResult:
     """`tube_identity_check` at every point of a batched `TubePoint`."""
     n, fd = cfg.base.n, tp.base_frame
     C = np.array([nu.coeffs for nu in tp.nu_hat]).T
-    k_nu = _det(_combine(C, np.moveaxis(fd.second_form, 0, -1))) / _det(np.moveaxis(fd.metric, 0, -1))
+    k_nu = _directional_curvatures(fd.metric, fd.second_form, C)
     lhs = tp.classical_k / tp.normal_jacobian
     rhs = (-1.0) ** (n - 1) * cfg.eps ** (-(n - 1)) * k_nu
     residual = np.abs(lhs - rhs)

@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import curvlab as cl
+from curvlab import cli
 from curvlab.cli import RunReport, _random_directions, _threshold_exit, main
 from curvlab.errors import ReachExceededError
 
@@ -454,10 +455,37 @@ def test_egregium_graph_from_file(capsys, tmp_path):
     assert rep["surface"].startswith("file:")
 
 
-def test_egregium_odd_m_exit_2(capsys):
+def test_egregium_odd_m_exit_2(capsys, monkeypatch):
+    # refused by name before any point is sampled or evaluated
+    monkeypatch.setattr(cli, "sample_domain", None)
+    monkeypatch.setattr(cl.Immersion, "jet_map", None)
     code, _, err = run_cli(capsys, "egregium", "--surface", "circle_r3")
     assert code == 2
-    assert "Pfaffian undefined for odd dimension" in err
+    assert "circle_r3: Pfaffian undefined for odd dimension m = 1" in err
+
+
+@pytest.mark.parametrize("command", [["curvature", "--point", "0,0,0,0,0,0"], ["egregium"]])
+def test_m_6_is_refused_with_exit_2(capsys, monkeypatch, command):
+    graph = replace(cl.random_graph_poly(np.random.default_rng(0), m=6, n=1, degree=2), name="graph6")
+    monkeypatch.setattr(cli, "catalog_get", lambda name: graph)
+    code, out, err = run_cli(capsys, command[0], "--surface", "graph6", *command[1:])
+    assert code == 2
+    assert out == ""
+    assert "graph6: Pfaffian density implemented for m in {2, 4}, got m = 6" in err
+
+
+def test_egregium_evaluates_its_samples_in_one_batch(capsys, monkeypatch):
+    calls = []
+    jet_map = cl.Immersion.jet_map
+
+    def recording_jet_map(imm, U, order):
+        calls.append((imm.name, order, len(U)))
+        return jet_map(imm, U, order)
+
+    monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
+    code, _, _ = run_cli(capsys, "egregium", "--surface", "sphere2_r4", "--samples", "20")
+    assert code == 0
+    assert calls == [("sphere2_r4", 2, 20)]
 
 
 # -- report serialization ---------------------------------------------------

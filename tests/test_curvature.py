@@ -3,6 +3,7 @@ extrinsic-intrinsic identity, against closed forms and independent oracles."""
 
 import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -526,5 +527,30 @@ def test_egregium_random_graphs_at_origin(rng):
 
 
 def test_egregium_rejects_odd_dimension():
-    with pytest.raises(UnsupportedDimensionError):
+    message = "circle_r3: Pfaffian undefined for odd dimension m = 1"
+    with pytest.raises(UnsupportedDimensionError, match=message):
         cl.egregium_report(get("circle_r3"), [0.5])
+
+
+def test_egregium_refuses_m_6_rather_than_apply_the_m_4_formula():
+    imm = cl.random_graph_poly(np.random.default_rng(0), m=6, n=1, degree=2)
+    with pytest.raises(UnsupportedDimensionError, match="implemented for m in {2, 4}, got m = 6"):
+        cl.egregium_report(imm, np.zeros(6))
+    with pytest.raises(UnsupportedDimensionError, match="got m = 6"):
+        cl.pfaffian_density(cl.gauss_equation_tensor(cl.frame_data_at(imm, np.zeros(6))))
+
+
+@pytest.mark.parametrize("spec", EVEN_M_NAMES + [(2, 1), (2, 2), (2, 3), (2, 4), (4, 2)], ids=str)
+def test_a_curvature_batch_equals_its_points_one_at_a_time(spec):
+    rng = np.random.default_rng(11)
+    if isinstance(spec, str):
+        imm = get(spec)
+    else:
+        imm = cl.random_graph_poly(rng, m=spec[0], n=spec[1], degree=3)
+    U = cl.sample_domain(imm, 50, rng)
+    metric, second, _ = cl.frames_at(imm, U)
+    batch = curvature._curvature_reports(imm, metric, second)
+    for i, u in enumerate(U):
+        single = cl.egregium_report(imm, u)
+        for f in fields(single):
+            assert np.array_equal(getattr(batch, f.name)[i], getattr(single, f.name)), (i, f.name)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateImmersionError, DomainError
-from .jets import Jet
+from .jets import Jet, _cells
 
 __all__ = [
     "Axis",
@@ -148,8 +148,13 @@ class FrameData:
 
 def _stack(js: list[Jet], order: int):
     """Jet derivatives up to `order`, batch axis last: (k,B), (k,m,B), (k,m,m,B), ...;
-    rank r stacks the coordinates' d[r] as they are."""
-    return tuple(np.stack([j.d[r] for j in js]) for r in range(order + 1))
+    each coordinate's tensors are written straight into the cells of its support, zeros elsewhere."""
+    k, m, b = len(js), js[0].nvars, len(js[0].val)
+    out = tuple(np.zeros((k,) + (m,) * r + (b,)) for r in range(order + 1))
+    for a, j in enumerate(js):
+        for r in range(order + 1):
+            out[r][a][_cells(j.support, r)] = j.tensors[r]
+    return out
 
 
 def _stacked_jets(imm: Immersion, U: np.ndarray, order: int):

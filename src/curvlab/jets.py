@@ -5,17 +5,25 @@ parameters using the `sin`/`cos`/`sqrt` wrappers below.  Running that function
 on `Jet` inputs produces exact derivatives of the chart to machine precision;
 running it on plain floats or numpy arrays evaluates values only.
 
-A jet of order q in p variables is the tuple `d` of its dense, fully
-symmetric derivative tensors: `d[r]` holds the r-th partials of a whole batch,
-shape (p,)*r + (B,).  The batch axis is last so that every broadcast product
-runs its inner loop over the batch, not over p = 2-4 variables.  Two rules
-carry every operation to any order (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., 2008, ch. 13).  Leibniz: d_k(fg) sums, over the
-subsets S of the k axes, d_|S| f laid on S times d_(k-|S|) g on the other
-axes.  Faa di Bruno: d_k h(f) sums, over the set partitions of the k axes,
-h^(r)(f) for r blocks times the product of d_|b| f laid on each block b.
-Subsets and blocks are sorted, so laying a tensor on them only inserts
-singleton axes.  Order 3 makes tangents order-2 jets, for moving frames.
+A jet of order q in p variables carries its support: the sorted tuple of the
+s variables it depends on (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., 2008, ch. 7).  It stores the partials in those variables only, as the
+tuple `tensors` of fully symmetric tensors: `tensors[r]` holds the r-th
+partials of a whole batch, shape (s,)*r + (B,), and every other partial is
+zero.  A seeded variable has support (i,) and a constant the empty support,
+so a chart built from functions of single coordinates runs its costliest
+compositions on one-variable jets.  `d[r]`, shape (p,)*r + (B,), is the dense
+view.  The batch axis is last so that every broadcast product runs its inner
+loop over the batch, not over the variables.  Two jets of different supports
+are first laid on the sorted union of both, zeros elsewhere; then two rules
+carry every operation to any order (ibid., ch. 13).  Leibniz: d_k(fg) sums,
+over the subsets S of the k axes, d_|S| f laid on S times d_(k-|S|) g on the
+other axes.  Faa di Bruno: d_k h(f) sums, over the set partitions of the k
+axes, h^(r)(f) for r blocks times the product of d_|b| f laid on each block
+b.  Subsets and blocks are sorted, so laying a tensor on them only inserts
+singleton axes.  Every partial inside a support is thus formed by the same
+products in the same order as in dense storage.  Order 3 makes tangents
+order-2 jets, for moving frames.
 """
 
 from __future__ import annotations
@@ -50,11 +58,16 @@ def _partitions(k: int):
 
 
 def _place(t: np.ndarray, axes: tuple, k: int) -> np.ndarray:
-    """A view of t, shape (p,)*len(axes) + (B,), with its axes at the sorted positions `axes` of rank k."""
+    """A view of t, shape (s,)*len(axes) + (B,), with its axes at the sorted positions `axes` of rank k."""
     shape = [1] * k + [t.shape[-1]]
     for a, n in zip(axes, t.shape):
         shape[a] = n
     return t.reshape(shape)
+
+
+def _cells(positions: tuple, r: int) -> tuple:
+    """Index of the cells at the sorted `positions` on each of the first r axes, whatever follows them."""
+    return np.ix_(*[positions] * r) + (Ellipsis,)
 
 
 def _sum(terms):
@@ -67,92 +80,118 @@ def _sum(terms):
 
 
 class Jet:
-    """Batched truncated Taylor expansion in `nvars` variables; `d[r]` has shape (nvars,)*r + (B,)."""
+    """Batched truncated Taylor expansion in `nvars` variables that depends only on those in `support`.
 
-    __slots__ = ("nvars", "d")
+    `tensors[r]`, shape (s,)*r + (B,), holds the r-th partials in the s = len(support) variables of
+    the support; every other partial is zero.  `d[r]`, shape (nvars,)*r + (B,), is the dense view.
+    """
+
+    __slots__ = ("nvars", "support", "tensors")
     __array_ufunc__ = None  # so an array on the left defers to the reflected operators, not broadcasts
 
-    def __init__(self, nvars: int, d):
+    def __init__(self, nvars: int, tensors, support: tuple | None = None):
+        """`tensors` over `support`, a sorted tuple of variables: by default all `nvars`, so that they are `d`."""
         self.nvars = nvars
-        self.d = tuple(d)
+        self.support = tuple(range(nvars)) if support is None else support
+        self.tensors = tuple(tensors)
 
     @property
     def order(self) -> int:
-        return len(self.d) - 1
+        return len(self.tensors) - 1
 
     @property
     def val(self) -> np.ndarray:
-        return self.d[0]
+        return self.tensors[0]
+
+    @property
+    def d(self) -> tuple:
+        """The dense derivative tensors, (nvars,)*r + (B,): `tensors` itself at full support, else fresh arrays."""
+        return self._laid(tuple(range(self.nvars)))
+
+    def _laid(self, union: tuple) -> tuple:
+        """`tensors` laid on the sorted variables `union`, a superset of the support, with zeros elsewhere."""
+        if union == self.support:
+            return self.tensors
+        at = tuple(union.index(v) for v in self.support)
+        out = [self.val]
+        for r, t in enumerate(self.tensors[1:], start=1):
+            out.append(np.zeros((len(union),) * r + t.shape[-1:]))
+            out[-1][_cells(at, r)] = t
+        return tuple(out)
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def variables(values: np.ndarray, order: int) -> list["Jet"]:
-        """Seed one jet per column of `values` (shape (B, p))."""
+        """Seed one jet per column of `values` (shape (B, p)), variable i of support (i,); they share
+        their derivative arrays, which no operation writes into."""
         values = np.asarray(values, dtype=float)
         if values.ndim != 2:
             raise ValueError("expected a (batch, nvars) array of parameter values")
         b, p = values.shape
-        unit = np.repeat(np.eye(p)[:, :, None], b, axis=2)
-        zeros = [np.zeros((p,) * r + (b,)) for r in range(2, order + 1)]
-        return [Jet(p, (values[:, i].copy(), unit[i], *zeros)[: order + 1]) for i in range(p)]
+        seed = [np.ones((1, b))] + [np.zeros((1,) * r + (b,)) for r in range(2, order + 1)]
+        return [Jet(p, [values[:, i].copy(), *seed][: order + 1], (i,)) for i in range(p)]
 
     @staticmethod
     def constant(value, nvars: int, order: int, batch: int) -> "Jet":
+        """A jet of empty support: its derivative tensors are empty, shape (0,)*r + (batch,)."""
         val = np.broadcast_to(np.asarray(value, dtype=float), (batch,)).copy()
-        return Jet(nvars, [val] + [np.zeros((nvars,) * r + (batch,)) for r in range(1, order + 1)])
+        return Jet(nvars, [val] + [np.empty((0,) * r + (batch,)) for r in range(1, order + 1)], ())
 
     def _pair(self, other: "Jet"):
-        """The derivative tensors of two jets side by side; jets of different shape do not combine."""
+        """The union of two supports, and both jets' tensors on it side by side; jets of different
+        order or variable count do not combine."""
         if (other.order, other.nvars) != (self.order, self.nvars):
             raise ValueError(f"cannot combine jets of (order, nvars) {(self.order, self.nvars)} "
                              f"and {(other.order, other.nvars)}")
-        return zip(self.d, other.d)
+        union = self.support if other.support == self.support else tuple(sorted({*self.support, *other.support}))
+        return union, zip(self._laid(union), other._laid(union))
 
     # -- structural ops ---------------------------------------------------
 
     def partial(self, i: int) -> "Jet":
-        """Formal derivative with respect to variable i; drops one order."""
+        """Formal derivative with respect to variable i; drops one order, and is zero off the support."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
-        return Jet(self.nvars, [t[i] for t in self.d[1:]])
+        if i not in self.support:
+            return Jet.constant(0.0, self.nvars, self.order - 1, len(self.val))
+        at = self.support.index(i)
+        return Jet(self.nvars, [t[at] for t in self.tensors[1:]], self.support)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
-        return Jet(self.nvars, self.d[: order + 1])
+        return Jet(self.nvars, self.tensors[: order + 1], self.support)
 
     def widen(self, nvars: int) -> "Jet":
-        """The same jet in `nvars` variables: the new ones go last and it does not depend on them."""
+        """The same jet in `nvars` variables, the new ones last: only a relabelling, as it does not depend on them."""
         if nvars < self.nvars:
             raise ValueError("cannot drop jet variables by widening")
         if nvars == self.nvars:
             return self
-        d = []
-        for r, t in enumerate(self.d):
-            d.append(np.zeros((nvars,) * r + t.shape[r:], dtype=t.dtype))
-            d[-1][(slice(self.nvars),) * r] = t
-        return Jet(nvars, d)
+        return Jet(nvars, self.tensors, self.support)
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.nvars, [a + b for a, b in self._pair(other)])
+            support, pairs = self._pair(other)
+            return Jet(self.nvars, [a + b for a, b in pairs], support)
         if isinstance(other, _COEFF_TYPES):
-            return Jet(self.nvars, (self.val + other,) + self.d[1:])
+            return Jet(self.nvars, (self.val + other,) + self.tensors[1:], self.support)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, [-t for t in self.d])
+        return Jet(self.nvars, [-t for t in self.tensors], self.support)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.nvars, [a - b for a, b in self._pair(other)])
+            support, pairs = self._pair(other)
+            return Jet(self.nvars, [a - b for a, b in pairs], support)
         if isinstance(other, _COEFF_TYPES):
-            return Jet(self.nvars, (self.val - other,) + self.d[1:])
+            return Jet(self.nvars, (self.val - other,) + self.tensors[1:], self.support)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -160,13 +199,14 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            f, g = zip(*self._pair(other))
+            support, pairs = self._pair(other)
+            f, g = zip(*pairs)
             return Jet(self.nvars, [
                 _sum(_place(f[len(s)], s, k) * _place(g[len(rest)], rest, k) for s, rest in _splits(k))
-                for k in range(self.order + 1)])
+                for k in range(self.order + 1)], support)
         if isinstance(other, _COEFF_TYPES):
             c = np.asarray(other, dtype=float)
-            return Jet(self.nvars, [t * c for t in self.d])
+            return Jet(self.nvars, [t * c for t in self.tensors], self.support)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -188,9 +228,9 @@ class Jet:
     def _compose(self, c) -> "Jet":
         """h(self) for a scalar function h with derivative values c[r] = h^(r)(val), r = 0..order."""
         return Jet(self.nvars, [c[0]] + [
-            _sum(c[r] * _sum(reduce(mul, (_place(self.d[len(b)], b, k) for b in blocks)) for blocks in parts)
+            _sum(c[r] * _sum(reduce(mul, (_place(self.tensors[len(b)], b, k) for b in blocks)) for blocks in parts)
                  for r, parts in enumerate(_partitions(k), start=1))
-            for k in range(1, self.order + 1)])
+            for k in range(1, self.order + 1)], self.support)
 
     def __pow__(self, n):
         # integer powers only: d^r/dv^r v^n = n!/(n-r)! v^(n-r), exactly zero past r = n
@@ -219,7 +259,7 @@ class Jet:
         return self._compose([root] + [a / root ** (2 * r - 1) for r, a in enumerate(coeffs, start=1)])
 
     def __repr__(self):
-        return f"Jet(order={self.order}, nvars={self.nvars}, batch={self.val.shape[0]})"
+        return f"Jet(order={self.order}, nvars={self.nvars}, support={self.support}, batch={self.val.shape[0]})"
 
 
 # -- generic scalar functions: work on jets, floats, and numpy arrays ------

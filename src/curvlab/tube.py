@@ -10,12 +10,12 @@ with y = +-1; codimension 2: one angle; codimension 3: polar/azimuth).
 The frame is differentiated exactly, in truncated-Taylor arithmetic: in codimension 1
 the unit cross product of the unit tangents, else one modified Gram-Schmidt pass over
 the tangents, then the seed vectors.  Where a seed keeps less than 1e-3 of its length
-off the tangents, the frame raises `DegenerateImmersionError` naming the base point,
-rather than turning abruptly.
+off the tangents, or vanishes, the frame raises `DegenerateImmersionError` naming the
+base point, rather than turning abruptly.
 
-X and the frame depend on u alone, so they are jets in the m base variables,
-widened once into the sheet's p = m + n - 1 variables (theta last, with zero
-derivative blocks); only y(theta) is seeded in all p.
+X and the frame depend on u alone, so they are jets in the m base variables, relabelled
+(`Jet.widen`, which copies nothing) as jets in the sheet's p = m + n - 1 variables,
+theta last; only y(theta) is seeded in the theta variables.
 
 Checks provided: the curvature rescaling identity
 K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu, the shape-operator spectrum
@@ -119,18 +119,19 @@ def _orthonormal_frame(tangents, seeds, k):
 
     Every argument is a list of ambient vectors whose components are generic
     scalars (jets or arrays); the result differentiates wherever the inputs do.
-    Also returns, per point, the smallest ratio |normal part| / |seed|.
+    Also returns, per point, the smallest ratio |normal part| / |seed|, NaN where a seed vanishes.
     """
     basis, kept = [], []
-    for v in [*tangents, *seeds]:
-        length = np.sqrt(sum(np.square(c.val if isinstance(c, Jet) else c) for c in v))
-        for e in basis:
-            proj = dot(e, v)
-            v = [v[a] - proj * e[a] for a in range(k)]
-        norm = sqrt(dot(v, v))
-        kept.append(norm.val / length)
-        inv_norm = 1.0 / norm
-        basis.append([v[a] * inv_norm for a in range(k)])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero seed gives NaN, refused by the caller
+        for v in [*tangents, *seeds]:
+            length = np.sqrt(sum(np.square(c.val if isinstance(c, Jet) else c) for c in v))
+            for e in basis:
+                proj = dot(e, v)
+                v = [v[a] - proj * e[a] for a in range(k)]
+            norm = sqrt(dot(v, v))
+            kept.append(norm.val / length)
+            inv_norm = 1.0 / norm
+            basis.append([v[a] * inv_norm for a in range(k)])
     m = len(tangents)
     return basis[m:], np.min(kept[m:], axis=0)
 
@@ -185,7 +186,7 @@ def _base_frame_pieces(base: Immersion, seeds: Optional[Callable], U, X):
         raise ValueError(f"{base.name}: normal seeds returned vectors of lengths {[len(v) for v in vecs]}, "
                          f"expected n = {base.n} vectors of k = {base.k}")
     frame, kept = _orthonormal_frame(tangents, vecs, base.k)
-    bad = kept < _SEED_RANK_TOL
+    bad = ~(kept >= _SEED_RANK_TOL)  # NaN counts as lost rank
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateImmersionError(

@@ -6,12 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import curvlab as cl
 from curvlab.errors import DegenerateImmersionError, DomainError
+from curvlab.jets import Jet
 
-from conftest import ALL_NAMES, get
+from conftest import ALL_NAMES, circle_r3_file, get, wiggly_torus_file
 
 # 5-point central stencil, O(h^4)
 _OFF = np.array([-2, -1, 1, 2])
@@ -250,3 +251,46 @@ def test_jets_of_any_order_truncate_and_a_negative_order_raises():
     assert all(np.array_equal(a, b) for a, b in zip(four, three))
     with pytest.raises(ValueError, match="jet order -1"):
         imm.jet_map(U, order=-1)
+
+
+# -- sparse chart jets against dense ones -------------------------------------
+
+
+def _chart_under_test(name, tmp_path):
+    if name.startswith("graph_n"):
+        return cl.random_graph_poly(np.random.default_rng(7), m=2, n=int(name[-1]))
+    if name == "wiggly_torus_file":
+        return cl.load_immersion(wiggly_torus_file(tmp_path, 3))
+    if name == "circle_r3_file":  # its third coordinate is the empty sum, a constant
+        return cl.load_immersion(circle_r3_file(tmp_path))
+    return get(name)
+
+
+@pytest.mark.parametrize("name", [*ALL_NAMES, "graph_n1", "graph_n2", "graph_n3",
+                                  "wiggly_torus_file", "circle_r3_file"])
+def test_chart_jets_equal_the_chart_on_dense_seeded_variables(name, tmp_path, rng):
+    # each coordinate carries only the variables it depends on; its partials are the dense ones, bit for bit
+    imm = _chart_under_test(name, tmp_path)
+    U = cl.sample_domain(imm, 50, rng)
+    seeds = Jet.variables(U, 3)
+    dense = [c if isinstance(c, Jet) else Jet.constant(c, imm.m, 3, len(U))
+             for c in imm.chart([Jet(imm.m, v.d) for v in seeds])]
+    for j, want in zip(imm.jet_map(U, 3), dense, strict=True):
+        assert (j.order, j.nvars) == (3, imm.m)
+        for x, y in zip(j.d, want.d, strict=True):
+            assert_array_equal(x, y)
+    for rank, stacked in enumerate(cl.jets_at(imm, U, 3)):  # scattered straight from the sparse tensors
+        assert_array_equal(stacked, np.stack([np.moveaxis(j.d[rank], -1, 0) for j in dense], axis=1))
+    imm.chart(seeds)  # the seeds share their derivative arrays; no jet operation writes into them
+    for i, v in enumerate(seeds):
+        assert v.support == (i,)
+        assert_array_equal(v.val, U[:, i])
+        assert np.all(v.tensors[1] == 1.0) and all(np.all(t == 0.0) for t in v.tensors[2:])
+
+
+def test_product_chart_coordinates_carry_only_their_own_factor_variables(rng):
+    imm = get("product_s2s2_r6")
+    U = cl.sample_domain(imm, 5, rng)
+    supports = [j.support for j in imm.jet_map(U, 2)]
+    assert supports == [(0, 1), (0, 1), (0,), (2, 3), (2, 3), (2,)]
+    assert [t.shape[:-1] for t in imm.jet_map(U, 2)[0].tensors] == [(), (2,), (2, 2)]

@@ -1,5 +1,6 @@
-"""Property tests of the jet kernel: widening commutes with jet arithmetic, and the
-order-generic Leibniz and Faa di Bruno rules equal the hand-written order <= 3 formulas."""
+"""Property tests of the jet kernel: widening commutes with jet arithmetic, jets over a
+support equal their dense copies, and the order-generic Leibniz and Faa di Bruno rules
+equal the hand-written order <= 3 formulas."""
 
 import numpy as np
 import pytest
@@ -48,6 +49,46 @@ def test_widening_commutes_with_products_and_analytic_functions(pair):
     _assert_same((f * g).widen(p), f.widen(p) * g.widen(p))
     for op, arg in ((sin, f), (cos, f), (sqrt, g)):
         _assert_same(op(arg).widen(p), op(arg.widen(p)))
+
+
+@st.composite
+def sparse_jet_pairs(draw):
+    """Two jets of one order and variable count, each over its own random support (empty,
+    disjoint and overlapping ones included), the second with values >= 0.25."""
+    order = draw(st.integers(0, 3))
+    nvars = draw(st.integers(1, 4))
+    batch = draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+    def jet(lo):
+        support = tuple(sorted(draw(st.sets(st.integers(0, nvars - 1)))))
+        val = draw(hnp.arrays(float, batch, elements=st.floats(lo, 2.0, allow_subnormal=False)))
+        tensors = [draw(hnp.arrays(float, (len(support),) * rank + (batch,), elements=entries))
+                   for rank in range(1, order + 1)]
+        return Jet(nvars, (val, *tensors), support)
+
+    return jet(-2.0), jet(0.25)
+
+
+@hypothesis.settings(derandomize=True, max_examples=150, deadline=None)
+@hypothesis.given(sparse_jet_pairs())
+def test_jets_over_a_support_equal_their_dense_copies(pair):
+    f, g = pair
+    saved = [[t.copy() for t in j.tensors] for j in pair]
+    F, G = (Jet(j.nvars, j.d) for j in pair)
+    cases = [(f + g, F + G), (f - g, F - G), (f * g, F * G), (f / g, F / G), (g * f, G * F),
+             (sin(f), sin(F)), (cos(f), cos(F)), (sqrt(g), sqrt(G)), (1.5 / g, 1.5 / G), (2.5 - f, 2.5 - F),
+             *((f**n, F**n) for n in range(5)), (f.widen(f.nvars + 2), F.widen(F.nvars + 2)),
+             *((f.truncate(q), F.truncate(q)) for q in range(f.order + 1))]
+    if f.order > 0:
+        cases += [(f.partial(i), F.partial(i)) for i in range(f.nvars)]
+    for got, want in cases:
+        assert (got.order, got.nvars) == (want.order, want.nvars)
+        for x, y in zip(got.d, want.d, strict=True):
+            assert_array_equal(x, y)
+    for j, tensors in zip(pair, saved):  # no operation writes into its operands
+        for t, kept in zip(j.tensors, tensors, strict=True):
+            assert_array_equal(t, kept)
 
 
 # -- the hand-written order <= 3 rules, batch axis first ----------------------

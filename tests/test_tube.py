@@ -18,7 +18,7 @@ from curvlab.errors import (
 )
 
 from curvlab.integrate import reduce_over_grid
-from curvlab.jets import Jet, dot, sqrt
+from curvlab.jets import Jet, cos, dot, sin, sqrt
 
 from conftest import ALL_NAMES, circle_r3_file, get
 
@@ -249,6 +249,18 @@ def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
     # off the bad point the seed keeps enough length and the tube is right
     assert abs(cl.tube_total_curvature(cfg, resolution=127).integral) < 1e-6
     assert cl.tube_identity_check(cfg, [1.0], nu).relative < 1e-10
+
+
+def test_a_seed_that_vanishes_at_a_point_is_refused_there():
+    # sin(u) (cos u, sin u, 0) is normal to the circle but zero at u = 0, where its kept ratio is 0/0 = NaN
+    base = dataclasses.replace(get("circle_r3"), name="zero_seed", normal_seeds=lambda xs: [
+        [sin(xs[0]) * cos(xs[0]), sin(xs[0]) * sin(xs[0]), 0.0], [0.0, 0.0, 1.0]])
+    cfg = cl.TubeConfig(base, 0.1)
+    message = "zero_seed: normal seeds lose rank at parameter point [0.0]"
+    with pytest.raises(DegenerateImmersionError, match=re.escape(message)):
+        cl.tube_identity_check(cfg, [0.0], cl.NormalDirection.unit(np.array([0.6, 0.8])))
+    with pytest.raises(DegenerateImmersionError, match=re.escape(message)):
+        cl.tube_total_curvature(cfg, resolution=8)
 
 
 def test_a_codim1_frame_takes_no_seeds(monkeypatch):

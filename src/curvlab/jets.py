@@ -21,9 +21,10 @@ over the subsets S of the k axes, d_|S| f laid on S times d_(k-|S|) g on the
 other axes.  Faa di Bruno: d_k h(f) sums, over the set partitions of the k
 axes, h^(r)(f) for r blocks times the product of d_|b| f laid on each block
 b.  Subsets and blocks are sorted, so laying a tensor on them only inserts
-singleton axes.  Every partial inside a support is thus formed by the same
-products in the same order as in dense storage.  Order 3 makes tangents
-order-2 jets, for moving frames.
+singleton axes, by an index that depends on k alone; each rule reads its terms
+and their indices from a plan cached per k.  Every partial inside a support is
+thus formed by the same products in the same order as in dense storage.  Order
+3 makes tangents order-2 jets, for moving frames.
 """
 
 from __future__ import annotations
@@ -40,33 +41,37 @@ __all__ = ["Jet", "sin", "cos", "sqrt", "dot"]
 _COEFF_TYPES = (int, float, np.floating, np.integer, np.ndarray)
 
 
+def _laying(axes: tuple, k: int) -> tuple:
+    """Index that lays a tensor of shape (s,)*len(axes) + (B,) on the sorted positions `axes` of rank k:
+    a view, shape (s or 1,)*k + (B,), with a singleton axis at every other position.  It holds for
+    every s, 0 included, and every B."""
+    return tuple(slice(None) if a in axes else None for a in range(k))
+
+
 @cache
 def _splits(k: int):
-    """Pairs (S, rest) of sorted axis tuples that split range(k), for the Leibniz rule."""
-    return tuple((s, tuple(a for a in range(k) if a not in s))
+    """The Leibniz plan of rank k: per subset S of range(k), in a fixed order, the rank |S| of the f
+    factor and its index laying it on S, then those of the g factor on the other axes."""
+    return tuple((size, _laying(s, k), k - size, _laying([a for a in range(k) if a not in s], k))
                  for size in range(k + 1) for s in combinations(range(k), size))
 
 
 @cache
 def _partitions(k: int):
-    """Set partitions of range(k) into sorted blocks, grouped by block count (index r - 1)."""
+    """The Faa di Bruno plan of rank k: the set partitions of range(k) into sorted blocks, grouped by
+    block count (index r - 1), each block given as its size and its index laying a tensor on it."""
     parts = [[]]
     for a in range(k):
         parts = [p[:i] + [p[i] + [a]] + p[i + 1:] for p in parts for i in range(len(p))] + [
             p + [[a]] for p in parts]
-    return tuple(tuple(tuple(map(tuple, p)) for p in parts if len(p) == r) for r in range(1, k + 1))
+    return tuple(tuple(tuple((len(b), _laying(b, k)) for b in p) for p in parts if len(p) == r)
+                 for r in range(1, k + 1))
 
 
-def _place(t: np.ndarray, axes: tuple, k: int) -> np.ndarray:
-    """A view of t, shape (s,)*len(axes) + (B,), with its axes at the sorted positions `axes` of rank k."""
-    shape = [1] * k + [t.shape[-1]]
-    for a, n in zip(axes, t.shape):
-        shape[a] = n
-    return t.reshape(shape)
-
-
+@cache
 def _cells(positions: tuple, r: int) -> tuple:
-    """Index of the cells at the sorted `positions` on each of the first r axes, whatever follows them."""
+    """Index of the cells at the sorted `positions` on each of the first r axes, whatever follows them;
+    cached, so its index arrays are shared and only ever read."""
     return np.ix_(*[positions] * r) + (Ellipsis,)
 
 
@@ -163,6 +168,10 @@ class Jet:
             raise ValueError("cannot raise jet order by truncation")
         return Jet(self.nvars, self.tensors[: order + 1], self.support)
 
+    def take(self, at: np.ndarray) -> "Jet":
+        """The jet at the batch entries `at`, an integer index array: every tensor gathered on its batch axis."""
+        return Jet(self.nvars, [t.take(at, axis=-1) for t in self.tensors], self.support)
+
     def widen(self, nvars: int) -> "Jet":
         """The same jet in `nvars` variables, the new ones last: only a relabelling, as it does not depend on them."""
         if nvars < self.nvars:
@@ -202,7 +211,7 @@ class Jet:
             support, pairs = self._pair(other)
             f, g = zip(*pairs)
             return Jet(self.nvars, [
-                _sum(_place(f[len(s)], s, k) * _place(g[len(rest)], rest, k) for s, rest in _splits(k))
+                _sum(f[i][at_f] * g[j][at_g] for i, at_f, j, at_g in _splits(k))
                 for k in range(self.order + 1)], support)
         if isinstance(other, _COEFF_TYPES):
             c = np.asarray(other, dtype=float)
@@ -228,7 +237,7 @@ class Jet:
     def _compose(self, c) -> "Jet":
         """h(self) for a scalar function h with derivative values c[r] = h^(r)(val), r = 0..order."""
         return Jet(self.nvars, [c[0]] + [
-            _sum(c[r] * _sum(reduce(mul, (_place(self.tensors[len(b)], b, k) for b in blocks)) for blocks in parts)
+            _sum(c[r] * _sum(reduce(mul, (self.tensors[size][at] for size, at in blocks)) for blocks in parts)
                  for r, parts in enumerate(_partitions(k), start=1))
             for k in range(1, self.order + 1)], self.support)
 

@@ -13,9 +13,10 @@ the tangents, then the seed vectors.  Where a seed keeps less than 1e-3 of its l
 off the tangents, or vanishes, the frame raises `DegenerateImmersionError` naming the
 base point, rather than turning abruptly.
 
-X and the frame depend on u alone, so they are jets in the m base variables, relabelled
-(`Jet.widen`, which copies nothing) as jets in the sheet's p = m + n - 1 variables,
-theta last; only y(theta) is seeded in the theta variables.
+X and the frame depend on u alone, so they are jets in the m base variables, evaluated
+once per distinct base point of a batch of sheet points and relabelled (`Jet.widen`,
+which copies nothing) as jets in the sheet's p = m + n - 1 variables, theta last; only
+y(theta) is seeded in the theta variables.
 
 Checks provided: the curvature rescaling identity
 K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu, the shape-operator spectrum
@@ -204,9 +205,25 @@ def _sheet_chart(cfg: TubeConfig, X, frame, U, sheet_sign):
             for a in range(base.k)]
 
 
+def _distinct_rows(V: np.ndarray):
+    """The distinct rows of V (B, m), told apart by their bits (-0.0 is not +0.0), in order of first
+    occurrence, and the index of each row of V among them; V itself and None if no row repeats."""
+    keys = np.ascontiguousarray(V).view(np.dtype((np.void, V.itemsize * V.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(first) == len(V):
+        return V, None
+    order = np.argsort(first)
+    return V[first[order]], np.argsort(order)[inverse]
+
+
 def _sheet_jet_map(cfg: TubeConfig, seeds: Optional[Callable], sheet_sign: float, U, order):
-    V = U[:, : cfg.base.m]
+    """The sheet chart's jets at sheet points U (B, p).  X and the frame depend on the base point
+    alone, so they are evaluated once per distinct base point (row of U[:, :m]) and gathered onto
+    the sheet points; in order of first occurrence, so a refusal names the first bad row of U."""
+    V, at = _distinct_rows(U[:, : cfg.base.m])
     X, frame = _base_frame_pieces(cfg.base, seeds, V, cfg.base.jet_map(V, order + 1))
+    if at is not None:
+        X, frame = [x.take(at) for x in X], [[c.take(at) for c in v] for v in frame]
     return _sheet_chart(cfg, X, frame, U, sheet_sign)
 
 

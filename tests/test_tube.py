@@ -234,6 +234,62 @@ def test_sheet_jets_evaluate_the_base_once_through_its_jet_map(name, monkeypatch
         assert orders == [order + 1]
 
 
+def test_a_tube_total_evaluates_the_base_once_per_distinct_point(monkeypatch):
+    # the 13^3 sheet grid has 2,197 points over 169 base points: only those reach the order-3 base jets
+    calls = []
+    jet_map = cl.Immersion.jet_map
+
+    def recording_jet_map(imm, U, order):
+        calls.append((imm.name, order, len(U)))
+        return jet_map(imm, U, order)
+
+    monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
+    cl.tube_total_curvature(cl.TubeConfig(get("sphere2_r4"), 0.05), resolution=13)
+    assert ("sphere2_r4_tube", 2, 2197) in calls
+    assert [call for call in calls if call[1] == 3] == [("sphere2_r4", 3, 169)]
+
+
+def _sheet_tensor_bytes(jets, i):
+    """Support and the bytes of every tensor of each jet at batch entry i."""
+    return [(j.support, [t[..., i].tobytes() for t in j.tensors]) for j in jets]
+
+
+@pytest.mark.parametrize("name", ["circle_r3", "sphere2_r4", "sphere2_r3"])
+def test_sheet_jets_over_repeated_base_points_equal_each_point_alone(name):
+    # shuffled sheet points over six base points, two of them apart only in the sign of a zero
+    # angle: batched, they must give each point's jets bit for bit, so -0.0 is not merged with +0.0
+    base = get(name)
+    sheet = cl.tube_boundary_immersion(cl.TubeConfig(base, 0.5 * base.reach)).sheets[0]
+    rng = np.random.default_rng(5)
+    rows = cl.sample_domain(base, 4, rng)
+    signed = np.repeat(rows[:1], 2, axis=0)
+    signed[:, -1] = [-0.0, 0.0]  # the last base axis is periodic on all three
+    rows = np.concatenate([rows, signed])
+    at = rng.permutation(np.repeat(np.arange(len(rows)), 3))
+    fiber = cl.sample_domain(sheet, len(at), rng)[:, base.m:]
+    fiber[at >= 4] = 5.5  # the same fiber angles for both signs, with cos > 0 > sin, so the sign shows
+    U = np.concatenate([rows[at], fiber], axis=1)
+    batch = sheet.jet_map(U, 2)
+    for i in range(len(U)):
+        assert _sheet_tensor_bytes(batch, i) == _sheet_tensor_bytes(sheet.jet_map(U[i:i + 1], 2), 0), i
+    minus, plus = np.flatnonzero(at == 4)[0], np.flatnonzero(at == 5)[0]
+    assert _sheet_tensor_bytes(batch, minus) != _sheet_tensor_bytes(batch, plus)
+
+
+def test_a_sheet_batch_names_its_first_bad_base_point():
+    # u (u - pi) (cos u, sin u, 0) vanishes at u = 0 and at u = pi (sin u would not: sin(pi) is 1.2e-16);
+    # the batch repeats both across theta and reaches pi first, so the refusal names pi, not 0
+    base = dataclasses.replace(get("circle_r3"), name="zero_seed", normal_seeds=lambda xs: [
+        [xs[0] * (xs[0] - np.pi) * c for c in (cos(xs[0]), sin(xs[0]))] + [0.0], [0.0, 0.0, 1.0]])
+    sheet = cl.tube_boundary_immersion(cl.TubeConfig(base, 0.1)).sheets[0]
+    U = np.array([[u, theta] for theta in (0.5, 2.0, 4.0) for u in (1.0, np.pi, 0.0)])
+    message = f"zero_seed: normal seeds lose rank at parameter point {[np.pi]}"
+    with pytest.raises(DegenerateImmersionError, match=re.escape(message)):
+        sheet.jet_map(U, 2)
+    with pytest.raises(DegenerateImmersionError, match=re.escape(f"parameter point {[0.0]}")):
+        sheet.jet_map(U[2:], 2)
+
+
 def test_seedless_tube_fails_where_the_pivot_seed_turns_tangent(tmp_path):
     # codimension 2: the pivot seed e_x, picked at u = pi, is tangent to the circle at u = pi/2
     cfg = cl.TubeConfig(cl.load_immersion(circle_r3_file(tmp_path)), 0.1)

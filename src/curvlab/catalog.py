@@ -4,8 +4,8 @@ Entries cover every codimension the library exercises: plane and space
 circles, round spheres in codimension 1 and 2, flat and curved tori,
 a 4-sphere, a product of 2-spheres, and polynomial graphs.  Each entry
 carries its Euler characteristic (when defined), a conservative reach
-bound for tube construction, closed-form normal seeds in codimension 2
-(codimension 1 needs none), and a closed-form curvature reference when known.
+bound for tube construction (whose normal frame comes from the tangents),
+and a closed-form curvature reference when known.
 
 Reach bounds are declared at half the true reach so tube determinants
 stay uniformly away from zero.  For graphs and file-loaded surfaces the
@@ -70,7 +70,6 @@ def _circle_r3() -> Immersion:
         chart=lambda xs: [cos(xs[0]), sin(xs[0]), 0.0],
         euler_char=0,
         reach=0.5,
-        normal_seeds=lambda xs: [[cos(xs[0]), sin(xs[0]), 0.0], [0.0, 0.0, 1.0]],
         reference_curvature=lambda U: np.zeros(len(U)),
     )
 
@@ -107,7 +106,6 @@ def _sphere2_r4() -> Immersion:
         chart=chart,
         euler_char=2,
         reach=0.5,
-        normal_seeds=lambda xs: [chart(xs), [0.0, 0.0, 0.0, 1.0]],
         reference_curvature=lambda U: np.full(len(U), 0.5),
     )
 
@@ -144,10 +142,6 @@ def _clifford_torus_r4() -> Immersion:
         t, p = xs
         return [c * cos(t), c * sin(t), c * cos(p), c * sin(p)]
 
-    def seeds(xs):
-        t, p = xs
-        return [[cos(t), sin(t), 0.0, 0.0], [0.0, 0.0, cos(p), sin(p)]]
-
     return Immersion(
         name="clifford_torus_r4",
         k=4,
@@ -155,7 +149,6 @@ def _clifford_torus_r4() -> Immersion:
         chart=chart,
         euler_char=0,
         reach=1.0 / (2.0 * np.sqrt(2.0)),
-        normal_seeds=seeds,
         reference_curvature=lambda U: np.zeros(len(U)),
     )
 
@@ -195,10 +188,6 @@ def _product_s2s2_r6() -> Immersion:
             cos(t2),
         ]
 
-    def seeds(xs):
-        x = chart(xs)
-        return [x[:3] + [0.0] * 3, [0.0] * 3 + x[3:]]
-
     return Immersion(
         name="product_s2s2_r6",
         k=6,
@@ -211,7 +200,6 @@ def _product_s2s2_r6() -> Immersion:
         chart=chart,
         euler_char=4,
         reach=0.5,
-        normal_seeds=seeds,
         reference_curvature=lambda U: np.full(len(U), 0.125),
     )
 

@@ -54,12 +54,10 @@ class Axis:
 class Immersion:
     """A parametrized submanifold of R^k; m is its number of domain axes, n = k - m.
 
-    `chart` maps a list of m generic scalars (floats, arrays, or jets) to k of them.
-    `normal_seeds`, for codimension 2 and 3, maps the same inputs to n ambient vectors of
-    k components spanning the normal space smoothly across the chart; the tube frame
-    differentiates through it.  At n = 1 that frame comes from the tangents, and a tube
-    refuses seeds.  Derived immersions (tube boundaries) give `jet_map_override` in place
-    of `chart`: exactly one of the two.  Other counts raise `ValueError` when evaluated.
+    `chart` maps a list of m generic scalars (floats, arrays, or jets) to k of them; a
+    tube's normal frame is built from its tangents.  Derived immersions (tube boundaries)
+    give `jet_map_override` in place of `chart`: exactly one of the two.  Other counts
+    raise `ValueError` when evaluated.
     """
 
     name: str
@@ -68,7 +66,6 @@ class Immersion:
     chart: Optional[Callable] = None
     euler_char: Optional[int] = None
     reach: Optional[float] = None
-    normal_seeds: Optional[Callable] = None
     reference_curvature: Optional[Callable] = None
     jet_map_override: Optional[Callable] = None
 
@@ -85,9 +82,6 @@ class Immersion:
     @property
     def n(self) -> int:
         return self.k - self.m
-
-    def chart_center(self) -> np.ndarray:
-        return np.array([0.5 * (ax.lo + ax.hi) for ax in self.domain])
 
     def wrap(self, u: Sequence[float]) -> np.ndarray:
         """Wrap periodic coordinates into the fundamental interval; validate the rest."""
@@ -217,8 +211,7 @@ def _normal_frames(d1: np.ndarray):
         frame[m:] = np.eye(k - m)[:, :, None]
         for j in reversed(range(m)):
             frame[j:] = _reflect(vs[j], betas[j], frame[j:])
-    size = np.abs(diag)
-    lost = np.fmin.reduce(size, axis=0) <= _RANK_TOL * np.fmax.reduce(size, axis=0)
+    lost = _rank_lost(np.abs(diag))
     diag = np.where(lost, 1.0, diag)
     rows = [np.where(lost, 0.0, row) for row in rows]
     c = [(d1[:, i, None] * frame).sum(axis=0) for i in range(m)]  # d1^T F, m of (n, B)
@@ -233,16 +226,27 @@ def _normal_frames(d1: np.ndarray):
     return frame, lost
 
 
-def _forms(name, U: np.ndarray, point, d1, d2):
-    """Points (k,B), metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis
-    last, from the stacked 2-jets of immersion `name` (or one name per point) at U;
-    names the first point of rank loss."""
-    frame, lost = _normal_frames(d1)
+def _rank_lost(size) -> np.ndarray:
+    """Per point, whether the smallest |R_jj| of sizes (m, B) is at most `_RANK_TOL` times the largest."""
+    return np.fmin.reduce(size, axis=0) <= _RANK_TOL * np.fmax.reduce(size, axis=0)
+
+
+def _refuse_rank_loss(name, U: np.ndarray, lost: np.ndarray):
+    """Raise `DegenerateImmersionError` at the first point of U (B, m) where `lost`, naming it and its
+    immersion `name` (or one name per point)."""
     if lost.any():
         i = np.argmax(lost)
         raise DegenerateImmersionError(
             f"{name if isinstance(name, str) else name[i]}: first-derivative matrix is rank deficient "
             f"at parameter point {U[i].tolist()}")
+
+
+def _forms(name, U: np.ndarray, point, d1, d2):
+    """Points (k,B), metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis
+    last, from the stacked 2-jets of immersion `name` (or one name per point) at U;
+    names the first point of rank loss."""
+    frame, lost = _normal_frames(d1)
+    _refuse_rank_loss(name, U, lost)
     second = np.einsum("asb,aijb->sijb", frame, d2)
     return point, induced_metric(d1), second, frame
 

@@ -93,13 +93,21 @@ def _axis_counts(imm: Immersion) -> list[int]:
     return [tr if ax.periodic else gl for ax in imm.domain]
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(count: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per count and shared, so read-only."""
+    x, w = np.polynomial.legendre.leggauss(count)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _make_axis(lo: float, hi: float, periodic: bool, count: int) -> GridAxis:
     if periodic:
         length = hi - lo
         nodes = lo + length * np.arange(count) / count
         weights = np.full(count, length / count)
         return GridAxis(nodes, weights, "trapezoid")
-    x, w = np.polynomial.legendre.leggauss(count)
+    x, w = _gauss_legendre(count)
     half = 0.5 * (hi - lo)
     return GridAxis(lo + half * (x + 1.0), half * w, "gauss-legendre")
 

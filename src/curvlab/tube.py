@@ -4,14 +4,16 @@ The boundary of the eps-neighborhood of a base immersion X is charted as
 
     F(u, theta) = X(u) + eps * sum_s y_s(theta) nu_s(u)
 
-where (nu_s) is a smooth orthonormal normal frame along the chart and y
+where (nu_s) is an orthonormal normal frame, smooth near each base point, and y
 is a unit-sphere chart of the normal fiber (codimension 1: two sheets
 with y = +-1; codimension 2: one angle; codimension 3: polar/azimuth).
-The frame is differentiated exactly, in truncated-Taylor arithmetic: in codimension 1
-the unit cross product of the unit tangents, else one modified Gram-Schmidt pass over
-the tangents, then the seed vectors.  Where a seed keeps less than 1e-3 of its length
-off the tangents, or vanishes, the frame raises `DegenerateImmersionError` naming the
-base point, rather than turning abruptly.
+The frame is built from the tangents alone and differentiated exactly, in
+truncated-Taylor arithmetic: in codimension 1 the unit cross product of the unit
+tangents, whose sign tells the sheets apart; else the normal block of a Householder QR
+of the tangents.  Two base points may get frames that differ by an orthogonal map, but
+each fiber is still the whole normal sphere, so no fiber integral depends on the choice.
+Where the tangents lose rank the frame raises `DegenerateImmersionError` naming the
+base point.
 
 X and the frame depend on u alone, so they are jets in the m base variables, evaluated
 once per distinct base point of a batch of sheet points and relabelled (`Jet.widen`,
@@ -29,14 +31,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         _minors, sphere_volume, whiten_second_form)
-from .errors import CurvlabError, DegenerateImmersionError, ReachExceededError, UnsupportedDimensionError
-from .immersion import Axis, FrameData, Immersion, _forms, _forms_at, _stack, frame_data_at
+from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
+from .immersion import (Axis, FrameData, Immersion, _forms, _forms_at, _rank_lost, _refuse_rank_loss, _stack,
+                        frame_data_at)
 from .integrate import default_grid, reduce_until_converged
 from .jets import Jet, cos, dot, sin, sqrt
 
@@ -57,7 +60,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TubeConfig:
-    """A base immersion with a tube radius below its declared reach bound, and normal seeds only if n > 1."""
+    """A base immersion of codimension 1-3 with a tube radius below its declared reach bound."""
 
     base: Immersion
     eps: float
@@ -67,8 +70,6 @@ class TubeConfig:
             raise UnsupportedDimensionError(
                 f"tube construction supports codimension 1-3, got {self.base.n}"
             )
-        if self.base.n == 1 and self.base.normal_seeds is not None:
-            raise ValueError(f"{self.base.name}: normal_seeds are for codimension 2 and 3, not 1")
         if not self.eps > 0:
             raise ReachExceededError(f"tube radius {self.eps} must be positive")
         if self.base.reach is None:
@@ -104,37 +105,47 @@ class TubeBoundary:
 
     config: TubeConfig
     sheets: tuple[Immersion, ...]
-    # The frame's seed function, m base-variable jets -> n ambient vectors: base.normal_seeds,
-    # or else constant pivots; None in codimension 1, where the frame comes from the tangents.
-    seeds: Optional[Callable]
 
 
 # -- generic-scalar frame construction ------------------------------------
 
 
-_SEED_RANK_TOL = 1e-3
+def _value(c):  # the values of a generic scalar
+    return c.val if isinstance(c, Jet) else c
 
 
-def _orthonormal_frame(tangents, seeds, k):
-    """Modified Gram-Schmidt over tangents + seeds, in order; returns the seed part.
+def _reflect(v, beta, y):
+    """(I - beta v v^T) y for ambient vectors v and y of generic scalars, of one length."""
+    w = beta * dot(v, y)
+    return [c - w * e for c, e in zip(y, v)]
 
-    Every argument is a list of ambient vectors whose components are generic
-    scalars (jets or arrays); the result differentiates wherever the inputs do.
-    Also returns, per point, the smallest ratio |normal part| / |seed|, NaN where a seed vanishes.
+
+def _householder_frame(tangents, k):
+    """An orthonormal normal frame of m tangents by Householder QR, and per point whether they lose rank.
+
+    Every vector is a list of k generic scalars (jets or arrays); the frame differentiates wherever
+    the tangents do and keep full rank.  Reflection j takes x, column j of the tangents on rows j..,
+    to alpha e_j with alpha = s|x| and s = -copysign(1, x_0), the sign taken from the point's value as
+    `immersion._normal_frames` takes it; 2/|v|^2 is written beta = 1/(|x|(|x| - s x_0)), so that it
+    differentiates.  The m reflections, applied in reverse to e_m ... e_(k-1), give the frame.  The
+    tangents lose rank where the smallest |R_jj| = |x| is at most `_RANK_TOL` times the largest.
     """
-    basis, kept = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):  # a zero seed gives NaN, refused by the caller
-        for v in [*tangents, *seeds]:
-            length = np.sqrt(sum(np.square(c.val if isinstance(c, Jet) else c) for c in v))
-            for e in basis:
-                proj = dot(e, v)
-                v = [v[a] - proj * e[a] for a in range(k)]
-            norm = sqrt(dot(v, v))
-            kept.append(norm.val / length)
-            inv_norm = 1.0 / norm
-            basis.append([v[a] * inv_norm for a in range(k)])
-    m = len(tangents)
-    return basis[m:], np.min(kept[m:], axis=0)
+    rest, reflections, sizes = tangents, [], []
+    with np.errstate(divide="ignore", invalid="ignore"):  # a lost tangent gives inf or NaN, refused by the caller
+        for _ in tangents:
+            x = rest[0]
+            norm = sqrt(dot(x, x))
+            s = -np.copysign(1.0, _value(x[0]))
+            alpha = s * norm
+            v = [x[0] - alpha, *x[1:]]
+            beta = 1.0 / (norm * (norm - s * x[0]))
+            rest = [_reflect(v, beta, col)[1:] for col in rest[1:]]
+            reflections.append((v, beta))
+            sizes.append(np.abs(_value(norm)))
+        frame = [[float(a == b) for a in range(k)] for b in range(len(tangents), k)]
+        for j, (v, beta) in reversed(list(enumerate(reflections))):
+            frame = [y[:j] + _reflect(v, beta, y[j:]) for y in frame]
+    return frame, _rank_lost(np.array(sizes))
 
 
 def _unit(v):  # v / |v| for an ambient vector of generic scalars
@@ -158,23 +169,15 @@ def _sphere_coords(n, y):
     return np.stack([np.arccos(np.clip(y[:, 0], -1.0, 1.0)), th], axis=1)
 
 
-def _pivot_seeds(base: Immersion) -> Callable:
-    """A seed function returning constant ambient basis directions, those most normal at
-    the chart center, whatever the base point; for a base of codimension 2 or 3 without seeds."""
-    frame = frame_data_at(base, base.chart_center()).normal_frame
-    order = np.argsort(-np.linalg.norm(frame, axis=1), kind="stable")[: base.n]
-    pivots = [[1.0 if a == piv else 0.0 for a in range(base.k)] for piv in order]
-    return lambda xs: pivots
-
-
-def _base_frame_pieces(base: Immersion, seeds: Optional[Callable], U, X):
-    """Jets of X and of the smooth normal frame at `order`, all in the m base variables.
+def _base_frame_pieces(base: Immersion, U, X):
+    """Jets of X and of a normal frame at `order`, all in the m base variables.
 
     `U` holds base parameters, shape (B, m), and `X` is `base.jet_map(U, order + 1)`,
     evaluated by the caller, so its tangents are m-variable jets at `order`.  In codimension 1
     the frame is their unit cross product: component a is (-1)^a times the minor without
-    coordinate a of the unit tangents.  Else `seeds` runs on the base variables at `order` and
-    must return n vectors of k components; a seed losing rank raises, naming the base point.
+    coordinate a of the unit tangents; its sign tells the two sheets apart over the whole base.
+    Else it is `_householder_frame` of the tangents: smooth near each point, which is all a
+    fiber integral needs; the first base point where the tangents lose rank is named.
     """
     order = X[0].order - 1
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
@@ -182,17 +185,8 @@ def _base_frame_pieces(base: Immersion, seeds: Optional[Callable], U, X):
     if base.n == 1:
         minors = _minors([_unit(t) for t in tangents])
         return X, [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
-    vecs = seeds(Jet.variables(U, order))
-    if len(vecs) != base.n or any(len(v) != base.k for v in vecs):
-        raise ValueError(f"{base.name}: normal seeds returned vectors of lengths {[len(v) for v in vecs]}, "
-                         f"expected n = {base.n} vectors of k = {base.k}")
-    frame, kept = _orthonormal_frame(tangents, vecs, base.k)
-    bad = ~(kept >= _SEED_RANK_TOL)  # NaN counts as lost rank
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DegenerateImmersionError(
-            f"{base.name}: normal seeds lose rank at parameter point {U[i].tolist()}: "
-            f"a seed keeps {kept[i]:.1e} of its length off the tangents")
+    frame, lost = _householder_frame(tangents, base.k)
+    _refuse_rank_loss(base.name, U, lost)
     return X, frame
 
 
@@ -216,12 +210,12 @@ def _distinct_rows(V: np.ndarray):
     return V[first[order]], np.argsort(order)[inverse]
 
 
-def _sheet_jet_map(cfg: TubeConfig, seeds: Optional[Callable], sheet_sign: float, U, order):
+def _sheet_jet_map(cfg: TubeConfig, sheet_sign: float, U, order):
     """The sheet chart's jets at sheet points U (B, p).  X and the frame depend on the base point
     alone, so they are evaluated once per distinct base point (row of U[:, :m]) and gathered onto
     the sheet points; in order of first occurrence, so a refusal names the first bad row of U."""
     V, at = _distinct_rows(U[:, : cfg.base.m])
-    X, frame = _base_frame_pieces(cfg.base, seeds, V, cfg.base.jet_map(V, order + 1))
+    X, frame = _base_frame_pieces(cfg.base, V, cfg.base.jet_map(V, order + 1))
     if at is not None:
         X, frame = [x.take(at) for x in X], [[c.take(at) for c in v] for v in frame]
     return _sheet_chart(cfg, X, frame, U, sheet_sign)
@@ -244,13 +238,12 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     parameters.  Sheet jets go through the exact frame construction above.
     """
     base = cfg.base
-    seeds = None if base.n == 1 else base.normal_seeds or _pivot_seeds(base)
     domain = _sheet_domain(base)
     signs, suffixes = ((1.0, -1.0), ("_tube_plus", "_tube_minus")) if base.n == 1 else ((1.0,), ("_tube",))
     sheets = tuple(Immersion(name=base.name + suffix, k=base.k, domain=domain,
-                             jet_map_override=partial(_sheet_jet_map, cfg, seeds, sign))
+                             jet_map_override=partial(_sheet_jet_map, cfg, sign))
                    for sign, suffix in zip(signs, suffixes))
-    return TubeBoundary(config=cfg, sheets=sheets, seeds=seeds)
+    return TubeBoundary(config=cfg, sheets=sheets)
 
 
 def _oriented(cfg: TubeConfig, point, metric, second, frame, x: np.ndarray):
@@ -306,7 +299,7 @@ def _tube_points(cfg: TubeConfig, U, directions, boundary: Optional[TubeBoundary
     X = base.jet_map(U, 3)
     base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2))[1:]))
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
-    X, nus = _base_frame_pieces(base, boundary.seeds, U, X)
+    X, nus = _base_frame_pieces(base, U, X)
     amb = _combine(C, base_frame.normal_frame.T)  # nu_hat in the ambient space, (k, B)
     y = _combine(amb, np.array([[c.val for c in v] for v in nus]).swapaxes(0, 1))  # in the fiber frame
     if base.n == 1:

@@ -38,7 +38,7 @@ def get(name):
 
 
 def unit_circle_file(tmp_path, **fields):
-    """A surface file for the unit circle in R^2 with no normal seeds; `fields` override."""
+    """A surface file for the unit circle in R^2; `fields` override."""
     doc = {
         "name": "unit_circle",
         "m": 1,
@@ -58,9 +58,26 @@ def unit_circle_file(tmp_path, **fields):
 
 
 def circle_r3_file(tmp_path):
-    """The unit circle in the xy-plane of R^3 as a surface file: codimension 2, no normal seeds."""
+    """The unit circle in the xy-plane of R^3 as a surface file: codimension 2."""
     xy = [[{"coeff": 1.0, "factors": [_factor(0, trig)]}] for trig in ("cos", "sin")]
     return unit_circle_file(tmp_path, name="circle_file_r3", k=3, coordinates=xy + [[]])
+
+
+def clifford_torus_file(tmp_path):
+    """The Clifford torus (cos t, sin t, cos p, sin p)/sqrt(2) in R^4 as a surface file: codimension 2."""
+    c = 1.0 / math.sqrt(2.0)
+    doc = {
+        "name": "clifford_file_r4",
+        "m": 2,
+        "k": 4,
+        "euler_char": 0,
+        "domain": [{"lo": 0.0, "hi": 2 * math.pi, "periodic": True}] * 2,
+        "coordinates": [[{"coeff": c, "factors": [_factor(axis, trig)]}]
+                        for axis in (0, 1) for trig in ("cos", "sin")],
+    }
+    path = tmp_path / "clifford_file_r4.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def _torus_file(tmp_path, name, terms_xy, terms_z):

@@ -18,7 +18,7 @@ from curvlab import cli
 from curvlab.cli import RunReport, _random_directions, _threshold_exit, main
 from curvlab.errors import ReachExceededError
 
-from conftest import circle_r3_file, elliptic_torus_file, unit_circle_file
+from conftest import circle_r3_file, clifford_torus_file, elliptic_torus_file, unit_circle_file
 
 
 def run_cli(capsys, *args):
@@ -349,19 +349,21 @@ def test_tube_eps_above_reach_exit_2(capsys):
     assert "reach" in err
 
 
-def test_tube_seed_rank_loss_exit_2_names_the_point(capsys, tmp_path):
-    # codimension 2: the constant pivot seed e_x turns tangent to the circle at u = pi/2
-    code, out, err = run_cli(
-        capsys, "tube", "--surface-file", circle_r3_file(tmp_path), "--eps", "0.1", "--total"
-    )
-    assert code == 2 and out == ""
-    assert "lose rank" in err and str([np.pi / 2]) in err
-    # codimension 1 takes its frame from the tangents, so the plane circle needs no seeds
+@pytest.mark.parametrize("surface_file, grids", [
+    (circle_r3_file, [[13, 13]]), (clifford_torus_file, [[13, 13, 13]]), (unit_circle_file, [[13], [13]]),
+])
+def test_tube_total_on_a_closed_surface_file_of_any_codimension(capsys, tmp_path, surface_file, grids):
+    # the normal frame comes from the tangents at each base point, so nothing in it can turn
+    # tangent on a closed base, in codimension 2 as in codimension 1
     code, out, _ = run_cli(
-        capsys, "tube", "--surface-file", unit_circle_file(tmp_path), "--eps", "0.1", "--total",
-        "--fail-threshold", "1e-12",
+        capsys, "tube", "--surface-file", surface_file(tmp_path), "--eps", "0.1", "--total",
+        "--fail-threshold", "1e-12", "--format", "json",
     )
-    assert code == 0 and "total_integral" in out
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["total_converged"] is True
+    assert results["total_grid_shapes"] == grids
+    assert abs(results["total_integral"]) <= 1e-12
 
 
 def test_tube_singular_normal_jacobian_exit_2_names_the_point(capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Property test: the Householder normal frame is the frame of a complete QR, up to roundoff."""
+"""Property tests: the Householder normal frame is the frame of a complete QR, up to roundoff, and the
+tube's Householder jet frame is orthonormal and normal to the tangents in every derivative it carries."""
 
 import itertools
 
@@ -9,6 +10,8 @@ from numpy.testing import assert_allclose
 import curvlab as cl
 from curvlab.curvature import batched_curvature_moments
 from curvlab.immersion import _normal_frames, induced_metric
+from curvlab.jets import dot
+from curvlab.tube import _householder_frame
 
 from conftest import get
 
@@ -69,3 +72,25 @@ def test_householder_frame_matches_the_qr_reference_on_product_s2s2_r6():
     imm = get("product_s2s2_r6")
     U = cl.default_grid(imm, 13).mesh()[0]
     _check_frame(imm, U)
+
+
+def _assert_vanishes(jet, what):
+    for r, tensor in enumerate(jet.tensors):
+        assert_allclose(tensor, 0.0, rtol=0, atol=ATOL, err_msg=f"{what}, derivative order {r}")
+
+
+@hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+@hypothesis.given(m=st.integers(1, 2), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+def test_householder_jet_frame_is_exact_to_order_2_on_random_graphs(m, n, seed):
+    # the worst tensor entry seen over 200 plain seeds was 4.4e-15
+    rng = np.random.default_rng(seed)
+    imm = cl.random_graph_poly(rng, m=m, n=n, degree=3, scale=1.0)
+    X = imm.jet_map(cl.sample_domain(imm, 16, rng), 3)
+    tangents = [[x.partial(i) for x in X] for i in range(m)]
+    frame, lost = _householder_frame(tangents, imm.k)
+    assert not lost.any()
+    for s, nu in enumerate(frame):
+        for t, mu in enumerate(frame):
+            _assert_vanishes(dot(nu, mu) - float(s == t), f"<nu_{s}, nu_{t}> - delta")
+        for i, tangent in enumerate(tangents):
+            _assert_vanishes(dot(nu, tangent), f"<nu_{s}, d_{i} X>")

@@ -13,6 +13,7 @@ from curvlab.errors import DegenerateImmersionError
 from curvlab.integrate import (
     GridAxis,
     QuadratureGrid,
+    _gauss_legendre,
     _make_axis,
     _refinement_ladder,
     reduce_over_grid,
@@ -33,6 +34,16 @@ def test_gauss_legendre_axis_exact_on_polynomials():
         val = float(np.sum(ax.weights * ax.nodes**deg))
         exact = (2.0 ** (deg + 1) - (-1.5) ** (deg + 1)) / (deg + 1)
         assert abs(val - exact) < 1e-13 * max(1.0, abs(exact))
+
+
+def test_gauss_legendre_nodes_are_built_once_per_count_and_read_only():
+    x, w = np.polynomial.legendre.leggauss(13)
+    cached = _gauss_legendre(13)
+    assert cached is _gauss_legendre(13)
+    assert cached[0].tobytes() == x.tobytes() and cached[1].tobytes() == w.tobytes()
+    assert not cached[0].flags.writeable and not cached[1].flags.writeable
+    ax = _make_axis(-1.5, 2.0, False, 13)  # the axis is its own array, scaled from the shared one
+    assert ax.nodes.tobytes() == (-1.5 + 1.75 * (x + 1.0)).tobytes() and ax.nodes.flags.writeable
 
 
 def test_trapezoid_axis_exact_below_nyquist():

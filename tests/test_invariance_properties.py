@@ -29,7 +29,7 @@ def _moved(imm, Q, t):
         X = imm.chart(xs)
         return [dot(X, Q[i].tolist()) + float(t[i]) for i in range(imm.k)]
 
-    return dataclasses.replace(imm, name=f"moved {imm.name}", chart=chart, normal_seeds=None)
+    return dataclasses.replace(imm, name=f"moved {imm.name}", chart=chart)
 
 
 def _geometry(imm, U):
@@ -67,8 +67,7 @@ def _pulled_back(imm, a):
         return imm.chart(phi(xs))
 
     box = (Axis(-0.5, 0.5), Axis(-0.5, 0.5))
-    return dataclasses.replace(imm, name=f"pulled-back {imm.name}", domain=box, chart=chart,
-                               normal_seeds=None), phi
+    return dataclasses.replace(imm, name=f"pulled-back {imm.name}", domain=box, chart=chart), phi
 
 
 @hypothesis.settings(derandomize=True, max_examples=30, deadline=None)

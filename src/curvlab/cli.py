@@ -235,6 +235,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -290,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--identity", action="store_true", help="check the rescaling identity")
     sp.add_argument("--spectrum", action="store_true", help="check the shape-operator spectrum")
     sp.add_argument("--samples", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
     sp.add_argument("--resolution", type=_positive_int, help=_RESOLUTION_HELP)
     sp.add_argument("--fail-threshold", type=_finite_float)
     sp.set_defaults(func=partial(_surface_report, cmd_tube))
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(sp)
     _add_common(sp)
     sp.add_argument("--samples", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
     sp.add_argument("--fail-threshold", type=_finite_float)
     sp.set_defaults(func=partial(_surface_report, cmd_egregium))
 

@@ -4,8 +4,8 @@ An `Immersion` couples a chart domain with an evaluator written in jet
 arithmetic, so point values and first/second derivatives come out exact to
 roundoff (finite differences appear only in consistency tests).  From the
 2-jet we derive the induced metric, an orthonormal normal frame (Householder
-reflections of the tangents, applied with the batch axis last) and the
-vector-valued second fundamental form.
+reflections of the tangents, in generic scalars: arrays here, jets for the
+tube frame) and the vector-valued second fundamental form.
 
 Sign convention: `second_form[s, i, j]` is the inner product of the ambient
 second derivative of the chart with normal frame vector s, i.e. the normal
@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateImmersionError, DomainError
-from .jets import Jet, _cells
+from .jets import Jet, _cells, dot, sqrt
 
 __all__ = [
     "Axis",
@@ -56,8 +56,8 @@ class Immersion:
 
     `chart` maps a list of m generic scalars (floats, arrays, or jets) to k of them; a
     tube's normal frame is built from its tangents.  Derived immersions (tube boundaries)
-    give `jet_map_override` in place of `chart`: exactly one of the two.  Other counts
-    raise `ValueError` when evaluated.
+    give `jet_map_override` in place of `chart`: exactly one of the two, else `ValueError` at
+    construction.  A chart that returns other than k coordinates raises `ValueError` when evaluated.
     """
 
     name: str
@@ -162,65 +162,74 @@ def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):
     return tuple(np.moveaxis(t, -1, 0) for t in _stacked_jets(imm, U, order))
 
 
-def _reflect(v, beta, x):
-    """(I - beta v v^T) x for reflection vectors v (r, B) and columns x (r, c, B)."""
-    return x - v[:, None] * (beta * (v[:, None] * x).sum(axis=0))
-
-
 def induced_metric(d1: np.ndarray) -> np.ndarray:
     """First fundamental forms (m, m, B) of a batch of 1-jets (k, m, B), batch axis last."""
     return np.einsum("aib,ajb->ijb", d1, d1)
 
 
+def _value(c):  # the values of a generic scalar
+    return c.val if isinstance(c, Jet) else c
+
+
+def _reflect(v, beta, y):
+    """(I - beta v v^T) y for ambient vectors v and y of generic scalars, of one length."""
+    w = beta * dot(v, y)
+    return [c - w * e for c, e in zip(y, v)]
+
+
+def _householder_frame(tangents, k):
+    """An orthonormal normal frame of m tangents by Householder QR, per point whether they lose rank, and R.
+
+    Every vector is a list of k generic scalars (jets or arrays); the frame differentiates wherever
+    the tangents do and keep full rank.  Reflection j takes x, column j of the tangents on rows j..,
+    to alpha e_j with alpha = s|x| and s = -copysign(1, x_0), the sign taken from the point's value;
+    2/|v|^2 is written beta = 1/(|x|(|x| - s x_0)), so that it differentiates.  The m reflections,
+    applied in reverse to e_m ... e_(k-1), give the frame.  R comes as rows R[j] = [R_jj, R_j,j+1, ...].
+    The tangents lose rank where the smallest |R_jj| = |x| is at most `_RANK_TOL` times the largest.
+    """
+    rest, reflections, R = tangents, [], []
+    with np.errstate(divide="ignore", invalid="ignore"):  # a lost tangent gives inf or NaN, refused by the caller
+        for _ in tangents:
+            x = rest[0]
+            norm = sqrt(dot(x, x))
+            s = -np.copysign(1.0, _value(x[0]))
+            alpha = s * norm
+            v = [x[0] - alpha, *x[1:]]
+            beta = 1.0 / (norm * (norm - s * x[0]))
+            rest = [_reflect(v, beta, col) for col in rest[1:]]
+            R.append([alpha] + [col[0] for col in rest])
+            rest = [col[1:] for col in rest]
+            reflections.append((v, beta))
+        frame = [[float(a == b) for a in range(k)] for b in range(len(tangents), k)]
+        for j, (v, beta) in reversed(list(enumerate(reflections))):
+            frame = [y[:j] + _reflect(v, beta, y[j:]) for y in frame]
+    return frame, _rank_lost(np.abs([_value(row[0]) for row in R])), R
+
+
 def _normal_frames(d1: np.ndarray):
     """Orthonormal normal frames (k, n, B) for a batch of 1-jets (k, m, B), and a rank-loss mask (B,).
 
-    A Householder QR of d1 with the batch axis last, so that every step is
-    one vector operation over the whole batch.  m reflections with
-    alpha = -copysign(|x|, x_0) reduce d1 to R, and applying them in reverse
-    to e_m ... e_(k-1) gives the frame, the normal block of Q.  Any
-    orthonormal frame will do, since K_M averages over the whole normal
-    sphere.  The reflections leave tangential roundoff of the frame's own
-    size in it, which swamps the normal part of d2 where a coordinate
-    vector nearly vanishes (near a polar axis).  So one corrected
-    semi-normal step F - d1 R^-1 R^-T d1^T F (a forward substitution with
-    R^T, then a back substitution with R) removes the tangential part
-    measured against d1 itself.  A point loses rank when its smallest
-    |R_ii| is at most `_RANK_TOL` times its largest; it solves with the
-    identity in place of R.  A zero column divides by zero within its own
-    point only, and that point has lost rank.  NaN jets pass, for the
+    `_householder_frame` of the m tangent columns of d1, stacked batch axis last.  Any
+    orthonormal frame will do, since K_M averages over the whole normal sphere.  The
+    reflections leave tangential roundoff of the frame's own size in it, which swamps the
+    normal part of d2 where a coordinate vector nearly vanishes (near a polar axis).  So one
+    corrected semi-normal step F - d1 R^-1 R^-T d1^T F (a forward substitution with R^T, then
+    a back substitution with R) removes the tangential part measured against d1 itself.  A
+    point that loses rank solves with the identity in place of R.  A zero column divides by
+    zero within its own point only, and that point has lost rank.  NaN jets pass, for the
     reduction's finite-value check.
     """
-    k, m, b = d1.shape
-    rest, vs, betas, diag, rows = d1, [], [], [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(m):
-            x = rest[:, 0]
-            norm = np.sqrt((x * x).sum(axis=0))
-            alpha = -np.copysign(norm, x[0])
-            v = x.copy()
-            v[0] -= alpha
-            beta = 1.0 / (norm * (norm + np.abs(x[0])))  # 2 / |v|^2
-            rest = _reflect(v, beta, rest[:, 1:])
-            vs.append(v)
-            betas.append(beta)
-            diag.append(alpha)
-            rows.append(rest[0])  # R_(j, j+1:)
-            rest = rest[1:]
-        frame = np.zeros((k, k - m, b))
-        frame[m:] = np.eye(k - m)[:, :, None]
-        for j in reversed(range(m)):
-            frame[j:] = _reflect(vs[j], betas[j], frame[j:])
-    lost = _rank_lost(np.abs(diag))
-    diag = np.where(lost, 1.0, diag)
-    rows = [np.where(lost, 0.0, row) for row in rows]
+    m = d1.shape[1]
+    frame, lost, R = _householder_frame([list(d1[:, i]) for i in range(m)], d1.shape[0])
+    frame = np.stack([np.stack(v) for v in frame], axis=1)
+    R = [[np.where(lost, float(i == 0), r) for i, r in enumerate(row)] for row in R]  # the identity where lost
     c = [(d1[:, i, None] * frame).sum(axis=0) for i in range(m)]  # d1^T F, m of (n, B)
     y = []
     for i in range(m):  # R^T y = d1^T F
-        y.append((c[i] - sum(rows[j][i - j - 1] * y[j] for j in range(i))) / diag[i])
+        y.append((c[i] - sum(R[j][i - j] * y[j] for j in range(i))) / R[i][0])
     z = [None] * m
     for i in reversed(range(m)):  # R z = y
-        z[i] = (y[i] - sum(rows[i][j - i - 1] * z[j] for j in range(i + 1, m))) / diag[i]
+        z[i] = (y[i] - sum(R[i][j - i] * z[j] for j in range(i + 1, m))) / R[i][0]
     for i in range(m):
         frame -= d1[:, i, None] * z[i]
     return frame, lost

@@ -10,7 +10,8 @@ with y = +-1; codimension 2: one angle; codimension 3: polar/azimuth).
 The frame is built from the tangents alone and differentiated exactly, in
 truncated-Taylor arithmetic: in codimension 1 the unit cross product of the unit
 tangents, whose sign tells the sheets apart; else the normal block of a Householder QR
-of the tangents.  Two base points may get frames that differ by an orthogonal map, but
+of the tangents, by the `immersion._householder_frame` that also builds the base forms'
+frame.  Two base points may get frames that differ by an orthogonal map, but
 each fiber is still the whole normal sphere, so no fiber integral depends on the choice.
 Where the tangents lose rank the frame raises `DegenerateImmersionError` naming the
 base point.
@@ -38,8 +39,8 @@ import numpy as np
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         _minors, sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
-from .immersion import (Axis, FrameData, Immersion, _forms, _forms_at, _rank_lost, _refuse_rank_loss, _stack,
-                        frame_data_at)
+from .immersion import (Axis, FrameData, Immersion, _forms, _forms_at, _householder_frame, _refuse_rank_loss,
+                        _stack, frame_data_at)
 from .integrate import default_grid, reduce_until_converged
 from .jets import Jet, cos, dot, sin, sqrt
 
@@ -110,44 +111,6 @@ class TubeBoundary:
 # -- generic-scalar frame construction ------------------------------------
 
 
-def _value(c):  # the values of a generic scalar
-    return c.val if isinstance(c, Jet) else c
-
-
-def _reflect(v, beta, y):
-    """(I - beta v v^T) y for ambient vectors v and y of generic scalars, of one length."""
-    w = beta * dot(v, y)
-    return [c - w * e for c, e in zip(y, v)]
-
-
-def _householder_frame(tangents, k):
-    """An orthonormal normal frame of m tangents by Householder QR, and per point whether they lose rank.
-
-    Every vector is a list of k generic scalars (jets or arrays); the frame differentiates wherever
-    the tangents do and keep full rank.  Reflection j takes x, column j of the tangents on rows j..,
-    to alpha e_j with alpha = s|x| and s = -copysign(1, x_0), the sign taken from the point's value as
-    `immersion._normal_frames` takes it; 2/|v|^2 is written beta = 1/(|x|(|x| - s x_0)), so that it
-    differentiates.  The m reflections, applied in reverse to e_m ... e_(k-1), give the frame.  The
-    tangents lose rank where the smallest |R_jj| = |x| is at most `_RANK_TOL` times the largest.
-    """
-    rest, reflections, sizes = tangents, [], []
-    with np.errstate(divide="ignore", invalid="ignore"):  # a lost tangent gives inf or NaN, refused by the caller
-        for _ in tangents:
-            x = rest[0]
-            norm = sqrt(dot(x, x))
-            s = -np.copysign(1.0, _value(x[0]))
-            alpha = s * norm
-            v = [x[0] - alpha, *x[1:]]
-            beta = 1.0 / (norm * (norm - s * x[0]))
-            rest = [_reflect(v, beta, col)[1:] for col in rest[1:]]
-            reflections.append((v, beta))
-            sizes.append(np.abs(_value(norm)))
-        frame = [[float(a == b) for a in range(k)] for b in range(len(tangents), k)]
-        for j, (v, beta) in reversed(list(enumerate(reflections))):
-            frame = [y[:j] + _reflect(v, beta, y[j:]) for y in frame]
-    return frame, _rank_lost(np.array(sizes))
-
-
 def _unit(v):  # v / |v| for an ambient vector of generic scalars
     inv_norm = 1.0 / sqrt(dot(v, v))
     return [c * inv_norm for c in v]
@@ -176,8 +139,9 @@ def _base_frame_pieces(base: Immersion, U, X):
     evaluated by the caller, so its tangents are m-variable jets at `order`.  In codimension 1
     the frame is their unit cross product: component a is (-1)^a times the minor without
     coordinate a of the unit tangents; its sign tells the two sheets apart over the whole base.
-    Else it is `_householder_frame` of the tangents: smooth near each point, which is all a
-    fiber integral needs; the first base point where the tangents lose rank is named.
+    Else it is `immersion._householder_frame` of the tangent jets, the QR that gives the base
+    forms' frame from their values: smooth near each point, which is all a fiber integral
+    needs; the first base point where the tangents lose rank is named.
     """
     order = X[0].order - 1
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
@@ -185,7 +149,7 @@ def _base_frame_pieces(base: Immersion, U, X):
     if base.n == 1:
         minors = _minors([_unit(t) for t in tangents])
         return X, [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
-    frame, lost = _householder_frame(tangents, base.k)
+    frame, lost, _ = _householder_frame(tangents, base.k)
     _refuse_rank_loss(base.name, U, lost)
     return X, frame
 

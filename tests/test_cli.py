@@ -270,6 +270,7 @@ def test_non_finite_metric_fails_the_gate(capsys, bad):
     assert _threshold_exit(args, {"residual": 1e-12}) == 0
 
 
+# counts below one, and seeds below zero
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -279,6 +280,8 @@ def test_non_finite_metric_fails_the_gate(capsys, bad):
          "--resolution"),
         (("gauss-bonnet", "--surface", "sphere2_r3", "--resolution", "0"), "--resolution"),
         (("gauss-bonnet", "--surface", "sphere2_r3", "--resolution", "ten"), "--resolution"),
+        (("egregium", "--surface", "sphere2_r3", "--seed", "-1"), "--seed"),
+        (("tube", "--surface", "sphere2_r3", "--eps", "0.1", "--seed", "-3"), "--seed"),
     ],
 )
 def test_counts_below_one_are_usage_errors(capsys, argv, flag):

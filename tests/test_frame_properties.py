@@ -1,5 +1,6 @@
-"""Property tests: the Householder normal frame is the frame of a complete QR, up to roundoff, and the
-tube's Householder jet frame is orthonormal and normal to the tangents in every derivative it carries."""
+"""Property tests of the one Householder frame routine: on arrays, with the semi-normal step, it is the
+frame of a complete QR, up to roundoff; on jets it is orthonormal and normal to the tangents in every
+derivative it carries, and its values are bit for bit its frame and R of the tangents' values."""
 
 import itertools
 
@@ -9,9 +10,8 @@ from numpy.testing import assert_allclose
 
 import curvlab as cl
 from curvlab.curvature import batched_curvature_moments
-from curvlab.immersion import _normal_frames, induced_metric
+from curvlab.immersion import _householder_frame, _normal_frames, induced_metric
 from curvlab.jets import dot
-from curvlab.tube import _householder_frame
 
 from conftest import get
 
@@ -87,8 +87,11 @@ def test_householder_jet_frame_is_exact_to_order_2_on_random_graphs(m, n, seed):
     imm = cl.random_graph_poly(rng, m=m, n=n, degree=3, scale=1.0)
     X = imm.jet_map(cl.sample_domain(imm, 16, rng), 3)
     tangents = [[x.partial(i) for x in X] for i in range(m)]
-    frame, lost = _householder_frame(tangents, imm.k)
+    frame, lost, R = _householder_frame(tangents, imm.k)
     assert not lost.any()
+    # one construction for both scalar types: the jets' values are the frame and R of the plain values
+    plain, _, plain_R = _householder_frame([[c.val for c in t] for t in tangents], imm.k)
+    assert [[c.val.tobytes() for c in v] for v in frame + R] == [[c.tobytes() for c in v] for v in plain + plain_R]
     for s, nu in enumerate(frame):
         for t, mu in enumerate(frame):
             _assert_vanishes(dot(nu, mu) - float(s == t), f"<nu_{s}, nu_{t}> - delta")

@@ -164,7 +164,7 @@ def _all_variable_sheet_jets(cfg, sign, U, order):
         cross = [t[1] * s[2] - t[2] * s[1], t[2] * s[0] - t[0] * s[2], t[0] * s[1] - t[1] * s[0]]
         frame = [[c * (1.0 / sqrt(dot(cross, cross))) for c in cross]]
     else:
-        frame, _ = tube._householder_frame(tangents, base.k)
+        frame, _, _ = tube._householder_frame(tangents, base.k)
     y = [sign] if base.n == 1 else tube._sphere_values(
         base.n, [x.truncate(order) for x in xs[base.m:]])
     return [X[a].truncate(order) + cfg.eps * dot(y, [frame[s][a] for s in range(base.n)])

@@ -171,21 +171,26 @@ def cmd_gauss_bonnet(args, imm):
 def cmd_tube(args, imm):
     if args.resolution is not None and not args.total:
         raise DomainError("--resolution sets the grid of --total: give --total too, or drop --resolution")
+    do_identity = args.identity or not (args.total or args.spectrum)
+    sampled = do_identity or args.spectrum
+    for flag, given in (("--samples", args.samples), ("--seed", args.seed)):
+        if given is not None and not sampled:
+            raise DomainError(f"{flag} sets the points of --identity and --spectrum: give one of them too, "
+                              f"or drop {flag}")
+    samples, seed = 20 if args.samples is None else args.samples, 0 if args.seed is None else args.seed
     cfg = TubeConfig(imm, args.eps)
-    do_any = args.total or args.identity or args.spectrum
-    do_identity = args.identity or not do_any
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     results: dict = {"eps": args.eps}
     converged = None
-    if do_identity or args.spectrum:  # every sample in one batch, evaluated once for both checks
-        tp = _tube_points(cfg, sample_domain(imm, args.samples, rng),
-                          _random_directions(rng, args.samples, imm.n), None)
+    if sampled:  # every sample in one batch, evaluated once for both checks
+        tp = _tube_points(cfg, sample_domain(imm, samples, rng),
+                          _random_directions(rng, samples, imm.n), None)
         if do_identity:
             results["max_identity_residual"] = float(np.max(_identities(cfg, tp).relative))
-            results["identity_samples"] = args.samples
+            results["identity_samples"] = samples
         if args.spectrum:
             results["max_spectrum_residual"] = float(np.max(_spectra(cfg, tp).residual))
-            results["spectrum_samples"] = args.samples
+            results["spectrum_samples"] = samples
     if args.total:
         total = tube_total_curvature(cfg, resolution=args.resolution)
         results["total_integral"] = total.integral
@@ -196,7 +201,7 @@ def cmd_tube(args, imm):
         results["total_error_estimate"] = total.error_estimate
         results["total_converged"] = total.converged
         converged = total.converged
-    options = {"eps": args.eps, "seed": args.seed, "samples": args.samples, "resolution": args.resolution}
+    options = {"eps": args.eps, "seed": seed, "samples": samples, "resolution": args.resolution}
     gated = [k for k in ("max_identity_residual", "max_spectrum_residual", "total_residual") if k in results]
     return options, results, gated, converged
 
@@ -295,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--total", action="store_true", help="integrate the boundary curvature")
     sp.add_argument("--identity", action="store_true", help="check the rescaling identity")
     sp.add_argument("--spectrum", action="store_true", help="check the shape-operator spectrum")
-    sp.add_argument("--samples", type=_positive_int, default=20)
-    sp.add_argument("--seed", type=_nonnegative_int, default=0)
+    sp.add_argument("--samples", type=_positive_int, help="points of --identity and --spectrum (default 20)")
+    sp.add_argument("--seed", type=_nonnegative_int, help="seed of those points (default 0)")
     sp.add_argument("--resolution", type=_positive_int, help=_RESOLUTION_HELP)
     sp.add_argument("--fail-threshold", type=_finite_float)
     sp.set_defaults(func=partial(_surface_report, cmd_tube))

@@ -113,7 +113,7 @@ class Immersion:
         if len(out) != self.k:
             raise ValueError(f"{self.name}: chart returned {len(out)} coordinates, expected k = {self.k}")
         b = U.shape[0]
-        return [o if isinstance(o, Jet) else Jet.constant(o, self.m, order, b) for o in out]
+        return [o if isinstance(o, Jet) else Jet.constant(o, order, b) for o in out]
 
     def points(self, U: np.ndarray) -> np.ndarray:
         """Ambient positions only, shape (batch, k)."""
@@ -140,10 +140,10 @@ class FrameData:
         return self.second_form.shape[0]
 
 
-def _stack(js: list[Jet], order: int):
-    """Jet derivatives up to `order`, batch axis last: (k,B), (k,m,B), (k,m,m,B), ...;
+def _stack(js: list[Jet], order: int, m: int):
+    """Jet derivatives in m variables up to `order`, batch axis last: (k,B), (k,m,B), (k,m,m,B), ...;
     each coordinate's tensors are written straight into the cells of its support, zeros elsewhere."""
-    k, m, b = len(js), js[0].nvars, len(js[0].val)
+    k, b = len(js), len(js[0].val)
     out = tuple(np.zeros((k,) + (m,) * r + (b,)) for r in range(order + 1))
     for a, j in enumerate(js):
         for r in range(order + 1):
@@ -153,7 +153,7 @@ def _stack(js: list[Jet], order: int):
 
 def _stacked_jets(imm: Immersion, U: np.ndarray, order: int):
     """`_stack` of the chart's jets of `order` at U."""
-    return _stack(imm.jet_map(U, order), order)
+    return _stack(imm.jet_map(U, order), order, imm.m)
 
 
 def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):

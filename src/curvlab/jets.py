@@ -5,22 +5,22 @@ parameters using the `sin`/`cos`/`sqrt` wrappers below.  Running that function
 on `Jet` inputs produces exact derivatives of the chart to machine precision;
 running it on plain floats or numpy arrays evaluates values only.
 
-A jet of order q in p variables carries its support: the sorted tuple of the
-s variables it depends on (Griewank & Walther, *Evaluating Derivatives*, 2nd
-ed., 2008, ch. 7).  It stores the partials in those variables only, as the
-tuple `tensors` of fully symmetric tensors: `tensors[r]` holds the r-th
-partials of a whole batch, shape (s,)*r + (B,), and every other partial is
-zero.  A seeded variable has support (i,) and a constant the empty support,
-so a chart built from functions of single coordinates runs its costliest
-compositions on one-variable jets.  `d[r]`, shape (p,)*r + (B,), is the dense
-view.  The batch axis is last so that every broadcast product runs its inner
-loop over the batch, not over the variables.  Two jets of different supports
-are first laid on the sorted union of both, zeros elsewhere; then two rules
-carry every operation to any order (ibid., ch. 13).  Leibniz: d_k(fg) sums,
-over the subsets S of the k axes, d_|S| f laid on S times d_(k-|S|) g on the
-other axes.  Faa di Bruno: d_k h(f) sums, over the set partitions of the k
-axes, h^(r)(f) for r blocks times the product of d_|b| f laid on each block
-b.  Subsets and blocks are sorted, so laying a tensor on them only inserts
+A jet of order q is its support, the sorted tuple of the s variables it depends
+on (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 7), and
+the partials in those variables only, as the tuple `tensors` of fully symmetric
+tensors: `tensors[r]` holds the r-th partials of a whole batch, shape
+(s,)*r + (B,), and every other partial is zero.  A seeded variable has support
+(i,) and a constant the empty support, so a chart built from functions of
+single coordinates runs its costliest compositions on one-variable jets.  A jet
+counts no other variables; `dense(p)` lays it on variables 0..p-1, shape
+(p,)*r + (B,).  The batch axis is last so that every broadcast product runs its
+inner loop over the batch, not over the variables.  Two jets of different
+supports are first laid on the sorted union of both, zeros elsewhere; then two
+rules carry every operation to any order (ibid., ch. 13).  Leibniz: d_k(fg)
+sums, over the subsets S of the k axes, d_|S| f laid on S times d_(k-|S|) g on
+the other axes.  Faa di Bruno: d_k h(f) sums, over the set partitions of the k
+axes, h^(r)(f) for r blocks times the product of d_|b| f laid on each block b.
+Subsets and blocks are sorted, so laying a tensor on them only inserts
 singleton axes, by an index that depends on k alone; each rule reads its terms
 and their indices from a plan cached per k.  Every partial inside a support is
 thus formed by the same products in the same order as in dense storage.  Order
@@ -85,20 +85,18 @@ def _sum(terms):
 
 
 class Jet:
-    """Batched truncated Taylor expansion in `nvars` variables that depends only on those in `support`.
+    """Batched truncated Taylor expansion that depends only on the variables in `support`.
 
     `tensors[r]`, shape (s,)*r + (B,), holds the r-th partials in the s = len(support) variables of
-    the support; every other partial is zero.  `d[r]`, shape (nvars,)*r + (B,), is the dense view.
+    the support, a sorted tuple; every other partial is zero.
     """
 
-    __slots__ = ("nvars", "support", "tensors")
+    __slots__ = ("support", "tensors")
     __array_ufunc__ = None  # so an array on the left defers to the reflected operators, not broadcasts
 
-    def __init__(self, nvars: int, tensors, support: tuple | None = None):
-        """`tensors` over `support`, a sorted tuple of variables: by default all `nvars`, so that they are `d`."""
-        self.nvars = nvars
-        self.support = tuple(range(nvars)) if support is None else support
+    def __init__(self, tensors, support: tuple):
         self.tensors = tuple(tensors)
+        self.support = support
 
     @property
     def order(self) -> int:
@@ -108,10 +106,10 @@ class Jet:
     def val(self) -> np.ndarray:
         return self.tensors[0]
 
-    @property
-    def d(self) -> tuple:
-        """The dense derivative tensors, (nvars,)*r + (B,): `tensors` itself at full support, else fresh arrays."""
-        return self._laid(tuple(range(self.nvars)))
+    def dense(self, nvars: int) -> tuple:
+        """The derivative tensors in variables 0..nvars-1, (nvars,)*r + (B,): `tensors` itself at that
+        support, else fresh arrays."""
+        return self._laid(tuple(range(nvars)))
 
     def _laid(self, union: tuple) -> tuple:
         """`tensors` laid on the sorted variables `union`, a superset of the support, with zeros elsewhere."""
@@ -135,20 +133,19 @@ class Jet:
             raise ValueError("expected a (batch, nvars) array of parameter values")
         b, p = values.shape
         seed = [np.ones((1, b))] + [np.zeros((1,) * r + (b,)) for r in range(2, order + 1)]
-        return [Jet(p, [values[:, i].copy(), *seed][: order + 1], (i,)) for i in range(p)]
+        return [Jet([values[:, i].copy(), *seed][: order + 1], (i,)) for i in range(p)]
 
     @staticmethod
-    def constant(value, nvars: int, order: int, batch: int) -> "Jet":
+    def constant(value, order: int, batch: int) -> "Jet":
         """A jet of empty support: its derivative tensors are empty, shape (0,)*r + (batch,)."""
         val = np.broadcast_to(np.asarray(value, dtype=float), (batch,)).copy()
-        return Jet(nvars, [val] + [np.empty((0,) * r + (batch,)) for r in range(1, order + 1)], ())
+        return Jet([val] + [np.empty((0,) * r + (batch,)) for r in range(1, order + 1)], ())
 
     def _pair(self, other: "Jet"):
         """The union of two supports, and both jets' tensors on it side by side; jets of different
-        order or variable count do not combine."""
-        if (other.order, other.nvars) != (self.order, self.nvars):
-            raise ValueError(f"cannot combine jets of (order, nvars) {(self.order, self.nvars)} "
-                             f"and {(other.order, other.nvars)}")
+        order do not combine."""
+        if other.order != self.order:
+            raise ValueError(f"cannot combine jets of order {self.order} and {other.order}")
         union = self.support if other.support == self.support else tuple(sorted({*self.support, *other.support}))
         return union, zip(self._laid(union), other._laid(union))
 
@@ -159,48 +156,40 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         if i not in self.support:
-            return Jet.constant(0.0, self.nvars, self.order - 1, len(self.val))
+            return Jet.constant(0.0, self.order - 1, len(self.val))
         at = self.support.index(i)
-        return Jet(self.nvars, [t[at] for t in self.tensors[1:]], self.support)
+        return Jet([t[at] for t in self.tensors[1:]], self.support)
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
-        return Jet(self.nvars, self.tensors[: order + 1], self.support)
+        return Jet(self.tensors[: order + 1], self.support)
 
     def take(self, at: np.ndarray) -> "Jet":
         """The jet at the batch entries `at`, an integer index array: every tensor gathered on its batch axis."""
-        return Jet(self.nvars, [t.take(at, axis=-1) for t in self.tensors], self.support)
-
-    def widen(self, nvars: int) -> "Jet":
-        """The same jet in `nvars` variables, the new ones last: only a relabelling, as it does not depend on them."""
-        if nvars < self.nvars:
-            raise ValueError("cannot drop jet variables by widening")
-        if nvars == self.nvars:
-            return self
-        return Jet(nvars, self.tensors, self.support)
+        return Jet([t.take(at, axis=-1) for t in self.tensors], self.support)
 
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
             support, pairs = self._pair(other)
-            return Jet(self.nvars, [a + b for a, b in pairs], support)
+            return Jet([a + b for a, b in pairs], support)
         if isinstance(other, _COEFF_TYPES):
-            return Jet(self.nvars, (self.val + other,) + self.tensors[1:], self.support)
+            return Jet((self.val + other,) + self.tensors[1:], self.support)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.nvars, [-t for t in self.tensors], self.support)
+        return Jet([-t for t in self.tensors], self.support)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             support, pairs = self._pair(other)
-            return Jet(self.nvars, [a - b for a, b in pairs], support)
+            return Jet([a - b for a, b in pairs], support)
         if isinstance(other, _COEFF_TYPES):
-            return Jet(self.nvars, (self.val - other,) + self.tensors[1:], self.support)
+            return Jet((self.val - other,) + self.tensors[1:], self.support)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -210,12 +199,12 @@ class Jet:
         if isinstance(other, Jet):
             support, pairs = self._pair(other)
             f, g = zip(*pairs)
-            return Jet(self.nvars, [
+            return Jet([
                 _sum(f[i][at_f] * g[j][at_g] for i, at_f, j, at_g in _splits(k))
                 for k in range(self.order + 1)], support)
         if isinstance(other, _COEFF_TYPES):
             c = np.asarray(other, dtype=float)
-            return Jet(self.nvars, [t * c for t in self.tensors], self.support)
+            return Jet([t * c for t in self.tensors], self.support)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -236,7 +225,7 @@ class Jet:
 
     def _compose(self, c) -> "Jet":
         """h(self) for a scalar function h with derivative values c[r] = h^(r)(val), r = 0..order."""
-        return Jet(self.nvars, [c[0]] + [
+        return Jet([c[0]] + [
             _sum(c[r] * _sum(reduce(mul, (self.tensors[size][at] for size, at in blocks)) for blocks in parts)
                  for r, parts in enumerate(_partitions(k), start=1))
             for k in range(1, self.order + 1)], self.support)
@@ -268,7 +257,7 @@ class Jet:
         return self._compose([root] + [a / root ** (2 * r - 1) for r, a in enumerate(coeffs, start=1)])
 
     def __repr__(self):
-        return f"Jet(order={self.order}, nvars={self.nvars}, support={self.support}, batch={self.val.shape[0]})"
+        return f"Jet(order={self.order}, support={self.support}, batch={self.val.shape[0]})"
 
 
 # -- generic scalar functions: work on jets, floats, and numpy arrays ------

@@ -17,9 +17,9 @@ Where the tangents lose rank the frame raises `DegenerateImmersionError` naming 
 base point.
 
 X and the frame depend on u alone, so they are jets in the m base variables, evaluated
-once per distinct base point of a batch of sheet points and relabelled (`Jet.widen`,
-which copies nothing) as jets in the sheet's p = m + n - 1 variables, theta last; only
-y(theta) is seeded in the theta variables.
+once per distinct base point of a batch of sheet points.  The sheet's p = m + n - 1
+variables put theta last, so those jets add as they are to the jets of y(theta), which
+are seeded in the theta variables alone.
 
 Checks provided: the curvature rescaling identity
 K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu, the shape-operator spectrum
@@ -141,26 +141,28 @@ def _base_frame_pieces(base: Immersion, U, X):
     coordinate a of the unit tangents; its sign tells the two sheets apart over the whole base.
     Else it is `immersion._householder_frame` of the tangent jets, the QR that gives the base
     forms' frame from their values: smooth near each point, which is all a fiber integral
-    needs; the first base point where the tangents lose rank is named.
+    needs.  In every codimension the first base point where the tangents lose rank is named
+    before any frame divides by them; in codimension 1 by the QR of the tangent values.
     """
     order = X[0].order - 1
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
     X = [x.truncate(order) for x in X]
+    qr_input = [[c.val for c in t] for t in tangents] if base.n == 1 else tangents
+    frame, lost, _ = _householder_frame(qr_input, base.k)
+    _refuse_rank_loss(base.name, U, lost)
     if base.n == 1:
         minors = _minors([_unit(t) for t in tangents])
-        return X, [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
-    frame, lost, _ = _householder_frame(tangents, base.k)
-    _refuse_rank_loss(base.name, U, lost)
+        frame = [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
     return X, frame
 
 
 def _sheet_chart(cfg: TubeConfig, X, frame, U, sheet_sign):
-    """The sheet chart X + eps * sum_s y_s nu_s as jets in the p variables of sheet points U (B, p),
-    from `_base_frame_pieces` at their base parameters; y is `sheet_sign` (one, or one per point) at n = 1."""
-    base, p = cfg.base, U.shape[1]
+    """The sheet chart X + eps * sum_s y_s nu_s as jets in the variables of sheet points U (B, p),
+    from `_base_frame_pieces` at their base parameters, which are the first m of those variables;
+    y is `sheet_sign` (one, or one per point) at n = 1."""
+    base = cfg.base
     y = [sheet_sign] if base.n == 1 else _sphere_values(base.n, Jet.variables(U, X[0].order)[base.m:])
-    return [X[a].widen(p) + cfg.eps * dot(y, [frame[s][a].widen(p) for s in range(base.n)])
-            for a in range(base.k)]
+    return [X[a] + cfg.eps * dot(y, [frame[s][a] for s in range(base.n)]) for a in range(base.k)]
 
 
 def _distinct_rows(V: np.ndarray):
@@ -261,7 +263,7 @@ def _tube_points(cfg: TubeConfig, U, directions, boundary: Optional[TubeBoundary
     U = np.array([base.wrap(u) for u in U])
     C = np.array([nu.coeffs for nu in directions]).T
     X = base.jet_map(U, 3)
-    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2))[1:]))
+    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2, base.m))[1:]))
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
     X, nus = _base_frame_pieces(base, U, X)
     amb = _combine(C, base_frame.normal_frame.T)  # nu_hat in the ambient space, (k, B)
@@ -272,7 +274,7 @@ def _tube_points(cfg: TubeConfig, U, directions, boundary: Optional[TubeBoundary
         index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(base.n, y.T)], axis=1)
     names = np.array([sheet.name for sheet in boundary.sheets])[index]
     point, g, metric, second, frame = _oriented(
-        cfg, *_forms(names, P, *_stack(_sheet_chart(cfg, X, nus, P, 1.0 - 2.0 * index), 2)),
+        cfg, *_forms(names, P, *_stack(_sheet_chart(cfg, X, nus, P, 1.0 - 2.0 * index), 2, P.shape[1])),
         np.stack([x.val for x in X]))
     return TubePoint(u=U, nu_hat=tuple(directions), point=point.T, gauss_normal=g.T,
                      classical_k=_det(second[0]) / _det(metric), normal_jacobian=nj, sheet_index=index,

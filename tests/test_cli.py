@@ -427,6 +427,16 @@ def test_tube_resolution_without_total_exit_2(capsys):
     assert "--resolution" in err and "--total" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--samples", "5"), ("--seed", "3")])
+def test_tube_samples_or_seed_with_only_total_exit_2(capsys, flag, value):
+    # only --identity and --spectrum sample points; --total alone would drop the flag
+    code, out, err = run_cli(
+        capsys, "tube", "--surface", "sphere2_r3", "--eps", "0.1", "--total", flag, value
+    )
+    assert code == 2 and out == ""
+    assert flag in err and "--identity" in err and "--spectrum" in err
+
+
 def test_tube_default_runs_identity(capsys):
     code, out, _ = run_cli(
         capsys, "tube", "--surface", "circle_r3", "--eps", "0.1", "--samples", "5",

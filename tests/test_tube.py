@@ -153,10 +153,10 @@ def test_base_rank_loss_at_a_tube_point_is_named(name, u):
 
 
 def _all_variable_sheet_jets(cfg, sign, U, order):
-    """Sheet jets with the base chart and frame seeded in all p sheet variables."""
-    base, (b, p) = cfg.base, U.shape
+    """Sheet jets from one seeding of all p sheet variables, the base chart run on the first m."""
+    base, b = cfg.base, len(U)
     xs = Jet.variables(U, order + 1)
-    X = [c if isinstance(c, Jet) else Jet.constant(c, p, order + 1, b)
+    X = [c if isinstance(c, Jet) else Jet.constant(c, order + 1, b)
          for c in base.chart(xs[: base.m])]
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
     if base.n == 1:  # m = 2, k = 3: the unit cross product of the unit tangents
@@ -186,7 +186,7 @@ def test_sheet_jets_match_the_all_variable_construction(name, eps, rng):
     for sheet, sign in zip(boundary.sheets, signs, strict=True):
         U = cl.sample_domain(sheet, 40, rng)
         ref = _all_variable_sheet_jets(cfg, sign, U, 2)
-        want = [np.stack([np.moveaxis(j.d[r], -1, 0) for j in ref], axis=1) for r in range(3)]
+        want = [np.stack([np.moveaxis(j.dense(sheet.m)[r], -1, 0) for j in ref], axis=1) for r in range(3)]
         for got, expected in zip(cl.jets_at(sheet, U, 2), want, strict=True):
             assert_allclose(got, expected, rtol=0, atol=1e-14)
 
@@ -198,7 +198,7 @@ def test_base_pieces_are_evaluated_in_base_variables_at_the_sheet_order(monkeypa
     householder_frame = tube._householder_frame
 
     def recording_frame(tangents, k):
-        seen.extend((c.order, c.nvars) for t in tangents for c in t)
+        seen.extend((c.order, set(c.support) <= set(range(base.m))) for t in tangents for c in t)
         return householder_frame(tangents, k)
 
     monkeypatch.setattr(tube, "_householder_frame", recording_frame)
@@ -206,7 +206,7 @@ def test_base_pieces_are_evaluated_in_base_variables_at_the_sheet_order(monkeypa
     for order in (1, 2):
         seen.clear()
         sheet.jet_map(np.array([[1.1, 0.7, 0.3], [0.4, 2.0, 5.0]]), order)
-        assert seen == [(order, base.m)] * (base.m * base.k)
+        assert seen == [(order, True)] * (base.m * base.k)
 
 
 @pytest.mark.parametrize("name", ["sphere2_r4", "graph_poly"])
@@ -290,6 +290,27 @@ def test_a_sheet_batch_names_its_first_bad_base_point():
         sheet.jet_map(U, 2)
     with pytest.raises(DegenerateImmersionError, match=re.escape(f"parameter point {[0.0]}")):
         sheet.jet_map(U[2:], 2)
+
+
+def test_a_codimension_1_sheet_batch_names_its_first_bad_base_point():
+    # the stalled circle above in codimension 1: the cross-product frame would divide by the lost
+    # tangent, so the tangent values' rank check runs first, on both sheets and in the total
+    def chart(xs):
+        g = xs[0] - 0.5 * sin(2.0 * xs[0])
+        return [cos(g), sin(g)]
+
+    base = dataclasses.replace(get("circle_r2"), name="stalled_circle", chart=chart)
+    cfg = cl.TubeConfig(base, 0.1)
+    U = np.array([[1.0], [np.pi], [0.0]])
+    message = f"stalled_circle: first-derivative matrix is rank deficient at parameter point {[np.pi]}"
+    for sheet in cl.tube_boundary_immersion(cfg).sheets:
+        for evaluate in (lambda V: sheet.jet_map(V, 2), lambda V: cl.frames_at(sheet, V)):
+            with pytest.raises(DegenerateImmersionError, match=re.escape(message)):
+                evaluate(U)
+            with pytest.raises(DegenerateImmersionError, match=re.escape(f"parameter point {[0.0]}")):
+                evaluate(U[2:])
+    with pytest.raises(DegenerateImmersionError, match="stalled_circle: first-derivative matrix is rank"):
+        cl.tube_total_curvature(cfg, resolution=2)
 
 
 @pytest.mark.parametrize("surface_file, grid", [(circle_r3_file, (13, 13)), (clifford_torus_file, (13, 13, 13))])

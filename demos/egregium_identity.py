@@ -70,5 +70,5 @@ print()
 imm = cl.catalog_get("circle_r3")
 fd = cl.frame_data_at(imm, np.array([0.3]))
 k_m = cl.generalized_curvature_moments(fd)
-k_q = cl.generalized_curvature_quadrature(fd, cl.normal_sphere_rule(imm.n))
+k_q = cl.generalized_curvature_quadrature(fd)
 print(f"circle in R^3: K_M by moments = {k_m} (exact), by quadrature = {k_q:.2e}")

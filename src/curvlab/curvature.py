@@ -9,8 +9,8 @@ form, dividing by det(I) once:
     (Gamma quotients) contracted against determinants of row-mixed
     second-form matrices; exact up to roundoff, and exactly zero in odd
     dimension by parity.
-  * `batched_curvature_quadrature` — direct numerical averaging over a
-    normal-sphere rule.
+  * `batched_curvature_quadrature` — direct averaging over a normal-sphere
+    rule, exact in codimension n <= 3 and Monte Carlo above.
 
 A third, intrinsic route goes through the Gauss equation (or finite
 differences of the metric alone) to the Riemann tensor and its Pfaffian
@@ -250,14 +250,15 @@ def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndar
 _QUADRATURE_BLOCK = 2048
 
 
-def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray, rule) -> np.ndarray:
-    """Rule-averaged K^nu for a batch; blocked to bound the (m, m, B, Q) buffer.
+def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """K^nu averaged by `normal_sphere_rule(m, n)` over a batch, blocked to bound the (m,m,B,Q) buffer.
 
     `metric` is (B,m,m), or its determinants (B,) as in `batched_curvature_moments`.
     """
-    b, n = second.shape[:2]
-    if rule.nodes.shape[1] != n:
-        raise ValueError(f"rule is on S^{rule.nodes.shape[1] - 1}, codimension is {n}")
+    from .integrate import normal_sphere_rule  # read at call time: no cycle, and it may be wrapped
+
+    b, n, m = second.shape[:3]
+    rule = normal_sphere_rule(m, n)
     det_g = metric if metric.ndim == 1 else _det(np.moveaxis(metric, 0, -1))
     second = np.moveaxis(second, 0, -1)  # (n, m, m, B)
     out = np.empty(b)
@@ -273,9 +274,9 @@ def generalized_curvature_moments(fd: FrameData) -> float:
     return float(batched_curvature_moments(fd.metric[None], fd.second_form[None])[0])
 
 
-def generalized_curvature_quadrature(fd: FrameData, rule) -> float:
-    """K_M as the rule-weighted average of K^nu over the unit normal sphere."""
-    return float(batched_curvature_quadrature(fd.metric[None], fd.second_form[None], rule)[0])
+def generalized_curvature_quadrature(fd: FrameData) -> float:
+    """K_M as the `normal_sphere_rule` average of K^nu over the unit normal sphere."""
+    return float(batched_curvature_quadrature(fd.metric[None], fd.second_form[None])[0])
 
 
 # -- Riemann tensor and Pfaffian ------------------------------------------
@@ -402,14 +403,12 @@ def pfaffian_density(tensor: CurvatureTensor) -> float:
 def _curvature_reports(imm: Immersion, metric: np.ndarray, second: np.ndarray) -> CurvatureReport:
     """Every curvature route over a batch of forms, metric (B,m,m) and second form (B,n,m,m): one
     report of (B,) arrays.  At odd m the Pfaffian fields are None; m = 6 and up are refused, named."""
-    from .integrate import normal_sphere_rule
-
     n, m = second.shape[1:3]
     if m % 2 == 0:
         _check_pfaffian_dimension(m, imm.name)
     det_g = _det(np.moveaxis(metric, 0, -1))
     k_m = batched_curvature_moments(det_g, second)
-    k_q = batched_curvature_quadrature(det_g, second, normal_sphere_rule(n))
+    k_q = batched_curvature_quadrature(det_g, second)
     if m % 2:
         return CurvatureReport(k_m, k_q, np.abs(k_m - k_q), None, None, None)
     pff = _pfaffian_densities(_gauss_equation(metric, second))

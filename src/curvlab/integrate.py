@@ -127,7 +127,8 @@ def default_grid(imm: Immersion, resolution: Optional[int] = None) -> Quadrature
 
 def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
                      integrand: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Weighted grid sum of `integrand`: (B, m) points -> (B,) density-weighted values."""
+    """Weighted grid sum of `integrand`: (B, m) points -> (B,) density-weighted values; any
+    other shape of values is refused, as numpy would broadcast it against the (B,) weights."""
     if len(grid.axes) != imm.m:
         raise ValueError(f"grid has {len(grid.axes)} axes, immersion has {imm.m}")
     U, W = grid.mesh()
@@ -135,6 +136,9 @@ def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
     for start in range(0, U.shape[0], _CHUNK):
         Uc = U[start:start + _CHUNK]
         values = integrand(Uc)
+        if np.shape(values) != (len(Uc),):
+            raise ValueError(f"{imm.name}: integrand maps {Uc.shape} points to values of shape "
+                             f"{np.shape(values)}, expected ({len(Uc)},)")
         bad = ~np.isfinite(values)
         if bad.any():
             raise DegenerateImmersionError(
@@ -205,62 +209,53 @@ def integrate_scalar(imm: Immersion, f: Callable[[np.ndarray], np.ndarray],
 
 
 @functools.lru_cache(maxsize=None)
-def normal_sphere_rule(n: int) -> NormalSphereRule:
-    """Quadrature on the unit sphere S^(n-1) of an n-dimensional normal space.
+def normal_sphere_rule(m: int, n: int) -> NormalSphereRule:
+    """Quadrature on the unit sphere S^(n-1) of the normal space of an m-dimensional immersion.
 
-    n=1: the two points +-1, weight 1 each.  n=2: 64 equispaced angles.
-    n=3: 32 Gauss-Legendre polar cosines times 64 equispaced azimuths.
-    n>3: 4096 Monte Carlo nodes with a fixed seed.  Built once per n and
-    shared by every caller, so its nodes and weights are read-only.
+    n <= 3: tensor Gauss-Hermite nodes, d/2 + 1 per axis for d = m rounded up to
+    even, less the origin, projected to the sphere with weights w |x|^d scaled
+    to sum to its volume.  It is exact for every polynomial of degree <= d, so
+    for K^nu, of degree m (Stroud 1971): 4 and 8 nodes for n = 2, 3 at m = 2,
+    8 and 26 at m = 4.  n > 3: 4096 Monte Carlo nodes with a fixed seed, not
+    exact.  Built once per (m, n) and shared by every caller, so read-only.
     """
-    rule = _build_sphere_rule(n)
+    rule = _build_sphere_rule(m, n)
     rule.nodes.flags.writeable = False
     rule.weights.flags.writeable = False
     return rule
 
 
-def _build_sphere_rule(n: int) -> NormalSphereRule:
-    if n < 1:
-        raise ValueError(f"codimension {n} must be >= 1")
-    if n == 1:
-        return NormalSphereRule(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
-    if n == 2:
-        theta = 2.0 * np.pi * np.arange(64) / 64
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return NormalSphereRule(nodes, np.full(64, 2.0 * np.pi / 64))
-    if n == 3:
-        x, w = np.polynomial.legendre.leggauss(32)  # x = cos(polar angle)
-        phi = 2.0 * np.pi * np.arange(64) / 64
-        sin_pol = np.sqrt(1.0 - x**2)
-        nodes = np.stack(
-            [
-                np.outer(sin_pol, np.cos(phi)).ravel(),
-                np.outer(sin_pol, np.sin(phi)).ravel(),
-                np.outer(x, np.ones(64)).ravel(),
-            ],
-            axis=1,
-        )
-        weights = np.outer(w, np.full(64, 2.0 * np.pi / 64)).ravel()
-        return NormalSphereRule(nodes, weights)
-    rng = np.random.default_rng(_MC_SEED)
-    raw = rng.standard_normal((4096, n))
-    nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return NormalSphereRule(nodes, np.full(4096, sphere_volume(n - 1) / 4096))
+def _build_sphere_rule(m: int, n: int) -> NormalSphereRule:
+    if m < 1 or n < 1:
+        raise ValueError(f"dimension {m} and codimension {n} must be >= 1")
+    if n > 3:
+        rng = np.random.default_rng(_MC_SEED)
+        raw = rng.standard_normal((4096, n))
+        nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        return NormalSphereRule(nodes, np.full(4096, sphere_volume(n - 1) / 4096))
+    half = (m + 1) // 2  # d / 2
+    x, w = np.polynomial.hermite_e.hermegauss(half + 1)
+    nodes = np.stack(np.meshgrid(*[x] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    weights = np.prod(np.meshgrid(*[w] * n, indexing="ij"), axis=0).ravel()
+    r2 = np.sum(nodes**2, axis=1)
+    keep = r2 > 0  # drops the origin, a node when the count is odd
+    weights = weights[keep] * r2[keep] ** half
+    nodes = nodes[keep] / np.sqrt(r2[keep])[:, None]
+    return NormalSphereRule(nodes, weights * sphere_volume(n - 1) / weights.sum())
 
 
-def _curvature_route(route: str, n: int):
+def _curvature_route(route: str):
     """The batched K_M kernel (metric or det(metric), second form) -> (B,) of a named route."""
     if route == "moments":
         return batched_curvature_moments
     if route == "quadrature":
-        rule = normal_sphere_rule(n)
-        return lambda metric, second: batched_curvature_quadrature(metric, second, rule)
+        return batched_curvature_quadrature
     raise ValueError(f"unknown curvature route {route!r}")
 
 
 def batched_curvature(imm: Immersion, U: np.ndarray, route: str = "moments") -> np.ndarray:
     """Generalized curvature K_M at a batch of parameter points."""
-    curvature = _curvature_route(route, imm.n)
+    curvature = _curvature_route(route)
     metric, second, _ = frames_at(imm, U)
     return curvature(metric, second)
 
@@ -289,7 +284,7 @@ def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
     distance.  Without a `grid` the default grid is refined until converged,
     with the volume ratio (one unit of chi) as the quantum.
     """
-    curvature = _curvature_route(route, imm.n)
+    curvature = _curvature_route(route)
     ratio = sphere_volume(imm.k - 1) / sphere_volume(imm.n - 1)
 
     def integrand(U):

@@ -132,12 +132,11 @@ def test_criterion_6_odd_dimension_vanishing(announce):
     moments_exact = True
     for name in ("circle_r2", "circle_r3"):
         imm = cl.catalog_get(name)
-        rule = cl.normal_sphere_rule(imm.n)
         for u in cl.sample_domain(imm, 10, rng):
             fd = cl.frame_data_at(imm, u)
             if cl.generalized_curvature_moments(fd) != 0.0:
                 moments_exact = False
-            worst_quad = max(worst_quad, abs(cl.generalized_curvature_quadrature(fd, rule)))
+            worst_quad = max(worst_quad, abs(cl.generalized_curvature_quadrature(fd)))
     ok = moments_exact and worst_quad < 1e-10
     announce(6, ok, f"moments exact zero: {moments_exact}, max |quadrature| = {worst_quad:.2e}")
     assert moments_exact

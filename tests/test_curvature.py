@@ -174,10 +174,7 @@ def test_generalized_curvature_pinned_values(rng):
         for u, expected in zip(U, imm.reference_curvature(U)):
             fd = cl.frame_data_at(imm, u)
             assert_allclose(cl.generalized_curvature_moments(fd), expected, rtol=0, atol=1e-12)
-            rule = cl.normal_sphere_rule(imm.n)
-            assert_allclose(
-                cl.generalized_curvature_quadrature(fd, rule), expected, rtol=0, atol=1e-10
-            )
+            assert_allclose(cl.generalized_curvature_quadrature(fd), expected, rtol=0, atol=1e-10)
     assert len(checked) == 8 and "torus_rev_r3" in checked
 
 
@@ -235,11 +232,10 @@ def test_batched_routes_take_the_metric_or_its_determinants(rng):
         imm = get(name)
         metric, second, _ = cl.frames_at(imm, cl.sample_domain(imm, 30, rng))
         det_g = _det(np.moveaxis(metric, 0, -1))
-        rule = cl.normal_sphere_rule(imm.n)
         assert np.array_equal(cl.batched_curvature_moments(det_g, second),
                               cl.batched_curvature_moments(metric, second))
-        assert np.array_equal(cl.batched_curvature_quadrature(det_g, second, rule),
-                              cl.batched_curvature_quadrature(metric, second, rule))
+        assert np.array_equal(cl.batched_curvature_quadrature(det_g, second),
+                              cl.batched_curvature_quadrature(metric, second))
 
 
 def test_batch_last_storage_and_its_batch_first_view_give_identical_k(rng):
@@ -248,11 +244,10 @@ def test_batch_last_storage_and_its_batch_first_view_give_identical_k(rng):
         metric, second, _ = cl.frames_at(imm, cl.sample_domain(imm, 30, rng))
         assert np.moveaxis(second, 0, -1).flags.c_contiguous  # a view of batch-last storage
         flat_metric, flat_second = np.ascontiguousarray(metric), np.ascontiguousarray(second)
-        rule = cl.normal_sphere_rule(imm.n)
         assert_array_equal(cl.batched_curvature_moments(metric, second),
                            cl.batched_curvature_moments(flat_metric, flat_second))
-        assert_array_equal(cl.batched_curvature_quadrature(metric, second, rule),
-                           cl.batched_curvature_quadrature(flat_metric, flat_second, rule))
+        assert_array_equal(cl.batched_curvature_quadrature(metric, second),
+                           cl.batched_curvature_quadrature(flat_metric, flat_second))
 
 
 def test_odd_dimension_vanishing(rng):
@@ -261,18 +256,7 @@ def test_odd_dimension_vanishing(rng):
         for u in cl.sample_domain(imm, 10, rng):
             fd = cl.frame_data_at(imm, u)
             assert cl.generalized_curvature_moments(fd) == 0.0  # parity short-circuit
-            rule = cl.normal_sphere_rule(imm.n)
-            assert abs(cl.generalized_curvature_quadrature(fd, rule)) < 1e-10
-
-
-def test_quadrature_rule_dimension_mismatch():
-    # the batched kernel raised numpy's unnamed "shape-mismatch for sum"
-    fd = cl.frame_data_at(get("sphere2_r4"), [1.0, 1.0])
-    rule = cl.normal_sphere_rule(3)
-    with pytest.raises(ValueError, match=r"rule is on S\^2, codimension is 2"):
-        cl.generalized_curvature_quadrature(fd, rule)
-    with pytest.raises(ValueError, match=r"rule is on S\^2, codimension is 2"):
-        cl.batched_curvature_quadrature(fd.metric[None], fd.second_form[None], rule)
+            assert abs(cl.generalized_curvature_quadrature(fd)) < 1e-10
 
 
 # -- frame and coordinate invariance ---------------------------------------
@@ -298,10 +282,9 @@ def test_invariance_under_normal_frame_rotation(rng):
         cl.generalized_curvature_moments(fd),
         rtol=0, atol=1e-10,
     )
-    rule = cl.normal_sphere_rule(imm.n)
     assert_allclose(
-        cl.generalized_curvature_quadrature(fd_rot, rule),
-        cl.generalized_curvature_quadrature(fd, rule),
+        cl.generalized_curvature_quadrature(fd_rot),
+        cl.generalized_curvature_quadrature(fd),
         rtol=0, atol=1e-10,
     )
     v = rng.normal(size=imm.n)

@@ -1,5 +1,6 @@
 """Quadrature rules, Riemannian areas, normal-sphere rules, and Gauss-Bonnet."""
 
+import itertools
 import json
 import math
 
@@ -112,6 +113,13 @@ def test_integrate_scalar_field():
     assert_allclose(val, 4 * np.pi / 3, rtol=1e-10)
 
 
+def test_an_integrand_of_the_wrong_shape_is_refused_and_named():
+    # (B, 1) values broadcast against the (B,) weights to (B, B), and were summed: 64 * 4 pi
+    imm = get("sphere2_r3")
+    with pytest.raises(ValueError, match=r"sphere2_r3: .*\(64, 64\), expected \(64,\)"):
+        cl.integrate_scalar(imm, lambda U: np.ones((len(U), 1)), cl.default_grid(imm, 8))
+
+
 def test_grid_axis_mismatch_error():
     grid = cl.default_grid(get("sphere2_r3"))
     with pytest.raises(ValueError):
@@ -122,20 +130,20 @@ def test_grid_axis_mismatch_error():
 
 
 def test_normal_sphere_rule_n1():
-    rule = cl.normal_sphere_rule(1)
+    rule = cl.normal_sphere_rule(2, 1)
     assert_allclose(np.sort(rule.nodes[:, 0]), [-1.0, 1.0], rtol=0, atol=0)
     assert_allclose(rule.weights, [1.0, 1.0], rtol=0, atol=0)
 
 
 def test_normal_sphere_rule_n2():
-    rule = cl.normal_sphere_rule(2)
-    assert rule.nodes.shape == (64, 2)
+    rule = cl.normal_sphere_rule(2, 2)
+    assert rule.nodes.shape == (4, 2)
     assert_allclose(np.sum(rule.weights), 2 * np.pi, rtol=1e-14)
     assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, rtol=1e-14)
 
 
 def test_normal_sphere_rule_n3():
-    rule = cl.normal_sphere_rule(3)
+    rule = cl.normal_sphere_rule(2, 3)
     assert_allclose(np.sum(rule.weights), 4 * np.pi, rtol=1e-14)
     assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, rtol=1e-13)
     for axis in range(3):
@@ -144,25 +152,42 @@ def test_normal_sphere_rule_n3():
         assert abs(rule.weights @ rule.nodes[:, axis]) < 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_normal_sphere_rule_is_exact_to_degree_m_rounded_up_to_even(m, n):
+    rule = cl.normal_sphere_rule(m, n)
+    d = m + m % 2
+    for alpha in itertools.product(range(d + 1), repeat=n):
+        if sum(alpha) > d:
+            continue
+        a = np.array(alpha)
+        got = rule.weights @ np.prod(rule.nodes ** a, axis=1)
+        want = 0.0 if np.any(a % 2) else cl.sphere_moment(a // 2)
+        assert abs(got - want) <= 1e-13, alpha
+    assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert_allclose(np.sum(rule.weights), cl.sphere_volume(n - 1), rtol=1e-14)
+
+
 def test_normal_sphere_rule_n4_monte_carlo_deterministic():
-    a = cl.normal_sphere_rule(4)
-    b = cl.normal_sphere_rule(4)
+    a = cl.normal_sphere_rule(2, 4)
+    b = cl.normal_sphere_rule(2, 4)
     assert_allclose(a.nodes, b.nodes, rtol=0, atol=0)  # fixed seed
     assert_allclose(np.sum(a.weights), cl.sphere_volume(3), rtol=1e-12)
     assert_allclose(np.linalg.norm(a.nodes, axis=1), 1.0, rtol=1e-12)
 
 
 def test_normal_sphere_rule_is_built_once_per_n_and_read_only():
-    for n in (1, 2, 3, 4):
-        rule = cl.normal_sphere_rule(n)
-        assert cl.normal_sphere_rule(n) is rule
-        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
-        with pytest.raises(ValueError):
-            rule.nodes[0, 0] = 0.0
-    # the n = 4 nodes are the seeded Monte Carlo draw, bit for bit
     raw = np.random.default_rng(20260823).standard_normal((4096, 4))
-    np.testing.assert_array_equal(cl.normal_sphere_rule(4).nodes,
-                                  raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    for m in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4):
+            rule = cl.normal_sphere_rule(m, n)
+            assert cl.normal_sphere_rule(m, n) is rule
+            assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+            with pytest.raises(ValueError):
+                rule.nodes[0, 0] = 0.0
+        # the n = 4 nodes are the seeded Monte Carlo draw, bit for bit
+        np.testing.assert_array_equal(cl.normal_sphere_rule(m, 4).nodes,
+                                      raw / np.linalg.norm(raw, axis=1, keepdims=True))
 
 
 # -- Gauss-Bonnet pipeline --------------------------------------------------

@@ -56,6 +56,18 @@ def test_metric_curvature_and_density_are_invariant_under_rigid_motions(n, seed)
         assert_allclose(got[key], want[key], rtol=0, atol=ATOL, err_msg=key)
 
 
+@hypothesis.settings(derandomize=True, max_examples=30, deadline=None)
+@hypothesis.given(m=st.integers(1, 4), n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_quadrature_route_meets_the_moments_route_to_roundoff(m, n, seed):
+    # the normal-sphere rule is exact for K^nu when n <= 3, so the routes differ by rounding only
+    rng = np.random.default_rng(seed)
+    imm = cl.random_graph_poly(rng, m=m, n=n, degree=3, scale=1.0)
+    U = cl.sample_domain(imm, 16, rng)
+    k_moments = cl.batched_curvature(imm, U, "moments")
+    k_quadrature = cl.batched_curvature(imm, U, "quadrature")
+    assert np.all(np.abs(k_quadrature - k_moments) <= 1e-13 * np.maximum(1.0, np.abs(k_moments)))
+
+
 def _pulled_back(imm, a):
     """imm in the chart (x, y) -> phi(x, y) = (x + a0 y^2 + a1 sin y, y + a2 x^2 + a3 x y)
     on [-0.5, 0.5]^2, a diffeomorphism onto its image for |a_i| <= 0.15; also returns phi."""

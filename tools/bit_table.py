@@ -4,6 +4,7 @@
 
 For each catalog name (all of them by default) it prints:
 - `gauss_bonnet_check`'s integral and error estimate by `float.hex`, and its grid shape;
+- the integral of `gauss_bonnet_check(imm, route="quadrature")` by `float.hex`;
 - the sha256 of the bytes of `frames_at` and of `jets_at(..., 3)` at the 300 points
   `sample_domain(imm, 300, default_rng(0))`;
 - for each criterion-8 tube case whose base is named, `per_sheet` and `error_estimate` of
@@ -42,6 +43,8 @@ def rows(names):
         gb = cl.gauss_bonnet_check(imm)
         yield (f"{name} gauss_bonnet integral={_hex(gb.integral)} error_estimate={_hex(gb.error_estimate)} "
                f"grid_shape={tuple(gb.grid_shape)}")
+        quadrature = cl.gauss_bonnet_check(imm, route="quadrature")
+        yield f"{name} gauss_bonnet_quadrature integral={_hex(quadrature.integral)}"
         U = cl.sample_domain(imm, 300, np.random.default_rng(0))
         yield f"{name} frames_at sha256={_sha256(cl.frames_at(imm, U))}"
         yield f"{name} jets_at_3 sha256={_sha256(cl.jets_at(imm, U, 3))}"

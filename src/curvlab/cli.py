@@ -22,11 +22,11 @@ from typing import Optional
 import numpy as np
 
 from .catalog import catalog_entries, catalog_get, load_immersion
-from .curvature import NormalDirection, _check_pfaffian_dimension, _curvature_reports, _first
+from .curvature import NormalDirection, _check_pfaffian_dimension, curvature_report, egregium_report
 from .errors import CurvlabError, DomainError
-from .immersion import frames_at, sample_domain
+from .immersion import sample_domain
 from .integrate import default_grid, gauss_bonnet_check
-from .tube import TubeConfig, _identities, _spectra, _tube_points, tube_total_curvature
+from .tube import TubeConfig, tube_point, tube_total_curvature
 
 __all__ = ["main", "RunReport"]
 
@@ -153,8 +153,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_curvature(args, imm):
     u = _parse_point(args.point, imm.m)
-    metric, second, _ = frames_at(imm, imm.wrap(u)[None])
-    results = asdict(_first(_curvature_reports(imm, metric, second)))  # at odd m, Pfaffian fields null
+    results = asdict(curvature_report(imm, u))  # at odd m, Pfaffian fields null
     return {"point": [float(x) for x in u]}, results, [], None
 
 
@@ -183,13 +182,12 @@ def cmd_tube(args, imm):
     results: dict = {"eps": args.eps}
     converged = None
     if sampled:  # every sample in one batch, evaluated once for both checks
-        tp = _tube_points(cfg, sample_domain(imm, samples, rng),
-                          _random_directions(rng, samples, imm.n), None)
+        tp = tube_point(cfg, sample_domain(imm, samples, rng), _random_directions(rng, samples, imm.n))
         if do_identity:
-            results["max_identity_residual"] = float(np.max(_identities(cfg, tp).relative))
+            results["max_identity_residual"] = float(np.max(tp.identity.relative))
             results["identity_samples"] = samples
         if args.spectrum:
-            results["max_spectrum_residual"] = float(np.max(_spectra(cfg, tp).residual))
+            results["max_spectrum_residual"] = float(np.max(tp.spectrum.residual))
             results["spectrum_samples"] = samples
     if args.total:
         total = tube_total_curvature(cfg, resolution=args.resolution)
@@ -207,10 +205,8 @@ def cmd_tube(args, imm):
 
 
 def cmd_egregium(args, imm):
-    _check_pfaffian_dimension(imm.m, imm.name)
-    points = sample_domain(imm, args.samples, np.random.default_rng(args.seed))
-    metric, second, _ = frames_at(imm, np.array([imm.wrap(u) for u in points]))  # as `egregium_report` reads u
-    rep = _curvature_reports(imm, metric, second)
+    _check_pfaffian_dimension(imm.m, imm.name)  # before any point is sampled
+    rep = egregium_report(imm, sample_domain(imm, args.samples, np.random.default_rng(args.seed)))
     results = {"samples": args.samples, "max_egregium_residual": float(np.max(rep.egregium_residual)),
                "max_route_residual": float(np.max(rep.route_residual))}
     options = {"seed": args.seed, "samples": args.samples}

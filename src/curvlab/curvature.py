@@ -14,24 +14,25 @@ form, dividing by det(I) once:
 
 A third, intrinsic route goes through the Gauss equation (or finite
 differences of the metric alone) to the Riemann tensor and its Pfaffian
-density; `_curvature_reports` compares all routes over a batch.  Each
-single-point function is its batched kernel on a batch of one, and no point's
-values depend on its batch.  Riemann tensors are expressed in the orthonormal
-tangent basis obtained by Cholesky whitening, so they compare across routes.
+density.  `curvature_report` compares all routes at a point u (m,) or over a
+batch U (B, m); a point is a batch of one, and no point's values depend on its
+batch.  Riemann tensors are expressed in the orthonormal tangent basis
+obtained by Cholesky whitening, so they compare across routes.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedDimensionError
-from .immersion import FrameData, Immersion, _stacked_jets, frame_data_at, induced_metric
+from .immersion import FrameData, Immersion, _stacked_jets, frames_at, induced_metric
+from .immersion import frame_data_at  # unused here: perfbench/tracing.py wraps this binding
 
 __all__ = [
     "NormalDirection",
@@ -48,6 +49,7 @@ __all__ = [
     "gauss_equation_tensor",
     "intrinsic_curvature_fd",
     "pfaffian_density",
+    "curvature_report",
     "egregium_report",
 ]
 
@@ -61,8 +63,9 @@ class NormalDirection:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         nrm = np.linalg.norm(self.coeffs)
-        if not abs(nrm - 1.0) <= 1e-10:
-            raise ValueError(f"normal direction coefficients have norm {nrm}, expected 1")
+        if self.coeffs.ndim != 1 or not abs(nrm - 1.0) <= 1e-10:
+            raise ValueError(
+                f"normal direction coefficients of shape {self.coeffs.shape}, norm {nrm}: expected a unit vector")
 
     @staticmethod
     def unit(vec) -> "NormalDirection":
@@ -109,9 +112,9 @@ class CurvatureReport:
 
 
 def _first(batch):
-    """A batch of one read at its point: each field drops its batch axis, (1,) arrays become scalars."""
+    """A batch of one read at its point, nested results too: (1,) arrays become scalars, others drop axis 0."""
     def at(v):
-        if isinstance(v, FrameData):
+        if is_dataclass(v):
             return _first(v)
         return v if v is None else v[0].item() if getattr(v, "ndim", 0) == 1 else v[0]
     return replace(batch, **{f.name: at(getattr(batch, f.name)) for f in fields(batch)})
@@ -400,24 +403,26 @@ def pfaffian_density(tensor: CurvatureTensor) -> float:
     return _pfaffian_densities(tensor.R[..., None]).item()
 
 
-def _curvature_reports(imm: Immersion, metric: np.ndarray, second: np.ndarray) -> CurvatureReport:
-    """Every curvature route over a batch of forms, metric (B,m,m) and second form (B,n,m,m): one
-    report of (B,) arrays.  At odd m the Pfaffian fields are None; m = 6 and up are refused, named."""
-    n, m = second.shape[1:3]
-    if m % 2 == 0:
-        _check_pfaffian_dimension(m, imm.name)
+def curvature_report(imm: Immersion, u) -> CurvatureReport:
+    """Every curvature route at a parameter point u (m,), or over a batch U (B, m) as a report of (B,)
+    arrays.  At odd m the Pfaffian fields are None; m = 6 and up are refused, named."""
+    if imm.m % 2 == 0:
+        _check_pfaffian_dimension(imm.m, imm.name)
+    batch = np.ndim(u) == 2
+    metric, second, _ = frames_at(imm, np.array([imm.wrap(v) for v in (u if batch else [u])]))
     det_g = _det(np.moveaxis(metric, 0, -1))
     k_m = batched_curvature_moments(det_g, second)
     k_q = batched_curvature_quadrature(det_g, second)
-    if m % 2:
-        return CurvatureReport(k_m, k_q, np.abs(k_m - k_q), None, None, None)
-    pff = _pfaffian_densities(_gauss_equation(metric, second))
-    lhs = sphere_volume(n - 1) / sphere_volume(imm.k - 1) * k_m
-    return CurvatureReport(k_m, k_q, np.abs(k_m - k_q), pff, lhs, np.abs(lhs - pff))
+    pff = lhs = residual = None
+    if imm.m % 2 == 0:
+        pff = _pfaffian_densities(_gauss_equation(metric, second))
+        lhs = sphere_volume(imm.n - 1) / sphere_volume(imm.k - 1) * k_m
+        residual = np.abs(lhs - pff)
+    rep = CurvatureReport(k_m, k_q, np.abs(k_m - k_q), pff, lhs, residual)
+    return rep if batch else _first(rep)
 
 
 def egregium_report(imm: Immersion, u) -> CurvatureReport:
-    """Compare every curvature route at one parameter point (m in {2, 4}): a batch of one."""
+    """`curvature_report` at a point or over a batch, for m in {2, 4} only: other m are refused, named."""
     _check_pfaffian_dimension(imm.m, imm.name)
-    fd = frame_data_at(imm, u)
-    return _first(_curvature_reports(imm, fd.metric[None], fd.second_form[None]))
+    return curvature_report(imm, u)

@@ -21,10 +21,10 @@ once per distinct base point of a batch of sheet points.  The sheet's p = m + n 
 variables put theta last, so those jets add as they are to the jets of y(theta), which
 are seeded in the theta variables alone.
 
-Checks provided: the curvature rescaling identity
-K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu, the shape-operator spectrum
-{lambda_i/(1 - eps lambda_i)} plus an eigenvalue -1/eps of multiplicity
-n-1, and the total curvature (-1)^(k-1) * vol(S^(k-1)) * chi.
+Checks provided: at a point (u, nu) or a batch of them, evaluated once by `tube_point`, the
+curvature rescaling identity K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu and the shape-operator
+spectrum {lambda_i/(1 - eps lambda_i)} plus an eigenvalue -1/eps of multiplicity n-1; and
+the total curvature (-1)^(k-1) * vol(S^(k-1)) * chi.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ class TubeConfig:
 
 @dataclass
 class TubePoint:
-    """One boundary point p + eps*nu with its derived scalars.  Batched, every array (those of
-    both `FrameData` too) leads with a batch axis, and nu_hat is a tuple of one direction per point."""
+    """One boundary point p + eps*nu with its derived scalars and both checks.  Batched, every array (those
+    of the nested results too) leads with a batch axis, and nu_hat is a tuple of one direction per point."""
 
     u: np.ndarray
     nu_hat: NormalDirection
@@ -98,6 +98,8 @@ class TubePoint:
     base_frame: FrameData  # base forms at u; nu_hat is read in its normal frame
     sheet_frame: FrameData  # sheet forms at sheet_param, normal 0 turned to gauss_normal
     shape_operator: np.ndarray  # Pi^nu at u in an orthonormal tangent basis, (m, m)
+    identity: TubeIdentityResult
+    spectrum: TubeSpectrumResult
 
 
 @dataclass
@@ -247,20 +249,34 @@ def normal_jacobian(cfg: TubeConfig, u, nu_hat: NormalDirection) -> float:
                                cfg.base.wrap(u)[None])[1].item()
 
 
-def _tube_points(cfg: TubeConfig, U, directions, boundary: Optional[TubeBoundary]) -> TubePoint:
-    """`tube_point` at base parameters U (B, m), one `NormalDirection` per point, as one batched
-    `TubePoint`.  Every contraction over the batch is an elementwise sum in a fixed order, so a
-    point's values do not depend on its batch.  An error names the first failing point."""
-    base = cfg.base
+def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = None) -> TubePoint:
+    """Evaluate the tube boundary at (u, nu_hat), derive its scalars and run both checks on them.
+
+    u is a base parameter point (m,) with one `NormalDirection`, or a batch U (B, m) with a sequence
+    of B of them; a batch gives a `TubePoint` whose arrays lead with a batch axis, and a point that
+    batch of one read at its point.  One evaluation of the base chart, its 3-jet at U, serves three
+    ends: its 2-jet gives the base forms, in whose normal frame nu_hat is read; it builds the smooth
+    normal frame that locates the fiber point; and the two give the sheet chart's 2-jet there, as the
+    sheet's `jet_map` would.  The classical curvature comes from those jets, oriented by the outward
+    normal g = (point - base point)/eps.  The base and sheet forms are kept on the result, and the
+    checks read them.  Every contraction over the batch is an elementwise sum in a fixed order, so a
+    point's values do not depend on its batch.  An error names the first failing point; a `boundary`
+    built for another config is refused.
+    """
+    base, batch = cfg.base, np.ndim(u) == 2
     if boundary is None:
         boundary = tube_boundary_immersion(cfg)
     elif boundary.config != cfg:
         raise ValueError(
             f"boundary was built for another config: {boundary.config.base.name} at "
             f"eps = {boundary.config.eps}, not {base.name} at eps = {cfg.eps}")
+    U = np.array([base.wrap(v) for v in (u if batch else [u])])
+    directions = nu_hat if batch else [nu_hat]
+    if isinstance(directions, NormalDirection) or len(directions) != len(U):
+        given = "one bare NormalDirection" if isinstance(directions, NormalDirection) else len(directions)
+        raise ValueError(f"a batch of {len(U)} base points takes {len(U)} normal directions, got {given}")
     for nu in directions:
         _check_direction(nu, base.n)
-    U = np.array([base.wrap(u) for u in U])
     C = np.array([nu.coeffs for nu in directions]).T
     X = base.jet_map(U, 3)
     base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2, base.m))[1:]))
@@ -276,24 +292,25 @@ def _tube_points(cfg: TubeConfig, U, directions, boundary: Optional[TubeBoundary
     point, g, metric, second, frame = _oriented(
         cfg, *_forms(names, P, *_stack(_sheet_chart(cfg, X, nus, P, 1.0 - 2.0 * index), 2, P.shape[1])),
         np.stack([x.val for x in X]))
-    return TubePoint(u=U, nu_hat=tuple(directions), point=point.T, gauss_normal=g.T,
-                     classical_k=_det(second[0]) / _det(metric), normal_jacobian=nj, sheet_index=index,
-                     sheet_param=P, base_frame=base_frame, shape_operator=np.moveaxis(pi_nu, -1, 0),
-                     sheet_frame=FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame))))
-
-
-def tube_point(cfg: TubeConfig, u, nu_hat: NormalDirection,
-               boundary: Optional[TubeBoundary] = None) -> TubePoint:
-    """Evaluate the tube boundary at (u, nu_hat) and derive its scalars: `_tube_points` on a batch of one.
-
-    One evaluation of the base chart, its 3-jet at u, serves three ends: its 2-jet gives
-    the base forms, in whose normal frame nu_hat is read; it builds the smooth normal frame
-    that locates the fiber point; and the two give the sheet chart's 2-jet there, as the
-    sheet's `jet_map` would.  The classical curvature comes from those jets, oriented by the
-    outward normal g = (point - base point)/eps.  The base and sheet forms are kept on the
-    result for the checks below.  A `boundary` built for another config is refused.
-    """
-    return _first(_tube_points(cfg, [u], [nu_hat], boundary))
+    sheet_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame)))
+    classical_k, shape_operator = _det(second[0]) / _det(metric), np.moveaxis(pi_nu, -1, 0)
+    # the identity: K^g / NJ against (-1)^(n-1) eps^-(n-1) K^nu
+    lhs = classical_k / nj
+    rhs = (-1.0) ** (base.n - 1) * cfg.eps ** (-(base.n - 1)) * _directional_curvatures(
+        base_frame.metric, base_frame.second_form, C)
+    residual = np.abs(lhs - rhs)
+    relative = residual / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    # the spectrum: the sheet's shape operator against {lambda_i/(1 - eps lambda_i)} and -1/eps (n-1 times)
+    computed = np.sort(np.linalg.eigvalsh(whiten_second_form(sheet_frame.metric, sheet_frame.second_form)[:, 0]))
+    lam = np.linalg.eigvalsh(shape_operator)
+    fiber = np.full((len(lam), base.n - 1), -1.0 / cfg.eps)
+    predicted = np.sort(np.concatenate([lam / (1.0 - cfg.eps * lam), fiber], axis=1))
+    tp = TubePoint(u=U, nu_hat=tuple(directions), point=point.T, gauss_normal=g.T, classical_k=classical_k,
+                   normal_jacobian=nj, sheet_index=index, sheet_param=P, base_frame=base_frame,
+                   sheet_frame=sheet_frame, shape_operator=shape_operator,
+                   identity=TubeIdentityResult(lhs, rhs, residual, relative),
+                   spectrum=TubeSpectrumResult(computed, predicted, np.max(np.abs(computed - predicted), axis=1)))
+    return tp if batch else _first(tp)
 
 
 @dataclass
@@ -306,22 +323,9 @@ class TubeIdentityResult:
     relative: float
 
 
-def _identities(cfg: TubeConfig, tp: TubePoint) -> TubeIdentityResult:
-    """`tube_identity_check` at every point of a batched `TubePoint`."""
-    n, fd = cfg.base.n, tp.base_frame
-    C = np.array([nu.coeffs for nu in tp.nu_hat]).T
-    k_nu = _directional_curvatures(fd.metric, fd.second_form, C)
-    lhs = tp.classical_k / tp.normal_jacobian
-    rhs = (-1.0) ** (n - 1) * cfg.eps ** (-(n - 1)) * k_nu
-    residual = np.abs(lhs - rhs)
-    relative = residual / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return TubeIdentityResult(lhs, rhs, residual, relative)
-
-
-def tube_identity_check(cfg: TubeConfig, u, nu_hat: NormalDirection,
-                        boundary: Optional[TubeBoundary] = None) -> TubeIdentityResult:
-    """Compare the tube-jet curvature route against the rescaled base curvature."""
-    return _first(_identities(cfg, _tube_points(cfg, [u], [nu_hat], boundary)))
+def tube_identity_check(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = None) -> TubeIdentityResult:
+    """Compare the tube-jet curvature route against the rescaled base curvature: `tube_point(...).identity`."""
+    return tube_point(cfg, u, nu_hat, boundary).identity
 
 
 @dataclass
@@ -334,21 +338,9 @@ class TubeSpectrumResult:
     residual: float
 
 
-def _spectra(cfg: TubeConfig, tp: TubePoint) -> TubeSpectrumResult:
-    """`tube_spectrum_check` at every point of a batched `TubePoint`."""
-    computed = np.sort(np.linalg.eigvalsh(
-        whiten_second_form(tp.sheet_frame.metric, tp.sheet_frame.second_form)[:, 0]))
-    lam = np.linalg.eigvalsh(tp.shape_operator)
-    fiber = np.full((len(lam), cfg.base.n - 1), -1.0 / cfg.eps)
-    predicted = np.sort(np.concatenate([lam / (1.0 - cfg.eps * lam), fiber], axis=1))
-    return TubeSpectrumResult(computed=computed, predicted=predicted,
-                              residual=np.max(np.abs(computed - predicted), axis=1))
-
-
-def tube_spectrum_check(cfg: TubeConfig, u, nu_hat: NormalDirection,
-                        boundary: Optional[TubeBoundary] = None) -> TubeSpectrumResult:
-    """Predicted spectrum: {lambda_i/(1 - eps lambda_i)} plus -1/eps (n-1 times)."""
-    return _first(_spectra(cfg, _tube_points(cfg, [u], [nu_hat], boundary)))
+def tube_spectrum_check(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = None) -> TubeSpectrumResult:
+    """Predicted spectrum {lambda_i/(1 - eps lambda_i)} plus -1/eps (n-1 times): `tube_point(...).spectrum`."""
+    return tube_point(cfg, u, nu_hat, boundary).spectrum
 
 
 @dataclass

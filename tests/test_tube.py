@@ -149,7 +149,7 @@ def test_base_rank_loss_at_a_tube_point_is_named(name, u):
             check(cfg, u, nu)
     # inside a batch, between two good points
     with pytest.raises(DegenerateImmersionError, match=re.escape(message)):
-        tube._tube_points(cfg, [(1.0, 0.5), u, (2.0, 1.5)], [nu] * 3, None)
+        cl.tube_point(cfg, [(1.0, 0.5), u, (2.0, 1.5)], [nu] * 3)
 
 
 def _all_variable_sheet_jets(cfg, sign, U, order):
@@ -351,7 +351,7 @@ def test_codim3_tube_point_on_the_fiber_pole_is_refused(u):
     # after a good point in one batch, the pole point is the one named
     good = cl.NormalDirection.unit([0.3, 0.5, 0.8])
     with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
-        tube._tube_points(cfg, [(0.2, 0.1), u], [good, on_pole], boundary)
+        cl.tube_point(cfg, [(0.2, 0.1), u], [good, on_pole], boundary)
     assert f"parameter point [{u[0]}, {u[1]}, 0.0, " in str(err.value)
 
 
@@ -460,10 +460,10 @@ def test_a_batch_equals_its_points_one_at_a_time(name):
     U = cl.sample_domain(base, 50, rng)
     directions = [cl.NormalDirection(np.array([(-1.0) ** i])) if base.n == 1
                   else cl.NormalDirection.unit(rng.normal(size=base.n)) for i in range(len(U))]
-    tp = tube._tube_points(cfg, U, directions, boundary)
+    tp = cl.tube_point(cfg, U, directions, boundary)
     if base.n == 1:
         assert set(tp.sheet_index) == {0, 1}
-    batches = (tp, tube._identities(cfg, tp), tube._spectra(cfg, tp))
+    batches = (tp, tp.identity, tp.spectrum)
     for i, (u, nu) in enumerate(zip(U, directions)):
         for batch, check in zip(batches, (cl.tube_point, cl.tube_identity_check, cl.tube_spectrum_check)):
             _assert_point_of_batch(batch, i, check(cfg, u, nu, boundary=boundary))
@@ -472,11 +472,24 @@ def test_a_batch_equals_its_points_one_at_a_time(name):
 def _assert_point_of_batch(batch, i, single):
     for field in dataclasses.fields(single):
         got, want = getattr(batch, field.name), getattr(single, field.name)
-        if isinstance(want, cl.FrameData):
+        if dataclasses.is_dataclass(want) and not isinstance(want, cl.NormalDirection):  # a nested result
             _assert_point_of_batch(got, i, want)
         else:
             got, want = (x.coeffs if isinstance(x, cl.NormalDirection) else x for x in (got[i], want))
             assert np.array_equal(got, want), (field.name, i)
+
+
+@pytest.mark.parametrize("directions, given", [(3, "3"), (1, "1"), (None, "one bare NormalDirection")])
+def test_a_batch_with_other_than_one_direction_per_point_is_refused(monkeypatch, directions, given):
+    # refused before any evaluation: no direction is broadcast over the batch
+    cfg = cl.TubeConfig(get("sphere2_r4"), 0.05)
+    U = cl.sample_domain(cfg.base, 5, np.random.default_rng(0))
+    nu = cl.NormalDirection.unit([0.6, 0.8])
+    monkeypatch.setattr(cl.Immersion, "jet_map", None)
+    message = f"a batch of 5 base points takes 5 normal directions, got {given}"
+    for check in (cl.tube_point, cl.tube_identity_check, cl.tube_spectrum_check):
+        with pytest.raises(ValueError, match=message):
+            check(cfg, U, nu if directions is None else [nu] * directions)
 
 
 # -- rescaling identity -----------------------------------------------------

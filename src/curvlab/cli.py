@@ -251,7 +251,8 @@ def _finite_float(text: str) -> float:
 
 _RESOLUTION_HELP = (
     "nodes per axis (default: refine from 8 nodes per axis until two levels agree, "
-    "capped at the per-dimension default grid)"
+    "capped at the per-dimension default grid; a tube refines its base axes only, and each "
+    "fiber axis starts at the node count exact for it and gains one node per level)"
 )
 
 

@@ -17,14 +17,17 @@ grids of 8, 13, 20, 31, ... nodes per axis (coprime neighbours), capped by
 integral's topological quantum.  For analytic charts both rules converge
 exponentially, so the last difference between levels is the reported error
 estimate: the error of the coarser level, which the finer one improves on.
+A caller may supply its own levels instead: a tube sheet runs that ladder on
+its base axes only, with fiber axes on rules exact for them (`tube.py`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -56,7 +59,7 @@ _REFINE_TOL = 1e-12  # two levels agree within this fraction of the topological 
 class GridAxis:
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str  # "gauss-legendre" or "trapezoid"
+    kind: str  # "gauss-legendre", "trapezoid", or "gauss-legendre-cos": Gauss-Legendre in cos(psi) on [0, pi]
 
 
 @dataclass(frozen=True)
@@ -112,11 +115,21 @@ def _make_axis(lo: float, hi: float, periodic: bool, count: int) -> GridAxis:
     return GridAxis(lo + half * (x + 1.0), half * w, "gauss-legendre")
 
 
+def _polar_axis(count: int) -> GridAxis:
+    """Gauss-Legendre in t = cos(psi) on the polar axis [0, pi]: nodes psi_i = arccos(t_i), in
+    ascending order, and weights w_i / sin(psi_i).  Its sum of f is that of f / sin(psi) over t, so
+    it is exact when f is sin(psi) times a polynomial in cos(psi) of degree <= 2 * count - 1."""
+    t, w = (a[::-1] for a in _gauss_legendre(count))
+    return GridAxis(np.arccos(t), w / np.sqrt((1.0 - t) * (1.0 + t)), "gauss-legendre-cos")
+
+
 def default_grid(imm: Immersion, resolution: Optional[int] = None) -> QuadratureGrid:
     """Product grid at uniform `resolution` nodes per axis, or at the default counts.
 
     The default counts are the cap of `reduce_until_converged`'s refinement.
     """
+    if resolution is not None and (isinstance(resolution, bool) or not isinstance(resolution, numbers.Integral)):
+        raise TypeError(f"resolution must be an integer number of nodes per axis, got {resolution!r}")
     if resolution is not None and resolution < 1:
         raise ValueError(f"resolution {resolution} must be >= 1 node per axis")
     counts = _axis_counts(imm) if resolution is None else [resolution] * imm.m
@@ -170,22 +183,24 @@ def _refinement_ladder(imm: Immersion) -> list[Optional[int]]:
 
 def reduce_until_converged(
     imm: Immersion, integrand: Callable[[np.ndarray], np.ndarray], quantum: float,
-    grid: Optional[QuadratureGrid] = None,
+    grid: Optional[QuadratureGrid] = None, levels: Optional[Iterable[QuadratureGrid]] = None,
 ) -> tuple[float, tuple[int, ...], Optional[float], Optional[bool]]:
     """(integral, grid shape, error estimate, converged) of `reduce_over_grid`.
 
     On a `grid` the caller fixed: one reduction, with no estimate or flag
-    (None).  Otherwise the levels are `default_grid(imm, r)` along
-    `_refinement_ladder`, ending on `default_grid(imm)`.  Refinement stops at
-    the first level within 1e-12 * `quantum` of the level before and reports
-    that finer value; the estimate is the last difference between levels, and
-    converged is False when the cap was reached before two levels agreed.
+    (None).  Otherwise the levels are `levels`, each grid built when the loop
+    reaches it, by default `default_grid(imm, r)` along `_refinement_ladder`,
+    ending on `default_grid(imm)`.  Refinement stops at the first level within
+    1e-12 * `quantum` of the level before and reports that finer value; the
+    estimate is the last difference between levels, and converged is False
+    when the last level was reached before two levels agreed.
     """
     if grid is not None:
         return reduce_over_grid(imm, grid, integrand), grid.shape, None, None
+    if levels is None:
+        levels = (default_grid(imm, resolution) for resolution in _refinement_ladder(imm))
     previous = error = None
-    for resolution in _refinement_ladder(imm):
-        grid = default_grid(imm, resolution)
+    for grid in levels:
         value = reduce_over_grid(imm, grid, integrand)
         if previous is not None:
             error = abs(value - previous)

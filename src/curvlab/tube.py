@@ -25,6 +25,12 @@ Checks provided: at a point (u, nu) or a batch of them, evaluated once by `tube_
 curvature rescaling identity K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu and the shape-operator
 spectrum {lambda_i/(1 - eps lambda_i)} plus an eigenvalue -1/eps of multiplicity n-1; and
 the total curvature (-1)^(k-1) * vol(S^(k-1)) * chi.
+
+By that identity the sheet's K^g dA over one fiber is (-1)^(n-1) K^nu sqrt(det g) times the
+fiber's area element, and K^nu is a homogeneous polynomial of degree m in nu (Weyl 1939; Gray,
+*Tubes*, 2004).  So a few fiber nodes integrate a fiber exactly: a trapezoid in theta with m + 1
+nodes, and in codimension 3 Gauss-Legendre in cos(psi) with ceil((m + 1)/2).  A refined total runs
+the base's ladder of levels on the base axes only, and each level adds one node per fiber axis.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from .curvature import (NormalDirection, _check_direction, _combine, _det, _dire
 from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
 from .immersion import (Axis, FrameData, Immersion, _forms, _forms_at, _householder_frame, _refuse_rank_loss,
                         _stack, frame_data_at)
-from .integrate import default_grid, reduce_until_converged
+from .integrate import (GridAxis, QuadratureGrid, _make_axis, _polar_axis, _refinement_ladder, default_grid,
+                        reduce_until_converged)
 from .jets import Jet, cos, dot, sin, sqrt
 
 __all__ = [
@@ -357,7 +364,7 @@ class TubeTotalResult:
 
 
 def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
-    """Gaussian curvature times area density of one sheet, (B, m) -> (B,)."""
+    """Gaussian curvature times area density of one sheet, at sheet points (B, p) -> (B,)."""
     def integrand(U):
         _, _, metric, second, _ = _oriented(cfg, *_forms_at(sheet, U), cfg.base.points(U[:, : cfg.base.m]).T)
         det_g = _det(metric)
@@ -366,10 +373,27 @@ def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
     return integrand
 
 
+def _fiber_axes(base: Immersion, level: int) -> tuple[GridAxis, ...]:
+    """The fiber axes at refinement level `level`: the counts exact for K^nu (module docstring), plus
+    `level` on each axis, so that two levels compare two fiber rules as well as two base grids."""
+    if base.n == 1:
+        return ()
+    theta = _make_axis(0.0, 2.0 * np.pi, True, base.m + 1 + level)
+    return (theta,) if base.n == 2 else (_polar_axis((base.m + 2) // 2 + level), theta)
+
+
+def _sheet_levels(base: Immersion):
+    """A sheet's refinement levels, each built when reached: the base's own levels
+    `default_grid(base, r)`, times the fiber axes of the level."""
+    return (QuadratureGrid(default_grid(base, resolution).axes + _fiber_axes(base, level))
+            for level, resolution in enumerate(_refinement_ladder(base)))
+
+
 def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> TubeTotalResult:
     """Integrate the tube's Gaussian curvature; expect (-1)^(k-1) vol(S^(k-1)) chi.
 
-    Without a `resolution` each sheet's default grid is refined until
+    With a `resolution`, each sheet is integrated on `resolution` nodes per
+    axis.  Without one, each sheet is refined along `_sheet_levels` until
     converged, with vol(S^(k-1)) as the quantum.
     """
     base = cfg.base
@@ -382,7 +406,7 @@ def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> T
     per_sheet, grid_shapes, errors, flags = zip(*(
         reduce_until_converged(
             sheet, _sheet_integrand(cfg, sheet), quantum,
-            None if resolution is None else default_grid(sheet, resolution),
+            None if resolution is None else default_grid(sheet, resolution), _sheet_levels(base),
         )
         for sheet in boundary.sheets
     ))

@@ -353,7 +353,7 @@ def test_tube_eps_above_reach_exit_2(capsys):
 
 
 @pytest.mark.parametrize("surface_file, grids", [
-    (circle_r3_file, [[13, 13]]), (clifford_torus_file, [[13, 13, 13]]), (unit_circle_file, [[13], [13]]),
+    (circle_r3_file, [[13, 3]]), (clifford_torus_file, [[13, 13, 4]]), (unit_circle_file, [[13], [13]]),
 ])
 def test_tube_total_on_a_closed_surface_file_of_any_codimension(capsys, tmp_path, surface_file, grids):
     # the normal frame comes from the tangents at each base point, so nothing in it can turn

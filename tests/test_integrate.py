@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from curvlab.integrate import (
     QuadratureGrid,
     _gauss_legendre,
     _make_axis,
+    _polar_axis,
     _refinement_ladder,
     reduce_over_grid,
     reduce_until_converged,
@@ -45,6 +47,16 @@ def test_gauss_legendre_nodes_are_built_once_per_count_and_read_only():
     assert not cached[0].flags.writeable and not cached[1].flags.writeable
     ax = _make_axis(-1.5, 2.0, False, 13)  # the axis is its own array, scaled from the shared one
     assert ax.nodes.tobytes() == (-1.5 + 1.75 * (x + 1.0)).tobytes() and ax.nodes.flags.writeable
+
+
+def test_polar_axis_is_gauss_legendre_in_cos_psi():
+    ax = _polar_axis(5)
+    assert ax.kind == "gauss-legendre-cos"
+    assert np.all(np.diff(ax.nodes) > 0) and 0.0 < ax.nodes[0] and ax.nodes[-1] < np.pi
+    for deg in range(0, 10):  # sin(psi) cos(psi)^deg, exact through degree 2*5 - 1
+        val = float(np.sum(ax.weights * np.sin(ax.nodes) * np.cos(ax.nodes) ** deg))
+        assert abs(val - (1.0 + (-1.0) ** deg) / (deg + 1)) < 1e-14
+    assert abs(float(np.sum(ax.weights * np.sin(ax.nodes) * np.cos(ax.nodes) ** 10)) - 2.0 / 11) > 1e-6
 
 
 def test_trapezoid_axis_exact_below_nyquist():
@@ -77,6 +89,24 @@ def test_resolution_below_one_is_rejected_by_name(resolution):
         cl.default_grid(imm, resolution)
     with pytest.raises(ValueError, match=f"resolution {resolution} must be >= 1"):
         cl.tube_total_curvature(cl.TubeConfig(imm, 0.1), resolution=resolution)
+
+
+@pytest.mark.parametrize("resolution", [8.0, 2.5, True, np.float64(8.0), "8"])
+def test_a_resolution_that_is_not_an_integer_is_rejected_by_name(resolution):
+    imm = get("sphere2_r3")
+    message = re.escape(f"resolution must be an integer number of nodes per axis, got {resolution!r}")
+    with pytest.raises(TypeError, match=message):
+        cl.default_grid(imm, resolution)
+    with pytest.raises(TypeError, match=message):
+        cl.tube_total_curvature(cl.TubeConfig(imm, 0.1), resolution=resolution)
+
+
+def test_a_numpy_integer_resolution_is_an_integer():
+    imm = get("sphere2_r3")
+    grid, expected = cl.default_grid(imm, np.int64(8)), cl.default_grid(imm, 8)
+    assert grid.shape == (8, 8)
+    assert all(a.nodes.tobytes() == b.nodes.tobytes() and a.weights.tobytes() == b.weights.tobytes()
+               for a, b in zip(grid.axes, expected.axes))
 
 
 # -- areas ------------------------------------------------------------------

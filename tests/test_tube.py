@@ -17,7 +17,7 @@ from curvlab.errors import (
     UnsupportedDimensionError,
 )
 
-from curvlab.integrate import reduce_over_grid
+from curvlab.integrate import reduce_over_grid, reduce_until_converged
 from curvlab.jets import Jet, cos, dot, sin, sqrt
 
 from conftest import ALL_NAMES, circle_r3_file, clifford_torus_file, get
@@ -313,7 +313,7 @@ def test_a_codimension_1_sheet_batch_names_its_first_bad_base_point():
         cl.tube_total_curvature(cfg, resolution=2)
 
 
-@pytest.mark.parametrize("surface_file, grid", [(circle_r3_file, (13, 13)), (clifford_torus_file, (13, 13, 13))])
+@pytest.mark.parametrize("surface_file, grid", [(circle_r3_file, (13, 3)), (clifford_torus_file, (13, 13, 4))])
 def test_closed_surface_files_in_codimension_2_run_a_tube_total(surface_file, grid, tmp_path):
     # the frame comes from the tangents at each base point, so nothing in it can turn tangent on a
     # closed base; u = pi/2 is where the circle's tangent is the x axis
@@ -635,6 +635,8 @@ def test_total_curvature_sphere2_r4():
 
 
 CRITERION_8_TUBES = [("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1)]
+# 13 nodes on each base axis; a fiber axis holds m + 2 trapezoid nodes at the second level
+CRITERION_8_SHAPES = {"sphere2_r4": ((13, 13, 4),), "sphere2_r3": ((13, 13), (13, 13)), "circle_r3": ((13, 3),)}
 
 
 @pytest.mark.parametrize("name, eps", CRITERION_8_TUBES)
@@ -647,11 +649,66 @@ def test_refined_total_matches_the_default_grids(name, eps):
     for sheet, value in zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet):
         capped = reduce_over_grid(sheet, cl.default_grid(sheet), tube._sheet_integrand(cfg, sheet))
         assert abs(value - capped) <= 1e-12 * quantum
-    # every sheet stops on the same uniform level, and reports that level's value
-    resolution = res.grid_shapes[0][0]
-    assert all(shape == (resolution,) * len(shape) for shape in res.grid_shapes)
-    assert res.per_sheet == cl.tube_total_curvature(cfg, resolution=resolution).per_sheet
+    # every sheet stops on the same level, and reports that level's value
+    assert res.grid_shapes == CRITERION_8_SHAPES[name]
+    for sheet, value, shape in zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet, res.grid_shapes):
+        grid = next(grid for grid in tube._sheet_levels(cfg.base) if grid.shape == shape)
+        assert value == reduce_over_grid(sheet, grid, tube._sheet_integrand(cfg, sheet))
     assert res == cl.tube_total_curvature(cfg)  # bit-identical on a second call
+
+
+def _sphere2_r5():
+    """The unit sphere in the first three axes of R^5: codimension 3, chi = 2 and vol(S^4) = 8 pi^2 / 3."""
+    sphere = get("sphere2_r3")
+    return cl.Immersion(
+        name="sphere2_r5", k=5, domain=sphere.domain,
+        chart=lambda xs: [*sphere.chart(xs), 0.0, 0.0], euler_char=2, reach=0.5,
+    )
+
+
+def test_refined_total_in_codimension_3_holds_the_fiber_at_its_exact_counts():
+    # m = 2: two Gauss-Legendre nodes in cos(psi) and three in theta are exact; the second level has one more each
+    res = cl.tube_total_curvature(cl.TubeConfig(_sphere2_r5(), 0.25))
+    assert res.converged is True and res.grid_shapes == ((13, 13, 3, 4),)
+    assert_allclose(res.integral, 2 * cl.sphere_volume(4), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("base, eps, counts, missed", [
+    (get("sphere2_r4"), 0.05, (3,), 1.0),  # two theta nodes alias K^nu's second harmonic: twice the total
+    (get("circle_r3"), 0.1, (2,), None),
+    # one node in cos(psi), at psi = pi/2, where nu is normal to the radial first frame vector and K^nu = 0
+    (_sphere2_r5(), 0.25, (2, 3), -1.0),
+], ids=["sphere2_r4", "circle_r3", "sphere2_r5"])
+def test_one_fiber_node_fewer_than_exact_misses_the_total(base, eps, counts, missed):
+    # level -1 holds one node fewer on each fiber axis than the exact counts of level 0
+    cfg = cl.TubeConfig(base, eps)
+    sheet = cl.tube_boundary_immersion(cfg).sheets[0]
+    quantum = cl.sphere_volume(base.k - 1)
+    expected = (-1.0) ** (base.k - 1) * quantum * base.euler_char
+    integrand = tube._sheet_integrand(cfg, sheet)
+    exact = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._fiber_axes(base, 0))
+    assert exact.shape[base.m:] == counts
+    assert abs(reduce_over_grid(sheet, exact, integrand) - expected) <= 1e-12 * quantum
+    fewer = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._fiber_axes(base, -1))
+    value = reduce_over_grid(sheet, fewer, integrand)
+    assert abs(value - expected) > 1e-3 * quantum
+    if missed is not None:
+        assert_allclose((value - expected) / expected, missed, rtol=1e-12)
+
+
+def test_a_sheet_integrand_off_the_promised_polynomial_stops_on_no_wrong_level():
+    # times 1 + cos((m + 2) theta) / 2 the integrand has harmonics up to 2m + 2 in theta, but the same
+    # fiber integrals; the first two levels' m + 1 and m + 2 theta nodes each alias one of them, and differ
+    cfg = cl.TubeConfig(get("sphere2_r4"), 0.05)
+    sheet = cl.tube_boundary_immersion(cfg).sheets[0]
+    integrand = tube._sheet_integrand(cfg, sheet)
+    quantum = cl.sphere_volume(cfg.base.k - 1)
+    value, shape, _, converged = reduce_until_converged(
+        sheet, lambda U: integrand(U) * (1.0 + 0.5 * np.cos(4.0 * U[:, -1])), quantum,
+        levels=tube._sheet_levels(cfg.base))
+    assert shape != (13, 13, 4)
+    assert converged is True
+    assert abs(value - (-4.0 * np.pi**2)) <= 1e-12 * quantum
 
 
 def test_fixed_resolution_runs_one_reduction_per_sheet():
@@ -679,13 +736,7 @@ def test_fixed_resolution_totals_on_four_dimensional_bases(name, eps, resolution
 
 
 def test_fixed_resolution_total_in_codimension_3():
-    # the unit sphere in the first three axes of R^5; chi = 2 and vol(S^4) = 8 pi^2 / 3
-    sphere = get("sphere2_r3")
-    base = cl.Immersion(
-        name="sphere2_r5", k=5, domain=sphere.domain,
-        chart=lambda xs: [*sphere.chart(xs), 0.0, 0.0], euler_char=2, reach=0.5,
-    )
-    res = cl.tube_total_curvature(cl.TubeConfig(base, 0.25), resolution=13)  # 8 nodes: 5.7e-8
+    res = cl.tube_total_curvature(cl.TubeConfig(_sphere2_r5(), 0.25), resolution=13)  # 8 nodes: 5.7e-8
     assert res.grid_shapes == ((13, 13, 13, 13),)
     assert_allclose(res.expected, 2 * cl.sphere_volume(4), rtol=1e-15)
     assert_allclose(res.integral, res.expected, rtol=1e-12, atol=0)

@@ -50,6 +50,32 @@ class Axis:
         return self.hi - self.lo
 
 
+class GridBatch:
+    """B points (B, m) that read as `points` by `len` and indexing: rows start.. in C order of a window, one
+    array of values per variable, `columns`, broadcasting to the shape `window`; (B, m) points are (B,)."""
+
+    __slots__ = ("points", "columns", "window", "start")
+
+    def __init__(self, points: np.ndarray, columns: tuple, window: tuple, start: int = 0):
+        self.points, self.columns, self.window, self.start = points, columns, window, start
+
+    def __len__(self):
+        return len(self.points)
+
+    def __getitem__(self, key):
+        return self.points[key]
+
+    def head(self, m: int) -> "GridBatch":  # the first m variables, over the same window and rows
+        return GridBatch(self.points[:, :m], self.columns[:m], self.window, self.start)
+
+    def rows(self, a: np.ndarray) -> np.ndarray:
+        """The batch's rows of `a`, whose last axes broadcast to the window: shape (..., B)."""
+        lead = a.shape[: a.ndim - len(self.window)]
+        if a.shape != lead + self.window:
+            a = np.broadcast_to(a, lead + self.window)
+        return a.reshape(lead + (-1,))[..., self.start:self.start + len(self)]
+
+
 @dataclass
 class Immersion:
     """A parametrized submanifold of R^k; m is its number of domain axes, n = k - m.
@@ -100,24 +126,21 @@ class Immersion:
                 )
         return out
 
-    def jet_map(self, U: np.ndarray, order: int) -> list[Jet]:
-        """Evaluate the chart on a (batch, m) array of points as jets of `order`."""
-        shape, U = np.shape(U), np.atleast_2d(np.asarray(U, dtype=float))
-        if U.ndim != 2 or U.shape[1] != self.m:
-            raise ValueError(f"{self.name}: parameter points of shape {shape}, expected (batch, m = {self.m})")
+    def jet_map(self, U, order: int) -> list[Jet]:
+        """Evaluate the chart as jets of `order` over the window of a `GridBatch` or (batch, m) points."""
+        U = _batch(self, U)
         if order < 0:
             raise ValueError(f"{self.name}: jet order {order} must be >= 0")
         if self.jet_map_override is not None:
             return self.jet_map_override(U, order)
-        out = self.chart(Jet.variables(U, order))
+        out = self.chart(Jet.variables(U.columns, order))
         if len(out) != self.k:
             raise ValueError(f"{self.name}: chart returned {len(out)} coordinates, expected k = {self.k}")
-        b = U.shape[0]
-        return [o if isinstance(o, Jet) else Jet.constant(o, order, b) for o in out]
+        return [o if isinstance(o, Jet) else Jet.constant(o, order, (1,) * len(U.window)) for o in out]
 
-    def points(self, U: np.ndarray) -> np.ndarray:
+    def points(self, U) -> np.ndarray:
         """Ambient positions only, shape (batch, k)."""
-        return np.stack([j.val for j in self.jet_map(U, 0)], axis=1)
+        return _stacked_jets(self, U, 0)[0].T
 
     def without_euler_char(self) -> "Immersion":
         return replace(self, euler_char=None)
@@ -140,20 +163,30 @@ class FrameData:
         return self.second_form.shape[0]
 
 
-def _stack(js: list[Jet], order: int, m: int):
-    """Jet derivatives in m variables up to `order`, batch axis last: (k,B), (k,m,B), (k,m,m,B), ...;
-    each coordinate's tensors are written straight into the cells of its support, zeros elsewhere."""
-    k, b = len(js), len(js[0].val)
-    out = tuple(np.zeros((k,) + (m,) * r + (b,)) for r in range(order + 1))
+def _batch(imm: Immersion, U) -> GridBatch:
+    """U as a `GridBatch`: itself, or a (batch, m) array of points as a window with one batch axis."""
+    if isinstance(U, GridBatch):
+        return U
+    shape, U = np.shape(U), np.atleast_2d(np.asarray(U, dtype=float))
+    if U.ndim != 2 or U.shape[1] != imm.m:
+        raise ValueError(f"{imm.name}: parameter points of shape {shape}, expected (batch, m = {imm.m})")
+    return GridBatch(U, tuple(U.T), (len(U),))
+
+
+def _stack(js: list[Jet], order: int, m: int, U: GridBatch):
+    """Jet derivatives in m variables up to `order` at batch U, batch axis last: (k,B), (k,m,B), ...; the
+    rows of U in each coordinate's tensors are written straight into the cells of its support, zeros elsewhere."""
+    out = tuple(np.zeros((len(js),) + (m,) * r + (len(U),)) for r in range(order + 1))
     for a, j in enumerate(js):
-        for r in range(order + 1):
-            out[r][a][_cells(j.support, r)] = j.tensors[r]
+        for r in range(order + 1 if j.support else 1):  # a constant has no derivative cells
+            out[r][a][_cells(j.support, r)] = U.rows(j.tensors[r])
     return out
 
 
-def _stacked_jets(imm: Immersion, U: np.ndarray, order: int):
-    """`_stack` of the chart's jets of `order` at U."""
-    return _stack(imm.jet_map(U, order), order, imm.m)
+def _stacked_jets(imm: Immersion, U, order: int):
+    """`_stack` of the chart's jets of `order` at the batch U."""
+    U = _batch(imm, U)
+    return _stack(imm.jet_map(U, order), order, imm.m, U)
 
 
 def jets_at(imm: Immersion, U: np.ndarray, order: int = 2):
@@ -203,7 +236,7 @@ def _householder_frame(tangents, k):
         frame = [[float(a == b) for a in range(k)] for b in range(len(tangents), k)]
         for j, (v, beta) in reversed(list(enumerate(reflections))):
             frame = [y[:j] + _reflect(v, beta, y[j:]) for y in frame]
-    return frame, _rank_lost(np.abs([_value(row[0]) for row in R])), R
+    return frame, _rank_lost(np.abs(np.broadcast_arrays(*(_value(row[0]) for row in R)))), R
 
 
 def _normal_frames(d1: np.ndarray):
@@ -260,8 +293,8 @@ def _forms(name, U: np.ndarray, point, d1, d2):
     return point, induced_metric(d1), second, frame
 
 
-def _forms_at(imm: Immersion, U: np.ndarray):
-    """`_forms` of the chart at U; the jets are freed once stacked."""
+def _forms_at(imm: Immersion, U):
+    """`_forms` of the chart at the batch U; the jets are freed once stacked."""
     return _forms(imm.name, U, *_stacked_jets(imm, U, 2))
 
 

@@ -6,10 +6,11 @@ trapezoid nodes on periodic axes (spectrally accurate there).  Surface
 integrals weight the integrand by the Riemannian density sqrt(det I).
 
 Every integral goes through `reduce_over_grid`.  Accumulation is
-deterministic: fixed chunking, pairwise summation inside each chunk,
-compensated summation across chunks — repeated runs give bit-identical
-integrals.  A non-finite integrand value fails the integral and names its
-parameter point.
+deterministic: fixed chunks of 16,384 mesh rows, pairwise summation inside
+each, compensated summation across them — repeated runs give bit-identical
+integrals.  Each chunk reaches the integrand as a `GridBatch` over the grid
+window that covers it, so the chart's jets broadcast along the grid axes.
+A non-finite integrand value fails the integral and names its parameter point.
 
 When the caller fixes no grid, `reduce_until_converged` refines: uniform
 grids of 8, 13, 20, 31, ... nodes per axis (coprime neighbours), capped by
@@ -33,7 +34,7 @@ import numpy as np
 
 from .curvature import _det, batched_curvature_moments, batched_curvature_quadrature, sphere_volume
 from .errors import DegenerateImmersionError
-from .immersion import Immersion, _stacked_jets, frames_at, induced_metric
+from .immersion import GridBatch, Immersion, _stacked_jets, frames_at, induced_metric
 
 __all__ = [
     "GridAxis",
@@ -139,18 +140,26 @@ def default_grid(imm: Immersion, resolution: Optional[int] = None) -> Quadrature
 
 
 def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
-                     integrand: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Weighted grid sum of `integrand`: (B, m) points -> (B,) density-weighted values; any
-    other shape of values is refused, as numpy would broadcast it against the (B,) weights."""
+                     integrand: Callable[[GridBatch], np.ndarray]) -> float:
+    """Weighted grid sum of `integrand`: a `GridBatch` of B points (B, m) -> (B,) density-weighted
+    values; any other shape of values is refused, as numpy would broadcast it against the weights."""
     if len(grid.axes) != imm.m:
         raise ValueError(f"grid has {len(grid.axes)} axes, immersion has {imm.m}")
     U, W = grid.mesh()
+    # a window merges the leading axes 0..d, d the first with at most a quarter chunk of rows per node, so it
+    # holds at most 1.5 chunks; each later axis keeps all its nodes
+    shape, m = grid.shape, imm.m
+    d = next(i for i in range(m) if i == m - 1 or 4 * math.prod(shape[i + 1:]) <= _CHUNK)
+    stride = math.prod(shape[d + 1:])
+    later = [grid.axes[i].nodes.reshape((1,) * (i - d) + (-1,) + (1,) * (m - 1 - i)) for i in range(d + 1, m)]
     partials = []
     for start in range(0, U.shape[0], _CHUNK):
-        Uc = U[start:start + _CHUNK]
+        lo, hi = start // stride, -(-min(start + _CHUNK, len(U)) // stride)
+        lead = [U[lo * stride:hi * stride:stride, i].reshape((-1,) + (1,) * (m - 1 - d)) for i in range(d + 1)]
+        Uc = GridBatch(U[start:start + _CHUNK], (*lead, *later), (hi - lo, *shape[d + 1:]), start - lo * stride)
         values = integrand(Uc)
         if np.shape(values) != (len(Uc),):
-            raise ValueError(f"{imm.name}: integrand maps {Uc.shape} points to values of shape "
+            raise ValueError(f"{imm.name}: integrand maps {Uc.points.shape} points to values of shape "
                              f"{np.shape(values)}, expected ({len(Uc)},)")
         bad = ~np.isfinite(values)
         if bad.any():
@@ -210,12 +219,9 @@ def reduce_until_converged(
     return value, grid.shape, error, False
 
 
-def integrate_scalar(imm: Immersion, f: Callable[[np.ndarray], np.ndarray],
+def integrate_scalar(imm: Immersion, f: Callable[[GridBatch], np.ndarray],
                      grid: QuadratureGrid) -> float:
-    """Integral of f against the Riemannian surface measure.
-
-    `f` maps a (B, m) batch of parameter points to (B,) values.
-    """
+    """Integral of f, a `GridBatch` of B points (B, m) -> (B,) values, against the Riemannian measure."""
     def integrand(U):
         _, d1 = _stacked_jets(imm, U, order=1)
         return f(U) * np.sqrt(_det(induced_metric(d1)))

@@ -9,12 +9,15 @@ A jet of order q is its support, the sorted tuple of the s variables it depends
 on (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., 2008, ch. 7), and
 the partials in those variables only, as the tuple `tensors` of fully symmetric
 tensors: `tensors[r]` holds the r-th partials of a whole batch, shape
-(s,)*r + (B,), and every other partial is zero.  A seeded variable has support
+(s,)*r + batch, and every other partial is zero.  A seeded variable has support
 (i,) and a constant the empty support, so a chart built from functions of
 single coordinates runs its costliest compositions on one-variable jets.  A jet
 counts no other variables; `dense(p)` lays it on variables 0..p-1, shape
-(p,)*r + (B,).  The batch axis is last so that every broadcast product runs its
-inner loop over the batch, not over the variables.  Two jets of different
+(p,)*r + batch.  The batch axes are last, so that every broadcast product runs
+its inner loop over the batch, and they broadcast: over a grid window a variable
+seeded with its axis's nodes has length 1 on every other axis, so sin(t) is
+formed once per node of t, not once per point.  The tensors of a jet share its
+batch shape, so the terms of each rule below share one shape.  Two jets of different
 supports are first laid on the sorted union of both, zeros elsewhere; then two
 rules carry every operation to any order (ibid., ch. 13).  Leibniz: d_k(fg)
 sums, over the subsets S of the k axes, d_|S| f laid on S times d_(k-|S|) g on
@@ -23,8 +26,8 @@ axes, h^(r)(f) for r blocks times the product of d_|b| f laid on each block b.
 Subsets and blocks are sorted, so laying a tensor on them only inserts
 singleton axes, by an index that depends on k alone; each rule reads its terms
 and their indices from a plan cached per k.  Every partial inside a support is
-thus formed by the same products in the same order as in dense storage.  Order
-3 makes tangents order-2 jets, for moving frames.
+thus formed by the same products in the same order as in dense storage, and
+each point as in a batch of one.  Order 3 makes tangents order-2 jets.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ _COEFF_TYPES = (int, float, np.floating, np.integer, np.ndarray)
 
 
 def _laying(axes: tuple, k: int) -> tuple:
-    """Index that lays a tensor of shape (s,)*len(axes) + (B,) on the sorted positions `axes` of rank k:
-    a view, shape (s or 1,)*k + (B,), with a singleton axis at every other position.  It holds for
-    every s, 0 included, and every B."""
+    """Index that lays a tensor of shape (s,)*len(axes) + batch on the sorted positions `axes` of rank k:
+    a view, shape (s or 1,)*k + batch, with a singleton axis at every other position.  It holds for
+    every s, 0 included, and every batch."""
     return tuple(slice(None) if a in axes else None for a in range(k))
 
 
@@ -87,7 +90,7 @@ def _sum(terms):
 class Jet:
     """Batched truncated Taylor expansion that depends only on the variables in `support`.
 
-    `tensors[r]`, shape (s,)*r + (B,), holds the r-th partials in the s = len(support) variables of
+    `tensors[r]`, shape (s,)*r + batch, holds the r-th partials in the s = len(support) variables of
     the support, a sorted tuple; every other partial is zero.
     """
 
@@ -107,7 +110,7 @@ class Jet:
         return self.tensors[0]
 
     def dense(self, nvars: int) -> tuple:
-        """The derivative tensors in variables 0..nvars-1, (nvars,)*r + (B,): `tensors` itself at that
+        """The derivative tensors in variables 0..nvars-1, (nvars,)*r + batch: `tensors` itself at that
         support, else fresh arrays."""
         return self._laid(tuple(range(nvars)))
 
@@ -118,28 +121,26 @@ class Jet:
         at = tuple(union.index(v) for v in self.support)
         out = [self.val]
         for r, t in enumerate(self.tensors[1:], start=1):
-            out.append(np.zeros((len(union),) * r + t.shape[-1:]))
+            out.append(np.zeros((len(union),) * r + t.shape[r:]))
             out[-1][_cells(at, r)] = t
         return tuple(out)
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def variables(values: np.ndarray, order: int) -> list["Jet"]:
-        """Seed one jet per column of `values` (shape (B, p)), variable i of support (i,); they share
-        their derivative arrays, which no operation writes into."""
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 2:
+    def variables(values, order: int) -> list["Jet"]:
+        """Seed variable i, support (i,), with a copy of values[i] (p arrays that broadcast) or column i (B, p)."""
+        if isinstance(values, np.ndarray) and values.ndim != 2:
             raise ValueError("expected a (batch, nvars) array of parameter values")
-        b, p = values.shape
-        seed = [np.ones((1, b))] + [np.zeros((1,) * r + (b,)) for r in range(2, order + 1)]
-        return [Jet([values[:, i].copy(), *seed][: order + 1], (i,)) for i in range(p)]
+        seeds = [np.array(v, dtype=float) for v in (values.T if isinstance(values, np.ndarray) else values)]
+        return [Jet([v, np.ones((1,) + v.shape), *(np.zeros((1,) * r + v.shape) for r in range(2, order + 1))]
+                    [: order + 1], (i,)) for i, v in enumerate(seeds)]
 
     @staticmethod
-    def constant(value, order: int, batch: int) -> "Jet":
-        """A jet of empty support: its derivative tensors are empty, shape (0,)*r + (batch,)."""
-        val = np.broadcast_to(np.asarray(value, dtype=float), (batch,)).copy()
-        return Jet([val] + [np.empty((0,) * r + (batch,)) for r in range(1, order + 1)], ())
+    def constant(value, order: int, batch) -> "Jet":
+        """A jet of empty support over `batch`, a length or a shape; its derivative tensors are empty."""
+        val = np.full(batch, value, dtype=float)
+        return Jet([val] + [np.empty((0,) * r + val.shape) for r in range(1, order + 1)], ())
 
     def _pair(self, other: "Jet"):
         """The union of two supports, and both jets' tensors on it side by side; jets of different
@@ -156,7 +157,7 @@ class Jet:
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         if i not in self.support:
-            return Jet.constant(0.0, self.order - 1, len(self.val))
+            return Jet.constant(0.0, self.order - 1, self.val.shape)
         at = self.support.index(i)
         return Jet([t[at] for t in self.tensors[1:]], self.support)
 
@@ -164,10 +165,6 @@ class Jet:
         if order > self.order:
             raise ValueError("cannot raise jet order by truncation")
         return Jet(self.tensors[: order + 1], self.support)
-
-    def take(self, at: np.ndarray) -> "Jet":
-        """The jet at the batch entries `at`, an integer index array: every tensor gathered on its batch axis."""
-        return Jet([t.take(at, axis=-1) for t in self.tensors], self.support)
 
     # -- ring operations --------------------------------------------------
 
@@ -257,7 +254,7 @@ class Jet:
         return self._compose([root] + [a / root ** (2 * r - 1) for r, a in enumerate(coeffs, start=1)])
 
     def __repr__(self):
-        return f"Jet(order={self.order}, support={self.support}, batch={self.val.shape[0]})"
+        return f"Jet(order={self.order}, support={self.support}, batch={self.val.shape})"
 
 
 # -- generic scalar functions: work on jets, floats, and numpy arrays ------

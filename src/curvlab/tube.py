@@ -17,9 +17,9 @@ Where the tangents lose rank the frame raises `DegenerateImmersionError` naming 
 base point.
 
 X and the frame depend on u alone, so they are jets in the m base variables, evaluated
-once per distinct base point of a batch of sheet points.  The sheet's p = m + n - 1
-variables put theta last, so those jets add as they are to the jets of y(theta), which
-are seeded in the theta variables alone.
+on the base axes of a batch's window, so once per base point of a grid.  The sheet's
+p = m + n - 1 variables put theta last, so those jets add as they are to the jets of
+y(theta), which are seeded in the theta variables alone.
 
 Checks provided: at a point (u, nu) or a batch of them, evaluated once by `tube_point`, the
 curvature rescaling identity K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu and the shape-operator
@@ -45,8 +45,8 @@ import numpy as np
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         _minors, sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
-from .immersion import (Axis, FrameData, Immersion, _forms, _forms_at, _householder_frame, _refuse_rank_loss,
-                        _stack, frame_data_at)
+from .immersion import (Axis, FrameData, GridBatch, Immersion, _batch, _forms, _forms_at, _householder_frame,
+                        _refuse_rank_loss, _stack, frame_data_at)
 from .integrate import (GridAxis, QuadratureGrid, _make_axis, _polar_axis, _refinement_ladder, default_grid,
                         reduce_until_converged)
 from .jets import Jet, cos, dot, sin, sqrt
@@ -144,8 +144,8 @@ def _sphere_coords(n, y):
 def _base_frame_pieces(base: Immersion, U, X):
     """Jets of X and of a normal frame at `order`, all in the m base variables.
 
-    `U` holds base parameters, shape (B, m), and `X` is `base.jet_map(U, order + 1)`,
-    evaluated by the caller, so its tangents are m-variable jets at `order`.  In codimension 1
+    `U` is a `GridBatch` of base parameters, and `X` is `base.jet_map(U, order + 1)`, evaluated
+    by the caller over U's window, so its tangents are m-variable jets at `order`.  In codimension 1
     the frame is their unit cross product: component a is (-1)^a times the minor without
     coordinate a of the unit tangents; its sign tells the two sheets apart over the whole base.
     Else it is `immersion._householder_frame` of the tangent jets, the QR that gives the base
@@ -158,41 +158,25 @@ def _base_frame_pieces(base: Immersion, U, X):
     X = [x.truncate(order) for x in X]
     qr_input = [[c.val for c in t] for t in tangents] if base.n == 1 else tangents
     frame, lost, _ = _householder_frame(qr_input, base.k)
-    _refuse_rank_loss(base.name, U, lost)
+    _refuse_rank_loss(base.name, U, U.rows(lost))
     if base.n == 1:
         minors = _minors([_unit(t) for t in tangents])
         frame = [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
     return X, frame
 
 
-def _sheet_chart(cfg: TubeConfig, X, frame, U, sheet_sign):
-    """The sheet chart X + eps * sum_s y_s nu_s as jets in the variables of sheet points U (B, p),
-    from `_base_frame_pieces` at their base parameters, which are the first m of those variables;
-    y is `sheet_sign` (one, or one per point) at n = 1."""
+def _sheet_chart(cfg: TubeConfig, X, frame, U: GridBatch, sheet_sign):
+    """The sheet chart X + eps * sum_s y_s nu_s as jets over the window of the sheet batch U, from
+    `_base_frame_pieces` at its first m variables; y is `sheet_sign` (one, or one per point) at n = 1."""
     base = cfg.base
-    y = [sheet_sign] if base.n == 1 else _sphere_values(base.n, Jet.variables(U, X[0].order)[base.m:])
+    y = [sheet_sign] if base.n == 1 else _sphere_values(base.n, Jet.variables(U.columns, X[0].order)[base.m:])
     return [X[a] + cfg.eps * dot(y, [frame[s][a] for s in range(base.n)]) for a in range(base.k)]
 
 
-def _distinct_rows(V: np.ndarray):
-    """The distinct rows of V (B, m), told apart by their bits (-0.0 is not +0.0), in order of first
-    occurrence, and the index of each row of V among them; V itself and None if no row repeats."""
-    keys = np.ascontiguousarray(V).view(np.dtype((np.void, V.itemsize * V.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if len(first) == len(V):
-        return V, None
-    order = np.argsort(first)
-    return V[first[order]], np.argsort(order)[inverse]
-
-
-def _sheet_jet_map(cfg: TubeConfig, sheet_sign: float, U, order):
-    """The sheet chart's jets at sheet points U (B, p).  X and the frame depend on the base point
-    alone, so they are evaluated once per distinct base point (row of U[:, :m]) and gathered onto
-    the sheet points; in order of first occurrence, so a refusal names the first bad row of U."""
-    V, at = _distinct_rows(U[:, : cfg.base.m])
+def _sheet_jet_map(cfg: TubeConfig, sheet_sign: float, U: GridBatch, order):
+    """The sheet chart's jets over the sheet batch U, with X and the frame over its base variables only."""
+    V = U.head(cfg.base.m)
     X, frame = _base_frame_pieces(cfg.base, V, cfg.base.jet_map(V, order + 1))
-    if at is not None:
-        X, frame = [x.take(at) for x in X], [[c.take(at) for c in v] for v in frame]
     return _sheet_chart(cfg, X, frame, U, sheet_sign)
 
 
@@ -284,21 +268,21 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
         raise ValueError(f"a batch of {len(U)} base points takes {len(U)} normal directions, got {given}")
     for nu in directions:
         _check_direction(nu, base.n)
-    C = np.array([nu.coeffs for nu in directions]).T
-    X = base.jet_map(U, 3)
-    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2, base.m))[1:]))
+    C, V = np.array([nu.coeffs for nu in directions]).T, _batch(base, U)
+    X = base.jet_map(V, 3)
+    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2, base.m, V))[1:]))
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
-    X, nus = _base_frame_pieces(base, U, X)
+    X, nus = _base_frame_pieces(base, V, X)
     amb = _combine(C, base_frame.normal_frame.T)  # nu_hat in the ambient space, (k, B)
     y = _combine(amb, np.array([[c.val for c in v] for v in nus]).swapaxes(0, 1))  # in the fiber frame
     if base.n == 1:
         index, P = np.where(y[0] > 0, 0, 1), U.copy()
     else:
         index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(base.n, y.T)], axis=1)
-    names = np.array([sheet.name for sheet in boundary.sheets])[index]
+    names, Q = np.array([sheet.name for sheet in boundary.sheets])[index], _batch(boundary.sheets[0], P)
     point, g, metric, second, frame = _oriented(
-        cfg, *_forms(names, P, *_stack(_sheet_chart(cfg, X, nus, P, 1.0 - 2.0 * index), 2, P.shape[1])),
-        np.stack([x.val for x in X]))
+        cfg, *_forms(names, P, *_stack(_sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index), 2, P.shape[1], Q)),
+        _stack(X, 0, base.m, V)[0])
     sheet_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame)))
     classical_k, shape_operator = _det(second[0]) / _det(metric), np.moveaxis(pi_nu, -1, 0)
     # the identity: K^g / NJ against (-1)^(n-1) eps^-(n-1) K^nu
@@ -364,9 +348,9 @@ class TubeTotalResult:
 
 
 def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
-    """Gaussian curvature times area density of one sheet, at sheet points (B, p) -> (B,)."""
+    """Gaussian curvature times area density of one sheet over a `GridBatch` of sheet points -> (B,)."""
     def integrand(U):
-        _, _, metric, second, _ = _oriented(cfg, *_forms_at(sheet, U), cfg.base.points(U[:, : cfg.base.m]).T)
+        _, _, metric, second, _ = _oriented(cfg, *_forms_at(sheet, U), cfg.base.points(U.head(cfg.base.m)).T)
         det_g = _det(metric)
         return _det(second[0]) / det_g * np.sqrt(det_g)
 

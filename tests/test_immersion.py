@@ -274,16 +274,16 @@ def test_chart_jets_equal_the_chart_on_dense_seeded_variables(name, tmp_path, rn
     U = cl.sample_domain(imm, 50, rng)
     seeds = Jet.variables(U, 3)
     every = tuple(range(imm.m))
-    dense = [c if isinstance(c, Jet) else Jet.constant(c, 3, len(U))
+    dense = [c if isinstance(c, Jet) else Jet.constant(c, 3, 1)  # a constant coordinate broadcasts over the batch
              for c in imm.chart([Jet(v.dense(imm.m), every) for v in seeds])]
     for j, want in zip(imm.jet_map(U, 3), dense, strict=True):
         assert j.order == 3 and set(j.support) <= set(every)
         for x, y in zip(j.dense(imm.m), want.dense(imm.m), strict=True):
             assert_array_equal(x, y)
     for rank, stacked in enumerate(cl.jets_at(imm, U, 3)):  # scattered straight from the sparse tensors
-        want = np.stack([np.moveaxis(j.dense(imm.m)[rank], -1, 0) for j in dense], axis=1)
+        want = np.stack(np.broadcast_arrays(*(np.moveaxis(j.dense(imm.m)[rank], -1, 0) for j in dense)), axis=1)
         assert_array_equal(stacked, want)
-    imm.chart(seeds)  # the seeds share their derivative arrays; no jet operation writes into them
+    imm.chart(seeds)  # no jet operation writes into the seeds' arrays
     for i, v in enumerate(seeds):
         assert v.support == (i,)
         assert_array_equal(v.val, U[:, i])

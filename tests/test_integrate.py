@@ -1,5 +1,6 @@
 """Quadrature rules, Riemannian areas, normal-sphere rules, and Gauss-Bonnet."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -10,8 +11,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curvlab as cl
+from curvlab import integrate
 from curvlab.curvature import _det
 from curvlab.errors import DegenerateImmersionError
+from curvlab.immersion import _stacked_jets
+from curvlab.jets import cos, sin
 from curvlab.integrate import (
     GridAxis,
     QuadratureGrid,
@@ -365,6 +369,57 @@ def test_unknown_route_is_rejected_before_the_mesh(monkeypatch):
         cl.batched_curvature(get("sphere2_r4"), np.array([[1.0, 2.0]]), route="x")
 
 
+# -- grid windows -----------------------------------------------------------
+
+
+def _constant_coordinate_file(tmp_path):
+    """A flat torus in R^5 as a surface file whose last coordinate, the empty sum, is a constant."""
+    def wave(axis, kind):
+        return [{"coeff": 1.0, "factors": [{"axis": axis, "kind": kind, "freq": 1}]}]
+
+    doc = {"name": "flat_torus_r5", "m": 2, "k": 5, "domain": [{"lo": 0.0, "hi": 2 * math.pi, "periodic": True}] * 2,
+           "coordinates": [wave(0, "cos"), wave(0, "sin"), wave(1, "cos"), wave(1, "sin"), []], "reach": 0.5}
+    path = tmp_path / "flat_torus_r5.json"
+    path.write_text(json.dumps(doc))
+    return cl.load_immersion(str(path))
+
+
+def _windowed(name, tmp_path):
+    if name.startswith("graph_m"):
+        return cl.random_graph_poly(np.random.default_rng(11), m=int(name[-1]), n=2)
+    if name == "constant_coordinate_file":
+        return _constant_coordinate_file(tmp_path)
+    if name.endswith("_tube"):  # a tube sheet: base factors broadcast over the fiber axes, y(theta) over the base
+        base = get(name.removesuffix("_tube"))
+        return cl.tube_boundary_immersion(cl.TubeConfig(base, 0.5 * base.reach)).sheets[-1]
+    return get(name)
+
+
+@pytest.mark.parametrize("name", [*ALL_NAMES, "graph_m2", "graph_m4", "constant_coordinate_file",
+                                  "sphere2_r4_tube", "sphere2_r3_tube", "circle_r3_tube"])
+def test_window_jets_equal_the_jets_of_the_flat_chunk_byte_for_byte(name, tmp_path, monkeypatch):
+    # each chunk's jets, evaluated over its grid window and stacked at its rows, are those of its (B, m) points
+    # as a flat batch, shape and bytes (so the sign of zero counts), at orders 0-3; the chunk sizes put chunk
+    # boundaries inside windows whose leading batch axis is one grid axis or several merged
+    imm = _windowed(name, tmp_path)
+    grid = cl.default_grid(imm, {1: 11, 2: 11, 3: 6}.get(imm.m, 5))
+    windows = []
+
+    def integrand(U):
+        for order in range(4):
+            window, flat = _stacked_jets(imm, U, order), _stacked_jets(imm, U.points, order)
+            assert [(t.shape, t.tobytes()) for t in window] == [(t.shape, t.tobytes()) for t in flat], (U.start, order)
+        windows.append((len(U.window), U.start, U.start + len(U) < math.prod(U.window)))
+        return np.zeros(len(U))
+
+    for chunk in (50, 151, 509):
+        monkeypatch.setattr(integrate, "_CHUNK", chunk)
+        assert reduce_over_grid(imm, grid, integrand) == 0.0
+    if imm.m > 1:  # some chunk starts inside a broadcast window, and some stops inside one
+        assert any(axes > 1 and start > 0 for axes, start, _ in windows)
+        assert any(axes > 1 and stops_inside for axes, _, stops_inside in windows)
+
+
 # -- non-finite integrands --------------------------------------------------
 
 
@@ -404,3 +459,41 @@ def test_non_finite_integrand_names_the_first_bad_point(tmp_path):
             cl.gauss_bonnet_check(imm, grid)
         with pytest.raises(DegenerateImmersionError, match="overflowing_line_tube"):
             cl.tube_total_curvature(cl.TubeConfig(imm, 0.1), resolution=8)
+
+
+def _refusal(run) -> tuple[str, str]:
+    """The kind of refusal and the parameter point it names (its count of bad points is the chunk's)."""
+    with pytest.raises(DegenerateImmersionError) as err:
+        run()
+    return str(err.value).split(" at ")[0], str(err.value).split("parameter point ")[1]
+
+
+def _stalled_circle(stall: float):
+    """The unit circle (cos g, sin g) with g = u - c - sin(2(u - c))/2: g' = 1 - cos 2(u - c) is exactly 0
+    at u = c, so the tangent is lost there (and at c + pi, where roundoff allows)."""
+    def chart(xs):
+        g = xs[0] - stall - 0.5 * sin(2.0 * (xs[0] - stall))
+        return [cos(g), sin(g)]
+
+    return cl.TubeConfig(dataclasses.replace(get("circle_r2"), name="stalled_circle", chart=chart), 0.1)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5])
+def test_the_first_bad_point_is_named_across_chunk_boundaries(chunk, tmp_path, monkeypatch):
+    # chunk sizes that share no factor with the node counts put chunk boundaries inside the grid; every
+    # refusal, non-finite integrand or lost rank, names the point it names with the default chunk
+    line = _overflowing_line(tmp_path)
+    grid = cl.default_grid(line, 8)
+    third = float(cl.default_grid(get("circle_r2"), 8).axes[0].nodes[3])  # stalled at nodes 3 and 7
+    runs = [
+        lambda: cl.integrate_scalar(line, lambda U: np.ones(len(U)), grid),
+        lambda: cl.gauss_bonnet_check(line, grid),
+        lambda: cl.tube_total_curvature(cl.TubeConfig(line, 0.1), resolution=8),
+        lambda: cl.tube_total_curvature(_stalled_circle(0.0), resolution=2),
+        lambda: cl.tube_total_curvature(_stalled_circle(third), resolution=8),
+    ]
+    with np.errstate(all="ignore"):
+        default = [_refusal(run) for run in runs]
+        monkeypatch.setattr(integrate, "_CHUNK", chunk)
+        assert [_refusal(run) for run in runs] == default
+    assert default[-1] == ("stalled_circle: first-derivative matrix is rank deficient", str([third]))

@@ -232,18 +232,21 @@ def test_sheet_jets_evaluate_the_base_once_through_its_jet_map(name, monkeypatch
 
 
 def test_a_tube_total_evaluates_the_base_once_per_distinct_point(monkeypatch):
-    # the 13^3 sheet grid has 2,197 points over 169 base points: only those reach the order-3 base jets
+    # the 13^3 sheet grid has 2,197 points over 169 base points: the base jets, of order 3 for the sheet
+    # chart and of order 0 to orient it, are evaluated at those 169 only, for a batch of 2,197 rows
     calls = []
     jet_map = cl.Immersion.jet_map
 
     def recording_jet_map(imm, U, order):
-        calls.append((imm.name, order, len(U)))
-        return jet_map(imm, U, order)
+        jets = jet_map(imm, U, order)
+        calls.append((imm.name, order, len(U), max(j.val.size for j in jets)))  # rows, points evaluated
+        return jets
 
     monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
     cl.tube_total_curvature(cl.TubeConfig(get("sphere2_r4"), 0.05), resolution=13)
-    assert ("sphere2_r4_tube", 2, 2197) in calls
-    assert [call for call in calls if call[1] == 3] == [("sphere2_r4", 3, 169)]
+    assert ("sphere2_r4_tube", 2, 2197, 2197) in calls
+    assert [call for call in calls if call[0] == "sphere2_r4"] == [("sphere2_r4", 3, 2197, 169),
+                                                                  ("sphere2_r4", 0, 2197, 169)]
 
 
 def _sheet_tensor_bytes(jets, i):

@@ -5,6 +5,7 @@
 For each catalog name (all of them by default) it prints:
 - `gauss_bonnet_check`'s integral and error estimate by `float.hex`, and its grid shape;
 - the integral of `gauss_bonnet_check(imm, route="quadrature")` by `float.hex`;
+- the area, `integrate_scalar` of f = 1 on `default_grid(imm, 13)`, by `float.hex`;
 - the sha256 of the bytes of `frames_at` and of `jets_at(..., 3)` at the 300 points
   `sample_domain(imm, 300, default_rng(0))`;
 - at m in {2, 4}, the sha256 of the fields of `egregium_report` at the first 20 of those points,
@@ -53,6 +54,8 @@ def rows(names):
                f"grid_shape={tuple(gb.grid_shape)}")
         quadrature = cl.gauss_bonnet_check(imm, route="quadrature")
         yield f"{name} gauss_bonnet_quadrature integral={_hex(quadrature.integral)}"
+        area = cl.integrate_scalar(imm, lambda U: np.ones(len(U)), cl.default_grid(imm, 13))
+        yield f"{name} integrate_scalar area={_hex(area)}"
         U = cl.sample_domain(imm, 300, np.random.default_rng(0))
         yield f"{name} frames_at sha256={_sha256(cl.frames_at(imm, U))}"
         yield f"{name} jets_at_3 sha256={_sha256(cl.jets_at(imm, U, 3))}"

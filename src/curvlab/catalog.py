@@ -24,7 +24,7 @@ import numpy as np
 
 from .curvature import whiten_second_form
 from .errors import ImmersionFileError, UnknownImmersionError
-from .immersion import Axis, Immersion, frames_at
+from .immersion import Axis, GridBatch, Immersion, frames_at
 from .jets import cos, sin
 
 __all__ = [
@@ -217,9 +217,8 @@ def _estimate_reach(imm: Immersion) -> float:
         else:
             pad = 0.02 * ax.length
             axes.append(np.linspace(ax.lo + pad, ax.hi - pad, per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    U = np.stack([g.ravel() for g in mesh], axis=1)
-    metric, second, _ = frames_at(imm, U)
+    columns = tuple(a.reshape((1,) * i + (-1,) + (1,) * (imm.m - 1 - i)) for i, a in enumerate(axes))
+    metric, second, _ = frames_at(imm, GridBatch(columns, (per_axis,) * imm.m))
     A = whiten_second_form(metric, second)
     # |eigs of sum(nu_s A_s)| <= sqrt(sum_s ||A_s||_F^2) for unit nu
     bound = float(np.sqrt(np.sum(A**2, axis=(1, 2, 3))).max())

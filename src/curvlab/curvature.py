@@ -250,25 +250,29 @@ def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndar
     return acc / det_g / sphere_volume(n - 1)
 
 
-_QUADRATURE_BLOCK = 2048
+_QUADRATURE_BLOCK = 32768  # matrices (points times rule nodes) per block
 
 
 def batched_curvature_quadrature(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """K^nu averaged by `normal_sphere_rule(m, n)` over a batch, blocked to bound the (m,m,B,Q) buffer.
+    """K^nu averaged by `normal_sphere_rule(m, n)` over a batch, blocked to bound the (m,m,Q,B) buffer.
 
-    `metric` is (B,m,m), or its determinants (B,) as in `batched_curvature_moments`.
+    `metric` is (B,m,m), or its determinants (B,) as in `batched_curvature_moments`.  Its sums are
+    elementwise, in a fixed order, so a point's bits do not depend on its batch.
     """
     from .integrate import normal_sphere_rule  # read at call time: no cycle, and it may be wrapped
 
     b, n, m = second.shape[:3]
     rule = normal_sphere_rule(m, n)
     det_g = metric if metric.ndim == 1 else _det(np.moveaxis(metric, 0, -1))
-    second = np.moveaxis(second, 0, -1)  # (n, m, m, B)
+    second = np.moveaxis(second, 0, -1)[..., None, :]  # (n, m, m, 1, B)
+    step = max(1, _QUADRATURE_BLOCK // len(rule.weights))
     out = np.empty(b)
-    for start in range(0, b, _QUADRATURE_BLOCK):
-        stop = start + _QUADRATURE_BLOCK
-        pi_nu = np.tensordot(second[..., start:stop], rule.nodes, axes=(0, 1))  # (m, m, b, Q)
-        out[start:stop] = np.einsum("bq,q->b", _det(pi_nu), rule.weights)  # per row, unlike a BLAS gemv
+    for start in range(0, b, step):
+        block = second[..., start:start + step]
+        pi_nu = block[0] * rule.nodes[:, 0, None]  # (m, m, Q, b)
+        for s in range(1, n):
+            pi_nu += block[s] * rule.nodes[:, s, None]
+        out[start:start + step] = sum(det * w for det, w in zip(_det(pi_nu), rule.weights))
     return out / det_g / sphere_volume(n - 1)
 
 

@@ -15,6 +15,7 @@ this gives minus the identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
@@ -51,29 +52,31 @@ class Axis:
 
 
 class GridBatch:
-    """B points (B, m) that read as `points` by `len` and indexing: rows start.. in C order of a window, one
-    array of values per variable, `columns`, broadcasting to the shape `window`; (B, m) points are (B,)."""
+    """The points of a grid window, in C order: one array of values per variable, `columns`, each
+    broadcasting to the shape `window`.  It reads as its (B, m) `points` by `len` and indexing."""
 
-    __slots__ = ("points", "columns", "window", "start")
+    __slots__ = ("columns", "window")
 
-    def __init__(self, points: np.ndarray, columns: tuple, window: tuple, start: int = 0):
-        self.points, self.columns, self.window, self.start = points, columns, window, start
+    def __init__(self, columns: tuple, window: tuple):
+        self.columns, self.window = columns, window
 
     def __len__(self):
-        return len(self.points)
+        return math.prod(self.window)
 
     def __getitem__(self, key):
         return self.points[key]
 
-    def head(self, m: int) -> "GridBatch":  # the first m variables, over the same window and rows
-        return GridBatch(self.points[:, :m], self.columns[:m], self.window, self.start)
+    @property
+    def points(self) -> np.ndarray:  # (B, m), built when a point is named
+        return np.stack([self.rows(c) for c in self.columns], axis=1)
+
+    def head(self, m: int) -> "GridBatch":  # the first m variables, over the same window
+        return GridBatch(self.columns[:m], self.window)
 
     def rows(self, a: np.ndarray) -> np.ndarray:
         """The batch's rows of `a`, whose last axes broadcast to the window: shape (..., B)."""
         lead = a.shape[: a.ndim - len(self.window)]
-        if a.shape != lead + self.window:
-            a = np.broadcast_to(a, lead + self.window)
-        return a.reshape(lead + (-1,))[..., self.start:self.start + len(self)]
+        return np.broadcast_to(a, lead + self.window).reshape(lead + (-1,))
 
 
 @dataclass
@@ -170,7 +173,7 @@ def _batch(imm: Immersion, U) -> GridBatch:
     shape, U = np.shape(U), np.atleast_2d(np.asarray(U, dtype=float))
     if U.ndim != 2 or U.shape[1] != imm.m:
         raise ValueError(f"{imm.name}: parameter points of shape {shape}, expected (batch, m = {imm.m})")
-    return GridBatch(U, tuple(U.T), (len(U),))
+    return GridBatch(tuple(U.T), (len(U),))
 
 
 def _stack(js: list[Jet], order: int, m: int, U: GridBatch):

@@ -5,12 +5,12 @@ nodes, so polar chart edges are never evaluated) with equispaced
 trapezoid nodes on periodic axes (spectrally accurate there).  Surface
 integrals weight the integrand by the Riemannian density sqrt(det I).
 
-Every integral goes through `reduce_over_grid`.  Accumulation is
-deterministic: fixed chunks of 16,384 mesh rows, pairwise summation inside
-each, compensated summation across them — repeated runs give bit-identical
-integrals.  Each chunk reaches the integrand as a `GridBatch` over the grid
-window that covers it, so the chart's jets broadcast along the grid axes.
-A non-finite integrand value fails the integral and names its parameter point.
+Every integral goes through `reduce_over_grid`, which meshes no grid: each
+chunk is one grid window of at most 16,384 points, and reaches the integrand
+as a `GridBatch`, so the chart's jets broadcast along the grid axes.  Fixed
+chunks, pairwise sums inside each and compensated sums across them give
+bit-identical integrals on every run.  A non-finite integrand value fails the
+integral and names its parameter point.
 
 When the caller fixes no grid, `reduce_until_converged` refines: uniform
 grids of 8, 13, 20, 31, ... nodes per axis (coprime neighbours), capped by
@@ -73,13 +73,17 @@ class QuadratureGrid:
 
     def mesh(self):
         """All grid points (B, m) and their product weights (B,), in C order."""
-        node_mesh = np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij")
-        weight_mesh = np.meshgrid(*[ax.weights for ax in self.axes], indexing="ij")
-        U = np.stack([g.ravel() for g in node_mesh], axis=1)
-        W = np.ones(U.shape[0])
-        for w in weight_mesh:
-            W *= w.ravel()
-        return U, W
+        U, W = self._window(0, 0, self.shape[0])
+        return U.points, W
+
+    def _window(self, d: int, lo: int, hi: int):
+        """Rows lo..hi of the leading axes 0..d merged, times every later axis whole: a `GridBatch` and
+        its product weights (B,), multiplied in axis order as ((1 * w0) * w1) * ..."""
+        window = (hi - lo, *self.shape[d + 1:])
+        at = (*np.unravel_index(np.arange(lo, hi), self.shape[:d + 1]), *[slice(None)] * (len(window) - 1))
+        shapes = [[-1 if a == max(0, i - d) else 1 for a in range(len(window))] for i in range(len(at))]
+        W = math.prod(ax.weights[i].reshape(s) for ax, i, s in zip(self.axes, at, shapes))
+        return GridBatch(tuple(ax.nodes[i].reshape(s) for ax, i, s in zip(self.axes, at, shapes)), window), W.ravel()
 
 
 @dataclass(frozen=True)
@@ -145,29 +149,25 @@ def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
     values; any other shape of values is refused, as numpy would broadcast it against the weights."""
     if len(grid.axes) != imm.m:
         raise ValueError(f"grid has {len(grid.axes)} axes, immersion has {imm.m}")
-    U, W = grid.mesh()
-    # a window merges the leading axes 0..d, d the first with at most a quarter chunk of rows per node, so it
-    # holds at most 1.5 chunks; each later axis keeps all its nodes
+    # a chunk is whole rows of the leading axes 0..d merged, d the first axis with at most a quarter chunk of
+    # points per node, so each but the last holds 3/4 of a chunk to a whole one; each later axis keeps all its nodes
     shape, m = grid.shape, imm.m
     d = next(i for i in range(m) if i == m - 1 or 4 * math.prod(shape[i + 1:]) <= _CHUNK)
-    stride = math.prod(shape[d + 1:])
-    later = [grid.axes[i].nodes.reshape((1,) * (i - d) + (-1,) + (1,) * (m - 1 - i)) for i in range(d + 1, m)]
+    lead, step = math.prod(shape[:d + 1]), _CHUNK // math.prod(shape[d + 1:])
     partials = []
-    for start in range(0, U.shape[0], _CHUNK):
-        lo, hi = start // stride, -(-min(start + _CHUNK, len(U)) // stride)
-        lead = [U[lo * stride:hi * stride:stride, i].reshape((-1,) + (1,) * (m - 1 - d)) for i in range(d + 1)]
-        Uc = GridBatch(U[start:start + _CHUNK], (*lead, *later), (hi - lo, *shape[d + 1:]), start - lo * stride)
+    for lo in range(0, lead, step):
+        Uc, W = grid._window(d, lo, min(lo + step, lead))
         values = integrand(Uc)
         if np.shape(values) != (len(Uc),):
-            raise ValueError(f"{imm.name}: integrand maps {Uc.points.shape} points to values of shape "
+            raise ValueError(f"{imm.name}: integrand maps {len(Uc)} points to values of shape "
                              f"{np.shape(values)}, expected ({len(Uc)},)")
         bad = ~np.isfinite(values)
         if bad.any():
             raise DegenerateImmersionError(
-                f"{imm.name}: integrand is not finite at {int(bad.sum())} grid point(s), "
+                f"{imm.name}: integrand is not finite at {int(bad.sum())} point(s) of its chunk, "
                 f"first at parameter point {Uc[np.argmax(bad)].tolist()}"
             )
-        partials.append(float(np.sum(values * W[start:start + _CHUNK])))
+        partials.append(float(np.sum(values * W)))
     return math.fsum(partials)
 
 

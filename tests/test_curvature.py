@@ -543,13 +543,7 @@ def test_a_curvature_batch_equals_its_points_one_at_a_time(spec):
             assert np.array_equal(getattr(batch, f.name)[i], getattr(single, f.name)), (i, f.name)
 
 
-# At m = 1 the quadrature route's product with the rule's nodes has one row per point; a batch of
-# one takes another BLAS kernel than a larger batch, and from n = 3 on the two round differently (~1e-17).
-_M1_BATCH_DEFECT = pytest.mark.xfail(strict=True, reason="m = 1, n >= 3: k_quadrature depends on the batch")
-
-
-@pytest.mark.parametrize("spec", ODD_M_NAMES + [(1, 1), (1, 2), pytest.param((1, 3), marks=_M1_BATCH_DEFECT),
-                                                (3, 1), (3, 2), (3, 3)], ids=str)
+@pytest.mark.parametrize("spec", ODD_M_NAMES + [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (3, 3)], ids=str)
 def test_an_odd_m_curvature_batch_is_zero_without_pfaffian_fields(spec):
     rng = np.random.default_rng(5)
     imm = get(spec) if isinstance(spec, str) else cl.random_graph_poly(rng, m=spec[0], n=spec[1], degree=3)

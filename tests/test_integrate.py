@@ -82,6 +82,14 @@ def test_grid_mesh_shape_and_weights():
     assert U.shape == (96 * 128, 2) and W.shape == (96 * 128,)
     assert np.all(W > 0)
     assert_allclose(np.sum(W), np.pi * 2 * np.pi, rtol=1e-13)
+    for grid in (cl.default_grid(get("sphere4_r5"), 5), cl.default_grid(get("circle_r2"), 7)):
+        # the bytes of a meshgrid, with the weights multiplied in axis order
+        nodes = np.meshgrid(*[ax.nodes for ax in grid.axes], indexing="ij")
+        W = np.ones(math.prod(grid.shape))
+        for w in np.meshgrid(*[ax.weights for ax in grid.axes], indexing="ij"):
+            W *= w.ravel()
+        want = (np.stack([g.ravel() for g in nodes], axis=1), W)
+        assert [(a.shape, a.tobytes()) for a in grid.mesh()] == [(a.shape, a.tobytes()) for a in want]
     assert cl.default_grid(get("sphere4_r5")).shape == (32, 32, 32, 48)
     assert cl.default_grid(get("sphere2_r3"), resolution=10).shape == (10, 10)
 
@@ -398,26 +406,40 @@ def _windowed(name, tmp_path):
 @pytest.mark.parametrize("name", [*ALL_NAMES, "graph_m2", "graph_m4", "constant_coordinate_file",
                                   "sphere2_r4_tube", "sphere2_r3_tube", "circle_r3_tube"])
 def test_window_jets_equal_the_jets_of_the_flat_chunk_byte_for_byte(name, tmp_path, monkeypatch):
-    # each chunk's jets, evaluated over its grid window and stacked at its rows, are those of its (B, m) points
-    # as a flat batch, shape and bytes (so the sign of zero counts), at orders 0-3; the chunk sizes put chunk
-    # boundaries inside windows whose leading batch axis is one grid axis or several merged
+    # each chunk's jets, evaluated over its grid window and stacked in its C order, are those of its (B, m)
+    # points as a flat batch, shape and bytes (so the sign of zero counts), at orders 0-3; the chunk sizes
+    # give windows whose leading batch axis is one grid axis or several merged.  A chunk is one whole window,
+    # of at most a chunk of points, and the chunks in order are the grid's mesh
     imm = _windowed(name, tmp_path)
     grid = cl.default_grid(imm, {1: 11, 2: 11, 3: 6}.get(imm.m, 5))
-    windows = []
 
     def integrand(U):
         for order in range(4):
             window, flat = _stacked_jets(imm, U, order), _stacked_jets(imm, U.points, order)
-            assert [(t.shape, t.tobytes()) for t in window] == [(t.shape, t.tobytes()) for t in flat], (U.start, order)
-        windows.append((len(U.window), U.start, U.start + len(U) < math.prod(U.window)))
+            assert [(t.shape, t.tobytes()) for t in window] == [(t.shape, t.tobytes()) for t in flat], (
+                U.window, order)
+        assert len(U) == math.prod(U.window) <= integrate._CHUNK
+        chunks.append(U.points)
         return np.zeros(len(U))
 
     for chunk in (50, 151, 509):
+        chunks = []
         monkeypatch.setattr(integrate, "_CHUNK", chunk)
         assert reduce_over_grid(imm, grid, integrand) == 0.0
-    if imm.m > 1:  # some chunk starts inside a broadcast window, and some stops inside one
-        assert any(axes > 1 and start > 0 for axes, start, _ in windows)
-        assert any(axes > 1 and stops_inside for axes, _, stops_inside in windows)
+        points = np.concatenate(chunks)
+        assert (points.shape, points.tobytes()) == (grid.mesh()[0].shape, grid.mesh()[0].tobytes())
+
+
+def test_the_reduction_meshes_no_grid(monkeypatch):
+    def refuse(grid):
+        raise AssertionError("the reduction meshed a grid")
+
+    monkeypatch.setattr(QuadratureGrid, "mesh", refuse)
+    imm = get("sphere2_r4")
+    assert abs(cl.gauss_bonnet_check(imm).residual) < 1e-12
+    assert_allclose(cl.integrate_scalar(imm, lambda U: np.ones(len(U)), cl.default_grid(imm, 13)), 4 * np.pi,
+                    rtol=1e-12, atol=0)
+    assert cl.tube_total_curvature(cl.TubeConfig(get("circle_r3"), 0.1), resolution=8).residual < 1e-10
 
 
 # -- non-finite integrands --------------------------------------------------
@@ -496,4 +518,8 @@ def test_the_first_bad_point_is_named_across_chunk_boundaries(chunk, tmp_path, m
         default = [_refusal(run) for run in runs]
         monkeypatch.setattr(integrate, "_CHUNK", chunk)
         assert [_refusal(run) for run in runs] == default
+        # the count is of the failing chunk: the first 1, 3 or 5 of the 8 nodes hold 1, 3 and 3 of its 6 bad ones
+        with pytest.raises(DegenerateImmersionError, match=re.escape(
+                f"integrand is not finite at {min(chunk, 3)} point(s) of its chunk, first at parameter point ")):
+            runs[0]()
     assert default[-1] == ("stalled_circle: first-derivative matrix is rank deficient", str([third]))

@@ -10,6 +10,7 @@ For each catalog name (all of them by default) it prints:
   `sample_domain(imm, 300, default_rng(0))`;
 - at m in {2, 4}, the sha256 of the fields of `egregium_report` at the first 20 of those points,
   one point at a time;
+- for `graph_poly`, its reach by `float.hex`: the catalog estimates it on a sample grid;
 - for each criterion-8 tube case whose base is named, `per_sheet` and `error_estimate` of
   `tube_total_curvature` by `float.hex`, and its `grid_shapes`;
 - for the same cases, the sha256 of `tube_point`, `tube_identity_check` and `tube_spectrum_check`
@@ -62,6 +63,8 @@ def rows(names):
         if imm.m in (2, 4):
             reports = (dataclasses.astuple(cl.egregium_report(imm, u)) for u in U[:20])
             yield f"{name} egregium_report sha256={_sha256(v for rep in reports for v in rep)}"
+        if name == "graph_poly":
+            yield f"{name} reach={_hex(imm.reach)}"
     for name, eps in TUBE_CASES:
         if name in names:
             cfg = cl.TubeConfig(cl.catalog_get(name), eps)

@@ -286,25 +286,20 @@ def _refuse_rank_loss(name, U: np.ndarray, lost: np.ndarray):
             f"at parameter point {U[i].tolist()}")
 
 
-def _forms(name, U: np.ndarray, point, d1, d2):
-    """Points (k,B), metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis
-    last, from the stacked 2-jets of immersion `name` (or one name per point) at U;
+def _forms(name, U: np.ndarray, d1, d2):
+    """Metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis last, from the
+    stacked derivatives d1, d2 of immersion `name` (or one name per point) at U;
     names the first point of rank loss."""
     frame, lost = _normal_frames(d1)
     _refuse_rank_loss(name, U, lost)
     second = np.einsum("asb,aijb->sijb", frame, d2)
-    return point, induced_metric(d1), second, frame
-
-
-def _forms_at(imm: Immersion, U):
-    """`_forms` of the chart at the batch U; the jets are freed once stacked."""
-    return _forms(imm.name, U, *_stacked_jets(imm, U, 2))
+    return induced_metric(d1), second, frame
 
 
 def frames_at(imm: Immersion, U: np.ndarray):
     """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n),
-    views of batch-last storage with the batch axis moved first."""
-    return tuple(np.moveaxis(t, -1, 0) for t in _forms_at(imm, U)[1:])
+    views of batch-last storage with the batch axis moved first; the jets are freed once stacked."""
+    return tuple(np.moveaxis(t, -1, 0) for t in _forms(imm.name, U, *_stacked_jets(imm, U, 2)[1:]))
 
 
 def frame_data_at(imm: Immersion, u: Sequence[float]) -> FrameData:

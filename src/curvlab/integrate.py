@@ -12,14 +12,15 @@ chunks, pairwise sums inside each and compensated sums across them give
 bit-identical integrals on every run.  A non-finite integrand value fails the
 integral and names its parameter point.
 
-When the caller fixes no grid, `reduce_until_converged` refines: uniform
-grids of 8, 13, 20, 31, ... nodes per axis (coprime neighbours), capped by
-`default_grid`, until two successive integrals agree within 1e-12 of the
-integral's topological quantum.  For analytic charts both rules converge
-exponentially, so the last difference between levels is the reported error
-estimate: the error of the coarser level, which the finer one improves on.
-A caller may supply its own levels instead: a tube sheet runs that ladder on
-its base axes only, with fiber axes on rules exact for them (`tube.py`).
+Every total goes through `reduce_until_converged`, which reduces over a
+sequence of levels until two successive integrals agree within 1e-12 of the
+integral's topological quantum.  When the caller fixes no grid, the levels are
+uniform grids of 8, 13, 20, 31, ... nodes per axis (coprime neighbours),
+capped by `default_grid`; a fixed grid is the one level `(grid,)`, compared
+with none.  For analytic charts both rules converge exponentially, so the last
+difference between levels is the reported error estimate: the error of the
+coarser level, which the finer one improves on.  A tube sheet runs that ladder
+on its base axes only, with fiber axes on rules exact for them (`tube.py`).
 """
 
 from __future__ import annotations
@@ -191,32 +192,27 @@ def _refinement_ladder(imm: Immersion) -> list[Optional[int]]:
 
 
 def reduce_until_converged(
-    imm: Immersion, integrand: Callable[[np.ndarray], np.ndarray], quantum: float,
-    grid: Optional[QuadratureGrid] = None, levels: Optional[Iterable[QuadratureGrid]] = None,
+    imm: Immersion, integrand: Callable[[GridBatch], np.ndarray], quantum: float,
+    levels: Iterable[QuadratureGrid],
 ) -> tuple[float, tuple[int, ...], Optional[float], Optional[bool]]:
-    """(integral, grid shape, error estimate, converged) of `reduce_over_grid`.
+    """(integral, grid shape, error estimate, converged) of `reduce_over_grid` along `levels`.
 
-    On a `grid` the caller fixed: one reduction, with no estimate or flag
-    (None).  Otherwise the levels are `levels`, each grid built when the loop
-    reaches it, by default `default_grid(imm, r)` along `_refinement_ladder`,
-    ending on `default_grid(imm)`.  Refinement stops at the first level within
-    1e-12 * `quantum` of the level before and reports that finer value; the
-    estimate is the last difference between levels, and converged is False
-    when the last level was reached before two levels agreed.
+    Each grid of `levels` is built when the loop reaches it.  Refinement stops
+    at the first level within 1e-12 * `quantum` of the level before and reports
+    that finer value; the estimate is the last difference between levels, and
+    converged is False when the last level was reached before two levels
+    agreed.  A single level is compared with none: its estimate and flag are None.
     """
-    if grid is not None:
-        return reduce_over_grid(imm, grid, integrand), grid.shape, None, None
-    if levels is None:
-        levels = (default_grid(imm, resolution) for resolution in _refinement_ladder(imm))
-    previous = error = None
+    previous = error = converged = None
     for grid in levels:
         value = reduce_over_grid(imm, grid, integrand)
         if previous is not None:
             error = abs(value - previous)
-            if error <= _REFINE_TOL * quantum:
-                return value, grid.shape, error, True
+            converged = error <= _REFINE_TOL * quantum
+            if converged:
+                break
         previous = value
-    return value, grid.shape, error, False
+    return value, grid.shape, error, converged
 
 
 def integrate_scalar(imm: Immersion, f: Callable[[GridBatch], np.ndarray],
@@ -313,8 +309,8 @@ def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
         det_g = _det(np.moveaxis(metric, 0, -1))
         return curvature(det_g, second) * np.sqrt(det_g)
 
-    integral, grid_shape, error_estimate, converged = reduce_until_converged(
-        imm, integrand, ratio, grid)
+    levels = (grid,) if grid is not None else (default_grid(imm, r) for r in _refinement_ladder(imm))
+    integral, grid_shape, error_estimate, converged = reduce_until_converged(imm, integrand, ratio, levels)
     raw_chi = integral / ratio
     estimated_chi = int(np.rint(raw_chi))
     chi_distance = abs(raw_chi - estimated_chi)

@@ -45,8 +45,8 @@ import numpy as np
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         _minors, sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
-from .immersion import (Axis, FrameData, GridBatch, Immersion, _batch, _forms, _forms_at, _householder_frame,
-                        _refuse_rank_loss, _stack, frame_data_at)
+from .immersion import (Axis, FrameData, GridBatch, Immersion, _batch, _forms, _householder_frame, _refuse_rank_loss,
+                        _stack, _stacked_jets, frame_data_at, induced_metric)
 from .integrate import (GridAxis, QuadratureGrid, _make_axis, _polar_axis, _refinement_ladder, default_grid,
                         reduce_until_converged)
 from .jets import Jet, cos, dot, sin, sqrt
@@ -103,7 +103,7 @@ class TubePoint:
     sheet_index: int
     sheet_param: np.ndarray
     base_frame: FrameData  # base forms at u; nu_hat is read in its normal frame
-    sheet_frame: FrameData  # sheet forms at sheet_param, normal 0 turned to gauss_normal
+    sheet_frame: FrameData  # sheet forms at sheet_param, with normal frame gauss_normal
     shape_operator: np.ndarray  # Pi^nu at u in an orthonormal tangent basis, (m, m)
     identity: TubeIdentityResult
     spectrum: TubeSpectrumResult
@@ -205,14 +205,14 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     return TubeBoundary(config=cfg, sheets=sheets)
 
 
-def _oriented(cfg: TubeConfig, point, metric, second, frame, x: np.ndarray):
-    """Sheet forms from `_forms` over base points x (k, B), batch axis last: point, outward
-    normal g = (point - x)/eps, metric, and the second form and frame with normal 0 turned to g."""
+def _sheet_forms(cfg: TubeConfig, names, P, point, d1, d2, x: np.ndarray):
+    """Sheet forms from the stacked 2-jets of sheet `names` (or one name per point) at P over base points
+    x (k, B), batch axis last: metric (p, p, B), and the second form (1, p, p, B) along the normal frame
+    (k, 1, B), the boundary's Gauss map g = (point - x)/eps, normal to the sheet by construction.  Names
+    the first point where the sheet's tangents lose rank, as the fiber pole in codimension 3 does."""
+    _refuse_rank_loss(names, P, _householder_frame([list(d1[:, i]) for i in range(d1.shape[1])], cfg.base.k)[1])
     g = (point - x) / cfg.eps
-    sign = np.sign((frame[:, 0] * g).sum(axis=0))
-    second[0] *= sign
-    frame[:, 0] *= sign
-    return point, g, metric, second, frame
+    return induced_metric(d1), np.einsum("ab,aijb->ijb", g, d2)[None], g[:, None]
 
 
 # -- pointwise operations, over a batch --------------------------------------
@@ -248,8 +248,8 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     batch of one read at its point.  One evaluation of the base chart, its 3-jet at U, serves three
     ends: its 2-jet gives the base forms, in whose normal frame nu_hat is read; it builds the smooth
     normal frame that locates the fiber point; and the two give the sheet chart's 2-jet there, as the
-    sheet's `jet_map` would.  The classical curvature comes from those jets, oriented by the outward
-    normal g = (point - base point)/eps.  The base and sheet forms are kept on the result, and the
+    sheet's `jet_map` would.  The sheet's forms are those jets read along its outward normal, the
+    Gauss map g = (point - base point)/eps.  The base and sheet forms are kept on the result, and the
     checks read them.  Every contraction over the batch is an elementwise sum in a fixed order, so a
     point's values do not depend on its batch.  An error names the first failing point; a `boundary`
     built for another config is refused.
@@ -270,7 +270,7 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
         _check_direction(nu, base.n)
     C, V = np.array([nu.coeffs for nu in directions]).T, _batch(base, U)
     X = base.jet_map(V, 3)
-    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2, base.m, V))[1:]))
+    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2, base.m, V)[1:])))
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
     X, nus = _base_frame_pieces(base, V, X)
     amb = _combine(C, base_frame.normal_frame.T)  # nu_hat in the ambient space, (k, B)
@@ -280,9 +280,8 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     else:
         index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(base.n, y.T)], axis=1)
     names, Q = np.array([sheet.name for sheet in boundary.sheets])[index], _batch(boundary.sheets[0], P)
-    point, g, metric, second, frame = _oriented(
-        cfg, *_forms(names, P, *_stack(_sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index), 2, P.shape[1], Q)),
-        _stack(X, 0, base.m, V)[0])
+    point, *jets = _stack(_sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index), 2, P.shape[1], Q)
+    metric, second, frame = _sheet_forms(cfg, names, P, point, *jets, _stack(X, 0, base.m, V)[0])
     sheet_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame)))
     classical_k, shape_operator = _det(second[0]) / _det(metric), np.moveaxis(pi_nu, -1, 0)
     # the identity: K^g / NJ against (-1)^(n-1) eps^-(n-1) K^nu
@@ -296,7 +295,7 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     lam = np.linalg.eigvalsh(shape_operator)
     fiber = np.full((len(lam), base.n - 1), -1.0 / cfg.eps)
     predicted = np.sort(np.concatenate([lam / (1.0 - cfg.eps * lam), fiber], axis=1))
-    tp = TubePoint(u=U, nu_hat=tuple(directions), point=point.T, gauss_normal=g.T, classical_k=classical_k,
+    tp = TubePoint(u=U, nu_hat=tuple(directions), point=point.T, gauss_normal=frame[:, 0].T, classical_k=classical_k,
                    normal_jacobian=nj, sheet_index=index, sheet_param=P, base_frame=base_frame,
                    sheet_frame=sheet_frame, shape_operator=shape_operator,
                    identity=TubeIdentityResult(lhs, rhs, residual, relative),
@@ -350,7 +349,8 @@ class TubeTotalResult:
 def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
     """Gaussian curvature times area density of one sheet over a `GridBatch` of sheet points -> (B,)."""
     def integrand(U):
-        _, _, metric, second, _ = _oriented(cfg, *_forms_at(sheet, U), cfg.base.points(U.head(cfg.base.m)).T)
+        metric, second, _ = _sheet_forms(cfg, sheet.name, U, *_stacked_jets(sheet, U, 2),
+                                         cfg.base.points(U.head(cfg.base.m)).T)
         det_g = _det(metric)
         return _det(second[0]) / det_g * np.sqrt(det_g)
 
@@ -388,10 +388,8 @@ def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> T
     boundary = tube_boundary_immersion(cfg)
     quantum = sphere_volume(base.k - 1)
     per_sheet, grid_shapes, errors, flags = zip(*(
-        reduce_until_converged(
-            sheet, _sheet_integrand(cfg, sheet), quantum,
-            None if resolution is None else default_grid(sheet, resolution), _sheet_levels(base),
-        )
+        reduce_until_converged(sheet, _sheet_integrand(cfg, sheet), quantum,
+                               _sheet_levels(base) if resolution is None else (default_grid(sheet, resolution),))
         for sheet in boundary.sheets
     ))
     integral = math.fsum(per_sheet)

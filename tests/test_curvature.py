@@ -42,6 +42,8 @@ def test_sphere_moment_pinned_values():
         cl.sphere_moment([-1, 0])
     with pytest.raises(ValueError):
         cl.sphere_moment([0.5, 0])
+    with pytest.raises(ValueError, match="nonempty vector"):
+        cl.sphere_moment([])
 
 
 def _brute_moment(a):

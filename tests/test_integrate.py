@@ -230,6 +230,9 @@ def test_normal_sphere_rule_is_built_once_per_n_and_read_only():
         # the n = 4 nodes are the seeded Monte Carlo draw, bit for bit
         np.testing.assert_array_equal(cl.normal_sphere_rule(m, 4).nodes,
                                       raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    for m, n in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            cl.normal_sphere_rule(m, n)
 
 
 # -- Gauss-Bonnet pipeline --------------------------------------------------
@@ -342,7 +345,7 @@ def test_refined_m4_integral_matches_euler_characteristic(name, route):
 def test_refinement_that_cannot_converge_ends_on_the_default_grid():
     imm = get("circle_r2")  # |sin u| has kinks: the trapezoid error falls only as 1/N^2
     value, grid_shape, error_estimate, converged = reduce_until_converged(
-        imm, lambda U: np.abs(np.sin(U[:, 0])), 1.0)
+        imm, lambda U: np.abs(np.sin(U[:, 0])), 1.0, (cl.default_grid(imm, r) for r in _refinement_ladder(imm)))
     assert grid_shape == cl.default_grid(imm).shape
     assert converged is False
     assert error_estimate > REFINE_TOL
@@ -361,6 +364,8 @@ def test_a_fixed_grid_runs_one_reduction_on_exactly_that_grid():
         assert rep.integral == reduce_over_grid(imm, grid, integrand)
         assert rep.grid_shape == grid.shape
         assert rep.error_estimate is None and rep.converged is None
+        assert reduce_until_converged(imm, integrand, 1.0, (grid,)) == (
+            reduce_over_grid(imm, grid, integrand), grid.shape, None, None)
     refined = cl.gauss_bonnet_check(imm)
     fixed = cl.gauss_bonnet_check(imm, cl.default_grid(imm, refined.grid_shape[0]))
     assert refined.integral == fixed.integral  # the refinement reports its finer level

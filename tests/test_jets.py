@@ -109,7 +109,8 @@ def test_reflected_and_scalar_operations():
             for r in (1, 2, 3):
                 assert_allclose(f.dense(2)[r][(0,) * r], want[r], rtol=0, atol=1e-13)
                 assert np.all(np.delete(f.dense(2)[r].reshape(2**r, 2), 0, axis=0) == 0.0)
-    for bad in (lambda: x + "a", lambda: "a" + x):
+    for bad in (lambda: x + "a", lambda: "a" + x, lambda: x - "a", lambda: x * "a", lambda: x / "a",
+                lambda: "a" / x):
         with pytest.raises(TypeError):
             bad()
 
@@ -126,6 +127,8 @@ def test_constant_and_truncate():
         t.truncate(2)
     with pytest.raises(ValueError):
         Jet.constant(1.0, 0, 1).partial(0)
+    with pytest.raises(ValueError, match="expected a \\(batch, nvars\\) array"):
+        Jet.variables(np.zeros((2, 2, 2)), 1)
 
 
 def test_generic_dispatchers_pass_through_plain_values():

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import curvlab as cl
 from curvlab import tube
@@ -109,7 +109,11 @@ def test_tube_point_invariants(rng):
         assert_allclose(np.linalg.norm(tp.gauss_normal), 1.0, rtol=1e-12)
         for name in ("metric", "second_form", "normal_frame"):
             assert_allclose(getattr(tp.base_frame, name), getattr(fd, name), rtol=0, atol=0)
-        assert_allclose(tp.sheet_frame.normal_frame[:, 0], tp.gauss_normal, rtol=0, atol=1e-12)
+        assert_array_equal(tp.sheet_frame.normal_frame[:, 0], tp.gauss_normal)  # the normal is g itself
+        # the second form along g against the QR route's, its normal turned to g
+        _, second, frame = cl.frames_at(boundary.sheets[tp.sheet_index], tp.sheet_param[None, :])
+        sign = np.sign(frame[0, :, 0] @ tp.gauss_normal)
+        assert_allclose(tp.sheet_frame.second_form, sign * second[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["sphere2_r4", "sphere2_r3", "graph_poly"])

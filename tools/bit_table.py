@@ -6,6 +6,7 @@ For each catalog name (all of them by default) it prints:
 - `gauss_bonnet_check`'s integral and error estimate by `float.hex`, and its grid shape;
 - the integral of `gauss_bonnet_check(imm, route="quadrature")` by `float.hex`;
 - the area, `integrate_scalar` of f = 1 on `default_grid(imm, 13)`, by `float.hex`;
+- the integral of `gauss_bonnet_check(imm, default_grid(imm, 13))` by both routes, by `float.hex`;
 - the sha256 of the bytes of `frames_at` and of `jets_at(..., 3)` at the 300 points
   `sample_domain(imm, 300, default_rng(0))`;
 - at m in {2, 4}, the sha256 of the fields of `egregium_report` at the first 20 of those points,
@@ -13,6 +14,7 @@ For each catalog name (all of them by default) it prints:
 - for `graph_poly`, its reach by `float.hex`: the catalog estimates it on a sample grid;
 - for each criterion-8 tube case whose base is named, `per_sheet` and `error_estimate` of
   `tube_total_curvature` by `float.hex`, and its `grid_shapes`;
+- for the same cases, `per_sheet` of `tube_total_curvature(cfg, resolution=8)` by `float.hex`;
 - for the same cases, the sha256 of `tube_point`, `tube_identity_check` and `tube_spectrum_check`
   at 20 points `sample_domain(base, 20, default_rng(0))`, one point at a time, with directions
   drawn from the same generator; `tube_point` by the fields in `TUBE_POINT_FIELDS`.
@@ -57,6 +59,8 @@ def rows(names):
         yield f"{name} gauss_bonnet_quadrature integral={_hex(quadrature.integral)}"
         area = cl.integrate_scalar(imm, lambda U: np.ones(len(U)), cl.default_grid(imm, 13))
         yield f"{name} integrate_scalar area={_hex(area)}"
+        fixed = [cl.gauss_bonnet_check(imm, cl.default_grid(imm, 13), route) for route in ("moments", "quadrature")]
+        yield f"{name} gauss_bonnet_13 moments={_hex(fixed[0].integral)} quadrature={_hex(fixed[1].integral)}"
         U = cl.sample_domain(imm, 300, np.random.default_rng(0))
         yield f"{name} frames_at sha256={_sha256(cl.frames_at(imm, U))}"
         yield f"{name} jets_at_3 sha256={_sha256(cl.jets_at(imm, U, 3))}"
@@ -72,6 +76,8 @@ def rows(names):
             yield (f"tube {name} eps={eps} per_sheet=({', '.join(map(_hex, res.per_sheet))}) "
                    f"grid_shapes={tuple(map(tuple, res.grid_shapes))} "
                    f"error_estimate={_hex(res.error_estimate)}")
+            fixed = cl.tube_total_curvature(cfg, resolution=8)
+            yield f"tube_8 {name} eps={eps} per_sheet=({', '.join(map(_hex, fixed.per_sheet))})"
             yield f"tube_point {name} eps={eps} sha256={_sha256(_tube_point_values(cfg))}"
 
 

@@ -1,11 +1,11 @@
 """Parametrized closed submanifolds of R^k and their exact 2-jets.
 
-An `Immersion` couples a chart domain with an evaluator written in jet
-arithmetic, so point values and first/second derivatives come out exact to
-roundoff (finite differences appear only in consistency tests).  From the
-2-jet we derive the induced metric, an orthonormal normal frame (Householder
-reflections of the tangents, in generic scalars: arrays here, jets for the
-tube frame) and the vector-valued second fundamental form.
+An `Immersion` couples a chart domain with an evaluator written in jet arithmetic, so point
+values and first/second derivatives come out exact to roundoff (finite differences appear only
+in consistency tests).  From the 2-jet we derive the induced metric, an orthonormal normal frame
+(Householder reflections of the tangents, in generic scalars: arrays here, jets for the tube
+frame) and the vector-valued second fundamental form.  Only the 1-jets are stacked into batch
+arrays; the second form is read off each coordinate's second partials on its support.
 
 Sign convention: `second_form[s, i, j]` is the inner product of the ambient
 second derivative of the chart with normal frame vector s, i.e. the normal
@@ -213,33 +213,40 @@ def _reflect(v, beta, y):
     return [c - w * e for c, e in zip(y, v)]
 
 
-def _householder_frame(tangents, k):
-    """An orthonormal normal frame of m tangents by Householder QR, per point whether they lose rank, and R.
+@np.errstate(divide="ignore", invalid="ignore")  # a lost tangent gives inf or NaN, refused by the caller
+def _householder_qr(tangents):
+    """Householder QR of m tangents, all a rank check needs: reflections (v, beta), rank-loss mask, R.
 
-    Every vector is a list of k generic scalars (jets or arrays); the frame differentiates wherever
+    Every vector is a list of k generic scalars (jets or arrays); the QR differentiates wherever
     the tangents do and keep full rank.  Reflection j takes x, column j of the tangents on rows j..,
     to alpha e_j with alpha = s|x| and s = -copysign(1, x_0), the sign taken from the point's value;
-    2/|v|^2 is written beta = 1/(|x|(|x| - s x_0)), so that it differentiates.  The m reflections,
-    applied in reverse to e_m ... e_(k-1), give the frame.  R comes as rows R[j] = [R_jj, R_j,j+1, ...].
-    The tangents lose rank where the smallest |R_jj| = |x| is at most `_RANK_TOL` times the largest.
+    2/|v|^2 is written beta = 1/(|x|(|x| - s x_0)), so that it differentiates.  R comes as rows
+    R[j] = [R_jj, R_j,j+1, ...].  The tangents lose rank where the smallest |R_jj| = |x| is at most
+    `_RANK_TOL` times the largest.
     """
     rest, reflections, R = tangents, [], []
-    with np.errstate(divide="ignore", invalid="ignore"):  # a lost tangent gives inf or NaN, refused by the caller
-        for _ in tangents:
-            x = rest[0]
-            norm = sqrt(dot(x, x))
-            s = -np.copysign(1.0, _value(x[0]))
-            alpha = s * norm
-            v = [x[0] - alpha, *x[1:]]
-            beta = 1.0 / (norm * (norm - s * x[0]))
-            rest = [_reflect(v, beta, col) for col in rest[1:]]
-            R.append([alpha] + [col[0] for col in rest])
-            rest = [col[1:] for col in rest]
-            reflections.append((v, beta))
-        frame = [[float(a == b) for a in range(k)] for b in range(len(tangents), k)]
-        for j, (v, beta) in reversed(list(enumerate(reflections))):
-            frame = [y[:j] + _reflect(v, beta, y[j:]) for y in frame]
-    return frame, _rank_lost(np.abs(np.broadcast_arrays(*(_value(row[0]) for row in R)))), R
+    for _ in tangents:
+        x = rest[0]
+        norm = sqrt(dot(x, x))
+        s = -np.copysign(1.0, _value(x[0]))
+        alpha = s * norm
+        v = [x[0] - alpha, *x[1:]]
+        beta = 1.0 / (norm * (norm - s * x[0]))
+        rest = [_reflect(v, beta, col) for col in rest[1:]]
+        R.append([alpha] + [col[0] for col in rest])
+        rest = [col[1:] for col in rest]
+        reflections.append((v, beta))
+    return reflections, _rank_lost(np.abs(np.broadcast_arrays(*(_value(row[0]) for row in R)))), R
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _householder_frame(tangents, k):
+    """A normal frame of m tangents in R^k, its `_householder_qr` reflections run back over e_m...e_(k-1); mask, R."""
+    reflections, lost, R = _householder_qr(tangents)
+    frame = [[float(a == b) for a in range(k)] for b in range(len(tangents), k)]
+    for j, (v, beta) in reversed(list(enumerate(reflections))):
+        frame = [y[:j] + _reflect(v, beta, y[j:]) for y in frame]
+    return frame, lost, R
 
 
 def _normal_frames(d1: np.ndarray):
@@ -286,20 +293,30 @@ def _refuse_rank_loss(name, U: np.ndarray, lost: np.ndarray):
             f"at parameter point {U[i].tolist()}")
 
 
-def _forms(name, U: np.ndarray, d1, d2):
-    """Metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis last, from the
-    stacked derivatives d1, d2 of immersion `name` (or one name per point) at U;
-    names the first point of rank loss."""
+def _second_form(frame, js, V: GridBatch):
+    """The second form (n, m, m, B) along a frame (k, n, B), batch axis last, read off 2-jets js over V's
+    window: coordinate a adds frame row a times each second partial on its support, in its cell."""
+    out = np.zeros((frame.shape[1],) + (len(V.columns),) * 2 + V.window)
+    for f, j in zip(frame.reshape(*frame.shape[:2], *V.window), js):
+        for p, q in np.ndindex(*j.tensors[2].shape[:2]):
+            out[:, j.support[p], j.support[q]] += f * j.tensors[2][p, q]
+    return out.reshape(*out.shape[:3], -1)
+
+
+def _forms(name, js, V: GridBatch):
+    """Metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis last, from the 2-jets js of
+    immersion `name` (or one name per point) over V: only d1 is stacked; names the first point of rank loss."""
+    d1 = _stack(js, 1, len(V.columns), V)[1]
     frame, lost = _normal_frames(d1)
-    _refuse_rank_loss(name, U, lost)
-    second = np.einsum("asb,aijb->sijb", frame, d2)
-    return induced_metric(d1), second, frame
+    _refuse_rank_loss(name, V, lost)
+    return induced_metric(d1), _second_form(frame, js, V), frame
 
 
 def frames_at(imm: Immersion, U: np.ndarray):
-    """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n),
-    views of batch-last storage with the batch axis moved first; the jets are freed once stacked."""
-    return tuple(np.moveaxis(t, -1, 0) for t in _forms(imm.name, U, *_stacked_jets(imm, U, 2)[1:]))
+    """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n), views of
+    batch-last storage with the batch axis moved first; the second form is read off the jets, not a stack."""
+    V = _batch(imm, U)
+    return tuple(np.moveaxis(t, -1, 0) for t in _forms(imm.name, imm.jet_map(V, 2), V))
 
 
 def frame_data_at(imm: Immersion, u: Sequence[float]) -> FrameData:

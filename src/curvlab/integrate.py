@@ -201,9 +201,9 @@ def reduce_until_converged(
     at the first level within 1e-12 * `quantum` of the level before and reports
     that finer value; the estimate is the last difference between levels, and
     converged is False when the last level was reached before two levels
-    agreed.  A single level is compared with none: its estimate and flag are None.
+    agreed.  One level is compared with none: its estimate and flag are None; no level raises `ValueError`.
     """
-    previous = error = converged = None
+    previous = error = converged = grid = None
     for grid in levels:
         value = reduce_over_grid(imm, grid, integrand)
         if previous is not None:
@@ -212,6 +212,8 @@ def reduce_until_converged(
             if converged:
                 break
         previous = value
+    if grid is None:
+        raise ValueError(f"{imm.name}: levels is empty; give at least one grid")
     return value, grid.shape, error, converged
 
 

@@ -45,8 +45,8 @@ import numpy as np
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         _minors, sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
-from .immersion import (Axis, FrameData, GridBatch, Immersion, _batch, _forms, _householder_frame, _refuse_rank_loss,
-                        _stack, _stacked_jets, frame_data_at, induced_metric)
+from .immersion import (Axis, FrameData, GridBatch, Immersion, _batch, _forms, _householder_frame, _householder_qr,
+                        _refuse_rank_loss, _second_form, _stack, frame_data_at, induced_metric)
 from .integrate import (GridAxis, QuadratureGrid, _make_axis, _polar_axis, _refinement_ladder, default_grid,
                         reduce_until_converged)
 from .jets import Jet, cos, dot, sin, sqrt
@@ -156,8 +156,8 @@ def _base_frame_pieces(base: Immersion, U, X):
     order = X[0].order - 1
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
     X = [x.truncate(order) for x in X]
-    qr_input = [[c.val for c in t] for t in tangents] if base.n == 1 else tangents
-    frame, lost, _ = _householder_frame(qr_input, base.k)
+    frame, lost, _ = (_householder_frame(tangents, base.k) if base.n > 1  # codimension 1: the QR's rank check only
+                      else _householder_qr([[c.val for c in t] for t in tangents]))
     _refuse_rank_loss(base.name, U, U.rows(lost))
     if base.n == 1:
         minors = _minors([_unit(t) for t in tangents])
@@ -205,14 +205,15 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     return TubeBoundary(config=cfg, sheets=sheets)
 
 
-def _sheet_forms(cfg: TubeConfig, names, P, point, d1, d2, x: np.ndarray):
-    """Sheet forms from the stacked 2-jets of sheet `names` (or one name per point) at P over base points
-    x (k, B), batch axis last: metric (p, p, B), and the second form (1, p, p, B) along the normal frame
-    (k, 1, B), the boundary's Gauss map g = (point - x)/eps, normal to the sheet by construction.  Names
-    the first point where the sheet's tangents lose rank, as the fiber pole in codimension 3 does."""
-    _refuse_rank_loss(names, P, _householder_frame([list(d1[:, i]) for i in range(d1.shape[1])], cfg.base.k)[1])
-    g = (point - x) / cfg.eps
-    return induced_metric(d1), np.einsum("ab,aijb->ijb", g, d2)[None], g[:, None]
+def _sheet_forms(cfg: TubeConfig, names, js, V: GridBatch, x: np.ndarray):
+    """Sheet forms from the 2-jets js of sheet `names` (or one name per point) over V, at base points x (k, B),
+    batch axis last: points (k, B), metric (p, p, B), and the second form (1, p, p, B) along the frame (k, 1, B),
+    the boundary's Gauss map g = (point - x)/eps, normal to the sheet by construction; only the 1-jets are
+    stacked.  The QR of the tangents names the first point where they lose rank, as the codimension-3 pole does."""
+    point, d1 = _stack(js, 1, len(V.columns), V)
+    _refuse_rank_loss(names, V, _householder_qr([list(d1[:, i]) for i in range(d1.shape[1])])[1])
+    g = ((point - x) / cfg.eps)[:, None]
+    return point, induced_metric(d1), _second_form(g, js, V), g
 
 
 # -- pointwise operations, over a batch --------------------------------------
@@ -270,7 +271,7 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
         _check_direction(nu, base.n)
     C, V = np.array([nu.coeffs for nu in directions]).T, _batch(base, U)
     X = base.jet_map(V, 3)
-    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, U, *_stack(X, 2, base.m, V)[1:])))
+    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, X, V)))
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
     X, nus = _base_frame_pieces(base, V, X)
     amb = _combine(C, base_frame.normal_frame.T)  # nu_hat in the ambient space, (k, B)
@@ -280,8 +281,8 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     else:
         index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(base.n, y.T)], axis=1)
     names, Q = np.array([sheet.name for sheet in boundary.sheets])[index], _batch(boundary.sheets[0], P)
-    point, *jets = _stack(_sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index), 2, P.shape[1], Q)
-    metric, second, frame = _sheet_forms(cfg, names, P, point, *jets, _stack(X, 0, base.m, V)[0])
+    sheet_jets = _sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index)
+    point, metric, second, frame = _sheet_forms(cfg, names, sheet_jets, Q, _stack(X, 0, base.m, V)[0])
     sheet_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame)))
     classical_k, shape_operator = _det(second[0]) / _det(metric), np.moveaxis(pi_nu, -1, 0)
     # the identity: K^g / NJ against (-1)^(n-1) eps^-(n-1) K^nu
@@ -349,8 +350,8 @@ class TubeTotalResult:
 def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
     """Gaussian curvature times area density of one sheet over a `GridBatch` of sheet points -> (B,)."""
     def integrand(U):
-        metric, second, _ = _sheet_forms(cfg, sheet.name, U, *_stacked_jets(sheet, U, 2),
-                                         cfg.base.points(U.head(cfg.base.m)).T)
+        _, metric, second, _ = _sheet_forms(cfg, sheet.name, sheet.jet_map(U, 2), U,
+                                            cfg.base.points(U.head(cfg.base.m)).T)
         det_g = _det(metric)
         return _det(second[0]) / det_g * np.sqrt(det_g)
 

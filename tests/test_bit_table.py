@@ -20,7 +20,8 @@ def test_bit_table_runs_on_one_catalog_entry():
     lines = proc.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [
         ["sphere2_r3", "gauss_bonnet"], ["sphere2_r3", "gauss_bonnet_quadrature"], ["sphere2_r3", "integrate_scalar"],
-        ["sphere2_r3", "gauss_bonnet_13"], ["sphere2_r3", "frames_at"], ["sphere2_r3", "jets_at_3"],
+        ["sphere2_r3", "gauss_bonnet_13"], ["sphere2_r3", "frames_at"], ["sphere2_r3", "frames_at_window"],
+        ["sphere2_r3", "jets_at_3"],
         ["sphere2_r3", "egregium_report"], ["tube", "sphere2_r3"], ["tube_8", "sphere2_r3"], ["tube_point", "sphere2_r3"]]
     integral = float.fromhex(lines[0].split()[2].removeprefix("integral="))
     assert abs(integral - 4 * np.pi) < 1e-12  # 2 pi chi

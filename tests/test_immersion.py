@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import curvlab as cl
 from curvlab.errors import DegenerateImmersionError, DomainError
+from curvlab.immersion import _stacked_jets
 from curvlab.jets import Jet
 
 from conftest import ALL_NAMES, circle_r3_file, get, wiggly_torus_file
@@ -296,3 +298,51 @@ def test_product_chart_coordinates_carry_only_their_own_factor_variables(rng):
     supports = [j.support for j in imm.jet_map(U, 2)]
     assert supports == [(0, 1), (0, 1), (0,), (2, 3), (2, 3), (2,)]
     assert [t.shape[:-1] for t in imm.jet_map(U, 2)[0].tensors] == [(), (2,), (2, 2)]
+
+
+# -- the second form, contracted from the jets ------------------------------
+
+
+def _stacked_second_form_bytes(imm, U):
+    """The bytes of the second form as one contraction of the stacked (k, m, m, B) 2-jets with the frame
+    `frames_at` gives, batch axis last: the dense reference the jet contraction must equal bit for bit."""
+    frame = np.moveaxis(cl.frames_at(imm, U)[2], 0, -1)  # the batch-last storage itself
+    return np.einsum("asb,aijb->sijb", frame, _stacked_jets(imm, U, 2)[2]).tobytes()
+
+
+def _second_form_bytes(imm, U):
+    return np.ascontiguousarray(np.moveaxis(cl.frames_at(imm, U)[1], 0, -1)).tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_the_second_form_is_the_stacked_contraction_bit_for_bit(name, rng):
+    # over a multi-axis grid window, whose jets broadcast, and over sampled points; circle_r3 and
+    # sphere2_r4 each have a constant coordinate, whose empty support adds nothing
+    imm = get(name)
+    for U in (cl.default_grid(imm, 8)._window(0, 0, 8)[0], cl.sample_domain(imm, 50, rng)):
+        assert _second_form_bytes(imm, U) == _stacked_second_form_bytes(imm, U)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 1), (2, 2), (1, 3), (2, 3), (2, 4)])
+def test_the_second_form_of_a_random_graph_is_the_stacked_contraction_bit_for_bit(m, n, rng):
+    imm = cl.random_graph_poly(rng, m=m, n=n)
+    for U in (cl.default_grid(imm, 8)._window(0, 0, 8)[0], cl.sample_domain(imm, 50, rng)):
+        assert _second_form_bytes(imm, U) == _stacked_second_form_bytes(imm, U)
+
+
+def test_frames_at_stacks_no_second_derivatives():
+    # the first 13^4 chunk window of product_s2s2_r6, 15,379 points: the transient memory of frames_at
+    # (its peak less what it returns) stays below one (k, m, m, B) float64 stack of the 2-jets
+    imm = get("product_s2s2_r6")
+    U = cl.default_grid(imm, 13)._window(0, 0, 7)[0]
+    assert len(U) == 15379
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        forms = cl.frames_at(imm, U)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert forms[1].shape == (len(U), imm.n, imm.m, imm.m)
+    assert peak - retained < imm.k * imm.m * imm.m * len(U) * 8, (peak - before, retained - before)

@@ -366,6 +366,8 @@ def test_a_fixed_grid_runs_one_reduction_on_exactly_that_grid():
         assert rep.error_estimate is None and rep.converged is None
         assert reduce_until_converged(imm, integrand, 1.0, (grid,)) == (
             reduce_over_grid(imm, grid, integrand), grid.shape, None, None)
+    with pytest.raises(ValueError, match="levels is empty"):  # no level: refused by name, not UnboundLocalError
+        reduce_until_converged(imm, integrand, 1.0, ())
     refined = cl.gauss_bonnet_check(imm)
     fixed = cl.gauss_bonnet_check(imm, cl.default_grid(imm, refined.grid_shape[0]))
     assert refined.integral == fixed.integral  # the refinement reports its finer level

@@ -17,6 +17,7 @@ from curvlab.errors import (
     UnsupportedDimensionError,
 )
 
+from curvlab.immersion import _stacked_jets
 from curvlab.integrate import reduce_over_grid, reduce_until_converged
 from curvlab.jets import Jet, cos, dot, sin, sqrt
 
@@ -280,6 +281,28 @@ def test_sheet_jets_over_repeated_base_points_equal_each_point_alone(name):
     minus, plus = np.flatnonzero(at == 4)[0], np.flatnonzero(at == 5)[0]
     if name != "sphere2_r4":
         assert _sheet_tensor_bytes(batch, minus) != _sheet_tensor_bytes(batch, plus)
+
+
+@pytest.mark.parametrize("name, eps", [
+    ("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1), ("graph_n3", 0.1),
+])
+def test_sheet_second_form_is_the_stacked_contraction_bit_for_bit(name, eps, rng):
+    # the sheet's second form along its Gauss map g, against <g, d2> on the sheet's stacked 2-jets at each
+    # point's own sheet (criterion-8 cases, and a codimension-3 base)
+    if name == "graph_n3":
+        base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=3, degree=2, scale=0.2)
+        eps = min(eps, 0.5 * base.reach)
+    else:
+        base = get(name)
+    cfg = cl.TubeConfig(base, eps)
+    U = cl.sample_domain(base, 30, rng)
+    tp = cl.tube_point(cfg, U, [cl.NormalDirection.unit(rng.standard_normal(base.n)) for _ in U])
+    for index, sheet in enumerate(cl.tube_boundary_immersion(cfg).sheets):
+        on = tp.sheet_index == index
+        g = np.ascontiguousarray(tp.gauss_normal[on].T)
+        want = np.einsum("ab,aijb->ijb", g, _stacked_jets(sheet, tp.sheet_param[on], 2)[2])
+        assert np.moveaxis(tp.sheet_frame.second_form[on, 0], 0, -1).tobytes() == want.tobytes()
+    assert base.n > 1 or 0 < tp.sheet_index.sum() < len(U)  # codimension 1: both sheets are read
 
 
 def test_a_sheet_batch_names_its_first_bad_base_point():

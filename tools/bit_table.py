@@ -9,6 +9,8 @@ For each catalog name (all of them by default) it prints:
 - the integral of `gauss_bonnet_check(imm, default_grid(imm, 13))` by both routes, by `float.hex`;
 - the sha256 of the bytes of `frames_at` and of `jets_at(..., 3)` at the 300 points
   `sample_domain(imm, 300, default_rng(0))`;
+- the sha256 of the bytes of `frames_at` over the grid window `default_grid(imm, 8)._window(0, 0, 8)`,
+  whose jets broadcast over its axes;
 - at m in {2, 4}, the sha256 of the fields of `egregium_report` at the first 20 of those points,
   one point at a time;
 - for `graph_poly`, its reach by `float.hex`: the catalog estimates it on a sample grid;
@@ -63,6 +65,8 @@ def rows(names):
         yield f"{name} gauss_bonnet_13 moments={_hex(fixed[0].integral)} quadrature={_hex(fixed[1].integral)}"
         U = cl.sample_domain(imm, 300, np.random.default_rng(0))
         yield f"{name} frames_at sha256={_sha256(cl.frames_at(imm, U))}"
+        window = cl.default_grid(imm, 8)._window(0, 0, 8)[0]
+        yield f"{name} frames_at_window sha256={_sha256(cl.frames_at(imm, window))}"
         yield f"{name} jets_at_3 sha256={_sha256(cl.jets_at(imm, U, 3))}"
         if imm.m in (2, 4):
             reports = (dataclasses.astuple(cl.egregium_report(imm, u)) for u in U[:20])

@@ -31,3 +31,6 @@ def test_bit_table_runs_on_one_catalog_entry():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert lines == list(tool.rows(["sphere2_r3"]))  # the same bits in another process
+    # a tube whose sheets span several chunks has its fixed-resolution row only
+    assert [line.split()[:2] for line in tool.rows(["product_s2s2_r6"])][-2:] == [
+        ["product_s2s2_r6", "egregium_report"], ["tube_8", "product_s2s2_r6"]]

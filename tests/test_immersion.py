@@ -331,8 +331,9 @@ def test_the_second_form_of_a_random_graph_is_the_stacked_contraction_bit_for_bi
 
 
 def test_frames_at_stacks_no_second_derivatives():
-    # the first 13^4 chunk window of product_s2s2_r6, 15,379 points: the transient memory of frames_at
-    # (its peak less what it returns) stays below one (k, m, m, B) float64 stack of the 2-jets
+    # seven 13^3 rows of product_s2s2_r6's 13^4 grid, 15,379 points, nearly twice a reduction chunk: the
+    # transient memory of frames_at (its peak less what it returns) stays below one (k, m, m, B) float64
+    # stack of the 2-jets
     imm = get("product_s2s2_r6")
     U = cl.default_grid(imm, 13)._window(0, 0, 7)[0]
     assert len(U) == 15379

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,29 @@ def test_grid_axis_mismatch_error():
     grid = cl.default_grid(get("sphere2_r3"))
     with pytest.raises(ValueError):
         cl.integrate_scalar(get("circle_r2"), lambda U: np.ones(len(U)), grid)
+    # an axis that cannot be integrated, or that leaves the chart's domain, is refused by name.  Unchecked,
+    # Gauss-Bonnet gave 0.0 (chi 0) on an empty theta axis and 1.52 for 2 pi on 5 nodes with 13 weights,
+    # 13 nodes with 5 weights raised IndexError, and theta nodes on [0, 2 pi] gave an area of 25.47 for 4 pi
+    imm = get("sphere2_r4")
+    theta, phi = cl.default_grid(imm, 13).axes
+    x, w = np.polynomial.legendre.leggauss(12)
+    refused = {
+        "of shape (0,) and weights of shape (0,)": GridAxis(theta.nodes[:0], theta.weights[:0], theta.kind),
+        "of shape (5,) and weights of shape (13,)": GridAxis(theta.nodes[:5], theta.weights, theta.kind),
+        "of shape (13,) and weights of shape (5,)": GridAxis(theta.nodes, theta.weights[:5], theta.kind),
+        "of shape (13, 1) and weights of shape (13, 1)":
+            GridAxis(theta.nodes[:, None], theta.weights[:, None], theta.kind),
+        f"in [{np.pi * (x[0] + 1)}, {np.pi * (x[-1] + 1)}], outside its domain [0.0, {np.pi}]":
+            GridAxis(np.pi * (x + 1), np.pi * w, "gauss-legendre"),
+    }
+    for message, axis in refused.items():
+        for run in (lambda: cl.gauss_bonnet_check(imm, QuadratureGrid((axis, phi))),
+                    lambda: cl.integrate_scalar(imm, lambda U: np.ones(len(U)), QuadratureGrid((axis, phi)))):
+            with pytest.raises(ValueError, match=re.escape(f"sphere2_r4: grid axis 0 has nodes {message}")):
+                run()
+    ahead = GridAxis(phi.nodes + 1.0, phi.weights, phi.kind)  # a periodic axis is not wrapped either
+    with pytest.raises(ValueError, match=re.escape("sphere2_r4: grid axis 1 has nodes in [1.0, ")):
+        cl.integrate_scalar(imm, lambda U: np.ones(len(U)), QuadratureGrid((theta, ahead)))
 
 
 # -- normal-sphere rules ----------------------------------------------------
@@ -447,6 +471,24 @@ def test_the_reduction_meshes_no_grid(monkeypatch):
     assert_allclose(cl.integrate_scalar(imm, lambda U: np.ones(len(U)), cl.default_grid(imm, 13)), 4 * np.pi,
                     rtol=1e-12, atol=0)
     assert cl.tube_total_curvature(cl.TubeConfig(get("circle_r3"), 0.1), resolution=8).residual < 1e-10
+
+
+@pytest.mark.parametrize("call, bound_mib", [
+    (lambda imm: cl.gauss_bonnet_check(imm, cl.default_grid(imm, 13)), 9),  # 28,561 points, 4 chunks
+    (lambda imm: cl.tube_total_curvature(cl.TubeConfig(imm, 0.25), resolution=8), 28),  # 32,768 sheet points
+], ids=["gauss_bonnet_13", "tube_8"])
+def test_a_multi_chunk_reduction_holds_one_small_chunk_at_a_time(call, bound_mib):
+    # the traced peak of one call on product_s2s2_r6 is set by its chunk's stage arrays: 6.6 and 19.3 MiB
+    # with chunks of 8,192 points, 12.3 and 38.2 MiB with chunks of 16,384
+    imm = get("product_s2s2_r6")
+    call(imm)  # built-once rules and caches are not the reduction's
+    tracemalloc.start()
+    try:
+        call(imm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20, peak / 2**20
 
 
 # -- non-finite integrands --------------------------------------------------

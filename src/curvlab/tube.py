@@ -21,6 +21,12 @@ on the base axes of a batch's window, so once per base point of a grid.  The she
 p = m + n - 1 variables put theta last, so those jets add as they are to the jets of
 y(theta), which are seeded in the theta variables alone.
 
+The sheet's Gauss map g = sum_s y_s nu_s is formed on the way to F = X + eps * g, and it is
+the sheet's unit normal: <d_i X, g> = 0 since g is normal to the base, and <d_i g, g> = 0
+since |g| = 1.  So Weingarten's equation gives the sheet's second form along g from the
+1-jets of F and g alone, h_ij = <d_ij F, g> = -<d_i F, d_j g>, and every tube path runs the
+base chart at order 2 and its frame at order 1.
+
 Checks provided: at a point (u, nu) or a batch of them, evaluated once by `tube_point`, the
 curvature rescaling identity K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu and the shape-operator
 spectrum {lambda_i/(1 - eps lambda_i)} plus an eigenvalue -1/eps of multiplicity n-1; and
@@ -46,7 +52,7 @@ from .curvature import (NormalDirection, _check_direction, _combine, _det, _dire
                         _minors, sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
 from .immersion import (Axis, FrameData, GridBatch, Immersion, _batch, _forms, _householder_frame, _householder_qr,
-                        _refuse_rank_loss, _second_form, _stack, frame_data_at, induced_metric)
+                        _refuse_rank_loss, _stack, frame_data_at, induced_metric)
 from .integrate import (GridAxis, QuadratureGrid, _make_axis, _polar_axis, _refinement_ladder, default_grid,
                         reduce_until_converged)
 from .jets import Jet, cos, dot, sin, sqrt
@@ -166,18 +172,25 @@ def _base_frame_pieces(base: Immersion, U, X):
 
 
 def _sheet_chart(cfg: TubeConfig, X, frame, U: GridBatch, sheet_sign):
-    """The sheet chart X + eps * sum_s y_s nu_s as jets over the window of the sheet batch U, from
-    `_base_frame_pieces` at its first m variables; y is `sheet_sign` (one, or one per point) at n = 1."""
+    """The sheet chart F = X + eps * g and its Gauss map g = sum_s y_s nu_s, as jets over the window of the
+    sheet batch U, from `_base_frame_pieces` at its first m variables; y is `sheet_sign` (one, or one per
+    point) at n = 1."""
     base = cfg.base
     y = [sheet_sign] if base.n == 1 else _sphere_values(base.n, Jet.variables(U.columns, X[0].order)[base.m:])
-    return [X[a] + cfg.eps * dot(y, [frame[s][a] for s in range(base.n)]) for a in range(base.k)]
+    g = [dot(y, [frame[s][a] for s in range(base.n)]) for a in range(base.k)]
+    return [X[a] + cfg.eps * g[a] for a in range(base.k)], g
 
 
-def _sheet_jet_map(cfg: TubeConfig, sheet_sign: float, U: GridBatch, order):
-    """The sheet chart's jets over the sheet batch U, with X and the frame over its base variables only."""
+def _sheet_jets(cfg: TubeConfig, sheet_sign: float, U: GridBatch, order):
+    """`_sheet_chart` at `order` over the sheet batch U, with X and the frame over its base variables only."""
     V = U.head(cfg.base.m)
     X, frame = _base_frame_pieces(cfg.base, V, cfg.base.jet_map(V, order + 1))
     return _sheet_chart(cfg, X, frame, U, sheet_sign)
+
+
+def _sheet_jet_map(cfg: TubeConfig, sheet_sign: float, U: GridBatch, order):
+    """The sheet chart's jets over the sheet batch U."""
+    return _sheet_jets(cfg, sheet_sign, U, order)[0]
 
 
 def _sheet_domain(base: Immersion) -> tuple[Axis, ...]:
@@ -205,15 +218,17 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     return TubeBoundary(config=cfg, sheets=sheets)
 
 
-def _sheet_forms(cfg: TubeConfig, names, js, V: GridBatch, x: np.ndarray):
-    """Sheet forms from the 2-jets js of sheet `names` (or one name per point) over V, at base points x (k, B),
+def _sheet_forms(names, F, g, V: GridBatch):
+    """Sheet forms from the 1-jets F of sheet `names` (or one name per point) and g of its Gauss map over V,
     batch axis last: points (k, B), metric (p, p, B), and the second form (1, p, p, B) along the frame (k, 1, B),
-    the boundary's Gauss map g = (point - x)/eps, normal to the sheet by construction; only the 1-jets are
-    stacked.  The QR of the tangents names the first point where they lose rank, as the codimension-3 pole does."""
-    point, d1 = _stack(js, 1, len(V.columns), V)
-    _refuse_rank_loss(names, V, _householder_qr([list(d1[:, i]) for i in range(d1.shape[1])])[1])
-    g = ((point - x) / cfg.eps)[:, None]
-    return point, induced_metric(d1), _second_form(g, js, V), g
+    g itself, normal to the sheet by construction.  Since <d_i F, g> = 0, Weingarten's equation gives the
+    second form from first derivatives alone: h_ij = <d_ij F, g> = -<d_i F, d_j g>.  The QR of the tangents
+    names the first point where they lose rank, as the codimension-3 pole does."""
+    p = len(V.columns)
+    point, d1 = _stack(F, 1, p, V)
+    _refuse_rank_loss(names, V, _householder_qr([list(d1[:, i]) for i in range(p)])[1])
+    normal, dg = _stack(g, 1, p, V)
+    return point, induced_metric(d1), -np.einsum("aib,ajb->ijb", d1, dg)[None], normal[:, None]
 
 
 # -- pointwise operations, over a batch --------------------------------------
@@ -246,12 +261,12 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
 
     u is a base parameter point (m,) with one `NormalDirection`, or a batch U (B, m) with a sequence
     of B of them; a batch gives a `TubePoint` whose arrays lead with a batch axis, and a point that
-    batch of one read at its point.  One evaluation of the base chart, its 3-jet at U, serves three
-    ends: its 2-jet gives the base forms, in whose normal frame nu_hat is read; it builds the smooth
-    normal frame that locates the fiber point; and the two give the sheet chart's 2-jet there, as the
-    sheet's `jet_map` would.  The sheet's forms are those jets read along its outward normal, the
-    Gauss map g = (point - base point)/eps.  The base and sheet forms are kept on the result, and the
-    checks read them.  Every contraction over the batch is an elementwise sum in a fixed order, so a
+    batch of one read at its point.  One evaluation of the base chart, its 2-jet at U, serves three
+    ends: it gives the base forms, in whose normal frame nu_hat is read; it builds the smooth normal
+    frame, to order 1, that locates the fiber point; and the two give the 1-jets of the sheet chart
+    and of its Gauss map g there.  The sheet's forms are read along its outward normal g, the second
+    form by Weingarten's equation.  The base and sheet forms are kept on the result, and the checks
+    read them.  Every contraction over the batch is an elementwise sum in a fixed order, so a
     point's values do not depend on its batch.  An error names the first failing point; a `boundary`
     built for another config is refused.
     """
@@ -270,7 +285,7 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     for nu in directions:
         _check_direction(nu, base.n)
     C, V = np.array([nu.coeffs for nu in directions]).T, _batch(base, U)
-    X = base.jet_map(V, 3)
+    X = base.jet_map(V, 2)
     base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, X, V)))
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
     X, nus = _base_frame_pieces(base, V, X)
@@ -281,8 +296,7 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     else:
         index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(base.n, y.T)], axis=1)
     names, Q = np.array([sheet.name for sheet in boundary.sheets])[index], _batch(boundary.sheets[0], P)
-    sheet_jets = _sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index)
-    point, metric, second, frame = _sheet_forms(cfg, names, sheet_jets, Q, _stack(X, 0, base.m, V)[0])
+    point, metric, second, frame = _sheet_forms(names, *_sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index), Q)
     sheet_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame)))
     classical_k, shape_operator = _det(second[0]) / _det(metric), np.moveaxis(pi_nu, -1, 0)
     # the identity: K^g / NJ against (-1)^(n-1) eps^-(n-1) K^nu
@@ -347,11 +361,11 @@ class TubeTotalResult:
     converged: Optional[bool]  # every sheet converged
 
 
-def _sheet_integrand(cfg: TubeConfig, sheet: Immersion):
-    """Gaussian curvature times area density of one sheet over a `GridBatch` of sheet points -> (B,)."""
+def _sheet_integrand(cfg: TubeConfig, sheet: Immersion, sheet_sign: float):
+    """Gaussian curvature times area density of one sheet, of sign `sheet_sign`, over a `GridBatch` of sheet
+    points -> (B,): its forms from the 1-jets of the sheet and of its Gauss map, on base 2-jets."""
     def integrand(U):
-        _, metric, second, _ = _sheet_forms(cfg, sheet.name, sheet.jet_map(U, 2), U,
-                                            cfg.base.points(U.head(cfg.base.m)).T)
+        _, metric, second, _ = _sheet_forms(sheet.name, *_sheet_jets(cfg, sheet_sign, U, 1), U)
         det_g = _det(metric)
         return _det(second[0]) / det_g * np.sqrt(det_g)
 
@@ -389,9 +403,9 @@ def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> T
     boundary = tube_boundary_immersion(cfg)
     quantum = sphere_volume(base.k - 1)
     per_sheet, grid_shapes, errors, flags = zip(*(
-        reduce_until_converged(sheet, _sheet_integrand(cfg, sheet), quantum,
+        reduce_until_converged(sheet, _sheet_integrand(cfg, sheet, 1.0 - 2.0 * index), quantum,
                                _sheet_levels(base) if resolution is None else (default_grid(sheet, resolution),))
-        for sheet in boundary.sheets
+        for index, sheet in enumerate(boundary.sheets)  # sheet signs +1, -1 as in `tube_boundary_immersion`
     ))
     integral = math.fsum(per_sheet)
     expected = (-1.0) ** (base.k - 1) * quantum * base.euler_char

@@ -329,7 +329,7 @@ def test_tube_spectrum_sphere2_r4(capsys):
 
 
 def test_tube_checks_evaluate_each_sample_once(capsys, monkeypatch):
-    # one batch of 20 points serves both checks: one base 3-jet, and no frame of its own
+    # one batch of 20 points serves both checks: one base 2-jet, and no frame of its own
     calls = []
     jet_map = cl.Immersion.jet_map
 
@@ -343,7 +343,7 @@ def test_tube_checks_evaluate_each_sample_once(capsys, monkeypatch):
         "--samples", "20",
     )
     assert code == 0
-    assert calls == [("sphere2_r4", 3, 20)]
+    assert calls == [("sphere2_r4", 2, 20)]
 
 
 def test_tube_eps_above_reach_exit_2(capsys):

@@ -17,7 +17,7 @@ from curvlab.errors import (
     UnsupportedDimensionError,
 )
 
-from curvlab.immersion import _stacked_jets
+from curvlab.immersion import _batch, _stack
 from curvlab.integrate import reduce_over_grid, reduce_until_converged
 from curvlab.jets import Jet, cos, dot, sin, sqrt
 
@@ -119,7 +119,7 @@ def test_tube_point_invariants(rng):
 
 @pytest.mark.parametrize("name", ["sphere2_r4", "sphere2_r3", "graph_poly"])
 def test_a_tube_point_evaluates_its_base_once(name, monkeypatch):
-    # one base 3-jet gives the base forms, the fiber frame and the sheet jets; no sheet
+    # one base 2-jet gives the base forms, the fiber frame and the sheet's 1-jets; no sheet
     # jet_map runs (a closed base in codimension 2, two sheets in codimension 1, a graph)
     base = get(name)
     cfg = cl.TubeConfig(base, 0.05)
@@ -137,7 +137,7 @@ def test_a_tube_point_evaluates_its_base_once(name, monkeypatch):
         for check in (cl.tube_point, cl.tube_identity_check, cl.tube_spectrum_check):
             calls.clear()
             check(cfg, u, nu, boundary=boundary)
-            assert calls == [(name, 3)], check.__name__
+            assert calls == [(name, 2)], check.__name__
 
 
 @pytest.mark.parametrize("name, u", [
@@ -237,8 +237,9 @@ def test_sheet_jets_evaluate_the_base_once_through_its_jet_map(name, monkeypatch
 
 
 def test_a_tube_total_evaluates_the_base_once_per_distinct_point(monkeypatch):
-    # the 13^3 sheet grid has 2,197 points over 169 base points: the base jets, of order 3 for the sheet
-    # chart and of order 0 to orient it, are evaluated at those 169 only, for a batch of 2,197 rows
+    # the 13^3 sheet grid has 2,197 points over 169 base points: the base 2-jets, which give the sheet's
+    # 1-jets and its Gauss map's, are evaluated at those 169 only, for a batch of 2,197 rows; no sheet
+    # jet_map runs, and no order-0 call orients the sheet
     calls = []
     jet_map = cl.Immersion.jet_map
 
@@ -249,9 +250,7 @@ def test_a_tube_total_evaluates_the_base_once_per_distinct_point(monkeypatch):
 
     monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
     cl.tube_total_curvature(cl.TubeConfig(get("sphere2_r4"), 0.05), resolution=13)
-    assert ("sphere2_r4_tube", 2, 2197, 2197) in calls
-    assert [call for call in calls if call[0] == "sphere2_r4"] == [("sphere2_r4", 3, 2197, 169),
-                                                                  ("sphere2_r4", 0, 2197, 169)]
+    assert calls == [("sphere2_r4", 2, 2197, 169)]
 
 
 def _sheet_tensor_bytes(jets, i):
@@ -283,26 +282,52 @@ def test_sheet_jets_over_repeated_base_points_equal_each_point_alone(name):
         assert _sheet_tensor_bytes(batch, minus) != _sheet_tensor_bytes(batch, plus)
 
 
+def _tube_case(name, eps):
+    """A `TubeConfig` of a catalog base, or of a seeded codimension-3 graph ("graph_n3") at most at half its reach."""
+    if name == "graph_n3":
+        base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=3, degree=2, scale=0.2)
+        return cl.TubeConfig(base, min(eps, 0.5 * base.reach))
+    return cl.TubeConfig(get(name), eps)
+
+
+def _tube_points(cfg, rng, count):
+    """`tube_point` over a batch of `count` random base points and directions."""
+    U = cl.sample_domain(cfg.base, count, rng)
+    return cl.tube_point(cfg, U, [cl.NormalDirection.unit(rng.standard_normal(cfg.base.n)) for _ in U])
+
+
 @pytest.mark.parametrize("name, eps", [
     ("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1), ("graph_n3", 0.1),
 ])
 def test_sheet_second_form_is_the_stacked_contraction_bit_for_bit(name, eps, rng):
-    # the sheet's second form along its Gauss map g, against <g, d2> on the sheet's stacked 2-jets at each
-    # point's own sheet (criterion-8 cases, and a codimension-3 base)
-    if name == "graph_n3":
-        base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=3, degree=2, scale=0.2)
-        eps = min(eps, 0.5 * base.reach)
-    else:
-        base = get(name)
-    cfg = cl.TubeConfig(base, eps)
-    U = cl.sample_domain(base, 30, rng)
-    tp = cl.tube_point(cfg, U, [cl.NormalDirection.unit(rng.standard_normal(base.n)) for _ in U])
+    # the sheet's second form along its Gauss map g, against -<d F, d g> on the stacked 1-jets of the sheet
+    # chart F and of g at each point's own sheet (criterion-8 cases, and a codimension-3 base)
+    cfg = _tube_case(name, eps)
+    tp = _tube_points(cfg, rng, 30)
     for index, sheet in enumerate(cl.tube_boundary_immersion(cfg).sheets):
         on = tp.sheet_index == index
-        g = np.ascontiguousarray(tp.gauss_normal[on].T)
-        want = np.einsum("ab,aijb->ijb", g, _stacked_jets(sheet, tp.sheet_param[on], 2)[2])
+        V = _batch(sheet, tp.sheet_param[on])
+        F, g = tube._sheet_jets(cfg, 1.0 - 2.0 * index, V, 1)
+        dF, (normal, dg) = _stack(F, 1, sheet.m, V)[1], _stack(g, 1, sheet.m, V)
+        want = -np.einsum("aib,ajb->ijb", dF, dg)
         assert np.moveaxis(tp.sheet_frame.second_form[on, 0], 0, -1).tobytes() == want.tobytes()
-    assert base.n > 1 or 0 < tp.sheet_index.sum() < len(U)  # codimension 1: both sheets are read
+        assert tp.gauss_normal[on].T.tobytes() == normal.tobytes()
+    assert cfg.base.n > 1 or 0 < tp.sheet_index.sum() < len(tp.u)  # codimension 1: both sheets are read
+
+
+@pytest.mark.parametrize("name, eps", [
+    ("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1), ("graph_n3", 0.1),
+    ("sphere4_r5", 0.125), ("product_s2s2_r6", 0.25),
+])
+def test_sheet_second_form_agrees_with_the_contraction_of_the_sheet_2_jets(name, eps, rng):
+    # Weingarten's -<d F, d g> against <g, d2 F> on the sheet's public 2-jets; they differ by roundoff only
+    cfg = _tube_case(name, eps)
+    tp = _tube_points(cfg, rng, 30)
+    for index, sheet in enumerate(cl.tube_boundary_immersion(cfg).sheets):
+        on = tp.sheet_index == index
+        want = np.einsum("ba,baij->bij", tp.gauss_normal[on], cl.jets_at(sheet, tp.sheet_param[on], 2)[2])
+        got = tp.sheet_frame.second_form[on, 0]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_a_sheet_batch_names_its_first_bad_base_point():
@@ -676,15 +701,25 @@ def test_refined_total_matches_the_default_grids(name, eps):
     res = cl.tube_total_curvature(cfg)
     assert res.converged is True
     assert res.error_estimate <= 1e-12 * quantum
-    for sheet, value in zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet):
-        capped = reduce_over_grid(sheet, cl.default_grid(sheet), tube._sheet_integrand(cfg, sheet))
+    for index, (sheet, value) in enumerate(zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet)):
+        capped = reduce_over_grid(sheet, cl.default_grid(sheet), tube._sheet_integrand(cfg, sheet, 1.0 - 2.0 * index))
         assert abs(value - capped) <= 1e-12 * quantum
     # every sheet stops on the same level, and reports that level's value
     assert res.grid_shapes == CRITERION_8_SHAPES[name]
-    for sheet, value, shape in zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet, res.grid_shapes):
+    for index, (sheet, value, shape) in enumerate(zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet,
+                                                      res.grid_shapes)):
         grid = next(grid for grid in tube._sheet_levels(cfg.base) if grid.shape == shape)
-        assert value == reduce_over_grid(sheet, grid, tube._sheet_integrand(cfg, sheet))
+        assert value == reduce_over_grid(sheet, grid, tube._sheet_integrand(cfg, sheet, 1.0 - 2.0 * index))
     assert res == cl.tube_total_curvature(cfg)  # bit-identical on a second call
+
+
+def test_refined_total_of_a_four_dimensional_base_on_the_default_path():
+    # m = 4, codimension 2: S^2 x S^2 in R^6 converges on its 13^4 base with 6 theta nodes; chi = 4
+    cfg = cl.TubeConfig(get("product_s2s2_r6"), 0.25)
+    res = cl.tube_total_curvature(cfg)
+    assert res.converged is True
+    assert res.grid_shapes == ((13, 13, 13, 13, 6),)
+    assert res.residual <= 1e-12 * cl.sphere_volume(5)
 
 
 def _sphere2_r5():
@@ -715,7 +750,7 @@ def test_one_fiber_node_fewer_than_exact_misses_the_total(base, eps, counts, mis
     sheet = cl.tube_boundary_immersion(cfg).sheets[0]
     quantum = cl.sphere_volume(base.k - 1)
     expected = (-1.0) ** (base.k - 1) * quantum * base.euler_char
-    integrand = tube._sheet_integrand(cfg, sheet)
+    integrand = tube._sheet_integrand(cfg, sheet, 1.0)
     exact = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._fiber_axes(base, 0))
     assert exact.shape[base.m:] == counts
     assert abs(reduce_over_grid(sheet, exact, integrand) - expected) <= 1e-12 * quantum
@@ -731,7 +766,7 @@ def test_a_sheet_integrand_off_the_promised_polynomial_stops_on_no_wrong_level()
     # fiber integrals; the first two levels' m + 1 and m + 2 theta nodes each alias one of them, and differ
     cfg = cl.TubeConfig(get("sphere2_r4"), 0.05)
     sheet = cl.tube_boundary_immersion(cfg).sheets[0]
-    integrand = tube._sheet_integrand(cfg, sheet)
+    integrand = tube._sheet_integrand(cfg, sheet, 1.0)
     quantum = cl.sphere_volume(cfg.base.k - 1)
     value, shape, _, converged = reduce_until_converged(
         sheet, lambda U: integrand(U) * (1.0 + 0.5 * np.cos(4.0 * U[:, -1])), quantum,
@@ -746,8 +781,8 @@ def test_fixed_resolution_runs_one_reduction_per_sheet():
     res = cl.tube_total_curvature(cfg, resolution=16)
     sheets = cl.tube_boundary_immersion(cfg).sheets
     assert res.per_sheet == tuple(
-        reduce_over_grid(sheet, cl.default_grid(sheet, 16), tube._sheet_integrand(cfg, sheet))
-        for sheet in sheets
+        reduce_over_grid(sheet, cl.default_grid(sheet, 16), tube._sheet_integrand(cfg, sheet, sign))
+        for sheet, sign in zip(sheets, (1.0, -1.0), strict=True)
     )
     assert res.grid_shapes == ((16, 16), (16, 16))
     assert res.error_estimate is None and res.converged is None

@@ -1,6 +1,6 @@
 """Print the exact bits of curvlab's headline numbers, to compare two versions of the code.
 
-    PYTHONPATH=src python tools/bit_table.py [NAME ...]
+    PYTHONPATH=src python tools/bit_table.py [--scalars] [NAME ...]
 
 For each catalog name (all of them by default) it prints:
 - `gauss_bonnet_check`'s integral and error estimate by `float.hex`, and its grid shape;
@@ -26,6 +26,11 @@ For each catalog name (all of them by default) it prints:
 Run it against two source trees (set PYTHONPATH to each) and diff the outputs: equal output
 means equal bits.  The values themselves are not portable, since sin and cos may round
 differently on another CPU or numpy build, so compare runs on one machine only.
+
+With `--scalars` it leaves out the sha256 rows.  What remains is portable to roundoff, and
+`tests/data/bit_table_scalars.txt` holds it for every catalog name: `tests/test_bit_table.py`
+recomputes those rows and holds each value to 1e-14 of its scale.  A change that moves a value
+past that rewrites the file with `PYTHONPATH=src python tools/bit_table.py --scalars`.
 """
 
 import argparse
@@ -53,8 +58,8 @@ def _sha256(arrays):
     return digest.hexdigest()
 
 
-def rows(names):
-    """The table's lines for the catalog `names`, in order."""
+def rows(names, digests=True):
+    """The table's lines for the catalog `names`, in order; without `digests`, no sha256 line."""
     for name in names:
         imm = cl.catalog_get(name)
         gb = cl.gauss_bonnet_check(imm)
@@ -66,14 +71,15 @@ def rows(names):
         yield f"{name} integrate_scalar area={_hex(area)}"
         fixed = [cl.gauss_bonnet_check(imm, cl.default_grid(imm, 13), route) for route in ("moments", "quadrature")]
         yield f"{name} gauss_bonnet_13 moments={_hex(fixed[0].integral)} quadrature={_hex(fixed[1].integral)}"
-        U = cl.sample_domain(imm, 300, np.random.default_rng(0))
-        yield f"{name} frames_at sha256={_sha256(cl.frames_at(imm, U))}"
-        window = cl.default_grid(imm, 8)._window(0, 0, 8)[0]
-        yield f"{name} frames_at_window sha256={_sha256(cl.frames_at(imm, window))}"
-        yield f"{name} jets_at_3 sha256={_sha256(cl.jets_at(imm, U, 3))}"
-        if imm.m in (2, 4):
-            reports = (dataclasses.astuple(cl.egregium_report(imm, u)) for u in U[:20])
-            yield f"{name} egregium_report sha256={_sha256(v for rep in reports for v in rep)}"
+        if digests:
+            U = cl.sample_domain(imm, 300, np.random.default_rng(0))
+            yield f"{name} frames_at sha256={_sha256(cl.frames_at(imm, U))}"
+            window = cl.default_grid(imm, 8)._window(0, 0, 8)[0]
+            yield f"{name} frames_at_window sha256={_sha256(cl.frames_at(imm, window))}"
+            yield f"{name} jets_at_3 sha256={_sha256(cl.jets_at(imm, U, 3))}"
+            if imm.m in (2, 4):
+                reports = (dataclasses.astuple(cl.egregium_report(imm, u)) for u in U[:20])
+                yield f"{name} egregium_report sha256={_sha256(v for rep in reports for v in rep)}"
         if name == "graph_poly":
             yield f"{name} reach={_hex(imm.reach)}"
     for name, eps in TUBE_CASES:
@@ -84,7 +90,8 @@ def rows(names):
                    f"grid_shapes={tuple(map(tuple, res.grid_shapes))} "
                    f"error_estimate={_hex(res.error_estimate)}")
             yield _tube_8(name, cfg)
-            yield f"tube_point {name} eps={eps} sha256={_sha256(_tube_point_values(cfg))}"
+            if digests:
+                yield f"tube_point {name} eps={eps} sha256={_sha256(_tube_point_values(cfg))}"
     for name, eps in MULTI_CHUNK_TUBES:
         if name in names:
             yield _tube_8(name, cl.TubeConfig(cl.catalog_get(name), eps))
@@ -111,9 +118,10 @@ def _tube_point_values(cfg):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--scalars", action="store_true", help="leave out the sha256 rows")
     parser.add_argument("names", nargs="*", help="catalog names (default: every entry)")
-    names = parser.parse_args(argv).names or cl.catalog_names()
-    for line in rows(names):
+    args = parser.parse_args(argv)
+    for line in rows(args.names or cl.catalog_names(), digests=not args.scalars):
         print(line)
 
 

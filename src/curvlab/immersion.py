@@ -5,7 +5,7 @@ values and first/second derivatives come out exact to roundoff (finite differenc
 in consistency tests).  From the 2-jet we derive the induced metric, an orthonormal normal frame
 (Householder reflections of the tangents, in generic scalars: arrays here, jets for the tube
 frame) and the vector-valued second fundamental form.  Only the 1-jets are stacked into batch
-arrays; the second form is read off each coordinate's second partials on its support.
+arrays, for the frame; both forms are read off each coordinate's partials on its support.
 
 Sign convention: `second_form[s, i, j]` is the inner product of the ambient
 second derivative of the chart with normal frame vector s, i.e. the normal
@@ -293,23 +293,20 @@ def _refuse_rank_loss(name, U: np.ndarray, lost: np.ndarray):
             f"at parameter point {U[i].tolist()}")
 
 
-def _second_form(frame, js, V: GridBatch):
-    """The second form (n, m, m, B) along a frame (k, n, B), batch axis last, read off 2-jets js over V's
-    window: coordinate a adds frame row a times each second partial on its support, in its cell."""
-    out = np.zeros((frame.shape[1],) + (len(V.columns),) * 2 + V.window)
-    for f, j in zip(frame.reshape(*frame.shape[:2], *V.window), js):
-        for p, q in np.ndindex(*j.tensors[2].shape[:2]):
-            out[:, j.support[p], j.support[q]] += f * j.tensors[2][p, q]
-    return out.reshape(*out.shape[:3], -1)
-
-
 def _forms(name, js, V: GridBatch):
     """Metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis last, from the 2-jets js of
-    immersion `name` (or one name per point) over V: only d1 is stacked; names the first point of rank loss."""
-    d1 = _stack(js, 1, len(V.columns), V)[1]
-    frame, lost = _normal_frames(d1)
+    immersion `name` (or one name per point) over V; names the first point of rank loss.  Only d1 is stacked,
+    for the frame: coordinate a adds the products of its first partials, and frame row a times its second
+    partials, into the cells of its support, so every point sums over the coordinates in one order."""
+    m = len(V.columns)
+    frame, lost = _normal_frames(_stack(js, 1, m, V)[1])
     _refuse_rank_loss(name, V, lost)
-    return induced_metric(d1), _second_form(frame, js, V), frame
+    metric, second = np.zeros((m, m) + V.window), np.zeros((frame.shape[1], m, m) + V.window)
+    for f, j in zip(frame.reshape(*frame.shape[:2], *V.window), js):
+        for p, q in np.ndindex(*j.tensors[2].shape[:2]):
+            metric[j.support[p], j.support[q]] += j.tensors[1][p] * j.tensors[1][q]
+            second[:, j.support[p], j.support[q]] += f * j.tensors[2][p, q]
+    return metric.reshape(m, m, -1), second.reshape(*second.shape[:3], -1), frame
 
 
 def frames_at(imm: Immersion, U: np.ndarray):

@@ -23,6 +23,11 @@ with none.  For analytic charts both rules converge exponentially, so the last
 difference between levels is the reported error estimate: the error of the
 coarser level, which the finer one improves on.  A tube sheet runs that ladder
 on its base axes only, with fiber axes on rules exact for them (`tube.py`).
+
+The unit sphere S^(n-1), n <= 3, is charted here once, by its angles, and
+`_sphere_axes` gives product axes on them that are exact for polynomials of a
+given degree: the normal-sphere rule of the quadrature route is built from
+them, and so are a tube sheet's fiber axes, whose fiber is that sphere.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ import numpy as np
 
 from .curvature import _det, batched_curvature_moments, batched_curvature_quadrature, sphere_volume
 from .errors import DegenerateImmersionError
-from .immersion import GridBatch, Immersion, _stacked_jets, frames_at, induced_metric
+from .immersion import Axis, GridBatch, Immersion, _stacked_jets, frames_at, induced_metric
+from .jets import cos, sin
 
 __all__ = [
     "GridAxis",
@@ -237,16 +243,46 @@ def integrate_scalar(imm: Immersion, f: Callable[[GridBatch], np.ndarray],
     return reduce_over_grid(imm, grid, integrand)
 
 
+def _sphere_domain(n: int) -> tuple[Axis, ...]:
+    """The angles of the unit sphere S^(n-1), n <= 3, charted by `_sphere_values`: none for S^0 = {+-1},
+    the azimuth theta on S^1, and the polar angle psi, then theta, on S^2."""
+    theta = (Axis(0.0, 2.0 * np.pi, periodic=True),)
+    return () if n == 1 else theta if n == 2 else (Axis(0.0, np.pi),) + theta
+
+
+def _sphere_values(n, thetas):
+    """Unit-sphere chart values y(theta) in generic scalars; len(thetas) = n - 1 >= 1."""
+    if n == 2:
+        return [cos(thetas[0]), sin(thetas[0])]
+    ps, th = thetas
+    return [cos(ps), sin(ps) * cos(th), sin(ps) * sin(th)]
+
+
+def _sphere_coords(n, y):
+    """Inverse of `_sphere_values` for unit vectors y (B, n): their angles, (B, n - 1)."""
+    th = np.arctan2(y[:, -1], y[:, -2]) % (2.0 * np.pi)
+    return th[:, None] if n == 2 else np.stack([np.arccos(np.clip(y[:, 0], -1.0, 1.0)), th], axis=1)
+
+
+def _sphere_axes(n: int, degree: int, level: int = 0) -> tuple[GridAxis, ...]:
+    """Axes on `_sphere_domain(n)` exact for every polynomial of `degree` on S^(n-1), plus `level` nodes on each:
+    a trapezoid in theta with degree + 1 nodes, exact for its harmonics up to `degree`, and `_polar_axis` in psi
+    with (degree + 2) // 2, exact for what summing theta out leaves, sin(psi) times a polynomial of degree <=
+    `degree` in cos(psi).  The psi axis weights f dpsi, so the area element's sin(psi) is the integrand's."""
+    return tuple(_make_axis(ax.lo, ax.hi, True, degree + 1 + level) if ax.periodic
+                 else _polar_axis((degree + 2) // 2 + level) for ax in _sphere_domain(n))
+
+
 @functools.lru_cache(maxsize=None)
 def normal_sphere_rule(m: int, n: int) -> NormalSphereRule:
     """Quadrature on the unit sphere S^(n-1) of the normal space of an m-dimensional immersion.
 
-    n <= 3: tensor Gauss-Hermite nodes, d/2 + 1 per axis for d = m rounded up to
-    even, less the origin, projected to the sphere with weights w |x|^d scaled
-    to sum to its volume.  It is exact for every polynomial of degree <= d, so
-    for K^nu, of degree m (Stroud 1971): 4 and 8 nodes for n = 2, 3 at m = 2,
-    8 and 26 at m = 4.  n > 3: 4096 Monte Carlo nodes with a fixed seed, not
-    exact.  Built once per (m, n) and shared by every caller, so read-only.
+    n <= 3: the product of `_sphere_axes(n, d)`, d = m rounded up to even, in
+    `_sphere_values`, weighted by the area element (sin(psi) on S^2); S^0 is
+    {-1, +1}, weight 1 each.  It is exact for every polynomial of degree <= d,
+    so for K^nu, of degree m: 2, 3 and 6 nodes for n = 1, 2, 3 at m <= 2, and
+    2, 5 and 15 at m = 3, 4.  n > 3: 4096 Monte Carlo nodes with a fixed seed,
+    not exact.  Built once per (m, n) and shared by every caller, so read-only.
     """
     rule = _build_sphere_rule(m, n)
     rule.nodes.flags.writeable = False
@@ -262,15 +298,14 @@ def _build_sphere_rule(m: int, n: int) -> NormalSphereRule:
         raw = rng.standard_normal((4096, n))
         nodes = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         return NormalSphereRule(nodes, np.full(4096, sphere_volume(n - 1) / 4096))
-    half = (m + 1) // 2  # d / 2
-    x, w = np.polynomial.hermite_e.hermegauss(half + 1)
-    nodes = np.stack(np.meshgrid(*[x] * n, indexing="ij"), axis=-1).reshape(-1, n)
-    weights = np.prod(np.meshgrid(*[w] * n, indexing="ij"), axis=0).ravel()
-    r2 = np.sum(nodes**2, axis=1)
-    keep = r2 > 0  # drops the origin, a node when the count is odd
-    weights = weights[keep] * r2[keep] ** half
-    nodes = nodes[keep] / np.sqrt(r2[keep])[:, None]
-    return NormalSphereRule(nodes, weights * sphere_volume(n - 1) / weights.sum())
+    if n == 1:
+        return NormalSphereRule(np.array([[-1.0], [1.0]]), np.ones(2))
+    axes = _sphere_axes(n, m + m % 2)
+    angles = np.meshgrid(*(ax.nodes for ax in axes), indexing="ij")
+    weights = math.prod(np.meshgrid(*(ax.weights for ax in axes), indexing="ij"))
+    if n == 3:
+        weights = weights * np.sin(angles[0])
+    return NormalSphereRule(np.stack(_sphere_values(n, angles), axis=-1).reshape(-1, n), weights.ravel())
 
 
 def _curvature_route(route: str):

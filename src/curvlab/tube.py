@@ -5,13 +5,13 @@ The boundary of the eps-neighborhood of a base immersion X is charted as
     F(u, theta) = X(u) + eps * sum_s y_s(theta) nu_s(u)
 
 where (nu_s) is an orthonormal normal frame, smooth near each base point, and y
-is a unit-sphere chart of the normal fiber (codimension 1: two sheets
-with y = +-1; codimension 2: one angle; codimension 3: polar/azimuth).
-The frame is built from the tangents alone and differentiated exactly, in
-truncated-Taylor arithmetic: in codimension 1 the unit cross product of the unit
-tangents, whose sign tells the sheets apart; else the normal block of a Householder QR
-of the tangents, by the `immersion._householder_frame` that also builds the base forms'
-frame.  Two base points may get frames that differ by an orthogonal map, but
+is the unit-sphere chart of the normal fiber that the normal-sphere rule is built on,
+`integrate._sphere_values` (codimension 1: two sheets with y = +-1; codimension 2: one
+angle; codimension 3: polar/azimuth).  The frame is built from the tangents alone and
+differentiated exactly, in truncated-Taylor arithmetic: the normal block of a Householder
+QR of the tangents, by the `immersion._householder_frame` that also builds the base forms'
+frame, in codimension 1 turned so that det[nu, tangents] > 0, which tells the sheets apart.
+Two base points may get frames that differ by an orthogonal map, but
 each fiber is still the whole normal sphere, so no fiber integral depends on the choice.
 Where the tangents lose rank the frame raises `DegenerateImmersionError` naming the
 base point.
@@ -34,28 +34,28 @@ the total curvature (-1)^(k-1) * vol(S^(k-1)) * chi.
 
 By that identity the sheet's K^g dA over one fiber is (-1)^(n-1) K^nu sqrt(det g) times the
 fiber's area element, and K^nu is a homogeneous polynomial of degree m in nu (Weyl 1939; Gray,
-*Tubes*, 2004).  So a few fiber nodes integrate a fiber exactly: a trapezoid in theta with m + 1
-nodes, and in codimension 3 Gauss-Legendre in cos(psi) with ceil((m + 1)/2).  A refined total runs
-the base's ladder of levels on the base axes only, and each level adds one node per fiber axis.
+*Tubes*, 2004).  So a few fiber nodes integrate a fiber exactly, on the axes `normal_sphere_rule` is
+built from, `integrate._sphere_axes` at degree m: a trapezoid in theta with m + 1 nodes, and in
+codimension 3 Gauss-Legendre in cos(psi) with ceil((m + 1)/2).  A refined total runs the base's
+ladder of levels on the base axes only, and each level adds one node per fiber axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
-                        _minors, sphere_volume, whiten_second_form)
+                        sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
-from .immersion import (Axis, FrameData, GridBatch, Immersion, _batch, _forms, _householder_frame, _householder_qr,
+from .immersion import (FrameData, GridBatch, Immersion, _batch, _forms, _householder_frame, _householder_qr,
                         _refuse_rank_loss, _stack, frame_data_at, induced_metric)
-from .integrate import (GridAxis, QuadratureGrid, _make_axis, _polar_axis, _refinement_ladder, default_grid,
-                        reduce_until_converged)
-from .jets import Jet, cos, dot, sin, sqrt
+from .integrate import (GridAxis, QuadratureGrid, _refinement_ladder, _sphere_axes, _sphere_coords, _sphere_domain,
+                        _sphere_values, default_grid, reduce_until_converged)
+from .jets import Jet, dot
 
 __all__ = [
     "TubeConfig",
@@ -126,48 +126,26 @@ class TubeBoundary:
 # -- generic-scalar frame construction ------------------------------------
 
 
-def _unit(v):  # v / |v| for an ambient vector of generic scalars
-    inv_norm = 1.0 / sqrt(dot(v, v))
-    return [c * inv_norm for c in v]
-
-
-def _sphere_values(n, thetas):
-    """Unit-sphere chart values y(theta) in generic scalars; len(thetas) = n - 1 >= 1."""
-    if n == 2:
-        return [cos(thetas[0]), sin(thetas[0])]
-    ps, th = thetas
-    return [cos(ps), sin(ps) * cos(th), sin(ps) * sin(th)]
-
-
-def _sphere_coords(n, y):
-    """Inverse of `_sphere_values` for unit vectors y (B, n): their angles, (B, n - 1)."""
-    th = np.arctan2(y[:, -1], y[:, -2]) % (2.0 * np.pi)
-    if n == 2:
-        return th[:, None]
-    return np.stack([np.arccos(np.clip(y[:, 0], -1.0, 1.0)), th], axis=1)
-
-
 def _base_frame_pieces(base: Immersion, U, X):
     """Jets of X and of a normal frame at `order`, all in the m base variables.
 
     `U` is a `GridBatch` of base parameters, and `X` is `base.jet_map(U, order + 1)`, evaluated
-    by the caller over U's window, so its tangents are m-variable jets at `order`.  In codimension 1
-    the frame is their unit cross product: component a is (-1)^a times the minor without
-    coordinate a of the unit tangents; its sign tells the two sheets apart over the whole base.
-    Else it is `immersion._householder_frame` of the tangent jets, the QR that gives the base
-    forms' frame from their values: smooth near each point, which is all a fiber integral
-    needs.  In every codimension the first base point where the tangents lose rank is named
-    before any frame divides by them; in codimension 1 by the QR of the tangent values.
+    by the caller over U's window, so its tangents are m-variable jets at `order`.  The frame is
+    `immersion._householder_frame` of the tangent jets, the QR that gives the base forms' frame
+    from their values: smooth near each point, which is all a fiber integral needs.  In
+    codimension 1 its one vector is turned by sigma = prod_j sign(R_jj), the signs of the QR
+    diagonal's values, so that det[nu, tangents] = |prod_j R_jj| > 0: its sign tells the two
+    sheets apart over the whole base.  The first base point where the tangents lose rank is
+    named before the frame is used.
     """
     order = X[0].order - 1
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
     X = [x.truncate(order) for x in X]
-    frame, lost, _ = (_householder_frame(tangents, base.k) if base.n > 1  # codimension 1: the QR's rank check only
-                      else _householder_qr([[c.val for c in t] for t in tangents]))
+    frame, lost, R = _householder_frame(tangents, base.k)
     _refuse_rank_loss(base.name, U, U.rows(lost))
     if base.n == 1:
-        minors = _minors([_unit(t) for t in tangents])
-        frame = [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
+        sigma = math.prod(np.sign(row[0].val) for row in R)
+        frame = [[sigma * c for c in frame[0]]]
     return X, frame
 
 
@@ -188,20 +166,6 @@ def _sheet_jets(cfg: TubeConfig, sheet_sign: float, U: GridBatch, order):
     return _sheet_chart(cfg, X, frame, U, sheet_sign)
 
 
-def _sheet_jet_map(cfg: TubeConfig, sheet_sign: float, U: GridBatch, order):
-    """The sheet chart's jets over the sheet batch U."""
-    return _sheet_jets(cfg, sheet_sign, U, order)[0]
-
-
-def _sheet_domain(base: Immersion) -> tuple[Axis, ...]:
-    extra: tuple[Axis, ...] = ()
-    if base.n == 2:
-        extra = (Axis(0.0, 2.0 * np.pi, periodic=True),)
-    elif base.n == 3:
-        extra = (Axis(0.0, np.pi, periodic=False), Axis(0.0, 2.0 * np.pi, periodic=True))
-    return base.domain + extra
-
-
 def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     """Chart the boundary of the eps-neighborhood of the base immersion.
 
@@ -210,10 +174,9 @@ def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     parameters.  Sheet jets go through the exact frame construction above.
     """
     base = cfg.base
-    domain = _sheet_domain(base)
     signs, suffixes = ((1.0, -1.0), ("_tube_plus", "_tube_minus")) if base.n == 1 else ((1.0,), ("_tube",))
-    sheets = tuple(Immersion(name=base.name + suffix, k=base.k, domain=domain,
-                             jet_map_override=partial(_sheet_jet_map, cfg, sign))
+    sheets = tuple(Immersion(name=base.name + suffix, k=base.k, domain=base.domain + _sphere_domain(base.n),
+                             jet_map_override=lambda U, order, sign=sign: _sheet_jets(cfg, sign, U, order)[0])
                    for sign, suffix in zip(signs, suffixes))
     return TubeBoundary(config=cfg, sheets=sheets)
 
@@ -375,10 +338,7 @@ def _sheet_integrand(cfg: TubeConfig, sheet: Immersion, sheet_sign: float):
 def _fiber_axes(base: Immersion, level: int) -> tuple[GridAxis, ...]:
     """The fiber axes at refinement level `level`: the counts exact for K^nu (module docstring), plus
     `level` on each axis, so that two levels compare two fiber rules as well as two base grids."""
-    if base.n == 1:
-        return ()
-    theta = _make_axis(0.0, 2.0 * np.pi, True, base.m + 1 + level)
-    return (theta,) if base.n == 2 else (_polar_axis((base.m + 2) // 2 + level), theta)
+    return _sphere_axes(base.n, base.m, level)
 
 
 def _sheet_levels(base: Immersion):

@@ -552,6 +552,7 @@ def test_an_odd_m_curvature_batch_is_zero_without_pfaffian_fields(spec):
     U = cl.sample_domain(imm, 20, rng)
     batch = cl.curvature_report(imm, U)
     assert_array_equal(batch.k_moments, np.zeros(20))  # exactly 0.0, by parity
+    assert np.all(np.abs(batch.k_quadrature) <= 1e-14)  # 0 to roundoff: on S^1 and S^2 the rule has no antipodal pairs
     assert batch.pfaffian_density is batch.egregium_lhs is batch.egregium_residual is None
     for i, u in enumerate(U):
         single = cl.curvature_report(imm, u)

@@ -330,6 +330,19 @@ def test_the_second_form_of_a_random_graph_is_the_stacked_contraction_bit_for_bi
         assert _second_form_bytes(imm, U) == _stacked_second_form_bytes(imm, U)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_curve_gets_the_same_forms_in_a_batch_of_one(n):
+    # at m = 1 the metric is one sum over k >= 3 coordinates, read off the jets coordinate by coordinate:
+    # every point sums them in one order, where an einsum over a batch of one takes another; slopes of
+    # order one make the squares alike in size, so that the order shows in the last bit
+    imm = cl.random_graph_poly(np.random.default_rng(0), m=1, n=n, scale=3.0)
+    U = cl.sample_domain(imm, 20, np.random.default_rng(0))
+    batch = cl.frames_at(imm, U)
+    for i in range(len(U)):
+        for got, want in zip(batch, cl.frames_at(imm, U[i:i + 1]), strict=True):
+            assert np.array_equal(got[i], want[0]), i
+
+
 def test_frames_at_stacks_no_second_derivatives():
     # seven 13^3 rows of product_s2s2_r6's 13^4 grid, 15,379 points, nearly twice a reduction chunk: the
     # transient memory of frames_at (its peak less what it returns) stays below one (k, m, m, B) float64

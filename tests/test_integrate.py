@@ -202,14 +202,19 @@ def test_normal_sphere_rule_n1():
 
 
 def test_normal_sphere_rule_n2():
+    # a trapezoid in theta, exact to degree d = 2 on d + 1 nodes (and 5 at m = 4)
     rule = cl.normal_sphere_rule(2, 2)
-    assert rule.nodes.shape == (4, 2)
+    assert rule.nodes.shape == (3, 2)
+    assert cl.normal_sphere_rule(4, 2).nodes.shape == (5, 2)
     assert_allclose(np.sum(rule.weights), 2 * np.pi, rtol=1e-14)
     assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, rtol=1e-14)
 
 
 def test_normal_sphere_rule_n3():
+    # 2 polar by 3 azimuth nodes at m = 2, and 3 by 5 at m = 4
     rule = cl.normal_sphere_rule(2, 3)
+    assert rule.nodes.shape == (6, 3)
+    assert cl.normal_sphere_rule(4, 3).nodes.shape == (15, 3)
     assert_allclose(np.sum(rule.weights), 4 * np.pi, rtol=1e-14)
     assert_allclose(np.linalg.norm(rule.nodes, axis=1), 1.0, rtol=1e-13)
     for axis in range(3):

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import curvlab as cl
 from curvlab import tube
+from curvlab.curvature import _minors
 from curvlab.errors import (
     CurvlabError,
     DegenerateImmersionError,
@@ -157,6 +158,21 @@ def test_base_rank_loss_at_a_tube_point_is_named(name, u):
         cl.tube_point(cfg, [(1.0, 0.5), u, (2.0, 1.5)], [nu] * 3)
 
 
+def _tube_case(name, eps):
+    """A `TubeConfig` at most at half its base's reach.  The base is from the catalog, or a seeded graph of degree
+    2 named "graph_n<n>" (m = 2) or "graph_m<m>_n<n>"."""
+    if name.startswith(("graph_n", "graph_m")):
+        m = int(name[7]) if name.startswith("graph_m") else 2
+        base = cl.random_graph_poly(np.random.default_rng(3), m=m, n=int(name[-1]), degree=2, scale=0.2)
+    else:
+        base = get(name)
+    return cl.TubeConfig(base, min(eps, 0.5 * base.reach))
+
+
+def _unit(v):
+    return [c * (1.0 / sqrt(dot(v, v))) for c in v]
+
+
 def _all_variable_sheet_jets(cfg, sign, U, order):
     """Sheet jets from one seeding of all p sheet variables, the base chart run on the first m."""
     base, b = cfg.base, len(U)
@@ -164,10 +180,9 @@ def _all_variable_sheet_jets(cfg, sign, U, order):
     X = [c if isinstance(c, Jet) else Jet.constant(c, order + 1, b)
          for c in base.chart(xs[: base.m])]
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
-    if base.n == 1:  # m = 2, k = 3: the unit cross product of the unit tangents
-        t, s = ([c * (1.0 / sqrt(dot(v, v))) for c in v] for v in tangents)
-        cross = [t[1] * s[2] - t[2] * s[1], t[2] * s[0] - t[0] * s[2], t[0] * s[1] - t[1] * s[0]]
-        frame = [[c * (1.0 / sqrt(dot(cross, cross))) for c in cross]]
+    if base.n == 1:  # the generalized cross product: (-1)^a times the unit tangents' minor without coordinate a
+        minors = _minors([_unit(t) for t in tangents])
+        frame = [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
     else:
         frame, _, _ = tube._householder_frame(tangents, base.k)
     y = [sign] if base.n == 1 else tube._sphere_values(
@@ -178,14 +193,12 @@ def _all_variable_sheet_jets(cfg, sign, U, order):
 
 @pytest.mark.parametrize("name, eps", [
     ("sphere2_r3", 0.1), ("circle_r3", 0.1), ("sphere2_r4", 0.05), ("graph_n3", 0.1),
+    ("graph_m1_n1", 0.1), ("graph_m3_n1", 0.1),
 ])
 def test_sheet_jets_match_the_all_variable_construction(name, eps, rng):
-    if name == "graph_n3":
-        base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=3, degree=2, scale=0.2)
-        eps = min(eps, 0.5 * base.reach)
-    else:
-        base = get(name)
-    cfg = cl.TubeConfig(base, eps)
+    # in codimension 1 against the generalized cross product, whose sign det[nu, tangents] > 0 fixes the sheets
+    cfg = _tube_case(name, eps)
+    base = cfg.base
     boundary = cl.tube_boundary_immersion(cfg)
     signs = (1.0, -1.0) if base.n == 1 else (1.0,)
     for sheet, sign in zip(boundary.sheets, signs, strict=True):
@@ -282,14 +295,6 @@ def test_sheet_jets_over_repeated_base_points_equal_each_point_alone(name):
         assert _sheet_tensor_bytes(batch, minus) != _sheet_tensor_bytes(batch, plus)
 
 
-def _tube_case(name, eps):
-    """A `TubeConfig` of a catalog base, or of a seeded codimension-3 graph ("graph_n3") at most at half its reach."""
-    if name == "graph_n3":
-        base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=3, degree=2, scale=0.2)
-        return cl.TubeConfig(base, min(eps, 0.5 * base.reach))
-    return cl.TubeConfig(get(name), eps)
-
-
 def _tube_points(cfg, rng, count):
     """`tube_point` over a batch of `count` random base points and directions."""
     U = cl.sample_domain(cfg.base, count, rng)
@@ -348,8 +353,8 @@ def test_a_sheet_batch_names_its_first_bad_base_point():
 
 
 def test_a_codimension_1_sheet_batch_names_its_first_bad_base_point():
-    # the stalled circle above in codimension 1: the cross-product frame would divide by the lost
-    # tangent, so the tangent values' rank check runs first, on both sheets and in the total
+    # the stalled circle above in codimension 1: the frame's QR names the lost tangent before the
+    # frame is used, on both sheets and in the total
     def chart(xs):
         g = xs[0] - 0.5 * sin(2.0 * xs[0])
         return [cos(g), sin(g)]
@@ -501,15 +506,13 @@ def test_a_boundary_built_for_another_config_is_refused():
             check(cfg, u, nu, boundary=other)
 
 
-@pytest.mark.parametrize("name", [*ALL_NAMES, "graph_n1", "graph_n3"])
+@pytest.mark.parametrize("name", [*ALL_NAMES, "graph_n1", "graph_n3", "graph_m1_n3"])
 def test_a_batch_equals_its_points_one_at_a_time(name):
-    # every contraction over the batch is elementwise, so no value depends on the batch;
-    # in codimension 1 the directions alternate in sign, so both sheets share the batch
-    if name.startswith("graph_n"):
-        base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=int(name[-1]), degree=2, scale=0.2)
-    else:
-        base = get(name)
-    cfg = cl.TubeConfig(base, min(0.1, 0.5 * base.reach))
+    # every contraction over the batch is elementwise, so no value depends on the batch (a curve's
+    # metric too, one sum over 4 coordinates); in codimension 1 the directions alternate in sign,
+    # so both sheets share the batch
+    cfg = _tube_case(name, 0.1)
+    base = cfg.base
     boundary = cl.tube_boundary_immersion(cfg)
     rng = np.random.default_rng(0)
     U = cl.sample_domain(base, 50, rng)
@@ -834,7 +837,8 @@ def test_identity_and_spectrum_all_bases(name, rng):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_identity_and_spectrum_near_a_polar_axis_of_sphere4_r5(sign):
-    # the tangents in the cross product are normalized first: without that, 7.7e-12 to 2.3e-11
+    # near a polar axis the tangents differ widely in length; the frame's QR keeps the identity
+    # within 4e-15 and the spectrum within 3e-14 here
     cfg = cl.TubeConfig(get("sphere4_r5"), 0.25)
     u, nu = np.array([0.2, 0.2, 0.2, 1.0]), cl.NormalDirection(np.array([sign]))
     assert cl.tube_identity_check(cfg, u, nu).relative < 1e-12

@@ -24,10 +24,10 @@ difference between levels is the reported error estimate: the error of the
 coarser level, which the finer one improves on.  A tube sheet runs that ladder
 on its base axes only, with fiber axes on rules exact for them (`tube.py`).
 
-The unit sphere S^(n-1), n <= 3, is charted here once, by its angles, and
+The unit sphere S^(n-1) is charted here once, for every n, by its angles, and
 `_sphere_axes` gives product axes on them that are exact for polynomials of a
-given degree: the normal-sphere rule of the quadrature route is built from
-them, and so are a tube sheet's fiber axes, whose fiber is that sphere.
+given degree: a tube sheet's fiber axes, whose fiber is that sphere, are built
+from them, and so is the quadrature route's normal-sphere rule for n <= 3.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ _REFINE_TOL = 1e-12  # two levels agree within this fraction of the topological 
 class GridAxis:
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str  # "gauss-legendre", "trapezoid", or "gauss-legendre-cos": Gauss-Legendre in cos(psi) on [0, pi]
+    kind: str  # "gauss-legendre", "trapezoid", or in cos(psi) on [0, pi] "gauss-legendre-cos" or "gauss-chebyshev-cos"
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,14 @@ def _polar_axis(count: int) -> GridAxis:
     it is exact when f is sin(psi) times a polynomial in cos(psi) of degree <= 2 * count - 1."""
     t, w = (a[::-1] for a in _gauss_legendre(count))
     return GridAxis(np.arccos(t), w / np.sqrt((1.0 - t) * (1.0 + t)), "gauss-legendre-cos")
+
+
+def _chebyshev_axis(count: int) -> GridAxis:
+    """Gauss-Chebyshev of the second kind in t = cos(psi), read in psi: nodes psi_i = i pi / (count + 1), i = 1 ..
+    count, with weights pi / (count + 1).  Exact when f is sin(psi)^2 times a polynomial in cos(psi) of degree <=
+    2 * count - 1, as its sum of f is the Gauss-Chebyshev sum of f / sin(psi)^2 against sqrt(1 - t^2) dt."""
+    step = np.pi / (count + 1)
+    return GridAxis(step * np.arange(1, count + 1), np.full(count, step), "gauss-chebyshev-cos")
 
 
 def default_grid(imm: Immersion, resolution: Optional[int] = None) -> QuadratureGrid:
@@ -244,33 +252,38 @@ def integrate_scalar(imm: Immersion, f: Callable[[GridBatch], np.ndarray],
 
 
 def _sphere_domain(n: int) -> tuple[Axis, ...]:
-    """The angles of the unit sphere S^(n-1), n <= 3, charted by `_sphere_values`: none for S^0 = {+-1},
-    the azimuth theta on S^1, and the polar angle psi, then theta, on S^2."""
-    theta = (Axis(0.0, 2.0 * np.pi, periodic=True),)
-    return () if n == 1 else theta if n == 2 else (Axis(0.0, np.pi),) + theta
+    """The angles of the unit sphere S^(n-1), charted by `_sphere_values`: none for S^0 = {+-1}, else the polar
+    angles psi_1 .. psi_(n-2) on [0, pi], then the azimuth theta."""
+    return () if n == 1 else (Axis(0.0, np.pi),) * (n - 2) + (Axis(0.0, 2.0 * np.pi, periodic=True),)
 
 
-def _sphere_values(n, thetas):
-    """Unit-sphere chart values y(theta) in generic scalars; len(thetas) = n - 1 >= 1."""
-    if n == 2:
-        return [cos(thetas[0]), sin(thetas[0])]
-    ps, th = thetas
-    return [cos(ps), sin(ps) * cos(th), sin(ps) * sin(th)]
+def _sphere_values(angles):
+    """Chart values y(psi_1, .., psi_(n-2), theta) on S^(n-1), n >= 2, in generic scalars: y_j = s_j cos(psi_(j+1))
+    for j < n - 2, then s cos(theta) and s sin(theta), where s_j = sin(psi_1) ... sin(psi_j) and s is all of them."""
+    *psis, theta = angles
+    y, s = [], 1.0
+    for psi in psis:
+        y, s = y + [s * cos(psi)], s * sin(psi)
+    return y + [s * cos(theta), s * sin(theta)]
 
 
-def _sphere_coords(n, y):
-    """Inverse of `_sphere_values` for unit vectors y (B, n): their angles, (B, n - 1)."""
-    th = np.arctan2(y[:, -1], y[:, -2]) % (2.0 * np.pi)
-    return th[:, None] if n == 2 else np.stack([np.arccos(np.clip(y[:, 0], -1.0, 1.0)), th], axis=1)
+def _sphere_coords(y):
+    """Inverse of `_sphere_values` for unit vectors y (B, n): their angles, (B, n - 1).  psi_1 = arccos(y_0), and
+    psi_(j+1) = arctan2(|y_(j+1:)|, y_j) divides by nothing, so a pole of the chart gets angles in the domain."""
+    psis = [np.arccos(np.clip(y[:, 0], -1.0, 1.0)) if j == 0 else
+            np.arctan2(np.linalg.norm(y[:, j + 1:], axis=1), y[:, j]) for j in range(y.shape[1] - 2)]
+    return np.stack(psis + [np.arctan2(y[:, -1], y[:, -2]) % (2.0 * np.pi)], axis=1)
 
 
 def _sphere_axes(n: int, degree: int, level: int = 0) -> tuple[GridAxis, ...]:
     """Axes on `_sphere_domain(n)` exact for every polynomial of `degree` on S^(n-1), plus `level` nodes on each:
-    a trapezoid in theta with degree + 1 nodes, exact for its harmonics up to `degree`, and `_polar_axis` in psi
-    with (degree + 2) // 2, exact for what summing theta out leaves, sin(psi) times a polynomial of degree <=
-    `degree` in cos(psi).  The psi axis weights f dpsi, so the area element's sin(psi) is the integrand's."""
+    a trapezoid in theta with degree + 1 nodes, exact for its harmonics up to `degree`, and on psi_j ceil((p +
+    degree) / 2) nodes, exact for what summing the later angles out leaves, sin(psi_j)^p, p = n - 1 - j, times a
+    polynomial of degree <= `degree` in cos(psi_j): `_polar_axis` for odd p, `_chebyshev_axis` for even p.  Each
+    psi axis weights f dpsi, so the area element prod_j sin(psi_j)^(n-1-j) is the integrand's."""
     return tuple(_make_axis(ax.lo, ax.hi, True, degree + 1 + level) if ax.periodic
-                 else _polar_axis((degree + 2) // 2 + level) for ax in _sphere_domain(n))
+                 else (_polar_axis if (n - 1 - j) % 2 else _chebyshev_axis)((n - j + degree) // 2 + level)
+                 for j, ax in enumerate(_sphere_domain(n), 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -303,9 +316,9 @@ def _build_sphere_rule(m: int, n: int) -> NormalSphereRule:
     axes = _sphere_axes(n, m + m % 2)
     angles = np.meshgrid(*(ax.nodes for ax in axes), indexing="ij")
     weights = math.prod(np.meshgrid(*(ax.weights for ax in axes), indexing="ij"))
-    if n == 3:
-        weights = weights * np.sin(angles[0])
-    return NormalSphereRule(np.stack(_sphere_values(n, angles), axis=-1).reshape(-1, n), weights.ravel())
+    for j, psi in enumerate(angles[:-1]):  # the area element, sin(psi_j)^(n-1-j) for j = 1 .. n - 2
+        weights = weights * np.sin(psi) ** (n - 2 - j)
+    return NormalSphereRule(np.stack(_sphere_values(angles), axis=-1).reshape(-1, n), weights.ravel())
 
 
 def _curvature_route(route: str):

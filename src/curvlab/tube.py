@@ -5,9 +5,9 @@ The boundary of the eps-neighborhood of a base immersion X is charted as
     F(u, theta) = X(u) + eps * sum_s y_s(theta) nu_s(u)
 
 where (nu_s) is an orthonormal normal frame, smooth near each base point, and y
-is the unit-sphere chart of the normal fiber that the normal-sphere rule is built on,
-`integrate._sphere_values` (codimension 1: two sheets with y = +-1; codimension 2: one
-angle; codimension 3: polar/azimuth).  The frame is built from the tangents alone and
+is the unit-sphere chart of the normal fiber, `integrate._sphere_values` (codimension 1:
+two sheets with y = +-1; codimension n >= 2: one sheet, whose fiber S^(n-1) is charted by
+n - 2 polar angles and an azimuth).  The frame is built from the tangents alone and
 differentiated exactly, in truncated-Taylor arithmetic: the normal block of a Householder
 QR of the tangents, by the `immersion._householder_frame` that also builds the base forms'
 frame, in codimension 1 turned so that det[nu, tangents] > 0, which tells the sheets apart.
@@ -34,10 +34,10 @@ the total curvature (-1)^(k-1) * vol(S^(k-1)) * chi.
 
 By that identity the sheet's K^g dA over one fiber is (-1)^(n-1) K^nu sqrt(det g) times the
 fiber's area element, and K^nu is a homogeneous polynomial of degree m in nu (Weyl 1939; Gray,
-*Tubes*, 2004).  So a few fiber nodes integrate a fiber exactly, on the axes `normal_sphere_rule` is
-built from, `integrate._sphere_axes` at degree m: a trapezoid in theta with m + 1 nodes, and in
-codimension 3 Gauss-Legendre in cos(psi) with ceil((m + 1)/2).  A refined total runs the base's
-ladder of levels on the base axes only, and each level adds one node per fiber axis.
+*Tubes*, 2004).  So a few fiber nodes integrate a fiber exactly, on `integrate._sphere_axes` at degree
+m: a trapezoid in theta with m + 1 nodes, and on each polar angle psi_j, of area factor sin(psi_j)^(n-1-j),
+ceil((n - 1 - j + m)/2) nodes of Gauss-Legendre or Gauss-Chebyshev in cos(psi_j).  A refined total runs
+the base's ladder of levels on the base axes only, and each level adds one node per fiber axis.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ import numpy as np
 
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         sphere_volume, whiten_second_form)
-from .errors import CurvlabError, ReachExceededError, UnsupportedDimensionError
+from .errors import CurvlabError, ReachExceededError
 from .immersion import (FrameData, GridBatch, Immersion, _batch, _forms, _householder_frame, _householder_qr,
                         _refuse_rank_loss, _stack, frame_data_at, induced_metric)
-from .integrate import (GridAxis, QuadratureGrid, _refinement_ladder, _sphere_axes, _sphere_coords, _sphere_domain,
+from .integrate import (QuadratureGrid, _refinement_ladder, _sphere_axes, _sphere_coords, _sphere_domain,
                         _sphere_values, default_grid, reduce_until_converged)
 from .jets import Jet, dot
 
@@ -74,16 +74,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TubeConfig:
-    """A base immersion of codimension 1-3 with a tube radius below its declared reach bound."""
+    """A base immersion of any codimension with a tube radius below its declared reach bound."""
 
     base: Immersion
     eps: float
 
     def __post_init__(self):
-        if self.base.n not in (1, 2, 3):
-            raise UnsupportedDimensionError(
-                f"tube construction supports codimension 1-3, got {self.base.n}"
-            )
         if not self.eps > 0:
             raise ReachExceededError(f"tube radius {self.eps} must be positive")
         if self.base.reach is None:
@@ -154,7 +150,7 @@ def _sheet_chart(cfg: TubeConfig, X, frame, U: GridBatch, sheet_sign):
     sheet batch U, from `_base_frame_pieces` at its first m variables; y is `sheet_sign` (one, or one per
     point) at n = 1."""
     base = cfg.base
-    y = [sheet_sign] if base.n == 1 else _sphere_values(base.n, Jet.variables(U.columns, X[0].order)[base.m:])
+    y = [sheet_sign] if base.n == 1 else _sphere_values(Jet.variables(U.columns, X[0].order)[base.m:])
     g = [dot(y, [frame[s][a] for s in range(base.n)]) for a in range(base.k)]
     return [X[a] + cfg.eps * g[a] for a in range(base.k)], g
 
@@ -169,9 +165,9 @@ def _sheet_jets(cfg: TubeConfig, sheet_sign: float, U: GridBatch, order):
 def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
     """Chart the boundary of the eps-neighborhood of the base immersion.
 
-    Codimension 1 yields two sheets (normal sign +-1); codimension 2 and 3
-    yield one sheet with the normal-sphere angles appended to the base
-    parameters.  Sheet jets go through the exact frame construction above.
+    Codimension 1 yields two sheets (normal sign +-1); every higher
+    codimension yields one sheet with the normal-sphere angles appended to
+    the base parameters.  Sheet jets go through the exact frame construction above.
     """
     base = cfg.base
     signs, suffixes = ((1.0, -1.0), ("_tube_plus", "_tube_minus")) if base.n == 1 else ((1.0,), ("_tube",))
@@ -186,7 +182,7 @@ def _sheet_forms(names, F, g, V: GridBatch):
     batch axis last: points (k, B), metric (p, p, B), and the second form (1, p, p, B) along the frame (k, 1, B),
     g itself, normal to the sheet by construction.  Since <d_i F, g> = 0, Weingarten's equation gives the
     second form from first derivatives alone: h_ij = <d_ij F, g> = -<d_i F, d_j g>.  The QR of the tangents
-    names the first point where they lose rank, as the codimension-3 pole does."""
+    names the first point where they lose rank, as a pole of the fiber chart does."""
     p = len(V.columns)
     point, d1 = _stack(F, 1, p, V)
     _refuse_rank_loss(names, V, _householder_qr([list(d1[:, i]) for i in range(p)])[1])
@@ -257,7 +253,7 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     if base.n == 1:
         index, P = np.where(y[0] > 0, 0, 1), U.copy()
     else:
-        index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(base.n, y.T)], axis=1)
+        index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(y.T)], axis=1)
     names, Q = np.array([sheet.name for sheet in boundary.sheets])[index], _batch(boundary.sheets[0], P)
     point, metric, second, frame = _sheet_forms(names, *_sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index), Q)
     sheet_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame)))
@@ -335,16 +331,10 @@ def _sheet_integrand(cfg: TubeConfig, sheet: Immersion, sheet_sign: float):
     return integrand
 
 
-def _fiber_axes(base: Immersion, level: int) -> tuple[GridAxis, ...]:
-    """The fiber axes at refinement level `level`: the counts exact for K^nu (module docstring), plus
-    `level` on each axis, so that two levels compare two fiber rules as well as two base grids."""
-    return _sphere_axes(base.n, base.m, level)
-
-
 def _sheet_levels(base: Immersion):
-    """A sheet's refinement levels, each built when reached: the base's own levels
-    `default_grid(base, r)`, times the fiber axes of the level."""
-    return (QuadratureGrid(default_grid(base, resolution).axes + _fiber_axes(base, level))
+    """A sheet's refinement levels, each built when reached: the base's own levels `default_grid(base, r)`, times the
+    fiber axes exact for K^nu (module docstring) plus one node per level, so two levels compare two fiber rules too."""
+    return (QuadratureGrid(default_grid(base, resolution).axes + _sphere_axes(base.n, base.m, level))
             for level, resolution in enumerate(_refinement_ladder(base)))
 
 

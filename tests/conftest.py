@@ -63,21 +63,27 @@ def circle_r3_file(tmp_path):
     return unit_circle_file(tmp_path, name="circle_file_r3", k=3, coordinates=xy + [[]])
 
 
-def clifford_torus_file(tmp_path):
-    """The Clifford torus (cos t, sin t, cos p, sin p)/sqrt(2) in R^4 as a surface file: codimension 2."""
+def clifford_torus_file(tmp_path, k=4):
+    """The Clifford torus (cos t, sin t, cos p, sin p)/sqrt(2) in R^4 as a surface file: codimension 2; padded
+    with k - 4 zero coordinates, in R^k."""
     c = 1.0 / math.sqrt(2.0)
     doc = {
-        "name": "clifford_file_r4",
+        "name": f"clifford_file_r{k}",
         "m": 2,
-        "k": 4,
+        "k": k,
         "euler_char": 0,
         "domain": [{"lo": 0.0, "hi": 2 * math.pi, "periodic": True}] * 2,
         "coordinates": [[{"coeff": c, "factors": [_factor(axis, trig)]}]
-                        for axis in (0, 1) for trig in ("cos", "sin")],
+                        for axis in (0, 1) for trig in ("cos", "sin")] + [[]] * (k - 4),
     }
-    path = tmp_path / "clifford_file_r4.json"
+    path = tmp_path / f"clifford_file_r{k}.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def clifford_torus_r6_file(tmp_path):
+    """The Clifford torus padded into R^6: codimension 4."""
+    return clifford_torus_file(tmp_path, k=6)
 
 
 def _torus_file(tmp_path, name, terms_xy, terms_z):

@@ -18,7 +18,8 @@ from curvlab import cli
 from curvlab.cli import RunReport, _random_directions, _threshold_exit, main
 from curvlab.errors import ReachExceededError
 
-from conftest import circle_r3_file, clifford_torus_file, elliptic_torus_file, unit_circle_file
+from conftest import (circle_r3_file, clifford_torus_file, clifford_torus_r6_file, elliptic_torus_file,
+                      unit_circle_file)
 
 
 def run_cli(capsys, *args):
@@ -354,10 +355,11 @@ def test_tube_eps_above_reach_exit_2(capsys):
 
 @pytest.mark.parametrize("surface_file, grids", [
     (circle_r3_file, [[13, 3]]), (clifford_torus_file, [[13, 13, 4]]), (unit_circle_file, [[13], [13]]),
+    (clifford_torus_r6_file, [[13, 13, 3, 3, 4]]),
 ])
 def test_tube_total_on_a_closed_surface_file_of_any_codimension(capsys, tmp_path, surface_file, grids):
     # the normal frame comes from the tangents at each base point, so nothing in it can turn
-    # tangent on a closed base, in codimension 2 as in codimension 1
+    # tangent on a closed base, in codimension 2 as in codimension 1 and 4
     code, out, _ = run_cli(
         capsys, "tube", "--surface-file", surface_file(tmp_path), "--eps", "0.1", "--total",
         "--fail-threshold", "1e-12", "--format", "json",

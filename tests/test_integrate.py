@@ -20,10 +20,13 @@ from curvlab.jets import cos, sin
 from curvlab.integrate import (
     GridAxis,
     QuadratureGrid,
+    _chebyshev_axis,
     _gauss_legendre,
     _make_axis,
     _polar_axis,
     _refinement_ladder,
+    _sphere_axes,
+    _sphere_values,
     reduce_over_grid,
     reduce_until_converged,
 )
@@ -62,6 +65,37 @@ def test_polar_axis_is_gauss_legendre_in_cos_psi():
         val = float(np.sum(ax.weights * np.sin(ax.nodes) * np.cos(ax.nodes) ** deg))
         assert abs(val - (1.0 + (-1.0) ** deg) / (deg + 1)) < 1e-14
     assert abs(float(np.sum(ax.weights * np.sin(ax.nodes) * np.cos(ax.nodes) ** 10)) - 2.0 / 11) > 1e-6
+
+
+def test_chebyshev_axis_is_gauss_chebyshev_of_the_second_kind_in_cos_psi():
+    ax = _chebyshev_axis(5)
+    assert ax.kind == "gauss-chebyshev-cos"
+    assert np.all(np.diff(ax.nodes) > 0) and 0.0 < ax.nodes[0] and ax.nodes[-1] < np.pi
+    for deg in range(0, 10):  # sin(psi)^2 cos(psi)^deg, exact through degree 2*5 - 1
+        val = float(np.sum(ax.weights * np.sin(ax.nodes) ** 2 * np.cos(ax.nodes) ** deg))
+        want = 0.0 if deg % 2 else np.pi * math.prod(range(1, deg, 2)) / math.prod(range(2, deg + 3, 2))
+        assert abs(val - want) < 1e-14
+    assert abs(float(np.sum(ax.weights * np.sin(ax.nodes) ** 2 * np.cos(ax.nodes) ** 10)) - np.pi * 945 / 46080) > 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_sphere_axes_are_exact_to_their_degree(n, degree):
+    # the product of the axes, weighted by the area element prod_j sin(psi_j)^(n-1-j), against the moments of
+    # S^(n-1) for every monomial of degree <= `degree`
+    axes = _sphere_axes(n, degree)
+    angles = np.meshgrid(*(ax.nodes for ax in axes), indexing="ij")
+    weights = math.prod(np.meshgrid(*(ax.weights for ax in axes), indexing="ij"))
+    weights = (weights * math.prod(np.sin(psi) ** (n - 2 - j) for j, psi in enumerate(angles[:-1]))).ravel()
+    y = np.stack(_sphere_values(angles), axis=-1).reshape(-1, n)
+    assert_allclose(np.linalg.norm(y, axis=1), 1.0, rtol=0, atol=1e-15)
+    for alpha in itertools.product(range(degree + 1), repeat=n):
+        if sum(alpha) > degree:
+            continue
+        a = np.array(alpha)
+        got = math.fsum(weights * np.prod(y ** a, axis=1))
+        want = 0.0 if np.any(a % 2) else cl.sphere_moment(a // 2)
+        assert abs(got - want) <= 1e-13, alpha
 
 
 def test_trapezoid_axis_exact_below_nyquist():

@@ -1,5 +1,6 @@
 """Tube-boundary geometry: sheets, curvature rescaling, spectrum, totals."""
 
+import ast
 import dataclasses
 import math
 import re
@@ -15,7 +16,6 @@ from curvlab.errors import (
     CurvlabError,
     DegenerateImmersionError,
     ReachExceededError,
-    UnsupportedDimensionError,
 )
 
 from curvlab.immersion import _batch, _stack
@@ -57,8 +57,10 @@ def test_config_guards():
     )
     with pytest.raises(ReachExceededError):
         cl.TubeConfig(no_reach, 0.1)
-    with pytest.raises(UnsupportedDimensionError):
-        cl.TubeConfig(cl.random_graph_poly(np.random.default_rng(0), m=2, n=4), 0.01)
+    # no codimension is refused: an m = 2 graph in codimension 4 gets a tube, and both checks hold on it
+    tp = _tube_points(cl.TubeConfig(cl.random_graph_poly(np.random.default_rng(0), m=2, n=4), 0.01),
+                      np.random.default_rng(1), 20)
+    assert tp.identity.relative.max() <= 1e-12 and tp.spectrum.residual.max() <= 1e-12
 
 
 # -- sheet geometry ---------------------------------------------------------
@@ -185,15 +187,14 @@ def _all_variable_sheet_jets(cfg, sign, U, order):
         frame = [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
     else:
         frame, _, _ = tube._householder_frame(tangents, base.k)
-    y = [sign] if base.n == 1 else tube._sphere_values(
-        base.n, [x.truncate(order) for x in xs[base.m:]])
+    y = [sign] if base.n == 1 else tube._sphere_values([x.truncate(order) for x in xs[base.m:]])
     return [X[a].truncate(order) + cfg.eps * dot(y, [frame[s][a] for s in range(base.n)])
             for a in range(base.k)]
 
 
 @pytest.mark.parametrize("name, eps", [
     ("sphere2_r3", 0.1), ("circle_r3", 0.1), ("sphere2_r4", 0.05), ("graph_n3", 0.1),
-    ("graph_m1_n1", 0.1), ("graph_m3_n1", 0.1),
+    ("graph_m1_n1", 0.1), ("graph_m3_n1", 0.1), ("graph_n4", 0.1), ("graph_n5", 0.1),
 ])
 def test_sheet_jets_match_the_all_variable_construction(name, eps, rng):
     # in codimension 1 against the generalized cross product, whose sign det[nu, tangents] > 0 fixes the sheets
@@ -302,11 +303,12 @@ def _tube_points(cfg, rng, count):
 
 
 @pytest.mark.parametrize("name, eps", [
-    ("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1), ("graph_n3", 0.1),
+    ("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1), ("graph_n3", 0.1), ("graph_n4", 0.1),
+    ("graph_n5", 0.1),
 ])
 def test_sheet_second_form_is_the_stacked_contraction_bit_for_bit(name, eps, rng):
     # the sheet's second form along its Gauss map g, against -<d F, d g> on the stacked 1-jets of the sheet
-    # chart F and of g at each point's own sheet (criterion-8 cases, and a codimension-3 base)
+    # chart F and of g at each point's own sheet (criterion-8 cases, and bases in codimension 3, 4 and 5)
     cfg = _tube_case(name, eps)
     tp = _tube_points(cfg, rng, 30)
     for index, sheet in enumerate(cl.tube_boundary_immersion(cfg).sheets):
@@ -415,6 +417,41 @@ def test_codim3_tube_point_on_the_fiber_pole_is_refused(u):
     assert f"parameter point [{u[0]}, {u[1]}, 0.0, " in str(err.value)
 
 
+def _named_point(err):
+    return ast.literal_eval(re.search(r"parameter point (\[.*?\])", str(err.value)).group(1))
+
+
+def test_codim4_tube_points_on_the_fiber_poles_are_refused():
+    # S^3 is charted by (cos psi_1, sin psi_1 cos psi_2, sin psi_1 sin psi_2 cos theta, ...), with poles at
+    # psi_1 = 0, pi and at psi_2 = 0, pi, where d/dtheta vanishes.  psi_2 = arctan2(|y_2:|, y_1) divides by
+    # nothing, so at psi_1's pole, where y_1: is 0, it is 0 too, and the point is refused by name.  On the
+    # sphere padded into R^6 the first two frame vectors are directions exactly on psi_1's and psi_2's poles.
+    base = _padded_sphere2(6)
+    cfg = cl.TubeConfig(base, 0.25)
+    for coeffs, fiber in (([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([0.0, 1.0, 0.0, 0.0], [np.pi / 2, 0.0, 0.0])):
+        with pytest.raises(DegenerateImmersionError, match="sphere2_r6_tube: first-derivative") as err:
+            cl.tube_point(cfg, [1.0, 0.5], cl.NormalDirection(np.array(coeffs)))
+        assert _named_point(err) == [1.0, 0.5, *fiber]
+    # on a random graph, a direction read back off a sheet point on psi_2's pole lands within roundoff of that
+    # pole and is refused; one on psi_1's pole is refused where y_0 rounds to +-1, as here (elsewhere
+    # arccos puts psi_1 ~1.5e-8 off the pole, as in codimension 3)
+    base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=4, degree=2, scale=0.2)
+    cfg = cl.TubeConfig(base, 0.1)
+    boundary = cl.tube_boundary_immersion(cfg)
+    good = cl.NormalDirection.unit([0.3, 0.5, 0.8, 0.1])
+    for u in ((0.2, 0.1), (0.5, 0.5)):
+        frame = cl.frame_data_at(base, u).normal_frame
+        for psi, angle in ((0, 0.0), (0, np.pi), (1, 0.0), (1, np.pi)):
+            fiber = [angle, 0.0, 0.0] if psi == 0 else [1.0, angle, 0.0]
+            y = (boundary.sheets[0].points([[*u, *fiber]]) - base.points(np.array([u])))[0] / cfg.eps
+            on_pole = cl.NormalDirection.unit(frame.T @ y)
+            # after a good point in one batch, the pole point is the one named
+            with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
+                cl.tube_point(cfg, [(0.2, 0.3), u], [good, on_pole], boundary)
+            named = _named_point(err)
+            assert named[:2] == list(u) and abs(named[2 + psi] - angle) <= 1e-15, (u, psi, angle, named)
+
+
 # -- classical curvature and normal Jacobian -------------------------------
 
 
@@ -506,7 +543,7 @@ def test_a_boundary_built_for_another_config_is_refused():
             check(cfg, u, nu, boundary=other)
 
 
-@pytest.mark.parametrize("name", [*ALL_NAMES, "graph_n1", "graph_n3", "graph_m1_n3"])
+@pytest.mark.parametrize("name", [*ALL_NAMES, "graph_n1", "graph_n3", "graph_m1_n3", "graph_n4", "graph_n5"])
 def test_a_batch_equals_its_points_one_at_a_time(name):
     # every contraction over the batch is elementwise, so no value depends on the batch (a curve's
     # metric too, one sum over 4 coordinates); in codimension 1 the directions alternate in sign,
@@ -725,28 +762,35 @@ def test_refined_total_of_a_four_dimensional_base_on_the_default_path():
     assert res.residual <= 1e-12 * cl.sphere_volume(5)
 
 
-def _sphere2_r5():
-    """The unit sphere in the first three axes of R^5: codimension 3, chi = 2 and vol(S^4) = 8 pi^2 / 3."""
+def _padded_sphere2(k):
+    """The unit sphere in the first three axes of R^k: codimension k - 3 and chi = 2 (vol(S^4) = 8 pi^2 / 3)."""
     sphere = get("sphere2_r3")
     return cl.Immersion(
-        name="sphere2_r5", k=5, domain=sphere.domain,
-        chart=lambda xs: [*sphere.chart(xs), 0.0, 0.0], euler_char=2, reach=0.5,
+        name=f"sphere2_r{k}", k=k, domain=sphere.domain,
+        chart=lambda xs: [*sphere.chart(xs)] + [0.0] * (k - 3), euler_char=2, reach=0.5,
     )
 
 
-def test_refined_total_in_codimension_3_holds_the_fiber_at_its_exact_counts():
-    # m = 2: two Gauss-Legendre nodes in cos(psi) and three in theta are exact; the second level has one more each
-    res = cl.tube_total_curvature(cl.TubeConfig(_sphere2_r5(), 0.25))
-    assert res.converged is True and res.grid_shapes == ((13, 13, 3, 4),)
-    assert_allclose(res.integral, 2 * cl.sphere_volume(4), rtol=1e-12, atol=0)
+@pytest.mark.parametrize("k, grid", [(5, (13, 13, 3, 4)), (6, (13, 13, 3, 3, 4)), (7, (13, 13, 4, 3, 3, 4))],
+                         ids=["sphere2_r5", "sphere2_r6", "sphere2_r7"])
+def test_refined_totals_in_codimension_3_to_5_hold_the_fiber_at_its_exact_counts(k, grid):
+    # m = 2: psi_j, of area factor sin(psi_j)^p, takes ceil((p + 2)/2) nodes, Gauss-Legendre in cos(psi_j) for odd
+    # p and Gauss-Chebyshev for even p (in codimension 3, two Gauss-Legendre nodes), and theta three are exact;
+    # the second level has one more each
+    res = cl.tube_total_curvature(cl.TubeConfig(_padded_sphere2(k), 0.25))
+    assert res.converged is True and res.grid_shapes == (grid,)
+    assert res.residual <= 1e-12 * cl.sphere_volume(k - 1)
 
 
 @pytest.mark.parametrize("base, eps, counts, missed", [
     (get("sphere2_r4"), 0.05, (3,), 1.0),  # two theta nodes alias K^nu's second harmonic: twice the total
     (get("circle_r3"), 0.1, (2,), None),
     # one node in cos(psi), at psi = pi/2, where nu is normal to the radial first frame vector and K^nu = 0
-    (_sphere2_r5(), 0.25, (2, 3), -1.0),
-], ids=["sphere2_r4", "circle_r3", "sphere2_r5"])
+    (_padded_sphere2(5), 0.25, (2, 3), -1.0),
+    # one node on each psi, at pi/2: the same -1.0 in codimension 4, and 2/3 in codimension 5
+    (_padded_sphere2(6), 0.25, (2, 2, 3), -1.0),
+    (_padded_sphere2(7), 0.25, (3, 2, 2, 3), 2.0 / 3.0),
+], ids=["sphere2_r4", "circle_r3", "sphere2_r5", "sphere2_r6", "sphere2_r7"])
 def test_one_fiber_node_fewer_than_exact_misses_the_total(base, eps, counts, missed):
     # level -1 holds one node fewer on each fiber axis than the exact counts of level 0
     cfg = cl.TubeConfig(base, eps)
@@ -754,10 +798,10 @@ def test_one_fiber_node_fewer_than_exact_misses_the_total(base, eps, counts, mis
     quantum = cl.sphere_volume(base.k - 1)
     expected = (-1.0) ** (base.k - 1) * quantum * base.euler_char
     integrand = tube._sheet_integrand(cfg, sheet, 1.0)
-    exact = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._fiber_axes(base, 0))
+    exact = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._sphere_axes(base.n, base.m, 0))
     assert exact.shape[base.m:] == counts
     assert abs(reduce_over_grid(sheet, exact, integrand) - expected) <= 1e-12 * quantum
-    fewer = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._fiber_axes(base, -1))
+    fewer = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._sphere_axes(base.n, base.m, -1))
     value = reduce_over_grid(sheet, fewer, integrand)
     assert abs(value - expected) > 1e-3 * quantum
     if missed is not None:
@@ -804,7 +848,7 @@ def test_fixed_resolution_totals_on_four_dimensional_bases(name, eps, resolution
 
 
 def test_fixed_resolution_total_in_codimension_3():
-    res = cl.tube_total_curvature(cl.TubeConfig(_sphere2_r5(), 0.25), resolution=13)  # 8 nodes: 5.7e-8
+    res = cl.tube_total_curvature(cl.TubeConfig(_padded_sphere2(5), 0.25), resolution=13)  # 8 nodes: 5.7e-8
     assert res.grid_shapes == ((13, 13, 13, 13),)
     assert_allclose(res.expected, 2 * cl.sphere_volume(4), rtol=1e-15)
     assert_allclose(res.integral, res.expected, rtol=1e-12, atol=0)
@@ -821,8 +865,6 @@ def test_total_curvature_requires_euler_char():
 @pytest.mark.parametrize("name", ALL_NAMES)
 def test_identity_and_spectrum_all_bases(name, rng):
     base = get(name)
-    if base.n > 3:
-        pytest.skip("codimension above tube support")
     eps = 0.5 * base.reach if np.isfinite(base.reach) else 0.1
     cfg = cl.TubeConfig(base, eps)
     boundary = cl.tube_boundary_immersion(cfg)

@@ -239,13 +239,18 @@ def _householder_qr(tangents):
     return reflections, _rank_lost(np.abs(np.broadcast_arrays(*(_value(row[0]) for row in R)))), R
 
 
+def _reflect_back(reflections, y):
+    """Q y for Q = H_0 ... H_(m-1), the product of `_householder_qr`'s reflections, H_j acting on entries j.. of y."""
+    for j, (v, beta) in reversed(list(enumerate(reflections))):
+        y = y[:j] + _reflect(v, beta, y[j:])
+    return y
+
+
 @np.errstate(divide="ignore", invalid="ignore")
 def _householder_frame(tangents, k):
-    """A normal frame of m tangents in R^k, its `_householder_qr` reflections run back over e_m...e_(k-1); mask, R."""
+    """A normal frame of m tangents in R^k, `_reflect_back` of e_m...e_(k-1); mask, R."""
     reflections, lost, R = _householder_qr(tangents)
-    frame = [[float(a == b) for a in range(k)] for b in range(len(tangents), k)]
-    for j, (v, beta) in reversed(list(enumerate(reflections))):
-        frame = [y[:j] + _reflect(v, beta, y[j:]) for y in frame]
+    frame = [_reflect_back(reflections, [float(a == b) for a in range(k)]) for b in range(len(tangents), k)]
     return frame, lost, R
 
 

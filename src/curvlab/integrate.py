@@ -268,10 +268,10 @@ def _sphere_values(angles):
 
 
 def _sphere_coords(y):
-    """Inverse of `_sphere_values` for unit vectors y (B, n): their angles, (B, n - 1).  psi_1 = arccos(y_0), and
-    psi_(j+1) = arctan2(|y_(j+1:)|, y_j) divides by nothing, so a pole of the chart gets angles in the domain."""
-    psis = [np.arccos(np.clip(y[:, 0], -1.0, 1.0)) if j == 0 else
-            np.arctan2(np.linalg.norm(y[:, j + 1:], axis=1), y[:, j]) for j in range(y.shape[1] - 2)]
+    """Inverse of `_sphere_values` for unit vectors y (B, n): their angles, (B, n - 1).  Each polar angle
+    psi_(j+1) = arctan2(|y_(j+1:)|, y_j) divides by nothing and reads a pole linearly, where arccos(y_j) would
+    read a roundoff of y_j as an angle of its square root, so a pole of the chart gets angles in the domain."""
+    psis = [np.arctan2(np.linalg.norm(y[:, j + 1:], axis=1), y[:, j]) for j in range(y.shape[1] - 2)]
     return np.stack(psis + [np.arctan2(y[:, -1], y[:, -2]) % (2.0 * np.pi)], axis=1)
 
 

@@ -2,30 +2,30 @@
 
 The boundary of the eps-neighborhood of a base immersion X is charted as
 
-    F(u, theta) = X(u) + eps * sum_s y_s(theta) nu_s(u)
+    F(u, theta) = X(u) + eps * g(u, theta),    g = Q(u) (0, ..., 0, y(theta))
 
-where (nu_s) is an orthonormal normal frame, smooth near each base point, and y
-is the unit-sphere chart of the normal fiber, `integrate._sphere_values` (codimension 1:
-two sheets with y = +-1; codimension n >= 2: one sheet, whose fiber S^(n-1) is charted by
-n - 2 polar angles and an azimuth).  The frame is built from the tangents alone and
-differentiated exactly, in truncated-Taylor arithmetic: the normal block of a Householder
-QR of the tangents, by the `immersion._householder_frame` that also builds the base forms'
-frame, in codimension 1 turned so that det[nu, tangents] > 0, which tells the sheets apart.
-Two base points may get frames that differ by an orthogonal map, but
-each fiber is still the whole normal sphere, so no fiber integral depends on the choice.
-Where the tangents lose rank the frame raises `DegenerateImmersionError` naming the
-base point.
+where Q = H_0 ... H_(m-1) is the product of the Householder reflections of a QR of the tangents, so that
+g = sum_s y_s nu_s over the normal frame nu_s = Q e_(m+s), smooth near each base point, and y is the
+unit-sphere chart of the normal fiber, `integrate._sphere_values` (codimension 1: two sheets with y =
++-sigma; codimension n >= 2: one sheet, whose fiber S^(n-1) is charted by n - 2 polar angles and an
+azimuth).  The reflections are built from the tangents alone and differentiated exactly, in
+truncated-Taylor arithmetic, by the `immersion._householder_qr` that also gives the base forms' frame,
+and run in reverse on the one vector (0_m, y), so no frame column is formed.  In codimension 1, sigma =
+prod_j sign(R_jj) turns the normal so that det[sigma Q e_m, tangents] > 0, which tells the sheets apart.
+Two base points may get frames that differ by an orthogonal map, but each fiber is still the whole normal
+sphere, so no fiber integral depends on the choice.  Where the tangents lose rank the sheet raises
+`DegenerateImmersionError` naming the base point.
 
-X and the frame depend on u alone, so they are jets in the m base variables, evaluated
+X and the reflections depend on u alone, so they are jets in the m base variables, evaluated
 on the base axes of a batch's window, so once per base point of a grid.  The sheet's
 p = m + n - 1 variables put theta last, so those jets add as they are to the jets of
-y(theta), which are seeded in the theta variables alone.
+y(theta), which are seeded in the theta variables alone.  In codimension 1 the two sheets lie over
+the same base points, and a total evaluates each chunk's base once for both.
 
-The sheet's Gauss map g = sum_s y_s nu_s is formed on the way to F = X + eps * g, and it is
-the sheet's unit normal: <d_i X, g> = 0 since g is normal to the base, and <d_i g, g> = 0
-since |g| = 1.  So Weingarten's equation gives the sheet's second form along g from the
-1-jets of F and g alone, h_ij = <d_ij F, g> = -<d_i F, d_j g>, and every tube path runs the
-base chart at order 2 and its frame at order 1.
+The Gauss map g is formed on the way to F, and it is the sheet's unit normal: <d_i X, g> = 0 since
+g is normal to the base, and <d_i g, g> = 0 since |g| = 1.  So Weingarten's equation gives the
+sheet's second form along g from the 1-jets of F and g alone, h_ij = <d_ij F, g> = -<d_i F, d_j g>,
+and every tube path runs the base chart at order 2 and its reflections at order 1.
 
 Checks provided: at a point (u, nu) or a batch of them, evaluated once by `tube_point`, the
 curvature rescaling identity K^g / NJ = (-1)^(n-1) eps^-(n-1) K^nu and the shape-operator
@@ -51,8 +51,8 @@ import numpy as np
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError
-from .immersion import (FrameData, GridBatch, Immersion, _batch, _forms, _householder_frame, _householder_qr,
-                        _refuse_rank_loss, _stack, frame_data_at, induced_metric)
+from .immersion import (FrameData, GridBatch, Immersion, _batch, _forms, _householder_qr, _reflect,
+                        _reflect_back, _refuse_rank_loss, _stack, _value, frame_data_at, induced_metric)
 from .integrate import (QuadratureGrid, _refinement_ladder, _sphere_axes, _sphere_coords, _sphere_domain,
                         _sphere_values, default_grid, reduce_until_converged)
 from .jets import Jet, dot
@@ -123,43 +123,39 @@ class TubeBoundary:
 
 
 def _base_frame_pieces(base: Immersion, U, X):
-    """Jets of X and of a normal frame at `order`, all in the m base variables.
+    """Jets of X and the Householder reflections of its tangents at `order`, all in the m base variables.
 
     `U` is a `GridBatch` of base parameters, and `X` is `base.jet_map(U, order + 1)`, evaluated
-    by the caller over U's window, so its tangents are m-variable jets at `order`.  The frame is
-    `immersion._householder_frame` of the tangent jets, the QR that gives the base forms' frame
-    from their values: smooth near each point, which is all a fiber integral needs.  In
-    codimension 1 its one vector is turned by sigma = prod_j sign(R_jj), the signs of the QR
-    diagonal's values, so that det[nu, tangents] = |prod_j R_jj| > 0: its sign tells the two
-    sheets apart over the whole base.  The first base point where the tangents lose rank is
-    named before the frame is used.
+    by the caller over U's window, so its tangents are m-variable jets at `order`.  Their
+    `immersion._householder_qr`, the QR that gives the base forms' frame from their values, gives
+    Q = H_0 ... H_(m-1), whose last n columns are a normal frame smooth near each point: all a
+    fiber integral needs.  In codimension 1, sigma = prod_j sign(R_jj), the signs of the QR
+    diagonal's values, turns that one column so that det[sigma Q e_m, tangents] = |prod_j R_jj| > 0:
+    its sign tells the two sheets apart over the whole base (None in higher codimension).  The
+    first base point where the tangents lose rank is named before the reflections are used.
     """
     order = X[0].order - 1
     tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
-    X = [x.truncate(order) for x in X]
-    frame, lost, R = _householder_frame(tangents, base.k)
+    reflections, lost, R = _householder_qr(tangents)
     _refuse_rank_loss(base.name, U, U.rows(lost))
-    if base.n == 1:
-        sigma = math.prod(np.sign(row[0].val) for row in R)
-        frame = [[sigma * c for c in frame[0]]]
-    return X, frame
+    sigma = math.prod(np.sign(row[0].val) for row in R) if base.n == 1 else None
+    return [x.truncate(order) for x in X], reflections, sigma
 
 
-def _sheet_chart(cfg: TubeConfig, X, frame, U: GridBatch, sheet_sign):
-    """The sheet chart F = X + eps * g and its Gauss map g = sum_s y_s nu_s, as jets over the window of the
-    sheet batch U, from `_base_frame_pieces` at its first m variables; y is `sheet_sign` (one, or one per
-    point) at n = 1."""
+def _sheet_chart(cfg: TubeConfig, X, reflections, sigma, U: GridBatch, sheet_sign):
+    """The sheet chart F = X + eps * g and its Gauss map g = Q (0, ..., 0, y), as jets over the window of the
+    sheet batch U, from `_base_frame_pieces` at its first m variables: the reflections run in reverse on the one
+    vector (0_m, y), so no frame column is formed.  y is sigma times `sheet_sign` (one, or one per point) at n = 1."""
     base = cfg.base
-    y = [sheet_sign] if base.n == 1 else _sphere_values(Jet.variables(U.columns, X[0].order)[base.m:])
-    g = [dot(y, [frame[s][a] for s in range(base.n)]) for a in range(base.k)]
+    y = [sigma * sheet_sign] if base.n == 1 else _sphere_values(Jet.variables(U.columns, X[0].order)[base.m:])
+    g = _reflect_back(reflections, [0.0] * base.m + y)
     return [X[a] + cfg.eps * g[a] for a in range(base.k)], g
 
 
 def _sheet_jets(cfg: TubeConfig, sheet_sign: float, U: GridBatch, order):
-    """`_sheet_chart` at `order` over the sheet batch U, with X and the frame over its base variables only."""
+    """`_sheet_chart` at `order` over the sheet batch U, with X and the reflections over its base variables only."""
     V = U.head(cfg.base.m)
-    X, frame = _base_frame_pieces(cfg.base, V, cfg.base.jet_map(V, order + 1))
-    return _sheet_chart(cfg, X, frame, U, sheet_sign)
+    return _sheet_chart(cfg, *_base_frame_pieces(cfg.base, V, cfg.base.jet_map(V, order + 1)), U, sheet_sign)
 
 
 def tube_boundary_immersion(cfg: TubeConfig) -> TubeBoundary:
@@ -221,11 +217,12 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     u is a base parameter point (m,) with one `NormalDirection`, or a batch U (B, m) with a sequence
     of B of them; a batch gives a `TubePoint` whose arrays lead with a batch axis, and a point that
     batch of one read at its point.  One evaluation of the base chart, its 2-jet at U, serves three
-    ends: it gives the base forms, in whose normal frame nu_hat is read; it builds the smooth normal
-    frame, to order 1, that locates the fiber point; and the two give the 1-jets of the sheet chart
-    and of its Gauss map g there.  The sheet's forms are read along its outward normal g, the second
-    form by Weingarten's equation.  The base and sheet forms are kept on the result, and the checks
-    read them.  Every contraction over the batch is an elementwise sum in a fixed order, so a
+    ends: it gives the base forms, in whose normal frame nu_hat is read; it gives the Householder
+    reflections of the tangents, to order 1, whose product Q locates the fiber point: nu_hat's fiber
+    coordinates are (Q^T a)[m:], a being nu_hat in the ambient space; and the two give the 1-jets of
+    the sheet chart and of its Gauss map g there.  The sheet's forms are read along its outward normal
+    g, the second form by Weingarten's equation.  The base and sheet forms are kept on the result, and
+    the checks read them.  Every contraction over the batch is an elementwise sum in a fixed order, so a
     point's values do not depend on its batch.  An error names the first failing point; a `boundary`
     built for another config is refused.
     """
@@ -247,15 +244,18 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     X = base.jet_map(V, 2)
     base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, X, V)))
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
-    X, nus = _base_frame_pieces(base, V, X)
-    amb = _combine(C, base_frame.normal_frame.T)  # nu_hat in the ambient space, (k, B)
-    y = _combine(amb, np.array([[c.val for c in v] for v in nus]).swapaxes(0, 1))  # in the fiber frame
+    X, reflections, sigma = _base_frame_pieces(base, V, X)
+    y = list(_combine(C, base_frame.normal_frame.T))  # nu_hat in the ambient space, k of (B,)
+    for j, (v, beta) in enumerate(reflections):  # Q^T, the reflections forward on the values
+        y = y[:j] + _reflect([_value(c) for c in v], _value(beta), y[j:])
+    y = np.array(y[base.m:])  # in the fiber frame, (n, B)
     if base.n == 1:
-        index, P = np.where(y[0] > 0, 0, 1), U.copy()
+        index, P = np.where(sigma * y[0] > 0, 0, 1), U.copy()
     else:
         index, P = np.zeros(len(U), dtype=int), np.concatenate([U, _sphere_coords(y.T)], axis=1)
-    names, Q = np.array([sheet.name for sheet in boundary.sheets])[index], _batch(boundary.sheets[0], P)
-    point, metric, second, frame = _sheet_forms(names, *_sheet_chart(cfg, X, nus, Q, 1.0 - 2.0 * index), Q)
+    names, W = np.array([sheet.name for sheet in boundary.sheets])[index], _batch(boundary.sheets[0], P)
+    point, metric, second, frame = _sheet_forms(
+        names, *_sheet_chart(cfg, X, reflections, sigma, W, 1.0 - 2.0 * index), W)
     sheet_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in (metric, second, frame)))
     classical_k, shape_operator = _det(second[0]) / _det(metric), np.moveaxis(pi_nu, -1, 0)
     # the identity: K^g / NJ against (-1)^(n-1) eps^-(n-1) K^nu
@@ -320,15 +320,43 @@ class TubeTotalResult:
     converged: Optional[bool]  # every sheet converged
 
 
+def _sheet_density(name, F, g, U):
+    """Gaussian curvature times area density, (B,), of sheet `name` from its 1-jets F and g over U."""
+    _, metric, second, _ = _sheet_forms(name, F, g, U)
+    det_g = _det(metric)
+    return _det(second[0]) / det_g * np.sqrt(det_g)
+
+
 def _sheet_integrand(cfg: TubeConfig, sheet: Immersion, sheet_sign: float):
     """Gaussian curvature times area density of one sheet, of sign `sheet_sign`, over a `GridBatch` of sheet
     points -> (B,): its forms from the 1-jets of the sheet and of its Gauss map, on base 2-jets."""
-    def integrand(U):
-        _, metric, second, _ = _sheet_forms(sheet.name, *_sheet_jets(cfg, sheet_sign, U, 1), U)
-        det_g = _det(metric)
-        return _det(second[0]) / det_g * np.sqrt(det_g)
+    return lambda U: _sheet_density(sheet.name, *_sheet_jets(cfg, sheet_sign, U, 1), U)
 
-    return integrand
+
+def _paired_sheet_integrands(cfg: TubeConfig, plus: Immersion, minus: Immersion):
+    """`_sheet_integrand` of both codimension-1 sheets, over one evaluation of each chunk's base.
+
+    The plus sheet's integrand evaluates a chunk's base 2-jet and QR once, forms both sheets' values from them,
+    one sheet after the other, returns its own and files the minus sheet's, keyed by the chunk's nodes.  The
+    minus sheet's integrand takes the filed row, or evaluates the chunk alone where the plus sheet stopped on an
+    earlier level.  A point's value does not depend on its chunk, so each sheet gets the bits it would alone.
+    """
+    filed, alone = {}, _sheet_integrand(cfg, minus, -1.0)
+
+    def key(U):
+        return U.window, tuple((c.shape, c.tobytes()) for c in U.columns)
+
+    def plus_integrand(U):
+        pieces = _base_frame_pieces(cfg.base, U, cfg.base.jet_map(U, 2))
+        values = _sheet_density(plus.name, *_sheet_chart(cfg, *pieces, U, 1.0), U)
+        filed[key(U)] = _sheet_density(minus.name, *_sheet_chart(cfg, *pieces, U, -1.0), U)
+        return values
+
+    def minus_integrand(U):
+        values = filed.pop(key(U), None)
+        return alone(U) if values is None else values
+
+    return plus_integrand, minus_integrand
 
 
 def _sheet_levels(base: Immersion):
@@ -352,10 +380,12 @@ def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> T
         )
     boundary = tube_boundary_immersion(cfg)
     quantum = sphere_volume(base.k - 1)
+    sheets = boundary.sheets  # of signs +1, -1 as in `tube_boundary_immersion`
+    integrands = _paired_sheet_integrands(cfg, *sheets) if base.n == 1 else (_sheet_integrand(cfg, sheets[0], 1.0),)
     per_sheet, grid_shapes, errors, flags = zip(*(
-        reduce_until_converged(sheet, _sheet_integrand(cfg, sheet, 1.0 - 2.0 * index), quantum,
+        reduce_until_converged(sheet, integrand, quantum,
                                _sheet_levels(base) if resolution is None else (default_grid(sheet, resolution),))
-        for index, sheet in enumerate(boundary.sheets)  # sheet signs +1, -1 as in `tube_boundary_immersion`
+        for sheet, integrand in zip(sheets, integrands)
     ))
     integral = math.fsum(per_sheet)
     expected = (-1.0) ** (base.k - 1) * quantum * base.euler_char

@@ -61,7 +61,7 @@ def _values(text):
 def _scale(label):
     """The quantum of a row's integrals, totals and estimates; None where a value is its own scale."""
     first, *rest = label.split()  # "name kind", "tube name", or "name" alone before the reach
-    if first in ("tube", "tube_8"):
+    if first in ("tube", "tube_8", "tube_10"):
         return cl.sphere_volume(cl.catalog_get(rest[0]).k - 1)
     if rest and rest[0].startswith("gauss_bonnet"):
         imm = cl.catalog_get(first)

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import curvlab as cl
-from curvlab import tube
+from curvlab import integrate, tube
 from curvlab.curvature import _minors
 from curvlab.errors import (
     CurvlabError,
@@ -18,7 +18,7 @@ from curvlab.errors import (
     ReachExceededError,
 )
 
-from curvlab.immersion import _batch, _stack
+from curvlab.immersion import _batch, _householder_frame, _stack
 from curvlab.integrate import reduce_over_grid, reduce_until_converged
 from curvlab.jets import Jet, cos, dot, sin, sqrt
 
@@ -186,7 +186,7 @@ def _all_variable_sheet_jets(cfg, sign, U, order):
         minors = _minors([_unit(t) for t in tangents])
         frame = [_unit([(-1.0) ** a * minors[(*range(a), *range(a + 1, base.k))] for a in range(base.k)])]
     else:
-        frame, _, _ = tube._householder_frame(tangents, base.k)
+        frame, _, _ = _householder_frame(tangents, base.k)
     y = [sign] if base.n == 1 else tube._sphere_values([x.truncate(order) for x in xs[base.m:]])
     return [X[a].truncate(order) + cfg.eps * dot(y, [frame[s][a] for s in range(base.n)])
             for a in range(base.k)]
@@ -210,17 +210,44 @@ def test_sheet_jets_match_the_all_variable_construction(name, eps, rng):
             assert_allclose(got, expected, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("name, eps, tol", [
+    ("sphere2_r3", 0.1, 1e-15), ("graph_m3_n1", 0.1, 1e-15), ("circle_r3", 0.1, 1e-15),
+    ("clifford_torus_r4", 0.2, 1e-15), ("graph_n3", 0.1, 1e-15), ("graph_n4", 0.1, 1e-15),
+    # near its polar axes the second partials of the frame cancel, and the two orders of summation differ
+    # there by up to 1.1e-14 (3,000 points at the default margin)
+    ("sphere2_r4", 0.05, 1e-13),
+])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_the_gauss_map_is_the_reflections_run_back_over_0_y(name, eps, tol, order, rng):
+    # g = Q (0, y), the reflections run in reverse on one vector, against sum_s y_s nu_s over the normal frame
+    # nu = `_householder_frame` of the same tangent jets, with y = sigma * sign in codimension 1
+    cfg = _tube_case(name, eps)
+    base = cfg.base
+    for sheet, sign in zip(cl.tube_boundary_immersion(cfg).sheets, (1.0, -1.0)):
+        U = _batch(sheet, cl.sample_domain(sheet, 30, rng))
+        V = U.head(base.m)
+        X = base.jet_map(V, order + 1)
+        pieces = tube._base_frame_pieces(base, V, X)
+        _, g = tube._sheet_chart(cfg, *pieces, U, sign)
+        frame, _, _ = _householder_frame([[X[a].partial(i) for a in range(base.k)] for i in range(base.m)], base.k)
+        y = [pieces[2] * sign] if base.n == 1 else tube._sphere_values(Jet.variables(U.columns, order)[base.m:])
+        want = [dot(y, [frame[s][a] for s in range(base.n)]) for a in range(base.k)]
+        for got_a, want_a in zip(g, want, strict=True):
+            for got, expected in zip(got_a.dense(sheet.m), want_a.dense(sheet.m), strict=True):
+                assert np.all(np.abs(got - expected) <= tol * np.maximum(1.0, np.abs(expected)))
+
+
 def test_base_pieces_are_evaluated_in_base_variables_at_the_sheet_order(monkeypatch):
-    # the frame gets the tangents at the sheet's order (the chart runs at order + 1), in the m base variables
+    # the QR gets the tangents at the sheet's order (the chart runs at order + 1), in the m base variables
     base = get("sphere2_r4")
     seen = []
-    householder_frame = tube._householder_frame
+    householder_qr = tube._householder_qr
 
-    def recording_frame(tangents, k):
+    def recording_qr(tangents):
         seen.extend((c.order, set(c.support) <= set(range(base.m))) for t in tangents for c in t)
-        return householder_frame(tangents, k)
+        return householder_qr(tangents)
 
-    monkeypatch.setattr(tube, "_householder_frame", recording_frame)
+    monkeypatch.setattr(tube, "_householder_qr", recording_qr)
     sheet = cl.tube_boundary_immersion(cl.TubeConfig(base, 0.05)).sheets[0]
     for order in (1, 2):
         seen.clear()
@@ -276,7 +303,9 @@ def _sheet_tensor_bytes(jets, i):
 def test_sheet_jets_over_repeated_base_points_equal_each_point_alone(name):
     # shuffled sheet points over six base points, two of them apart only in the sign of a zero
     # angle: batched, they must give each point's jets bit for bit, so -0.0 is not merged with +0.0;
-    # where the two signs give different jets (not on sphere2_r4, whose frame is the same at both)
+    # where the two signs give different jets: on circle_r3 only, since sphere2_r4's frame is the same at
+    # both, and on sphere2_r3 the zero coordinate of g is +0.0 at both (sigma scales y before the reflections,
+    # whose sums give +0.0), so X's +-0.0 plus eps * g is +0.0 at both
     base = get(name)
     sheet = cl.tube_boundary_immersion(cl.TubeConfig(base, 0.5 * base.reach)).sheets[0]
     rng = np.random.default_rng(5)
@@ -292,7 +321,7 @@ def test_sheet_jets_over_repeated_base_points_equal_each_point_alone(name):
     for i in range(len(U)):
         assert _sheet_tensor_bytes(batch, i) == _sheet_tensor_bytes(sheet.jet_map(U[i:i + 1], 2), 0), i
     minus, plus = np.flatnonzero(at == 4)[0], np.flatnonzero(at == 5)[0]
-    if name != "sphere2_r4":
+    if name == "circle_r3":
         assert _sheet_tensor_bytes(batch, minus) != _sheet_tensor_bytes(batch, plus)
 
 
@@ -387,34 +416,42 @@ def test_closed_surface_files_in_codimension_2_run_a_tube_total(surface_file, gr
     assert cl.tube_identity_check(cfg, [math.pi / 2] * cfg.base.m, nu).relative < 1e-12
 
 
-@pytest.mark.parametrize("u", [(0.1, -0.2), (0.3, 0.4), (-0.5, 0.2)])
-def test_codim3_tube_point_on_the_fiber_pole_is_refused(u):
-    # The fiber chart (cos psi, sin psi cos theta, sin psi sin theta) has its
-    # pole at psi = 0, the direction of the first frame vector; there
-    # d/dtheta vanishes and the sheet point is rank deficient.  Within ~1e-8
-    # of the pole, roundoff in acos puts psi at 0 (refused, as at the first two u) or
-    # at ~1.5e-8 (evaluated, at the third: relative residual 3.2e-9); 1e-7 away the identity holds.
-    refused = u != (-0.5, 0.2)
-    base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=3, degree=2, scale=0.2)
+def _on_the_first_fiber_pole_is_refused(n, u):
+    # The fiber chart (cos psi_1, sin psi_1 (...)) has its poles at psi_1 = 0 and pi, the directions of
+    # +-the first frame vector; there d/dtheta vanishes and the sheet point is rank deficient.  psi_1 =
+    # arctan2(|y_1:|, y_0) reads a direction read back off a pole sheet point within ~1e-17 of the pole, so
+    # the point is refused by name; 1e-7 away, in a generic direction, the identity holds to roundoff.
+    base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=n, degree=2, scale=0.2)
     cfg = cl.TubeConfig(base, 0.1)
     boundary = cl.tube_boundary_immersion(cfg)
     u = np.array(u)
-    pole = (boundary.sheets[0].points([[*u, 0.0, 0.0]]) - base.points(u[None]))[0] / cfg.eps
-    coeffs = cl.frame_data_at(base, u).normal_frame.T @ pole
-    on_pole = cl.NormalDirection.unit(coeffs)
-    near = cl.NormalDirection.unit(coeffs + [0.0, 1e-7, 0.0])
-    assert cl.tube_identity_check(cfg, u, near, boundary=boundary).relative < 1e-9
-    if not refused:
-        assert cl.tube_identity_check(cfg, u, on_pole, boundary=boundary).relative < 1e-6  # criterion 7
-        return
-    with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
-        cl.tube_point(cfg, u, on_pole, boundary=boundary)
-    assert f"parameter point [{u[0]}, {u[1]}, 0.0, " in str(err.value)
-    # after a good point in one batch, the pole point is the one named
-    good = cl.NormalDirection.unit([0.3, 0.5, 0.8])
-    with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
-        cl.tube_point(cfg, [(0.2, 0.1), u], [good, on_pole], boundary)
-    assert f"parameter point [{u[0]}, {u[1]}, 0.0, " in str(err.value)
+    good = cl.NormalDirection.unit(np.linspace(0.3, 0.8, n))
+    for angle in (0.0, np.pi):
+        fiber = [angle] + [0.0] * (n - 2)
+        pole = (boundary.sheets[0].points([[*u, *fiber]]) - base.points(u[None]))[0] / cfg.eps
+        coeffs = cl.frame_data_at(base, u).normal_frame.T @ pole
+        on_pole = cl.NormalDirection.unit(coeffs)
+        # not along coefficient 1 alone, which in codimension 4 lands on psi_2's pole
+        near = cl.NormalDirection.unit(coeffs + 1e-7 * np.r_[0.0, np.ones(n - 1)])
+        assert cl.tube_identity_check(cfg, u, near, boundary=boundary).relative < 1e-9
+        with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
+            cl.tube_point(cfg, u, on_pole, boundary=boundary)
+        named = _named_point(err)
+        assert named[:2] == list(u) and abs(named[2] - angle) <= 1e-15, (angle, named)
+        # after a good point in one batch, the pole point is the one named
+        with pytest.raises(DegenerateImmersionError, match="graph_poly_tube: first-derivative") as err:
+            cl.tube_point(cfg, [(0.2, 0.1), u], [good, on_pole], boundary)
+        assert _named_point(err) == named
+
+
+@pytest.mark.parametrize("u", [(0.1, -0.2), (0.3, 0.4), (-0.5, 0.2)])
+def test_codim3_tube_point_on_the_fiber_pole_is_refused(u):
+    _on_the_first_fiber_pole_is_refused(3, u)
+
+
+@pytest.mark.parametrize("u", [(0.1, -0.2), (0.3, 0.4), (-0.5, 0.2)])
+def test_codim4_tube_point_on_the_first_fiber_pole_is_refused(u):
+    _on_the_first_fiber_pole_is_refused(4, u)
 
 
 def _named_point(err):
@@ -432,9 +469,8 @@ def test_codim4_tube_points_on_the_fiber_poles_are_refused():
         with pytest.raises(DegenerateImmersionError, match="sphere2_r6_tube: first-derivative") as err:
             cl.tube_point(cfg, [1.0, 0.5], cl.NormalDirection(np.array(coeffs)))
         assert _named_point(err) == [1.0, 0.5, *fiber]
-    # on a random graph, a direction read back off a sheet point on psi_2's pole lands within roundoff of that
-    # pole and is refused; one on psi_1's pole is refused where y_0 rounds to +-1, as here (elsewhere
-    # arccos puts psi_1 ~1.5e-8 off the pole, as in codimension 3)
+    # on a random graph, a direction read back off a sheet point on psi_1's or psi_2's pole lands within
+    # roundoff of that pole and is refused
     base = cl.random_graph_poly(np.random.default_rng(3), m=2, n=4, degree=2, scale=0.2)
     cfg = cl.TubeConfig(base, 0.1)
     boundary = cl.tube_boundary_immersion(cfg)
@@ -823,16 +859,69 @@ def test_a_sheet_integrand_off_the_promised_polynomial_stops_on_no_wrong_level()
     assert abs(value - (-4.0 * np.pi**2)) <= 1e-12 * quantum
 
 
-def test_fixed_resolution_runs_one_reduction_per_sheet():
-    cfg = cl.TubeConfig(get("sphere2_r3"), 0.1)
-    res = cl.tube_total_curvature(cfg, resolution=16)
+@pytest.mark.parametrize("name, eps, resolution", [
+    ("sphere2_r3", 0.1, 16),
+    ("sphere4_r5", 0.125, 10),  # 10^4 points per sheet make two chunks, each filed under its own nodes
+])
+def test_fixed_resolution_runs_one_reduction_per_sheet(name, eps, resolution):
+    cfg = cl.TubeConfig(get(name), eps)
+    res = cl.tube_total_curvature(cfg, resolution=resolution)
     sheets = cl.tube_boundary_immersion(cfg).sheets
     assert res.per_sheet == tuple(
-        reduce_over_grid(sheet, cl.default_grid(sheet, 16), tube._sheet_integrand(cfg, sheet, sign))
+        reduce_over_grid(sheet, cl.default_grid(sheet, resolution), tube._sheet_integrand(cfg, sheet, sign))
         for sheet, sign in zip(sheets, (1.0, -1.0), strict=True)
     )
-    assert res.grid_shapes == ((16, 16), (16, 16))
+    assert res.grid_shapes == ((resolution,) * cfg.base.m,) * 2
     assert res.error_estimate is None and res.converged is None
+
+
+def test_a_codimension_1_total_evaluates_the_base_once_for_both_sheets(monkeypatch):
+    # both sheets' 13^2 grids lie over the same 169 base points: the plus sheet's integrand evaluates their
+    # 2-jets once and files the minus sheet's values, so the minus sheet evaluates nothing
+    calls = []
+    jet_map = cl.Immersion.jet_map
+
+    def recording_jet_map(imm, U, order):
+        calls.append((imm.name, order, len(U)))
+        return jet_map(imm, U, order)
+
+    monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
+    cl.tube_total_curvature(cl.TubeConfig(get("sphere2_r3"), 0.1), resolution=13)
+    assert calls == [("sphere2_r3", 2, 169)]
+
+
+@pytest.mark.parametrize("name, eps", [("sphere2_r3", 0.1), ("torus_rev_r3", 0.1)])
+def test_paired_sheets_give_every_level_the_bits_of_each_sheet_alone(name, eps, monkeypatch):
+    # each level either sheet reduces, not only the one it stops on, against its one-sheet integrand
+    cfg = cl.TubeConfig(get(name), eps)
+    reduce, levels = integrate.reduce_over_grid, []
+
+    def recording_reduce(imm, grid, integrand):
+        value = reduce(imm, grid, integrand)
+        levels.append((imm.name, grid.shape, value))
+        return value
+
+    monkeypatch.setattr(integrate, "reduce_over_grid", recording_reduce)
+    res = cl.tube_total_curvature(cfg)
+    monkeypatch.undo()
+    for index, sheet in enumerate(cl.tube_boundary_immersion(cfg).sheets):
+        seen = [(shape, value) for sheet_name, shape, value in levels if sheet_name == sheet.name]
+        assert len(seen) >= 2 and seen[-1] == (res.grid_shapes[index], res.per_sheet[index])
+        for (shape, value), grid in zip(seen, tube._sheet_levels(cfg.base)):
+            assert shape == grid.shape
+            assert value == reduce(sheet, grid, tube._sheet_integrand(cfg, sheet, 1.0 - 2.0 * index))
+
+
+def test_paired_sheet_integrands_give_each_chunk_the_bits_of_each_sheet_alone():
+    # the minus sheet takes a chunk's filed row, or, where the plus sheet filed none, evaluates it alone
+    cfg = cl.TubeConfig(get("torus_rev_r3"), 0.1)
+    plus, minus = cl.tube_boundary_immersion(cfg).sheets
+    paired = tube._paired_sheet_integrands(cfg, plus, minus)
+    alone = [tube._sheet_integrand(cfg, sheet, sign) for sheet, sign in ((plus, 1.0), (minus, -1.0))]
+    filed, unfiled = (cl.default_grid(minus, r)._window(0, 0, r)[0] for r in (8, 13))
+    assert paired[0](filed).tobytes() == alone[0](filed).tobytes()
+    for U in (filed, unfiled):
+        assert paired[1](U).tobytes() == alone[1](U).tobytes()
 
 
 @pytest.mark.parametrize("name, eps, resolution, sheet_m", [

@@ -18,7 +18,8 @@ For each catalog name (all of them by default) it prints:
   `tube_total_curvature` by `float.hex`, and its `grid_shapes`;
 - for the same cases, and for `product_s2s2_r6` at half its reach, `per_sheet` of
   `tube_total_curvature(cfg, resolution=8)` by `float.hex`: that product's sheets hold 32,768 points,
-  so their reductions span several chunks;
+  so their reductions span several chunks; and the same at `resolution=10` for `sphere4_r5` at
+  eps = 0.125, in codimension 1, whose two sheets of 10,000 points are paired chunk by chunk;
 - for the same cases, the sha256 of `tube_point`, `tube_identity_check` and `tube_spectrum_check`
   at 20 points `sample_domain(base, 20, default_rng(0))`, one point at a time, with directions
   drawn from the same generator; `tube_point` by the fields in `TUBE_POINT_FIELDS`.
@@ -42,7 +43,7 @@ import numpy as np
 import curvlab as cl
 
 TUBE_CASES = (("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1))  # criterion 8
-MULTI_CHUNK_TUBES = (("product_s2s2_r6", 0.25),)  # resolution 8 only
+MULTI_CHUNK_TUBES = (("product_s2s2_r6", 0.25, 8), ("sphere4_r5", 0.125, 10))  # at that resolution only
 TUBE_POINT_FIELDS = ("u", "point", "gauss_normal", "classical_k", "normal_jacobian", "sheet_index",
                      "sheet_param", "shape_operator")  # with nu_hat's coefficients and both FrameData
 
@@ -89,17 +90,17 @@ def rows(names, digests=True):
             yield (f"tube {name} eps={eps} per_sheet=({', '.join(map(_hex, res.per_sheet))}) "
                    f"grid_shapes={tuple(map(tuple, res.grid_shapes))} "
                    f"error_estimate={_hex(res.error_estimate)}")
-            yield _tube_8(name, cfg)
+            yield _tube_fixed(name, cfg, 8)
             if digests:
                 yield f"tube_point {name} eps={eps} sha256={_sha256(_tube_point_values(cfg))}"
-    for name, eps in MULTI_CHUNK_TUBES:
+    for name, eps, resolution in MULTI_CHUNK_TUBES:
         if name in names:
-            yield _tube_8(name, cl.TubeConfig(cl.catalog_get(name), eps))
+            yield _tube_fixed(name, cl.TubeConfig(cl.catalog_get(name), eps), resolution)
 
 
-def _tube_8(name, cfg):
-    fixed = cl.tube_total_curvature(cfg, resolution=8)
-    return f"tube_8 {name} eps={cfg.eps} per_sheet=({', '.join(map(_hex, fixed.per_sheet))})"
+def _tube_fixed(name, cfg, resolution):
+    fixed = cl.tube_total_curvature(cfg, resolution=resolution)
+    return f"tube_{resolution} {name} eps={cfg.eps} per_sheet=({', '.join(map(_hex, fixed.per_sheet))})"
 
 
 def _tube_point_values(cfg):

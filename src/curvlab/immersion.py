@@ -4,8 +4,9 @@ An `Immersion` couples a chart domain with an evaluator written in jet arithmeti
 values and first/second derivatives come out exact to roundoff (finite differences appear only
 in consistency tests).  From the 2-jet we derive the induced metric, an orthonormal normal frame
 (Householder reflections of the tangents, in generic scalars: arrays here, jets for the tube
-frame) and the vector-valued second fundamental form.  Only the 1-jets are stacked into batch
-arrays, for the frame; both forms are read off each coordinate's partials on its support.
+frame) and the vector-valued second fundamental form, all read off each coordinate's partials
+in the jet's own window-broadcast shape; a partial off its support is a structural zero, the plain
+number 0.0, whose terms the reflections skip.  Only the frame is laid out over the batch, at the end.
 
 Sign convention: `second_form[s, i, j]` is the inner product of the ambient
 second derivative of the chart with normal frame vector s, i.e. the normal
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateImmersionError, DomainError
-from .jets import Jet, _cells, dot, sqrt
+from .jets import Jet, _cells, _structural_zero, dot, sqrt
 
 __all__ = [
     "Axis",
@@ -208,16 +209,20 @@ def _value(c):  # the values of a generic scalar
 
 
 def _reflect(v, beta, y):
-    """(I - beta v v^T) y for ambient vectors v and y of generic scalars, of one length."""
-    w = beta * dot(v, y)
-    return [c - w * e for c, e in zip(y, v)]
+    """(I - beta v v^T) y for ambient vectors v and y of generic scalars, of one length: y itself where
+    <v, y> is a structural zero (`jets._structural_zero`), and y's entry wherever v's entry is one."""
+    d = dot(v, y)
+    if _structural_zero(d):
+        return y
+    w = beta * d
+    return [c if _structural_zero(e) else c - w * e for c, e in zip(y, v)]
 
 
 @np.errstate(divide="ignore", invalid="ignore")  # a lost tangent gives inf or NaN, refused by the caller
 def _householder_qr(tangents):
     """Householder QR of m tangents, all a rank check needs: reflections (v, beta), rank-loss mask, R.
 
-    Every vector is a list of k generic scalars (jets or arrays); the QR differentiates wherever
+    Every vector is a list of k generic scalars (jets, arrays or structural zeros); the QR differentiates wherever
     the tangents do and keep full rank.  Reflection j takes x, column j of the tangents on rows j..,
     to alpha e_j with alpha = s|x| and s = -copysign(1, x_0), the sign taken from the point's value;
     2/|v|^2 is written beta = 1/(|x|(|x| - s x_0)), so that it differentiates.  R comes as rows
@@ -254,32 +259,33 @@ def _householder_frame(tangents, k):
     return frame, lost, R
 
 
-def _normal_frames(d1: np.ndarray):
-    """Orthonormal normal frames (k, n, B) for a batch of 1-jets (k, m, B), and a rank-loss mask (B,).
+def _normal_frames(tangents):
+    """Orthonormal normal frames of m tangents, each a list of k arrays that broadcast or structural
+    zeros: n columns of k such entries, and a rank-loss mask in the broadcast shape of the batch.
 
-    `_householder_frame` of the m tangent columns of d1, stacked batch axis last.  Any
-    orthonormal frame will do, since K_M averages over the whole normal sphere.  The
-    reflections leave tangential roundoff of the frame's own size in it, which swamps the
-    normal part of d2 where a coordinate vector nearly vanishes (near a polar axis).  So one
-    corrected semi-normal step F - d1 R^-1 R^-T d1^T F (a forward substitution with R^T, then
-    a back substitution with R) removes the tangential part measured against d1 itself.  A
-    point that loses rank solves with the identity in place of R.  A zero column divides by
-    zero within its own point only, and that point has lost rank.  NaN jets pass, for the
-    reduction's finite-value check.
+    `_householder_frame` of the tangents, which keeps their shapes and skips their structural zeros.
+    Any orthonormal frame will do, since K_M averages over the whole normal sphere.  The reflections
+    leave tangential roundoff of the frame's own size in it, which swamps the normal part of d2 where
+    a coordinate vector nearly vanishes (near a polar axis).  So one corrected semi-normal step
+    F - d1 R^-1 R^-T d1^T F (a forward substitution with R^T, then a back substitution with R), one
+    column of F at a time, removes the tangential part measured against the tangents d1 themselves.
+    A point that loses rank solves with the identity in place of R.  A zero column divides by zero
+    within its own point only, and that point has lost rank.  NaN jets pass, for the reduction's
+    finite-value check.
     """
-    m = d1.shape[1]
-    frame, lost, R = _householder_frame([list(d1[:, i]) for i in range(m)], d1.shape[0])
-    frame = np.stack([np.stack(v) for v in frame], axis=1)
+    m = len(tangents)
+    frame, lost, R = _householder_frame(tangents, len(tangents[0]))
     R = [[np.where(lost, float(i == 0), r) for i, r in enumerate(row)] for row in R]  # the identity where lost
-    c = [(d1[:, i, None] * frame).sum(axis=0) for i in range(m)]  # d1^T F, m of (n, B)
-    y = []
-    for i in range(m):  # R^T y = d1^T F
-        y.append((c[i] - sum(R[j][i - j] * y[j] for j in range(i))) / R[i][0])
-    z = [None] * m
-    for i in reversed(range(m)):  # R z = y
-        z[i] = (y[i] - sum(R[i][j - i] * z[j] for j in range(i + 1, m))) / R[i][0]
-    for i in range(m):
-        frame -= d1[:, i, None] * z[i]
+    for s, col in enumerate(frame):
+        y = []
+        for i in range(m):  # R^T y = d1^T F
+            y.append((dot(tangents[i], col) - sum(R[j][i - j] * y[j] for j in range(i))) / R[i][0])
+        z = [None] * m
+        for i in reversed(range(m)):  # R z = y
+            z[i] = (y[i] - sum(R[i][j - i] * z[j] for j in range(i + 1, m))) / R[i][0]
+        for t, zi in zip(tangents, z):
+            col = [c if _structural_zero(e) else c - e * zi for c, e in zip(col, t)]
+        frame[s] = col
     return frame, lost
 
 
@@ -300,18 +306,21 @@ def _refuse_rank_loss(name, U: np.ndarray, lost: np.ndarray):
 
 def _forms(name, js, V: GridBatch):
     """Metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis last, from the 2-jets js of
-    immersion `name` (or one name per point) over V; names the first point of rank loss.  Only d1 is stacked,
-    for the frame: coordinate a adds the products of its first partials, and frame row a times its second
-    partials, into the cells of its support, so every point sums over the coordinates in one order."""
+    immersion `name` (or one name per point) over V; names the first point of rank loss.  Nothing is stacked:
+    tangent i, coordinate a, is the jet's partial in variable i in its own shape, or 0.0 off its support, and
+    coordinate a adds the products of its first partials, and frame row a times its second partials, into the
+    cells of its support, so every point sums over the coordinates in one order."""
     m = len(V.columns)
-    frame, lost = _normal_frames(_stack(js, 1, m, V)[1])
-    _refuse_rank_loss(name, V, lost)
+    tangents = [[j.tensors[1][j.support.index(i)] if i in j.support else 0.0 for j in js] for i in range(m)]
+    frame, lost = _normal_frames(tangents)
+    _refuse_rank_loss(name, V, V.rows(lost))
+    frame = np.stack([np.stack([np.broadcast_to(c, V.window) for c in col]) for col in frame], axis=1)
     metric, second = np.zeros((m, m) + V.window), np.zeros((frame.shape[1], m, m) + V.window)
-    for f, j in zip(frame.reshape(*frame.shape[:2], *V.window), js):
+    for f, j in zip(frame, js):
         for p, q in np.ndindex(*j.tensors[2].shape[:2]):
             metric[j.support[p], j.support[q]] += j.tensors[1][p] * j.tensors[1][q]
             second[:, j.support[p], j.support[q]] += f * j.tensors[2][p, q]
-    return metric.reshape(m, m, -1), second.reshape(*second.shape[:3], -1), frame
+    return metric.reshape(m, m, -1), second.reshape(*second.shape[:3], -1), frame.reshape(*frame.shape[:2], -1)
 
 
 def frames_at(imm: Immersion, U: np.ndarray):

@@ -272,9 +272,16 @@ def sqrt(x):
     return x.sqrt() if isinstance(x, Jet) else np.sqrt(x)
 
 
+def _structural_zero(x) -> bool:
+    """Whether x is a structural zero: a plain number equal to 0.  An array or a jet never is, whatever it holds."""
+    return isinstance(x, (int, float)) and x == 0
+
+
 def dot(xs, ys):
-    """Inner product of two lists of generic scalars (jets or numbers)."""
-    acc = xs[0] * ys[0]
-    for a, b in zip(xs[1:], ys[1:]):
-        acc = acc + a * b
-    return acc
+    """Inner product of two lists of generic scalars (jets or numbers), summed in order.  A term with a
+    structural zero, a +-0 product, is left out, so only an exact zero's sign can differ; 0.0 if all are."""
+    acc = None
+    for a, b in zip(xs, ys):
+        if not (_structural_zero(a) or _structural_zero(b)):
+            acc = a * b if acc is None else acc + a * b
+    return 0.0 if acc is None else acc

@@ -126,7 +126,8 @@ def _base_frame_pieces(base: Immersion, U, X):
     """Jets of X and the Householder reflections of its tangents at `order`, all in the m base variables.
 
     `U` is a `GridBatch` of base parameters, and `X` is `base.jet_map(U, order + 1)`, evaluated
-    by the caller over U's window, so its tangents are m-variable jets at `order`.  Their
+    by the caller over U's window, so its tangents are m-variable jets at `order`, and the structural
+    zero 0.0 off each coordinate's support, which the QR and the reflect-back skip.  Their
     `immersion._householder_qr`, the QR that gives the base forms' frame from their values, gives
     Q = H_0 ... H_(m-1), whose last n columns are a normal frame smooth near each point: all a
     fiber integral needs.  In codimension 1, sigma = prod_j sign(R_jj), the signs of the QR
@@ -135,7 +136,7 @@ def _base_frame_pieces(base: Immersion, U, X):
     first base point where the tangents lose rank is named before the reflections are used.
     """
     order = X[0].order - 1
-    tangents = [[X[a].partial(i) for a in range(base.k)] for i in range(base.m)]
+    tangents = [[X[a].partial(i) if i in X[a].support else 0.0 for a in range(base.k)] for i in range(base.m)]
     reflections, lost, R = _householder_qr(tangents)
     _refuse_rank_loss(base.name, U, U.rows(lost))
     sigma = math.prod(np.sign(row[0].val) for row in R) if base.n == 1 else None

@@ -42,9 +42,10 @@ def test_bit_table_runs_on_one_catalog_entry():
     assert abs(area - 4 * np.pi) < 1e-12
     tool = _load_tool()
     assert lines == list(tool.rows(["sphere2_r3"]))  # the same bits in another process
-    # a tube whose sheets span several chunks has its fixed-resolution row only
-    assert [line.split()[:2] for line in tool.rows(["product_s2s2_r6"])][-2:] == [
-        ["product_s2s2_r6", "egregium_report"], ["tube_8", "product_s2s2_r6"]]
+    # a tube whose sheets span several chunks has its fixed-resolution row only; the rotated chart follows
+    assert [line.split()[:2] for line in tool.rows(["product_s2s2_r6"])][-4:] == [
+        ["product_s2s2_r6", "egregium_report"], ["tube_8", "product_s2s2_r6"],
+        ["product_s2s2_r6_rotated", "gauss_bonnet_13"], ["product_s2s2_r6_rotated", "frames_at_window"]]
 
 
 def _fields(line):
@@ -60,11 +61,11 @@ def _values(text):
 
 def _scale(label):
     """The quantum of a row's integrals, totals and estimates; None where a value is its own scale."""
-    first, *rest = label.split()  # "name kind", "tube name", or "name" alone before the reach
+    first, *rest = label.split()  # "name kind", "tube name", or "name" alone before the reach; "<name>_rotated kind"
     if first in ("tube", "tube_8", "tube_10"):
         return cl.sphere_volume(cl.catalog_get(rest[0]).k - 1)
     if rest and rest[0].startswith("gauss_bonnet"):
-        imm = cl.catalog_get(first)
+        imm = cl.catalog_get(first.removesuffix("_rotated"))
         return cl.sphere_volume(imm.k - 1) / cl.sphere_volume(imm.n - 1)
     return None
 

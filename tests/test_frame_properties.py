@@ -39,8 +39,8 @@ def _moments_K(d1, d2, frame):
 
 def _check_frame(imm, U):
     _, d1, d2 = cl.jets_at(imm, U, order=2)
-    frame, lost = _normal_frames(np.moveaxis(d1, 0, -1))
-    frame = np.moveaxis(frame, -1, 0)
+    columns, lost = _normal_frames([list(d1[:, :, i].T) for i in range(imm.m)])
+    frame = np.array([[np.broadcast_to(c, lost.shape) for c in col] for col in columns]).transpose(2, 1, 0)
     reference = _qr_frames(d1)
     assert not lost.any()
     assert_allclose(np.swapaxes(frame, 1, 2) @ frame, np.broadcast_to(np.eye(imm.n), (len(U), imm.n, imm.n)),

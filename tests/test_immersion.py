@@ -11,8 +11,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import curvlab as cl
 from curvlab.errors import DegenerateImmersionError, DomainError
-from curvlab.immersion import _stacked_jets
-from curvlab.jets import Jet
+from curvlab import immersion
+from curvlab.immersion import _batch, _forms, _householder_frame, _normal_frames, _stacked_jets
+from curvlab.jets import Jet, dot
 
 from conftest import ALL_NAMES, circle_r3_file, get, wiggly_torus_file
 
@@ -341,6 +342,106 @@ def test_a_curve_gets_the_same_forms_in_a_batch_of_one(n):
     for i in range(len(U)):
         for got, want in zip(batch, cl.frames_at(imm, U[i:i + 1]), strict=True):
             assert np.array_equal(got[i], want[0]), i
+
+
+# -- the frame on the jets' own shapes -----------------------------------------
+
+
+def _rotated(imm):
+    """imm carried through a fixed orthogonal map of R^k: every coordinate depends on every variable."""
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((imm.k, imm.k)))[0]
+
+    def chart(xs):
+        X = imm.chart(xs)
+        return [dot(X, q.tolist()) for q in Q]
+
+    return dataclasses.replace(imm, name=f"{imm.name}_rotated", chart=chart)
+
+
+def _graph(n):
+    return dataclasses.replace(cl.random_graph_poly(np.random.default_rng(n), m=2, n=n), name=f"graph_n{n}")
+
+
+def _dense(js, V):
+    """The jets on all m variables with every tensor broadcast over the whole window: each tangent entry an
+    array of the batch's size, a zero partial among them an array of zeros, so no entry is a structural zero."""
+    m = len(V.columns)
+    return [Jet([np.broadcast_to(t, t.shape[:r] + V.window) for r, t in enumerate(j.dense(m))], tuple(range(m)))
+            for j in js]
+
+
+@pytest.mark.parametrize("imm", [
+    *(get(name) for name in ("product_s2s2_r6", "sphere4_r5", "torus_rev_r3", "graph_poly")),
+    *(_graph(n) for n in range(1, 6)),
+    _rotated(get("product_s2s2_r6")),
+], ids=lambda imm: imm.name)
+def test_structural_zeros_move_no_nonzero_bit(imm, rng):
+    # the forms and frame from the jets' own shapes equal, up to the sign of an exact zero, those of the same
+    # tangents given dense, over a grid window whose jets broadcast and over a batch of sampled points
+    for V in (cl.default_grid(imm, 8)._window(0, 0, 8)[0], _batch(imm, cl.sample_domain(imm, 50, rng))):
+        js = imm.jet_map(V, 2)
+        for got, want in zip(_forms(imm.name, js, V), _forms(imm.name, _dense(js, V), V), strict=True):
+            assert np.array_equal(got, want)
+
+
+def _stacked_normal_frames(tangents):
+    """The reference: `_normal_frames` of tangents (m lists of k (B,) arrays) written on stacked arrays, d1 as
+    (k, m, B).  d1^T F is numpy's sum along the leading coordinate axis, which adds in order, and each
+    substitution solves for every frame column at once."""
+    d1 = np.stack([np.stack(t) for t in tangents], axis=1)
+    m = d1.shape[1]
+    columns, lost, R = _householder_frame(tangents, d1.shape[0])
+    frame = np.stack([np.stack([np.broadcast_to(c, lost.shape) for c in col]) for col in columns], axis=1)
+    R = [[np.where(lost, float(i == 0), r) for i, r in enumerate(row)] for row in R]
+    c = [(d1[:, i, None] * frame).sum(axis=0) for i in range(m)]
+    y = []
+    for i in range(m):
+        y.append((c[i] - sum(R[j][i - j] * y[j] for j in range(i))) / R[i][0])
+    z = [None] * m
+    for i in reversed(range(m)):
+        z[i] = (y[i] - sum(R[i][j - i] * z[j] for j in range(i + 1, m))) / R[i][0]
+    for i in range(m):
+        frame = frame - d1[:, i, None] * z[i]
+    return frame
+
+
+@pytest.mark.parametrize("imm", [
+    *(get(name) for name in ("sphere2_r4", "clifford_torus_r4", "product_s2s2_r6")),
+    *(_graph(n) for n in (2, 3)),
+    _rotated(get("product_s2s2_r6")),
+], ids=lambda imm: imm.name)
+def test_the_frame_is_corrected_column_by_column_as_in_one_stacked_solve(imm, rng):
+    # every frame column gets the semi-normal step, by the same operations in the same order as the stacked one
+    _, d1, _ = cl.jets_at(imm, cl.sample_domain(imm, 200, rng), 2)
+    tangents = [list(d1[:, :, i].T) for i in range(imm.m)]
+    columns, lost = _normal_frames(tangents)
+    frame = np.stack([np.stack([np.broadcast_to(c, lost.shape) for c in col]) for col in columns], axis=1)
+    assert np.array_equal(frame, _stacked_normal_frames(tangents))
+
+
+def test_the_frame_qr_runs_on_the_jets_own_shapes(monkeypatch):
+    # one reduction chunk of product_s2s2_r6's 13^4 level: each factor sphere's coordinates depend on its own
+    # two grid axes, so a tangent is 0.0 off its coordinate's support, and the first two reflections, those
+    # of the first factor, hold entries of its 48 rows only
+    imm = get("product_s2s2_r6")
+    V = cl.default_grid(imm, 13)._window(1, 0, 48)[0]
+    assert V.window == (48, 13, 13)
+    seen = []
+    householder_qr = immersion._householder_qr
+
+    def recording_qr(tangents):
+        out = householder_qr(tangents)
+        seen.append((tangents, out[0]))
+        return out
+
+    monkeypatch.setattr(immersion, "_householder_qr", recording_qr)
+    cl.frames_at(imm, V)
+    [(tangents, reflections)] = seen
+    for i, tangent in enumerate(tangents):
+        for j, c in zip(imm.jet_map(V, 2), tangent, strict=True):
+            assert (i in j.support) or (type(c) is float and c == 0.0), (i, c)
+    for v, beta in reflections[:2]:
+        assert all(np.size(c) <= 48 for c in (*v, beta))
 
 
 def test_frames_at_stacks_no_second_derivatives():

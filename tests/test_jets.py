@@ -143,6 +143,18 @@ def test_generic_dispatchers_pass_through_plain_values():
     assert_allclose(d.dense(2)[1][:, 0], [2 * 0.9, 2 * 0.3])
 
 
+def test_dot_leaves_out_the_terms_with_a_structural_zero():
+    # a structural zero is a plain number equal to 0; an array of zeros is not one, nor is a jet of zeros
+    x = Jet.variables(np.array([[0.3]]), order=1)[0]
+    assert dot([0.0, 2.0], [np.inf, 3.0]) == 6.0  # 0 * inf is left out, not NaN
+    assert dot([x, 0], [0.0, x]) == 0.0 and type(dot([x, 0], [0.0, x])) is float
+    assert dot([], []) == 0.0
+    kept = dot([np.zeros(2), 1.5], [np.ones(2), 0.0])
+    assert isinstance(kept, np.ndarray) and kept.shape == (2,) and not kept.any()
+    assert isinstance(dot([Jet.constant(0.0, 1, 1)], [x]), Jet)
+    assert dot([2.0, 0.0, 3.0], [5.0, x, 7.0]) == 31.0
+
+
 def test_batched_evaluation_matches_pointwise():
     U = np.array([[0.3, -0.7], [1.1, 0.4], [-0.5, 0.9]])
     x, y = Jet.variables(U, order=3)

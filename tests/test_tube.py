@@ -238,21 +238,32 @@ def test_the_gauss_map_is_the_reflections_run_back_over_0_y(name, eps, tol, orde
 
 
 def test_base_pieces_are_evaluated_in_base_variables_at_the_sheet_order(monkeypatch):
-    # the QR gets the tangents at the sheet's order (the chart runs at order + 1), in the m base variables
+    # the QR gets the tangents at the sheet's order (the chart runs at order + 1), in the m base variables,
+    # and the structural zero 0.0 exactly where the partial is off its coordinate's support
     base = get("sphere2_r4")
     seen = []
     householder_qr = tube._householder_qr
 
     def recording_qr(tangents):
-        seen.extend((c.order, set(c.support) <= set(range(base.m))) for t in tangents for c in t)
+        seen.append(tangents)
         return householder_qr(tangents)
 
     monkeypatch.setattr(tube, "_householder_qr", recording_qr)
     sheet = cl.tube_boundary_immersion(cl.TubeConfig(base, 0.05)).sheets[0]
+    U = np.array([[1.1, 0.7, 0.3], [0.4, 2.0, 5.0]])
     for order in (1, 2):
         seen.clear()
-        sheet.jet_map(np.array([[1.1, 0.7, 0.3], [0.4, 2.0, 5.0]]), order)
-        assert seen == [(order, True)] * (base.m * base.k)
+        sheet.jet_map(U, order)
+        [tangents] = seen
+        X = base.jet_map(U[:, :base.m], order + 1)
+        entries = [(i in x.support, c) for i, t in enumerate(tangents) for x, c in zip(X, t, strict=True)]
+        assert len(entries) == base.m * base.k
+        assert sum(not on for on, _ in entries) == 3  # d_p cos(t) and both partials of the constant 0.0
+        for on, c in entries:
+            if on:
+                assert isinstance(c, Jet) and c.order == order and set(c.support) <= set(range(base.m))
+            else:
+                assert type(c) is float and c == 0.0
 
 
 @pytest.mark.parametrize("name", ["sphere2_r4", "graph_poly"])

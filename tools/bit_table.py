@@ -22,7 +22,10 @@ For each catalog name (all of them by default) it prints:
   eps = 0.125, in codimension 1, whose two sheets of 10,000 points are paired chunk by chunk;
 - for the same cases, the sha256 of `tube_point`, `tube_identity_check` and `tube_spectrum_check`
   at 20 points `sample_domain(base, 20, default_rng(0))`, one point at a time, with directions
-  drawn from the same generator; `tube_point` by the fields in `TUBE_POINT_FIELDS`.
+  drawn from the same generator; `tube_point` by the fields in `TUBE_POINT_FIELDS`;
+- for `product_s2s2_r6`, its `gauss_bonnet_13` and `frames_at_window` rows once more, as
+  `product_s2s2_r6_rotated`, the chart carried through a seeded rotation of R^6: every coordinate
+  then depends on every variable, so its frames run on dense tangents, with no structural zero.
 
 Run it against two source trees (set PYTHONPATH to each) and diff the outputs: equal output
 means equal bits.  The values themselves are not portable, since sin and cos may round
@@ -41,9 +44,11 @@ import hashlib
 import numpy as np
 
 import curvlab as cl
+from curvlab.jets import dot
 
 TUBE_CASES = (("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.1))  # criterion 8
 MULTI_CHUNK_TUBES = (("product_s2s2_r6", 0.25, 8), ("sphere4_r5", 0.125, 10))  # at that resolution only
+ROTATED = "product_s2s2_r6"  # also through a seeded rotation, for dense tangents
 TUBE_POINT_FIELDS = ("u", "point", "gauss_normal", "classical_k", "normal_jacobian", "sheet_index",
                      "sheet_param", "shape_operator")  # with nu_hat's coefficients and both FrameData
 
@@ -59,6 +64,27 @@ def _sha256(arrays):
     return digest.hexdigest()
 
 
+def _rotated(imm):
+    """imm carried through the orthogonal factor of a QR of a seeded Gaussian matrix, named `<name>_rotated`."""
+    Q = np.linalg.qr(np.random.default_rng(0).standard_normal((imm.k, imm.k)))[0]
+
+    def chart(xs):
+        X = imm.chart(xs)
+        return [dot(X, q.tolist()) for q in Q]
+
+    return dataclasses.replace(imm, name=f"{imm.name}_rotated", chart=chart)
+
+
+def _fixed_grid_row(imm):
+    fixed = [cl.gauss_bonnet_check(imm, cl.default_grid(imm, 13), route) for route in ("moments", "quadrature")]
+    return f"{imm.name} gauss_bonnet_13 moments={_hex(fixed[0].integral)} quadrature={_hex(fixed[1].integral)}"
+
+
+def _window_row(imm):
+    window = cl.default_grid(imm, 8)._window(0, 0, 8)[0]
+    return f"{imm.name} frames_at_window sha256={_sha256(cl.frames_at(imm, window))}"
+
+
 def rows(names, digests=True):
     """The table's lines for the catalog `names`, in order; without `digests`, no sha256 line."""
     for name in names:
@@ -70,13 +96,11 @@ def rows(names, digests=True):
         yield f"{name} gauss_bonnet_quadrature integral={_hex(quadrature.integral)}"
         area = cl.integrate_scalar(imm, lambda U: np.ones(len(U)), cl.default_grid(imm, 13))
         yield f"{name} integrate_scalar area={_hex(area)}"
-        fixed = [cl.gauss_bonnet_check(imm, cl.default_grid(imm, 13), route) for route in ("moments", "quadrature")]
-        yield f"{name} gauss_bonnet_13 moments={_hex(fixed[0].integral)} quadrature={_hex(fixed[1].integral)}"
+        yield _fixed_grid_row(imm)
         if digests:
             U = cl.sample_domain(imm, 300, np.random.default_rng(0))
             yield f"{name} frames_at sha256={_sha256(cl.frames_at(imm, U))}"
-            window = cl.default_grid(imm, 8)._window(0, 0, 8)[0]
-            yield f"{name} frames_at_window sha256={_sha256(cl.frames_at(imm, window))}"
+            yield _window_row(imm)
             yield f"{name} jets_at_3 sha256={_sha256(cl.jets_at(imm, U, 3))}"
             if imm.m in (2, 4):
                 reports = (dataclasses.astuple(cl.egregium_report(imm, u)) for u in U[:20])
@@ -96,6 +120,11 @@ def rows(names, digests=True):
     for name, eps, resolution in MULTI_CHUNK_TUBES:
         if name in names:
             yield _tube_fixed(name, cl.TubeConfig(cl.catalog_get(name), eps), resolution)
+    if ROTATED in names:
+        imm = _rotated(cl.catalog_get(ROTATED))
+        yield _fixed_grid_row(imm)
+        if digests:
+            yield _window_row(imm)
 
 
 def _tube_fixed(name, cfg, resolution):

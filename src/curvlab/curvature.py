@@ -33,6 +33,7 @@ import numpy as np
 from .errors import DomainError, UnsupportedDimensionError
 from .immersion import FrameData, Immersion, _stacked_jets, frames_at, induced_metric
 from .immersion import frame_data_at  # unused here: perfbench/tracing.py wraps this binding
+from .jets import _accumulate
 
 __all__ = [
     "NormalDirection",
@@ -191,25 +192,22 @@ def _even_index_table(m: int, n: int):
 
 
 def _add_row(minors: dict, row) -> dict:
-    """Laplace step: from the minors of some bottom rows, keyed by their column sets,
-    to those of the same rows with `row` (m, ...) on top."""
+    """Laplace step: from the minors of some bottom rows, keyed by their column sets, to those of the same
+    rows with `row` (m, ...) on top.  `jets._accumulate` leaves out each term with a structural zero in its
+    entry or minor, and starts the sum at the first term left, negated at odd t; a minor with none is 0.0."""
     size = len(next(iter(minors))) + 1
     out = {}
     for cols in itertools.combinations(range(len(row)), size):
-        acc = row[cols[0]] * minors[cols[1:]]
-        for t in range(1, size):
-            term = row[cols[t]] * minors[cols[:t] + cols[t + 1:]]
-            if t % 2:
-                acc -= term
-            else:
-                acc += term
+        acc = 0.0
+        for t in range(size):
+            acc = _accumulate(acc, row[cols[t]], minors[cols[:t] + cols[t + 1:]], t % 2)
         out[cols] = acc
     return out
 
 
 def _minors(rows) -> dict:
     """Maximal minors of r rows (r, k, ...), batch axes last, keyed by column set, by bottom-up Laplace
-    expansion: those of the last row, the last two, ..., all r.  Elementwise only (arrays or jets)."""
+    expansion: those of the last row, the last two, ..., all r.  Elementwise only (arrays, jets, structural zeros)."""
     minors = {(): 1.0}
     for row in rows[::-1]:
         minors = _add_row(minors, row)
@@ -217,8 +215,25 @@ def _minors(rows) -> dict:
 
 
 def _det(a) -> np.ndarray:
-    """Determinants of square matrices a (m, m, ...), batch axes last; a NaN entry gives a NaN."""
+    """Determinants of square matrices a (m, m, ...), batch axes last, an array or nested lists of `_minors`
+    entries; a NaN in an entry the determinant depends on, any entry of an array, gives a NaN."""
     return _minors(a)[tuple(range(len(a)))]
+
+
+def _curvature_moments(det_g, second):
+    """Moments-route K_M from det(I) and the second form (n, m, m, ...) of `_minors` entries, batch axes last, in
+    their broadcast shape: `batched_curvature_moments` on its storage, `integrate` on the cells of `_forms`."""
+    n, m = len(second), len(second[0])
+    alphas, moments = _even_index_table(m, n)
+    memo = {(): {(): 1.0}}
+    acc = 0.0  # no alpha at odd m: K_M is 0 there
+    for alpha, moment in zip(alphas, moments):
+        for i in range(m - 1, 1, -1):
+            if alpha[i:] not in memo:
+                memo[alpha[i:]] = _add_row(memo[alpha[i + 1:]], second[alpha[i]][i])
+        minors = _add_row(memo[alpha[2:]], second[alpha[1]][1])
+        acc = acc + moment * _add_row(minors, second[alpha[0]][0])[tuple(range(m))]
+    return acc / det_g / sphere_volume(n - 1)
 
 
 def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -227,27 +242,14 @@ def batched_curvature_moments(metric: np.ndarray, second: np.ndarray) -> np.ndar
     Row-mixed determinants of the chart-coordinate form, divided by det(I)
     once: whitening scales their moment-weighted sum by exactly 1/det(I).
     A caller that needs det(I) itself may pass it, shape (B,), as `metric`.
-    The kernel works on (n,m,m,B) batch-last storage: a view when `second` is
-    itself a view of such storage, as from `frames_at`, and one copy otherwise.
+    The kernel works on (n,m,m,B) batch-last storage of arrays, none a structural
+    zero: a view of `frames_at`'s storage, and one copy of any other `second`.
     Row i of the determinant for alpha is second[alpha_i, i], so the minors
     over rows i..m-1 depend on alpha[i:] only; for i >= 2, where alphas share
     them, they are built once per suffix.
     """
-    b, n, m, _ = second.shape
-    if m % 2:
-        return np.zeros(b)
-    second = np.ascontiguousarray(np.moveaxis(second, 0, -1))
     det_g = metric if metric.ndim == 1 else _det(np.moveaxis(metric, 0, -1))
-    alphas, moments = _even_index_table(m, n)
-    memo = {(): {(): 1.0}}
-    acc = np.zeros(b)
-    for alpha, moment in zip(alphas, moments):
-        for i in range(m - 1, 1, -1):
-            if alpha[i:] not in memo:
-                memo[alpha[i:]] = _add_row(memo[alpha[i + 1:]], second[alpha[i], i])
-        minors = _add_row(memo[alpha[2:]], second[alpha[1], 1])
-        acc += moment * _add_row(minors, second[alpha[0], 0])[tuple(range(m))]
-    return acc / det_g / sphere_volume(n - 1)
+    return _curvature_moments(det_g, np.ascontiguousarray(np.moveaxis(second, 0, -1)))
 
 
 _QUADRATURE_BLOCK = 32768  # matrices (points times rule nodes) per block

@@ -5,8 +5,9 @@ values and first/second derivatives come out exact to roundoff (finite differenc
 in consistency tests).  From the 2-jet we derive the induced metric, an orthonormal normal frame
 (Householder reflections of the tangents, in generic scalars: arrays here, jets for the tube
 frame) and the vector-valued second fundamental form, all read off each coordinate's partials
-in the jet's own window-broadcast shape; a partial off its support is a structural zero, the plain
-number 0.0, whose terms the reflections skip.  Only the frame is laid out over the batch, at the end.
+in the jet's own window-broadcast shape; a partial off its support, and a cell of the forms that no
+support covers, is a structural zero, the plain number 0.0, whose terms the reflections and the
+determinants skip.  Only the frame is laid out over the batch, at the end, and the forms for `frames_at`.
 
 Sign convention: `second_form[s, i, j]` is the inner product of the ambient
 second derivative of the chart with normal frame vector s, i.e. the normal
@@ -23,7 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateImmersionError, DomainError
-from .jets import Jet, _cells, _structural_zero, dot, sqrt
+from .jets import Jet, _accumulate, _cells, _structural_zero, dot, sqrt
 
 __all__ = [
     "Axis",
@@ -305,29 +306,43 @@ def _refuse_rank_loss(name, U: np.ndarray, lost: np.ndarray):
 
 
 def _forms(name, js, V: GridBatch):
-    """Metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis last, from the 2-jets js of
-    immersion `name` (or one name per point) over V; names the first point of rank loss.  Nothing is stacked:
-    tangent i, coordinate a, is the jet's partial in variable i in its own shape, or 0.0 off its support, and
-    coordinate a adds the products of its first partials, and frame row a times its second partials, into the
-    cells of its support, so every point sums over the coordinates in one order."""
+    """Metric (m, m), second form (n, m, m) and frame (k,n,B) from the 2-jets js of immersion `name` (or one
+    name per point) over V; names the first point of rank loss.  Nothing is stacked: tangent i, coordinate a,
+    is the jet's partial in variable i in its own shape, or 0.0 off its support, and coordinate a adds the
+    products of its first partials, and frame row a times its second partials, into the cells of its support,
+    so every point sums over the coordinates in one order.  The forms are lists of cells in their terms' shape,
+    or 0.0 where no support holds both variables; only the frame is laid out, batch last (`_dense_forms`)."""
     m = len(V.columns)
     tangents = [[j.tensors[1][j.support.index(i)] if i in j.support else 0.0 for j in js] for i in range(m)]
     frame, lost = _normal_frames(tangents)
     _refuse_rank_loss(name, V, V.rows(lost))
     frame = np.stack([np.stack([np.broadcast_to(c, V.window) for c in col]) for col in frame], axis=1)
-    metric, second = np.zeros((m, m) + V.window), np.zeros((frame.shape[1], m, m) + V.window)
+    metric, second = ([[0.0] * m for _ in range(m)] for _ in range(2))
     for f, j in zip(frame, js):
         for p, q in np.ndindex(*j.tensors[2].shape[:2]):
-            metric[j.support[p], j.support[q]] += j.tensors[1][p] * j.tensors[1][q]
-            second[:, j.support[p], j.support[q]] += f * j.tensors[2][p, q]
-    return metric.reshape(m, m, -1), second.reshape(*second.shape[:3], -1), frame.reshape(*frame.shape[:2], -1)
+            i, l = j.support[p], j.support[q]
+            metric[i][l] = _accumulate(metric[i][l], j.tensors[1][p], j.tensors[1][q])
+            second[i][l] = _accumulate(second[i][l], f, j.tensors[2][p, q])  # (n, window): every Pi_s at once
+    second = [[[c if _structural_zero(c) else c[s] for c in row] for row in second] for s in range(frame.shape[1])]
+    return metric, second, frame.reshape(*frame.shape[:2], -1)
+
+
+def _dense_forms(name, js, V: GridBatch):
+    """`_forms` laid out: metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis last.  Each cell
+    is written as 0 + cell, the bits of its terms summed into zeros: a structural zero or a -0 reads +0."""
+    metric, second, frame = _forms(name, js, V)
+    out = np.empty((1 + len(second), len(metric), len(metric)) + V.window)  # the metric, then each Pi_s
+    for s, i, j in np.ndindex(*out.shape[:3]):
+        np.add(0.0, (metric, *second)[s][i][j], out=out[s, i, j])
+    out = out.reshape(*out.shape[:3], -1)
+    return out[0], out[1:], frame
 
 
 def frames_at(imm: Immersion, U: np.ndarray):
     """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n), views of
     batch-last storage with the batch axis moved first; the second form is read off the jets, not a stack."""
     V = _batch(imm, U)
-    return tuple(np.moveaxis(t, -1, 0) for t in _forms(imm.name, imm.jet_map(V, 2), V))
+    return tuple(np.moveaxis(t, -1, 0) for t in _dense_forms(imm.name, imm.jet_map(V, 2), V))
 
 
 def frame_data_at(imm: Immersion, u: Sequence[float]) -> FrameData:

@@ -40,9 +40,10 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .curvature import _det, batched_curvature_moments, batched_curvature_quadrature, sphere_volume
+from .curvature import _curvature_moments, _det, batched_curvature_quadrature, sphere_volume
+from .curvature import batched_curvature_moments  # unused here: perfbench/tracing.py wraps this binding
 from .errors import DegenerateImmersionError
-from .immersion import Axis, GridBatch, Immersion, _stacked_jets, frames_at, induced_metric
+from .immersion import Axis, GridBatch, Immersion, _batch, _forms, _stacked_jets, frames_at, induced_metric
 from .jets import cos, sin
 
 __all__ = [
@@ -321,20 +322,25 @@ def _build_sphere_rule(m: int, n: int) -> NormalSphereRule:
     return NormalSphereRule(np.stack(_sphere_values(angles), axis=-1).reshape(-1, n), weights.ravel())
 
 
-def _curvature_route(route: str):
-    """The batched K_M kernel (metric or det(metric), second form) -> (B,) of a named route."""
+def _curvature(imm: Immersion, U, route: str):
+    """K_M by a named route and det(I), both (B,), at a `GridBatch` or (B, m) points U.  The moments route and
+    its det(I) read the cells of `_forms`, leaving out their structural zeros, so a product chart's cross blocks
+    cost nothing; the quadrature route reads the forms laid out, as `frames_at` gives them."""
+    V = _batch(imm, U)
     if route == "moments":
-        return batched_curvature_moments
+        metric, second, _ = _forms(imm.name, imm.jet_map(V, 2), V)
+        det_g = _det(metric)
+        return V.rows(_curvature_moments(det_g, second)), V.rows(det_g)
     if route == "quadrature":
-        return batched_curvature_quadrature
+        metric, second, _ = frames_at(imm, V)
+        det_g = _det(np.moveaxis(metric, 0, -1))
+        return batched_curvature_quadrature(det_g, second), det_g
     raise ValueError(f"unknown curvature route {route!r}")
 
 
 def batched_curvature(imm: Immersion, U: np.ndarray, route: str = "moments") -> np.ndarray:
     """Generalized curvature K_M at a batch of parameter points."""
-    curvature = _curvature_route(route)
-    metric, second, _ = frames_at(imm, U)
-    return curvature(metric, second)
+    return np.array(_curvature(imm, U, route)[0])  # the caller's own: `GridBatch.rows` gives a read-only view
 
 
 @dataclass
@@ -361,13 +367,11 @@ def gauss_bonnet_check(imm: Immersion, grid: Optional[QuadratureGrid] = None,
     distance.  Without a `grid` the default grid is refined until converged,
     with the volume ratio (one unit of chi) as the quantum.
     """
-    curvature = _curvature_route(route)
     ratio = sphere_volume(imm.k - 1) / sphere_volume(imm.n - 1)
 
     def integrand(U):
-        metric, second, _ = frames_at(imm, U)
-        det_g = _det(np.moveaxis(metric, 0, -1))
-        return curvature(det_g, second) * np.sqrt(det_g)
+        k_m, det_g = _curvature(imm, U, route)
+        return k_m * np.sqrt(det_g)
 
     levels = (grid,) if grid is not None else (default_grid(imm, r) for r in _refinement_ladder(imm))
     integral, grid_shape, error_estimate, converged = reduce_until_converged(imm, integrand, ratio, levels)

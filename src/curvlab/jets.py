@@ -35,7 +35,7 @@ from __future__ import annotations
 from functools import cache, reduce
 from itertools import combinations
 from math import factorial
-from operator import mul
+from operator import iadd, isub, mul
 
 import numpy as np
 
@@ -275,6 +275,19 @@ def sqrt(x):
 def _structural_zero(x) -> bool:
     """Whether x is a structural zero: a plain number equal to 0.  An array or a jet never is, whatever it holds."""
     return isinstance(x, (int, float)) and x == 0
+
+
+def _accumulate(acc, a, b, negate=False):
+    """acc + a * b, or acc - a * b if `negate`, for generic scalars; left out where a or b is a structural zero.
+    A structural zero acc starts the sum at +-a * b, its own array, into which later terms add in place."""
+    if _structural_zero(a) or _structural_zero(b):
+        return acc
+    term = a * b
+    if _structural_zero(acc):
+        return -term if negate else term
+    if getattr(acc, "shape", None) != getattr(term, "shape", None):  # a broadcast may grow the sum
+        return acc - term if negate else acc + term
+    return isub(acc, term) if negate else iadd(acc, term)
 
 
 def dot(xs, ys):

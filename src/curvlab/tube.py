@@ -51,7 +51,7 @@ import numpy as np
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError
-from .immersion import (FrameData, GridBatch, Immersion, _batch, _forms, _householder_qr, _reflect,
+from .immersion import (FrameData, GridBatch, Immersion, _batch, _dense_forms, _householder_qr, _reflect,
                         _reflect_back, _refuse_rank_loss, _stack, _value, frame_data_at, induced_metric)
 from .integrate import (QuadratureGrid, _refinement_ladder, _sphere_axes, _sphere_coords, _sphere_domain,
                         _sphere_values, default_grid, reduce_until_converged)
@@ -243,7 +243,7 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
         _check_direction(nu, base.n)
     C, V = np.array([nu.coeffs for nu in directions]).T, _batch(base, U)
     X = base.jet_map(V, 2)
-    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _forms(base.name, X, V)))
+    base_frame = FrameData(*(np.moveaxis(f, -1, 0) for f in _dense_forms(base.name, X, V)))
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
     X, reflections, sigma = _base_frame_pieces(base, V, X)
     y = list(_combine(C, base_frame.normal_frame.T))  # nu_hat in the ambient space, k of (B,)

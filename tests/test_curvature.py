@@ -97,6 +97,54 @@ def test_det_of_the_sphere4_r5_metrics_on_the_20_node_grid():
     assert_allclose(_det(metric) / want, 1.0, rtol=0, atol=1e-13)
 
 
+_BATCH = (3, 4)  # two batch axes, so that entries broadcast along either
+
+
+def _patterns(m, rng):
+    """Structurally nonsingular patterns of covered cells (m, m): block-diagonal, as a product chart's metric;
+    an arrowhead, as a chart whose first variable meets every other; an anti-diagonal, whose expansion keeps
+    only odd-t terms in some rows; and a random one holding a random permutation."""
+    h = (m + 1) // 2
+    block = np.zeros((m, m), bool)
+    block[:h, :h] = block[h:, h:] = True
+    arrow = np.eye(m, dtype=bool)
+    arrow[0], arrow[:, 0] = True, True
+    anti = np.eye(m, dtype=bool)[::-1]
+    random = rng.random((m, m)) < 0.4
+    random[np.arange(m), rng.permutation(m)] = True
+    return {"block": block, "arrow": arrow, "anti-diagonal": anti, "random": random}
+
+
+def _matched(pattern, rows, cols) -> bool:
+    """Whether the covered cells of `pattern` on `rows` x `cols` hold a perfect matching: the minor has a term
+    with no structural zero in it."""
+    return any(all(pattern[r, c] for r, c in zip(rows, p)) for p in itertools.permutations(cols))
+
+
+def _entries(pattern, rng):
+    """Random entries on the covered cells, each in one of the shapes that broadcast to _BATCH, as nested lists
+    with 0.0 on the others; and the same matrix as one array (m, m, *_BATCH), zero arrays on the others."""
+    shapes = [(_BATCH[0], 1), (1, _BATCH[1]), _BATCH]
+    cells = [[rng.normal(size=shapes[rng.integers(3)]) if c else 0.0 for c in row] for row in pattern]
+    return cells, np.array([[np.broadcast_to(c, _BATCH) for c in row] for row in cells])
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_det_and_minors_of_structural_zeros_equal_those_of_zero_arrays(m, rng):
+    # every term left out holds a structural zero, a +-0 product, so every minor keeps its bits; a minor is
+    # the structural zero 0.0 exactly where its cells hold no perfect matching, and then it is 0 given dense
+    for name, pattern in _patterns(m, rng).items():
+        cells, dense = _entries(pattern, rng)
+        got, want = curvature._minors(cells), curvature._minors(dense)
+        assert got.keys() == want.keys()
+        for cols, minor in got.items():
+            structural = type(minor) is float and minor == 0.0
+            assert structural != _matched(pattern, range(m - len(cols), m), cols), (name, cols)
+            assert np.array_equal(np.broadcast_to(minor, _BATCH), want[cols]), (name, cols)
+        assert np.array_equal(np.broadcast_to(_det(cells), _BATCH), _det(dense)), name
+        assert np.all(_det(dense) != 0.0), name
+
+
 def test_det_of_a_matrix_with_a_nan_entry_is_nan(rng):
     # the reduction's finite-value gate reads this
     for m in range(1, 6):
@@ -105,6 +153,21 @@ def test_det_of_a_matrix_with_a_nan_entry_is_nan(rng):
             a[i, j, 1] = np.nan
             det = _det(a)
             assert np.isnan(det[1]) and np.isfinite(det[[0, 2]]).all(), (m, i, j)
+    # structured: a NaN in a cell the determinant depends on, one with a perfect matching through it, gives
+    # a NaN; the same matrix given with zero arrays depends on every cell, a zero one among them
+    for m in range(1, 6):
+        for name, pattern in _patterns(m, rng).items():
+            for i, j in itertools.product(range(m), repeat=2):
+                cells, dense = _entries(pattern, rng)
+                dense[i, j, 1, 2] = np.nan
+                det = _det(dense)
+                assert np.isnan(det[1, 2]) and np.isfinite(np.delete(det.ravel(), 6)).all(), (m, name, i, j)
+                if pattern[i, j]:
+                    cells[i][j] = dense[i, j].copy()
+                    det = np.broadcast_to(_det(cells), _BATCH)
+                    depends = _matched(pattern, [r for r in range(m) if r != i], [c for c in range(m) if c != j])
+                    assert np.isnan(det[1, 2]) == depends, (m, name, i, j)
+                    assert np.isfinite(np.delete(det.ravel(), 6)).all(), (m, name, i, j)
 
 
 # -- directional curvature --------------------------------------------------

@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 import curvlab as cl
 from curvlab.errors import DegenerateImmersionError, DomainError
 from curvlab import immersion
-from curvlab.immersion import _batch, _forms, _householder_frame, _normal_frames, _stacked_jets
+from curvlab.immersion import _batch, _dense_forms, _forms, _householder_frame, _normal_frames, _stacked_jets
 from curvlab.jets import Jet, dot
 
 from conftest import ALL_NAMES, circle_r3_file, get, wiggly_torus_file
@@ -380,7 +380,7 @@ def test_structural_zeros_move_no_nonzero_bit(imm, rng):
     # tangents given dense, over a grid window whose jets broadcast and over a batch of sampled points
     for V in (cl.default_grid(imm, 8)._window(0, 0, 8)[0], _batch(imm, cl.sample_domain(imm, 50, rng))):
         js = imm.jet_map(V, 2)
-        for got, want in zip(_forms(imm.name, js, V), _forms(imm.name, _dense(js, V), V), strict=True):
+        for got, want in zip(_dense_forms(imm.name, js, V), _dense_forms(imm.name, _dense(js, V), V), strict=True):
             assert np.array_equal(got, want)
 
 
@@ -442,6 +442,24 @@ def test_the_frame_qr_runs_on_the_jets_own_shapes(monkeypatch):
             assert (i in j.support) or (type(c) is float and c == 0.0), (i, c)
     for v, beta in reflections[:2]:
         assert all(np.size(c) <= 48 for c in (*v, beta))
+
+
+@pytest.mark.parametrize("imm, cross", [
+    (get("product_s2s2_r6"), True), (get("sphere4_r5"), False), (_rotated(get("product_s2s2_r6")), False),
+], ids=["product_s2s2_r6", "sphere4_r5", "product_s2s2_r6_rotated"])
+def test_the_forms_leave_the_float_zero_in_exactly_the_cells_no_support_covers(imm, cross):
+    # one reduction chunk of the 13^4 level: on product_s2s2_r6 no coordinate's support holds a variable of
+    # each factor sphere, so the 8 cross-block cells of the metric and of each Pi_s are the float 0.0; every
+    # cell of sphere4_r5, and of the product carried through a rotation, is covered, so none is
+    V = cl.default_grid(imm, 13)._window(1, 0, 48)[0]
+    metric, second, _ = _forms(imm.name, imm.jet_map(V, 2), V)
+    want = {(i, j) for i in range(4) for j in range(4) if cross and (i < 2) != (j < 2)}
+    for cells in (metric, *second):
+        assert {(i, j) for i in range(4) for j in range(4) if type(cells[i][j]) is float} == want
+        assert all(cells[i][j] == 0.0 for i, j in want)
+    assert len(second) == imm.n
+    if cross:  # a covered cell keeps its window-broadcast shape: the first factor's rows only
+        assert metric[0][0].shape == (48, 1, 1) and metric[2][2].shape == (1, 13, 13)
 
 
 def test_frames_at_stacks_no_second_derivatives():

@@ -436,6 +436,23 @@ def test_a_fixed_grid_runs_one_reduction_on_exactly_that_grid():
     assert refined.integral == fixed.integral  # the refinement reports its finer level
 
 
+@pytest.mark.parametrize("imm", [
+    get("product_s2s2_r6"), get("sphere4_r5"),
+    dataclasses.replace(cl.random_graph_poly(np.random.default_rng(3), m=2, n=3), name="graph_n3"),
+], ids=lambda imm: imm.name)
+@pytest.mark.parametrize("route", ["moments", "quadrature"])
+def test_k_m_of_a_point_does_not_depend_on_its_batch(imm, route):
+    # a grid window, whose forms keep their broadcast shapes and structural zeros, its points as a (B, m)
+    # batch, and each point as a batch of one give K_M bit for bit alike
+    V = cl.default_grid(imm, 4)._window(max(0, imm.m - 3), 0, 3)[0]
+    assert len(V.window) >= 2
+    window = cl.batched_curvature(imm, V, route)
+    assert window.shape == (len(V),)
+    assert np.array_equal(window, cl.batched_curvature(imm, V.points, route))
+    for i, u in enumerate(V.points):
+        assert np.array_equal(window[i:i + 1], cl.batched_curvature(imm, u[None], route)), i
+
+
 def test_unknown_route_is_rejected_before_the_mesh(monkeypatch):
     def no_mesh(self):
         raise AssertionError("mesh built for an unknown route")

@@ -12,7 +12,8 @@ integrand's cost per point is flat from ~8,800 points up and a chunk has
 ~1.1 ms of fixed cost, so larger chunks only hold more transient memory.  Fixed
 chunks, pairwise sums inside each and compensated sums across them give
 bit-identical integrals on every run.  A non-finite integrand value fails the
-integral and names its parameter point.
+integral and names its parameter point.  An integrand may give a tuple of rows,
+several integrals over one evaluation, each summed to the bits of a lone row.
 
 Every total goes through `reduce_until_converged`, which reduces over a
 sequence of levels until two successive integrals agree within 1e-12 of the
@@ -21,8 +22,9 @@ uniform grids of 8, 13, 20, 31, ... nodes per axis (coprime neighbours),
 capped by `default_grid`; a fixed grid is the one level `(grid,)`, compared
 with none.  For analytic charts both rules converge exponentially, so the last
 difference between levels is the reported error estimate: the error of the
-coarser level, which the finer one improves on.  A tube sheet runs that ladder
-on its base axes only, with fiber axes on rules exact for them (`tube.py`).
+coarser level, which the finer one improves on; rows stop together.  A tube total
+runs that ladder on its base axes only, with fiber axes on rules exact for them
+(`tube.py`), and its sheets are the rows of one integrand.
 
 The unit sphere S^(n-1) is charted here once, for every n, by its angles, and
 `_sphere_axes` gives product axes on them that are exact for polynomials of a
@@ -162,9 +164,10 @@ def default_grid(imm: Immersion, resolution: Optional[int] = None) -> Quadrature
 
 
 def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
-                     integrand: Callable[[GridBatch], np.ndarray]) -> float:
+                     integrand: Callable[[GridBatch], np.ndarray]) -> float | tuple[float, ...]:
     """Weighted grid sum of `integrand`: a `GridBatch` of B points (B, m) -> (B,) density-weighted
-    values; any other shape of values is refused, as numpy would broadcast it against the weights."""
+    values, or a tuple of r such rows, whose r sums come back as a tuple.  A row of any other shape is
+    refused, as numpy would broadcast it against the weights; so is a bare (r, B) array, that shape at r = B."""
     if len(grid.axes) != imm.m:
         raise ValueError(f"grid has {len(grid.axes)} axes, immersion has {imm.m}")
     for i, (ax, dom) in enumerate(zip(grid.axes, imm.domain)):
@@ -184,17 +187,19 @@ def reduce_over_grid(imm: Immersion, grid: QuadratureGrid,
     for lo in range(0, lead, step):
         Uc, W = grid._window(d, lo, min(lo + step, lead))
         values = integrand(Uc)
-        if np.shape(values) != (len(Uc),):
-            raise ValueError(f"{imm.name}: integrand maps {len(Uc)} points to values of shape "
-                             f"{np.shape(values)}, expected ({len(Uc)},)")
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise DegenerateImmersionError(
-                f"{imm.name}: integrand is not finite at {int(bad.sum())} point(s) of its chunk, "
-                f"first at parameter point {Uc[np.argmax(bad)].tolist()}"
-            )
-        partials.append(float(np.sum(values * W)))
-    return math.fsum(partials)
+        rows = values if isinstance(values, tuple) else (values,)
+        for r, row in enumerate(rows):
+            name = f"{imm.name}: integrand" + (f" row {r}" if rows is values else "")
+            if np.shape(row) != (len(Uc),):
+                raise ValueError(f"{name} maps {len(Uc)} points to values of shape {np.shape(row)}, "
+                                 f"expected ({len(Uc)},)")
+            bad = ~np.isfinite(row)
+            if bad.any():
+                raise DegenerateImmersionError(f"{name} is not finite at {int(bad.sum())} point(s) of its chunk, "
+                                               f"first at parameter point {Uc[np.argmax(bad)].tolist()}")
+        partials.append([float(np.sum(row * W)) for row in rows])
+    sums = tuple(math.fsum(row) for row in zip(*partials))
+    return sums if isinstance(values, tuple) else sums[0]
 
 
 def _refinement_ladder(imm: Immersion) -> list[Optional[int]]:
@@ -227,19 +232,23 @@ def reduce_until_converged(
     that finer value; the estimate is the last difference between levels, and
     converged is False when the last level was reached before two levels
     agreed.  One level is compared with none: its estimate and flag are None; no level raises `ValueError`.
+    Rows get a tuple of integrals and one of estimates, and stop on the first level where every row agrees.
     """
-    previous = error = converged = grid = None
+    previous = errors = converged = grid = None
     for grid in levels:
         value = reduce_over_grid(imm, grid, integrand)
+        values = value if isinstance(value, tuple) else (value,)
         if previous is not None:
-            error = abs(value - previous)
-            converged = error <= _REFINE_TOL * quantum
+            errors = tuple(abs(v - p) for v, p in zip(values, previous))
+            converged = all(error <= _REFINE_TOL * quantum for error in errors)
             if converged:
                 break
-        previous = value
+        previous = values
     if grid is None:
         raise ValueError(f"{imm.name}: levels is empty; give at least one grid")
-    return value, grid.shape, error, converged
+    if errors is not None and not isinstance(value, tuple):
+        errors = errors[0]
+    return value, grid.shape, errors, converged
 
 
 def integrate_scalar(imm: Immersion, f: Callable[[GridBatch], np.ndarray],

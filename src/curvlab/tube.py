@@ -20,7 +20,7 @@ X and the reflections depend on u alone, so they are jets in the m base variable
 on the base axes of a batch's window, so once per base point of a grid.  The sheet's
 p = m + n - 1 variables put theta last, so those jets add as they are to the jets of
 y(theta), which are seeded in the theta variables alone.  In codimension 1 the two sheets lie over
-the same base points, and a total evaluates each chunk's base once for both.
+the same base points, so a total reduces them as two rows: each chunk's base once, one stopping level.
 
 The Gauss map g is formed on the way to F, and it is the sheet's unit normal: <d_i X, g> = 0 since
 g is normal to the base, and <d_i g, g> = 0 since |g| = 1.  So Weingarten's equation gives the
@@ -316,9 +316,9 @@ class TubeTotalResult:
     expected: float
     residual: float
     per_sheet: tuple[float, ...]
-    grid_shapes: tuple[tuple[int, ...], ...]  # per sheet, the grid each integral was taken on
+    grid_shapes: tuple[tuple[int, ...], ...]  # per sheet, the grid each integral was taken on: one grid for all
     error_estimate: Optional[float]  # summed over sheets; None on a resolution the caller fixed
-    converged: Optional[bool]  # every sheet converged
+    converged: Optional[bool]  # every sheet agreed with the level before on the one level they stop on
 
 
 def _sheet_density(name, F, g, U):
@@ -328,36 +328,19 @@ def _sheet_density(name, F, g, U):
     return _det(second[0]) / det_g * np.sqrt(det_g)
 
 
-def _sheet_integrand(cfg: TubeConfig, sheet: Immersion, sheet_sign: float):
-    """Gaussian curvature times area density of one sheet, of sign `sheet_sign`, over a `GridBatch` of sheet
-    points -> (B,): its forms from the 1-jets of the sheet and of its Gauss map, on base 2-jets."""
-    return lambda U: _sheet_density(sheet.name, *_sheet_jets(cfg, sheet_sign, U, 1), U)
+def _sheet_integrand(boundary: TubeBoundary):
+    """Gaussian curvature times area density of each sheet of `boundary`, a row (B,) per sheet, over a `GridBatch`
+    of sheet points: one `_base_frame_pieces` per chunk, from its base 2-jets, gives each sheet its chart and Gauss
+    map, whose 1-jets give its forms.  A point's values do not depend on its chunk or on the other sheet's."""
+    cfg = boundary.config
 
+    def integrand(U):
+        V = U.head(cfg.base.m)
+        pieces = _base_frame_pieces(cfg.base, V, cfg.base.jet_map(V, 2))
+        return tuple(_sheet_density(sheet.name, *_sheet_chart(cfg, *pieces, U, sign), U)
+                     for sheet, sign in zip(boundary.sheets, (1.0, -1.0)))  # the signs of `tube_boundary_immersion`
 
-def _paired_sheet_integrands(cfg: TubeConfig, plus: Immersion, minus: Immersion):
-    """`_sheet_integrand` of both codimension-1 sheets, over one evaluation of each chunk's base.
-
-    The plus sheet's integrand evaluates a chunk's base 2-jet and QR once, forms both sheets' values from them,
-    one sheet after the other, returns its own and files the minus sheet's, keyed by the chunk's nodes.  The
-    minus sheet's integrand takes the filed row, or evaluates the chunk alone where the plus sheet stopped on an
-    earlier level.  A point's value does not depend on its chunk, so each sheet gets the bits it would alone.
-    """
-    filed, alone = {}, _sheet_integrand(cfg, minus, -1.0)
-
-    def key(U):
-        return U.window, tuple((c.shape, c.tobytes()) for c in U.columns)
-
-    def plus_integrand(U):
-        pieces = _base_frame_pieces(cfg.base, U, cfg.base.jet_map(U, 2))
-        values = _sheet_density(plus.name, *_sheet_chart(cfg, *pieces, U, 1.0), U)
-        filed[key(U)] = _sheet_density(minus.name, *_sheet_chart(cfg, *pieces, U, -1.0), U)
-        return values
-
-    def minus_integrand(U):
-        values = filed.pop(key(U), None)
-        return alone(U) if values is None else values
-
-    return plus_integrand, minus_integrand
+    return integrand
 
 
 def _sheet_levels(base: Immersion):
@@ -370,9 +353,9 @@ def _sheet_levels(base: Immersion):
 def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> TubeTotalResult:
     """Integrate the tube's Gaussian curvature; expect (-1)^(k-1) vol(S^(k-1)) chi.
 
-    With a `resolution`, each sheet is integrated on `resolution` nodes per
-    axis.  Without one, each sheet is refined along `_sheet_levels` until
-    converged, with vol(S^(k-1)) as the quantum.
+    The sheets are the rows of one reduction, on `resolution` nodes per axis
+    or, without one, refined together along `_sheet_levels` until every sheet
+    has converged, with vol(S^(k-1)) as the quantum.
     """
     base = cfg.base
     if base.euler_char is None:
@@ -381,25 +364,18 @@ def tube_total_curvature(cfg: TubeConfig, resolution: Optional[int] = None) -> T
         )
     boundary = tube_boundary_immersion(cfg)
     quantum = sphere_volume(base.k - 1)
-    sheets = boundary.sheets  # of signs +1, -1 as in `tube_boundary_immersion`
-    integrands = _paired_sheet_integrands(cfg, *sheets) if base.n == 1 else (_sheet_integrand(cfg, sheets[0], 1.0),)
-    per_sheet, grid_shapes, errors, flags = zip(*(
-        reduce_until_converged(sheet, integrand, quantum,
-                               _sheet_levels(base) if resolution is None else (default_grid(sheet, resolution),))
-        for sheet, integrand in zip(sheets, integrands)
-    ))
+    sheet = boundary.sheets[0]  # the sheets share one domain, so each level is one grid for all
+    per_sheet, grid_shape, errors, converged = reduce_until_converged(
+        sheet, _sheet_integrand(boundary), quantum,
+        _sheet_levels(base) if resolution is None else (default_grid(sheet, resolution),))
     integral = math.fsum(per_sheet)
     expected = (-1.0) ** (base.k - 1) * quantum * base.euler_char
-    error_estimate = converged = None
-    if resolution is None:
-        error_estimate = math.fsum(errors)
-        converged = all(flags)
     return TubeTotalResult(
         integral=integral,
         expected=expected,
         residual=abs(integral - expected),
         per_sheet=per_sheet,
-        grid_shapes=grid_shapes,
-        error_estimate=error_estimate,
+        grid_shapes=(grid_shape,) * len(per_sheet),
+        error_estimate=None if errors is None else math.fsum(errors),
         converged=converged,
     )

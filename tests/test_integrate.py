@@ -195,6 +195,12 @@ def test_an_integrand_of_the_wrong_shape_is_refused_and_named():
     imm = get("sphere2_r3")
     with pytest.raises(ValueError, match=r"sphere2_r3: .*\(64, 64\), expected \(64,\)"):
         cl.integrate_scalar(imm, lambda U: np.ones((len(U), 1)), cl.default_grid(imm, 8))
+    # a tuple of rows is several integrals, each row checked alone; a bare (r, B) array is refused, as at r = B
+    # it is that broadcast
+    with pytest.raises(ValueError, match=r"sphere2_r3: integrand row 1 maps 64 points .*\(64, 1\), expected \(64,\)"):
+        reduce_over_grid(imm, cl.default_grid(imm, 8), lambda U: (np.ones(len(U)), np.ones((len(U), 1))))
+    with pytest.raises(ValueError, match=r"sphere2_r3: integrand maps 64 points .*\(2, 64\), expected \(64,\)"):
+        reduce_over_grid(imm, cl.default_grid(imm, 8), lambda U: np.ones((2, len(U))))
 
 
 def test_grid_axis_mismatch_error():
@@ -436,6 +442,38 @@ def test_a_fixed_grid_runs_one_reduction_on_exactly_that_grid():
     assert refined.integral == fixed.integral  # the refinement reports its finer level
 
 
+def test_the_rows_of_one_integrand_stop_together():
+    # alone, the constant stops on 13 nodes and exp(cos 3u) on 20: together both stop on 20, and the
+    # constant reports its 20-node sum, not its 13-node one, with one estimate per row and one flag
+    imm = get("circle_r2")
+    quantum = cl.sphere_volume(1)
+
+    def levels(ladder=None):
+        return (cl.default_grid(imm, r) for r in (ladder or _refinement_ladder(imm)))
+
+    def one(U):
+        return np.ones(len(U))
+
+    def wave(U):
+        return np.exp(np.cos(3.0 * U[:, 0]))
+
+    alone = [reduce_until_converged(imm, row, quantum, levels()) for row in (one, wave)]
+    assert [shape for _, shape, _, _ in alone] == [(13,), (20,)]
+    assert alone[0][0] == 6.2831853071795845
+    values, shape, errors, converged = reduce_until_converged(imm, lambda U: (one(U), wave(U)), quantum, levels())
+    assert shape == (20,) and converged is True
+    assert values == (6.283185307179586, alone[1][0])
+    assert values == reduce_over_grid(imm, cl.default_grid(imm, 20), lambda U: (one(U), wave(U)))
+    assert len(errors) == 2 and max(errors) <= REFINE_TOL * quantum and errors[1] == alone[1][2]
+    # on 8 then 13 nodes the constant agrees and the wave does not: the flag is False, and each row keeps its estimate
+    values, shape, errors, converged = reduce_until_converged(
+        imm, lambda U: (one(U), wave(U)), quantum, levels([8, 13]))
+    assert shape == (13,) and converged is False
+    assert values[0] == alone[0][0] and errors[0] == alone[0][2] <= REFINE_TOL * quantum < errors[1]
+    # one level is compared with none: a tuple of values, no estimates and no flag
+    assert reduce_until_converged(imm, lambda U: (one(U), wave(U)), quantum, levels([8]))[2:] == (None, None)
+
+
 @pytest.mark.parametrize("imm", [
     get("product_s2s2_r6"), get("sphere4_r5"),
     dataclasses.replace(cl.random_graph_poly(np.random.default_rng(3), m=2, n=3), name="graph_n3"),
@@ -618,6 +656,8 @@ def test_the_first_bad_point_is_named_across_chunk_boundaries(chunk, tmp_path, m
         lambda: cl.tube_total_curvature(cl.TubeConfig(line, 0.1), resolution=8),
         lambda: cl.tube_total_curvature(_stalled_circle(0.0), resolution=2),
         lambda: cl.tube_total_curvature(_stalled_circle(third), resolution=8),
+        # two rows over one evaluation, of which only row 1 overflows
+        lambda: reduce_over_grid(line, grid, lambda U: (np.ones(len(U)), line.points(U)[:, 1])),
     ]
     with np.errstate(all="ignore"):
         default = [_refusal(run) for run in runs]
@@ -627,4 +667,5 @@ def test_the_first_bad_point_is_named_across_chunk_boundaries(chunk, tmp_path, m
         with pytest.raises(DegenerateImmersionError, match=re.escape(
                 f"integrand is not finite at {min(chunk, 3)} point(s) of its chunk, first at parameter point ")):
             runs[0]()
-    assert default[-1] == ("stalled_circle: first-derivative matrix is rank deficient", str([third]))
+    assert default[-2] == ("stalled_circle: first-derivative matrix is rank deficient", str([third]))
+    assert default[-1] == ("overflowing_line: integrand row 1 is not finite", default[0][1])

@@ -781,6 +781,12 @@ CRITERION_8_TUBES = [("sphere2_r4", 0.05), ("sphere2_r3", 0.1), ("circle_r3", 0.
 CRITERION_8_SHAPES = {"sphere2_r4": ((13, 13, 4),), "sphere2_r3": ((13, 13), (13, 13)), "circle_r3": ((13, 3),)}
 
 
+def _sheet_alone(cfg, sheet, sign):
+    """One sheet's integrand built alone, on its own evaluation of the base: what its row of
+    `tube._sheet_integrand` must equal bit for bit."""
+    return lambda U: tube._sheet_density(sheet.name, *tube._sheet_jets(cfg, sign, U, 1), U)
+
+
 @pytest.mark.parametrize("name, eps", CRITERION_8_TUBES)
 def test_refined_total_matches_the_default_grids(name, eps):
     cfg = cl.TubeConfig(get(name), eps)
@@ -788,15 +794,16 @@ def test_refined_total_matches_the_default_grids(name, eps):
     res = cl.tube_total_curvature(cfg)
     assert res.converged is True
     assert res.error_estimate <= 1e-12 * quantum
-    for index, (sheet, value) in enumerate(zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet)):
-        capped = reduce_over_grid(sheet, cl.default_grid(sheet), tube._sheet_integrand(cfg, sheet, 1.0 - 2.0 * index))
-        assert abs(value - capped) <= 1e-12 * quantum
+    boundary = cl.tube_boundary_immersion(cfg)
+    sheet, integrand = boundary.sheets[0], tube._sheet_integrand(boundary)
+    capped = reduce_over_grid(sheet, cl.default_grid(sheet), integrand)
+    assert len(capped) == len(res.per_sheet)
+    for value, capped_value in zip(res.per_sheet, capped):
+        assert abs(value - capped_value) <= 1e-12 * quantum
     # every sheet stops on the same level, and reports that level's value
     assert res.grid_shapes == CRITERION_8_SHAPES[name]
-    for index, (sheet, value, shape) in enumerate(zip(cl.tube_boundary_immersion(cfg).sheets, res.per_sheet,
-                                                      res.grid_shapes)):
-        grid = next(grid for grid in tube._sheet_levels(cfg.base) if grid.shape == shape)
-        assert value == reduce_over_grid(sheet, grid, tube._sheet_integrand(cfg, sheet, 1.0 - 2.0 * index))
+    grid = next(grid for grid in tube._sheet_levels(cfg.base) if grid.shape == res.grid_shapes[0])
+    assert res.per_sheet == reduce_over_grid(sheet, grid, integrand)
     assert res == cl.tube_total_curvature(cfg)  # bit-identical on a second call
 
 
@@ -844,12 +851,13 @@ def test_one_fiber_node_fewer_than_exact_misses_the_total(base, eps, counts, mis
     sheet = cl.tube_boundary_immersion(cfg).sheets[0]
     quantum = cl.sphere_volume(base.k - 1)
     expected = (-1.0) ** (base.k - 1) * quantum * base.euler_char
-    integrand = tube._sheet_integrand(cfg, sheet, 1.0)
+    integrand = tube._sheet_integrand(cl.tube_boundary_immersion(cfg))  # one row: one sheet
     exact = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._sphere_axes(base.n, base.m, 0))
     assert exact.shape[base.m:] == counts
-    assert abs(reduce_over_grid(sheet, exact, integrand) - expected) <= 1e-12 * quantum
+    (value,) = reduce_over_grid(sheet, exact, integrand)
+    assert abs(value - expected) <= 1e-12 * quantum
     fewer = cl.QuadratureGrid(cl.default_grid(base, 13).axes + tube._sphere_axes(base.n, base.m, -1))
-    value = reduce_over_grid(sheet, fewer, integrand)
+    (value,) = reduce_over_grid(sheet, fewer, integrand)
     assert abs(value - expected) > 1e-3 * quantum
     if missed is not None:
         assert_allclose((value - expected) / expected, missed, rtol=1e-12)
@@ -859,11 +867,11 @@ def test_a_sheet_integrand_off_the_promised_polynomial_stops_on_no_wrong_level()
     # times 1 + cos((m + 2) theta) / 2 the integrand has harmonics up to 2m + 2 in theta, but the same
     # fiber integrals; the first two levels' m + 1 and m + 2 theta nodes each alias one of them, and differ
     cfg = cl.TubeConfig(get("sphere2_r4"), 0.05)
-    sheet = cl.tube_boundary_immersion(cfg).sheets[0]
-    integrand = tube._sheet_integrand(cfg, sheet, 1.0)
+    boundary = cl.tube_boundary_immersion(cfg)
+    sheet, integrand = boundary.sheets[0], tube._sheet_integrand(boundary)
     quantum = cl.sphere_volume(cfg.base.k - 1)
     value, shape, _, converged = reduce_until_converged(
-        sheet, lambda U: integrand(U) * (1.0 + 0.5 * np.cos(4.0 * U[:, -1])), quantum,
+        sheet, lambda U: integrand(U)[0] * (1.0 + 0.5 * np.cos(4.0 * U[:, -1])), quantum,
         levels=tube._sheet_levels(cfg.base))
     assert shape != (13, 13, 4)
     assert converged is True
@@ -872,23 +880,24 @@ def test_a_sheet_integrand_off_the_promised_polynomial_stops_on_no_wrong_level()
 
 @pytest.mark.parametrize("name, eps, resolution", [
     ("sphere2_r3", 0.1, 16),
-    ("sphere4_r5", 0.125, 10),  # 10^4 points per sheet make two chunks, each filed under its own nodes
+    ("sphere4_r5", 0.125, 10),  # 10^4 points per sheet make two chunks, each evaluated once for both rows
 ])
-def test_fixed_resolution_runs_one_reduction_per_sheet(name, eps, resolution):
+def test_fixed_resolution_runs_one_reduction_for_both_sheets(name, eps, resolution):
     cfg = cl.TubeConfig(get(name), eps)
     res = cl.tube_total_curvature(cfg, resolution=resolution)
-    sheets = cl.tube_boundary_immersion(cfg).sheets
-    assert res.per_sheet == tuple(
-        reduce_over_grid(sheet, cl.default_grid(sheet, resolution), tube._sheet_integrand(cfg, sheet, sign))
-        for sheet, sign in zip(sheets, (1.0, -1.0), strict=True)
-    )
+    boundary = cl.tube_boundary_immersion(cfg)
+    sheet = boundary.sheets[0]
+    assert res.per_sheet == reduce_over_grid(sheet, cl.default_grid(sheet, resolution), tube._sheet_integrand(boundary))
+    assert len(res.per_sheet) == 2
     assert res.grid_shapes == ((resolution,) * cfg.base.m,) * 2
     assert res.error_estimate is None and res.converged is None
 
 
-def test_a_codimension_1_total_evaluates_the_base_once_for_both_sheets(monkeypatch):
-    # both sheets' 13^2 grids lie over the same 169 base points: the plus sheet's integrand evaluates their
-    # 2-jets once and files the minus sheet's values, so the minus sheet evaluates nothing
+@pytest.mark.parametrize("resolution, points", [(13, [169]), (None, [64, 169])], ids=["fixed", "refined"])
+def test_a_codimension_1_total_evaluates_the_base_once_for_both_sheets(resolution, points, monkeypatch):
+    # both sheets' grids lie over the same base points, and are the two rows of one reduction: each level
+    # evaluates their 2-jets once for both rows, a fixed 13^2 grid at its 169 points, and the refined total
+    # at each of its levels, 8^2 then 13^2, where it stops
     calls = []
     jet_map = cl.Immersion.jet_map
 
@@ -897,13 +906,13 @@ def test_a_codimension_1_total_evaluates_the_base_once_for_both_sheets(monkeypat
         return jet_map(imm, U, order)
 
     monkeypatch.setattr(cl.Immersion, "jet_map", recording_jet_map)
-    cl.tube_total_curvature(cl.TubeConfig(get("sphere2_r3"), 0.1), resolution=13)
-    assert calls == [("sphere2_r3", 2, 169)]
+    cl.tube_total_curvature(cl.TubeConfig(get("sphere2_r3"), 0.1), resolution=resolution)
+    assert calls == [("sphere2_r3", 2, count) for count in points]
 
 
 @pytest.mark.parametrize("name, eps", [("sphere2_r3", 0.1), ("torus_rev_r3", 0.1)])
 def test_paired_sheets_give_every_level_the_bits_of_each_sheet_alone(name, eps, monkeypatch):
-    # each level either sheet reduces, not only the one it stops on, against its one-sheet integrand
+    # one reduction per level, of both rows; on every level each row has the bits of its sheet's own reduction
     cfg = cl.TubeConfig(get(name), eps)
     reduce, levels = integrate.reduce_over_grid, []
 
@@ -915,24 +924,27 @@ def test_paired_sheets_give_every_level_the_bits_of_each_sheet_alone(name, eps, 
     monkeypatch.setattr(integrate, "reduce_over_grid", recording_reduce)
     res = cl.tube_total_curvature(cfg)
     monkeypatch.undo()
-    for index, sheet in enumerate(cl.tube_boundary_immersion(cfg).sheets):
-        seen = [(shape, value) for sheet_name, shape, value in levels if sheet_name == sheet.name]
-        assert len(seen) >= 2 and seen[-1] == (res.grid_shapes[index], res.per_sheet[index])
-        for (shape, value), grid in zip(seen, tube._sheet_levels(cfg.base)):
-            assert shape == grid.shape
-            assert value == reduce(sheet, grid, tube._sheet_integrand(cfg, sheet, 1.0 - 2.0 * index))
+    sheets = cl.tube_boundary_immersion(cfg).sheets
+    assert len(levels) >= 2 and levels[-1] == (sheets[0].name, res.grid_shapes[0], res.per_sheet)
+    assert res.grid_shapes == (res.grid_shapes[0],) * 2
+    for (_, shape, values), grid in zip(levels, tube._sheet_levels(cfg.base)):
+        assert shape == grid.shape
+        assert values == tuple(reduce(sheet, grid, _sheet_alone(cfg, sheet, sign))
+                               for sheet, sign in zip(sheets, (1.0, -1.0), strict=True))
 
 
 def test_paired_sheet_integrands_give_each_chunk_the_bits_of_each_sheet_alone():
-    # the minus sheet takes a chunk's filed row, or, where the plus sheet filed none, evaluates it alone
+    # both rows come from one evaluation of a chunk's base, its 2-jets and reflections, which neither sheet's
+    # chart may change for the other: each row is byte for byte the one its sheet gets alone
     cfg = cl.TubeConfig(get("torus_rev_r3"), 0.1)
-    plus, minus = cl.tube_boundary_immersion(cfg).sheets
-    paired = tube._paired_sheet_integrands(cfg, plus, minus)
-    alone = [tube._sheet_integrand(cfg, sheet, sign) for sheet, sign in ((plus, 1.0), (minus, -1.0))]
-    filed, unfiled = (cl.default_grid(minus, r)._window(0, 0, r)[0] for r in (8, 13))
-    assert paired[0](filed).tobytes() == alone[0](filed).tobytes()
-    for U in (filed, unfiled):
-        assert paired[1](U).tobytes() == alone[1](U).tobytes()
+    boundary = cl.tube_boundary_immersion(cfg)
+    integrand = tube._sheet_integrand(boundary)
+    for r in (8, 13):
+        U = cl.default_grid(boundary.sheets[0], r)._window(0, 0, r)[0]
+        rows = integrand(U)
+        assert isinstance(rows, tuple) and len(rows) == 2
+        for row, sheet, sign in zip(rows, boundary.sheets, (1.0, -1.0), strict=True):
+            assert row.tobytes() == _sheet_alone(cfg, sheet, sign)(U).tobytes()
 
 
 @pytest.mark.parametrize("name, eps, resolution, sheet_m", [

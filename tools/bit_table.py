@@ -19,7 +19,7 @@ For each catalog name (all of them by default) it prints:
 - for the same cases, and for `product_s2s2_r6` at half its reach, `per_sheet` of
   `tube_total_curvature(cfg, resolution=8)` by `float.hex`: that product's sheets hold 32,768 points,
   so their reductions span several chunks; and the same at `resolution=10` for `sphere4_r5` at
-  eps = 0.125, in codimension 1, whose two sheets of 10,000 points are paired chunk by chunk;
+  eps = 0.125, in codimension 1, whose two sheets of 10,000 points are the two rows of each chunk;
 - for the same cases, the sha256 of `tube_point`, `tube_identity_check` and `tube_spectrum_check`
   at 20 points `sample_domain(base, 20, default_rng(0))`, one point at a time, with directions
   drawn from the same generator; `tube_point` by the fields in `TUBE_POINT_FIELDS`;

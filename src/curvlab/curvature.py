@@ -57,7 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NormalDirection:
-    """Unit vector in the normal space, as coefficients in a normal frame."""
+    """Unit vector in the normal space, as coefficients in a normal frame: `FrameData.normal_frame`, the
+    Householder frame with structural pivoting, where it is read by `directional_curvature` and `tube_point`.
+    On a product chart that frame's columns are the factors' own normals."""
 
     coeffs: np.ndarray
 

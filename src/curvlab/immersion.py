@@ -6,8 +6,9 @@ in consistency tests).  From the 2-jet we derive the induced metric, an orthonor
 (Householder reflections of the tangents, in generic scalars: arrays here, jets for the tube
 frame) and the vector-valued second fundamental form, all read off each coordinate's partials
 in the jet's own window-broadcast shape; a partial off its support, and a cell of the forms that no
-support covers, is a structural zero, the plain number 0.0, whose terms the reflections and the
-determinants skip.  Only the frame is laid out over the batch, at the end, and the forms for `frames_at`.
+term covers, is a structural zero, the plain number 0.0, whose terms the reflections and the
+determinants skip, and on which the QR never pivots, so a product chart's frame and forms keep its
+factors' blocks.  Nothing is laid out over the batch but what `frames_at` returns, at the end.
 
 Sign convention: `second_form[s, i, j]` is the inner product of the ambient
 second derivative of the chart with normal frame vector s, i.e. the normal
@@ -153,7 +154,9 @@ class Immersion:
 
 @dataclass
 class FrameData:
-    """Orthonormal tangent-adapted data at a point."""
+    """Orthonormal tangent-adapted data at a point.  The normal frame is the Householder frame of the tangents
+    with structural pivoting (`_householder_qr`): on a product chart, such as `product_s2s2_r6`, each column is
+    one factor's normal, 0.0 in the other factor's coordinates, and Pi_s is zero outside factor s's block."""
 
     metric: np.ndarray  # (m, m) first fundamental form
     second_form: np.ndarray  # (n, m, m) normal components of D_i d_j
@@ -219,19 +222,39 @@ def _reflect(v, beta, y):
     return [c if _structural_zero(e) else c - w * e for c, e in zip(y, v)]
 
 
+def _pivot(x) -> int:
+    """The offset of the first entry of x that is not a structural zero, 0 if every entry is one: it depends on
+    the entries' supports alone, never on their values, so every point of a batch pivots alike."""
+    return next((p for p, c in enumerate(x) if not _structural_zero(c)), 0)
+
+
+def _move(y, p):
+    """y with entry p moved to the front and the p entries before it one down: a cycle of sign (-1)^p."""
+    return [y[p], *y[:p], *y[p + 1:]] if p else y
+
+
+def _move_back(y, p):
+    """The inverse of `_move(y, p)`: y's front entry back to p."""
+    return [*y[1:p + 1], y[0], *y[p + 1:]] if p else y
+
+
 @np.errstate(divide="ignore", invalid="ignore")  # a lost tangent gives inf or NaN, refused by the caller
 def _householder_qr(tangents):
-    """Householder QR of m tangents, all a rank check needs: reflections (v, beta), rank-loss mask, R.
+    """Householder QR of m tangents, all a rank check needs: reflections (v, beta, p), rank-loss mask, R.
 
     Every vector is a list of k generic scalars (jets, arrays or structural zeros); the QR differentiates wherever
-    the tangents do and keep full rank.  Reflection j takes x, column j of the tangents on rows j..,
-    to alpha e_j with alpha = s|x| and s = -copysign(1, x_0), the sign taken from the point's value;
-    2/|v|^2 is written beta = 1/(|x|(|x| - s x_0)), so that it differentiates.  R comes as rows
-    R[j] = [R_jj, R_j,j+1, ...].  The tangents lose rank where the smallest |R_jj| = |x| is at most
+    the tangents do and keep full rank.  Step j takes x, column j of the tangents on rows j.., moves its entry p,
+    its `_pivot`, to the front (`_move`, every column alike), and reflects x to alpha e_j with alpha = s|x| and
+    s = -copysign(1, x_0), the sign taken from the point's value; 2/|v|^2 is written beta = 1/(|x|(|x| - s x_0)),
+    so that it differentiates.  So the pivot is never a structural zero the reflection would fill in, and on a
+    product chart each factor's reflections keep to that factor's rows; dense tangents pivot at p = 0.  R comes
+    as rows R[j] = [R_jj, R_j,j+1, ...].  The tangents lose rank where the smallest |R_jj| = |x| is at most
     `_RANK_TOL` times the largest.
     """
     rest, reflections, R = tangents, [], []
     for _ in tangents:
+        p = _pivot(rest[0])
+        rest = [_move(col, p) for col in rest]
         x = rest[0]
         norm = sqrt(dot(x, x))
         s = -np.copysign(1.0, _value(x[0]))
@@ -241,14 +264,15 @@ def _householder_qr(tangents):
         rest = [_reflect(v, beta, col) for col in rest[1:]]
         R.append([alpha] + [col[0] for col in rest])
         rest = [col[1:] for col in rest]
-        reflections.append((v, beta))
+        reflections.append((v, beta, p))
     return reflections, _rank_lost(np.abs(np.broadcast_arrays(*(_value(row[0]) for row in R)))), R
 
 
 def _reflect_back(reflections, y):
-    """Q y for Q = H_0 ... H_(m-1), the product of `_householder_qr`'s reflections, H_j acting on entries j.. of y."""
-    for j, (v, beta) in reversed(list(enumerate(reflections))):
-        y = y[:j] + _reflect(v, beta, y[j:])
+    """Q y for Q = P_0^T H_0 ... P_(m-1)^T H_(m-1), the product of `_householder_qr`'s reflections H_j and row
+    moves P_j, both acting on entries j.. of y."""
+    for j, (v, beta, p) in reversed(list(enumerate(reflections))):
+        y = y[:j] + _move_back(_reflect(v, beta, y[j:]), p)
     return y
 
 
@@ -260,32 +284,46 @@ def _householder_frame(tangents, k):
     return frame, lost, R
 
 
-def _normal_frames(tangents):
-    """Orthonormal normal frames of m tangents, each a list of k arrays that broadcast or structural
-    zeros: n columns of k such entries, and a rank-loss mask in the broadcast shape of the batch.
+def _substitute(b, terms, d):
+    """(b - sum of the products r * x of `terms`, in their order) / d, one step of a triangular solve in generic
+    scalars.  A product with a structural zero is left out, and so the result is a structural zero where b and
+    every product are."""
+    total = None
+    for r, x in terms:
+        if not (_structural_zero(r) or _structural_zero(x)):
+            total = r * x if total is None else total + r * x
+    if total is None:
+        return b if _structural_zero(b) else b / d
+    return (b - total) / d
 
-    `_householder_frame` of the tangents, which keeps their shapes and skips their structural zeros.
-    Any orthonormal frame will do, since K_M averages over the whole normal sphere.  The reflections
-    leave tangential roundoff of the frame's own size in it, which swamps the normal part of d2 where
-    a coordinate vector nearly vanishes (near a polar axis).  So one corrected semi-normal step
-    F - d1 R^-1 R^-T d1^T F (a forward substitution with R^T, then a back substitution with R), one
-    column of F at a time, removes the tangential part measured against the tangents d1 themselves.
-    A point that loses rank solves with the identity in place of R.  A zero column divides by zero
-    within its own point only, and that point has lost rank.  NaN jets pass, for the reduction's
-    finite-value check.
+
+def _normal_frames(tangents, name, V: GridBatch):
+    """Orthonormal normal frames of m tangents of immersion `name` (or one name per point) over V, each a list of
+    k arrays that broadcast or structural zeros: n columns of k such entries, and the rank-loss mask in the
+    broadcast shape of the batch, after naming the first point of V where it is set.
+
+    `_householder_frame` of the tangents, which keeps their shapes and skips their structural zeros: the
+    Householder frame with structural pivoting, so on a product chart each column is one factor's normal, 0.0
+    in the other factor's rows.  Any orthonormal frame will do, since K_M averages over the whole normal sphere.
+    The reflections leave tangential roundoff of the frame's own size in it, which swamps the normal part of d2
+    where a coordinate vector nearly vanishes (near a polar axis).  So one corrected semi-normal step
+    F - d1 R^-1 R^-T d1^T F (a forward substitution with R^T, then a back substitution with R), one column of F
+    at a time, removes the tangential part measured against the tangents d1 themselves.  It runs once rank loss
+    is refused, so no R_jj is zero; `_substitute` leaves out each term with a structural zero, so a column keeps
+    its 0.0 entries.  NaN jets pass, for the reduction's finite-value check.
     """
     m = len(tangents)
     frame, lost, R = _householder_frame(tangents, len(tangents[0]))
-    R = [[np.where(lost, float(i == 0), r) for i, r in enumerate(row)] for row in R]  # the identity where lost
+    _refuse_rank_loss(name, V, V.rows(lost))
     for s, col in enumerate(frame):
         y = []
         for i in range(m):  # R^T y = d1^T F
-            y.append((dot(tangents[i], col) - sum(R[j][i - j] * y[j] for j in range(i))) / R[i][0])
+            y.append(_substitute(dot(tangents[i], col), [(R[j][i - j], y[j]) for j in range(i)], R[i][0]))
         z = [None] * m
         for i in reversed(range(m)):  # R z = y
-            z[i] = (y[i] - sum(R[i][j - i] * z[j] for j in range(i + 1, m))) / R[i][0]
+            z[i] = _substitute(y[i], [(R[i][j - i], z[j]) for j in range(i + 1, m)], R[i][0])
         for t, zi in zip(tangents, z):
-            col = [c if _structural_zero(e) else c - e * zi for c, e in zip(col, t)]
+            col = [c if _structural_zero(e) or _structural_zero(zi) else c - e * zi for c, e in zip(col, t)]
         frame[s] = col
     return frame, lost
 
@@ -306,41 +344,50 @@ def _refuse_rank_loss(name, U: np.ndarray, lost: np.ndarray):
 
 
 def _forms(name, js, V: GridBatch):
-    """Metric (m, m), second form (n, m, m) and frame (k,n,B) from the 2-jets js of immersion `name` (or one
+    """Metric (m, m), second form (n, m, m) and frame (n, k) from the 2-jets js of immersion `name` (or one
     name per point) over V; names the first point of rank loss.  Nothing is stacked: tangent i, coordinate a,
     is the jet's partial in variable i in its own shape, or 0.0 off its support, and coordinate a adds the
-    products of its first partials, and frame row a times its second partials, into the cells of its support,
-    so every point sums over the coordinates in one order.  The forms are lists of cells in their terms' shape,
-    or 0.0 where no support holds both variables; only the frame is laid out, batch last (`_dense_forms`)."""
+    products of its first partials, and entry a of each frame column s times its second partials, into the cells
+    of its support and of Pi_s, so every point sums over the coordinates in one order.  The forms are lists of
+    cells in their terms' shape, or 0.0 where no term is left: where no support holds both variables, and in
+    Pi_s where frame column s is 0.0 in every coordinate whose support does, as on a product chart outside
+    factor s's block.  The frame comes as `_normal_frames` gives it, n columns of k entries; `_dense_forms`
+    lays all three out, batch last."""
     m = len(V.columns)
     tangents = [[j.tensors[1][j.support.index(i)] if i in j.support else 0.0 for j in js] for i in range(m)]
-    frame, lost = _normal_frames(tangents)
-    _refuse_rank_loss(name, V, V.rows(lost))
-    frame = np.stack([np.stack([np.broadcast_to(c, V.window) for c in col]) for col in frame], axis=1)
-    metric, second = ([[0.0] * m for _ in range(m)] for _ in range(2))
-    for f, j in zip(frame, js):
+    frame, _ = _normal_frames(tangents, name, V)
+    metric = [[0.0] * m for _ in range(m)]
+    second = [[[0.0] * m for _ in range(m)] for _ in frame]
+    for a, j in enumerate(js):
         for p, q in np.ndindex(*j.tensors[2].shape[:2]):
             i, l = j.support[p], j.support[q]
             metric[i][l] = _accumulate(metric[i][l], j.tensors[1][p], j.tensors[1][q])
-            second[i][l] = _accumulate(second[i][l], f, j.tensors[2][p, q])  # (n, window): every Pi_s at once
-    second = [[[c if _structural_zero(c) else c[s] for c in row] for row in second] for s in range(frame.shape[1])]
-    return metric, second, frame.reshape(*frame.shape[:2], -1)
+            for s, col in enumerate(frame):
+                second[s][i][l] = _accumulate(second[s][i][l], col[a], j.tensors[2][p, q])
+    return metric, second, frame
 
 
 def _dense_forms(name, js, V: GridBatch):
     """`_forms` laid out: metric (m,m,B), second form (n,m,m,B) and frame (k,n,B), batch axis last.  Each cell
-    is written as 0 + cell, the bits of its terms summed into zeros: a structural zero or a -0 reads +0."""
-    metric, second, frame = _forms(name, js, V)
+    is written as 0 + cell, the bits of its terms summed into zeros: a structural zero or a -0 reads +0; each
+    frame entry is copied as it is."""
+    metric, second, columns = _forms(name, js, V)
     out = np.empty((1 + len(second), len(metric), len(metric)) + V.window)  # the metric, then each Pi_s
     for s, i, j in np.ndindex(*out.shape[:3]):
         np.add(0.0, (metric, *second)[s][i][j], out=out[s, i, j])
+    frame = np.empty((len(columns[0]), len(columns)) + V.window)
+    for s, col in enumerate(columns):
+        for a, c in enumerate(col):
+            frame[a, s] = c
     out = out.reshape(*out.shape[:3], -1)
-    return out[0], out[1:], frame
+    return out[0], out[1:], frame.reshape(*frame.shape[:2], -1)
 
 
 def frames_at(imm: Immersion, U: np.ndarray):
     """Batched fundamental forms: metric (B,m,m), second form (B,n,m,m), frame (B,k,n), views of
-    batch-last storage with the batch axis moved first; the second form is read off the jets, not a stack."""
+    batch-last storage with the batch axis moved first; the second form is read off the jets, not a stack.
+    The frame is `FrameData`'s: the Householder frame with structural pivoting, on a product chart the
+    factors' own normals, and the second form is taken along its columns."""
     V = _batch(imm, U)
     return tuple(np.moveaxis(t, -1, 0) for t in _dense_forms(imm.name, imm.jet_map(V, 2), V))
 

@@ -4,14 +4,16 @@ The boundary of the eps-neighborhood of a base immersion X is charted as
 
     F(u, theta) = X(u) + eps * g(u, theta),    g = Q(u) (0, ..., 0, y(theta))
 
-where Q = H_0 ... H_(m-1) is the product of the Householder reflections of a QR of the tangents, so that
-g = sum_s y_s nu_s over the normal frame nu_s = Q e_(m+s), smooth near each base point, and y is the
+where Q = P_0^T H_0 ... P_(m-1)^T H_(m-1) is the product of the Householder reflections H_j and row moves P_j
+of a QR of the tangents that pivots on structure (`immersion._householder_qr`), so that g = sum_s y_s nu_s over
+the normal frame nu_s = Q e_(m+s), smooth near each base point, and y is the
 unit-sphere chart of the normal fiber, `integrate._sphere_values` (codimension 1: two sheets with y =
 +-sigma; codimension n >= 2: one sheet, whose fiber S^(n-1) is charted by n - 2 polar angles and an
 azimuth).  The reflections are built from the tangents alone and differentiated exactly, in
 truncated-Taylor arithmetic, by the `immersion._householder_qr` that also gives the base forms' frame,
 and run in reverse on the one vector (0_m, y), so no frame column is formed.  In codimension 1, sigma =
-prod_j sign(R_jj) turns the normal so that det[sigma Q e_m, tangents] > 0, which tells the sheets apart.
+(-1)^(p_0 + ... + p_(m-1)) prod_j sign(R_jj), p_j the pivot offset of step j, so det P_j = (-1)^p_j, turns
+the normal so that det[sigma Q e_m, tangents] > 0, which tells the sheets apart.
 Two base points may get frames that differ by an orthogonal map, but each fiber is still the whole normal
 sphere, so no fiber integral depends on the choice.  Where the tangents lose rank the sheet raises
 `DegenerateImmersionError` naming the base point.
@@ -51,8 +53,8 @@ import numpy as np
 from .curvature import (NormalDirection, _check_direction, _combine, _det, _directional_curvatures, _first,
                         sphere_volume, whiten_second_form)
 from .errors import CurvlabError, ReachExceededError
-from .immersion import (FrameData, GridBatch, Immersion, _batch, _dense_forms, _householder_qr, _reflect,
-                        _reflect_back, _refuse_rank_loss, _stack, _value, frame_data_at, induced_metric)
+from .immersion import (FrameData, GridBatch, Immersion, _batch, _dense_forms, _householder_qr, _move,
+                        _reflect, _reflect_back, _refuse_rank_loss, _stack, _value, frame_data_at, induced_metric)
 from .integrate import (QuadratureGrid, _refinement_ladder, _sphere_axes, _sphere_coords, _sphere_domain,
                         _sphere_values, default_grid, reduce_until_converged)
 from .jets import Jet, dot
@@ -129,8 +131,9 @@ def _base_frame_pieces(base: Immersion, U, X):
     by the caller over U's window, so its tangents are m-variable jets at `order`, and the structural
     zero 0.0 off each coordinate's support, which the QR and the reflect-back skip.  Their
     `immersion._householder_qr`, the QR that gives the base forms' frame from their values, gives
-    Q = H_0 ... H_(m-1), whose last n columns are a normal frame smooth near each point: all a
-    fiber integral needs.  In codimension 1, sigma = prod_j sign(R_jj), the signs of the QR
+    Q = P_0^T H_0 ... P_(m-1)^T H_(m-1), whose last n columns are a normal frame smooth near each point:
+    all a fiber integral needs.  In codimension 1, sigma = (-1)^(p_0 + ... + p_(m-1)) prod_j sign(R_jj),
+    the sign of the QR's row moves P_j, each a cycle of its pivot offset p_j, times the signs of the QR
     diagonal's values, turns that one column so that det[sigma Q e_m, tangents] = |prod_j R_jj| > 0:
     its sign tells the two sheets apart over the whole base (None in higher codimension).  The
     first base point where the tangents lose rank is named before the reflections are used.
@@ -139,7 +142,8 @@ def _base_frame_pieces(base: Immersion, U, X):
     tangents = [[X[a].partial(i) if i in X[a].support else 0.0 for a in range(base.k)] for i in range(base.m)]
     reflections, lost, R = _householder_qr(tangents)
     _refuse_rank_loss(base.name, U, U.rows(lost))
-    sigma = math.prod(np.sign(row[0].val) for row in R) if base.n == 1 else None
+    parity = (-1.0) ** sum(p for *_, p in reflections)  # det of the QR's row moves
+    sigma = parity * math.prod(np.sign(row[0].val) for row in R) if base.n == 1 else None
     return [x.truncate(order) for x in X], reflections, sigma
 
 
@@ -247,8 +251,8 @@ def tube_point(cfg: TubeConfig, u, nu_hat, boundary: Optional[TubeBoundary] = No
     pi_nu, nj = _shape_and_jacobian(cfg, base_frame.metric, base_frame.second_form, C, U)
     X, reflections, sigma = _base_frame_pieces(base, V, X)
     y = list(_combine(C, base_frame.normal_frame.T))  # nu_hat in the ambient space, k of (B,)
-    for j, (v, beta) in enumerate(reflections):  # Q^T, the reflections forward on the values
-        y = y[:j] + _reflect([_value(c) for c in v], _value(beta), y[j:])
+    for j, (v, beta, p) in enumerate(reflections):  # Q^T, each row move then its reflection, on the values
+        y = y[:j] + _reflect([_value(c) for c in v], _value(beta), _move(y[j:], p))
     y = np.array(y[base.m:])  # in the fiber frame, (n, B)
     if base.n == 1:
         index, P = np.where(sigma * y[0] > 0, 0, 1), U.copy()

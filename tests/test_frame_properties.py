@@ -1,6 +1,7 @@
-"""Property tests of the one Householder frame routine: on arrays, with the semi-normal step, it is the
-frame of a complete QR, up to roundoff; on jets it is orthonormal and normal to the tangents in every
-derivative it carries, and its values are bit for bit its frame and R of the tangents' values."""
+"""Property tests of the one Householder frame routine: on arrays, with the semi-normal step, it spans the
+normal space of a complete QR, up to roundoff, also where structural zeros move its pivots; on jets it is
+orthonormal and normal to the tangents in every derivative it carries, and its values are bit for bit its
+frame and R of the tangents' values."""
 
 import itertools
 
@@ -9,8 +10,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import curvlab as cl
+from curvlab import immersion
 from curvlab.curvature import batched_curvature_moments
-from curvlab.immersion import _householder_frame, _normal_frames, induced_metric
+from curvlab.immersion import Immersion, _batch, _householder_frame, _normal_frames, induced_metric
 from curvlab.jets import dot
 
 from conftest import get
@@ -38,8 +40,12 @@ def _moments_K(d1, d2, frame):
 
 
 def _check_frame(imm, U):
+    # the tangents on the jets' own shapes, as the forms build them: 0.0 off each coordinate's support
     _, d1, d2 = cl.jets_at(imm, U, order=2)
-    columns, lost = _normal_frames([list(d1[:, :, i].T) for i in range(imm.m)])
+    V = _batch(imm, U)
+    js = imm.jet_map(V, 1)
+    tangents = [[j.tensors[1][j.support.index(i)] if i in j.support else 0.0 for j in js] for i in range(imm.m)]
+    columns, lost = _normal_frames(tangents, imm.name, V)
     frame = np.array([[np.broadcast_to(c, lost.shape) for c in col] for col in columns]).transpose(2, 1, 0)
     reference = _qr_frames(d1)
     assert not lost.any()
@@ -72,6 +78,41 @@ def test_householder_frame_matches_the_qr_reference_on_product_s2s2_r6():
     imm = get("product_s2s2_r6")
     U = cl.default_grid(imm, 13).mesh()[0]
     _check_frame(imm, U)
+
+
+def _block_product(rng, m1, m2):
+    """The product of two random graphs, of dimension m1 and m2 and codimension 1 to 3 each, with its ambient
+    coordinates interleaved by a seeded permutation: each factor's tangents are 0.0 in the other's rows, which
+    lie between its own, so the frame's QR moves its pivot at the steps that reach them."""
+    a = cl.random_graph_poly(rng, m=m1, n=int(rng.integers(1, 4)), degree=3, scale=1.0)
+    b = cl.random_graph_poly(rng, m=m2, n=int(rng.integers(1, 4)), degree=3, scale=1.0)
+    order = rng.permutation(a.k + b.k)
+
+    def chart(xs):
+        X = [*a.chart(xs[:m1]), *b.chart(xs[m1:])]
+        return [X[i] for i in order]
+
+    return Immersion(name="graph_product", k=a.k + b.k, domain=a.domain + b.domain, chart=chart)
+
+
+@hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+@hypothesis.given(m1=st.integers(1, 2), m2=st.integers(1, 2), seed=st.integers(0, 2**32 - 1))
+def test_householder_frame_matches_the_qr_reference_on_block_structured_charts(m1, m2, seed):
+    rng = np.random.default_rng(seed)
+    imm = _block_product(rng, m1, m2)
+    _check_frame(imm, cl.sample_domain(imm, 16, rng))
+
+
+def test_a_block_structured_chart_moves_its_pivots():
+    # the property above runs on moved pivots: over 40 seeds, some steps pivot past a structural zero
+    moved = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        imm = _block_product(rng, 2, 2)
+        js = imm.jet_map(_batch(imm, cl.sample_domain(imm, 4, rng)), 1)
+        tangents = [[j.tensors[1][j.support.index(i)] if i in j.support else 0.0 for j in js] for i in range(imm.m)]
+        moved += sum(p > 0 for *_, p in immersion._householder_qr(tangents)[0])
+    assert moved >= 40
 
 
 def _assert_vanishes(jet, what):

@@ -332,6 +332,16 @@ def test_gauss_bonnet_routes_agree():
     assert a.route == "moments" and b.route == "quadrature"
 
 
+def test_the_clifford_torus_is_flat_to_the_bit_by_the_moments_route():
+    # its normals are the two factor circles' own, so Pi_s is the float 0.0 outside cell (s, s): every
+    # determinant the moments route expands holds a structural-zero row, and K_M is +0.0 exactly
+    imm = get("clifford_torus_r4")
+    k_m = cl.batched_curvature(imm, cl.default_grid(imm).mesh()[0])
+    assert np.all(k_m == 0.0) and not np.signbit(k_m).any()
+    report = cl.gauss_bonnet_check(imm)
+    assert report.integral == 0.0 and report.error_estimate == 0.0
+
+
 def test_gauss_bonnet_deterministic():
     imm = get("torus_rev_r3")
     a = cl.gauss_bonnet_check(imm)

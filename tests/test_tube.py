@@ -220,7 +220,8 @@ def test_sheet_jets_match_the_all_variable_construction(name, eps, rng):
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_the_gauss_map_is_the_reflections_run_back_over_0_y(name, eps, tol, order, rng):
     # g = Q (0, y), the reflections run in reverse on one vector, against sum_s y_s nu_s over the normal frame
-    # nu = `_householder_frame` of the same tangent jets, with y = sigma * sign in codimension 1
+    # nu = `_householder_frame` of the same tangent jets, with y = sigma * sign in codimension 1; the tangents
+    # are 0.0 off each coordinate's support, as `_base_frame_pieces` builds them, so both QRs pivot alike
     cfg = _tube_case(name, eps)
     base = cfg.base
     for sheet, sign in zip(cl.tube_boundary_immersion(cfg).sheets, (1.0, -1.0)):
@@ -229,7 +230,8 @@ def test_the_gauss_map_is_the_reflections_run_back_over_0_y(name, eps, tol, orde
         X = base.jet_map(V, order + 1)
         pieces = tube._base_frame_pieces(base, V, X)
         _, g = tube._sheet_chart(cfg, *pieces, U, sign)
-        frame, _, _ = _householder_frame([[X[a].partial(i) for a in range(base.k)] for i in range(base.m)], base.k)
+        tangents = [[X[a].partial(i) if i in X[a].support else 0.0 for a in range(base.k)] for i in range(base.m)]
+        frame, _, _ = _householder_frame(tangents, base.k)
         y = [pieces[2] * sign] if base.n == 1 else tube._sphere_values(Jet.variables(U.columns, order)[base.m:])
         want = [dot(y, [frame[s][a] for s in range(base.n)]) for a in range(base.k)]
         for got_a, want_a in zip(g, want, strict=True):
@@ -945,6 +947,42 @@ def test_paired_sheet_integrands_give_each_chunk_the_bits_of_each_sheet_alone():
         assert isinstance(rows, tuple) and len(rows) == 2
         for row, sheet, sign in zip(rows, boundary.sheets, (1.0, -1.0), strict=True):
             assert row.tobytes() == _sheet_alone(cfg, sheet, sign)(U).tobytes()
+
+
+def _turned_torus():
+    """torus_rev_r3 with its coordinates reordered as (r sin v, w cos u, w sin u), a rotation of R^3: the
+    first tangent is 0.0 in row 0, so the QR's first step moves its pivot to row 1."""
+    torus = get("torus_rev_r3")
+
+    def chart(xs):
+        x, y, z = torus.chart(xs)
+        return [z, x, y]
+
+    return dataclasses.replace(torus, name="torus_rev_r3_turned", chart=chart)
+
+
+def test_a_moved_pivot_keeps_each_codimension_1_sheet(rng):
+    # the two sheets are told apart by det[sigma Q e_m, tangents] > 0, where sigma carries the sign of the
+    # QR's row moves: the turned torus is torus_rev_r3 carried through a rotation, so each of its sheets is
+    # the turned sheet of the torus, with that sheet's total, and tube_point puts an ambient direction on
+    # the same sheet of both
+    torus, turned = get("torus_rev_r3"), _turned_torus()
+    cfgs = [cl.TubeConfig(imm, 0.1) for imm in (torus, turned)]
+    want, got = (cl.tube_total_curvature(cfg) for cfg in cfgs)
+    assert len(got.per_sheet) == len(want.per_sheet) == 2
+    assert all(abs(g - w) <= 1e-14 * cl.sphere_volume(2) for g, w in zip(got.per_sheet, want.per_sheet))
+    U = cl.sample_domain(torus, 20, rng)
+    normal = cl.frames_at(torus, U)[2][:, :, 0]
+    ambient = rng.choice([-1.0, 1.0], size=(20, 1)) * normal  # a unit normal direction at each base point
+    turned_ambient = ambient[:, [2, 0, 1]]
+    points = []
+    for imm, cfg, a in zip((torus, turned), cfgs, (ambient, turned_ambient), strict=True):
+        coeffs = np.einsum("bk,bk->b", cl.frames_at(imm, U)[2][:, :, 0], a)
+        assert_allclose(np.abs(coeffs), 1.0, rtol=0, atol=1e-14)
+        points.append(cl.tube_point(cfg, U, [cl.NormalDirection([np.sign(c)]) for c in coeffs]))
+    assert_array_equal(points[1].sheet_index, points[0].sheet_index)
+    assert set(points[0].sheet_index) == {0, 1}
+    assert_allclose(points[1].point, points[0].point[:, [2, 0, 1]], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("name, eps, resolution, sheet_m", [
